@@ -28,6 +28,8 @@ Result<std::unique_ptr<WalkthroughServer>> WalkthroughServer::Open(
     const ServerOptions& options) {
   std::unique_ptr<WalkthroughServer> server(new WalkthroughServer(options));
   HDOV_RETURN_IF_ERROR(server->LoadWorld());
+  server->pool_ = std::make_unique<ThreadPool>(
+      ThreadPool::ResolveThreads(options.workers));
   return server;
 }
 
@@ -185,7 +187,6 @@ Result<ServerRunStats> WalkthroughServer::Play() {
       tree_pool_ != nullptr ? tree_pool_->TotalStats() : BufferPoolStats();
 
   ServerRunStats stats;
-  ThreadPool pool(ThreadPool::ResolveThreads(options_.workers));
   const auto wall0 = std::chrono::steady_clock::now();
 
   // Lockstep rounds: every live session advances exactly one frame per
@@ -230,7 +231,7 @@ Result<ServerRunStats> WalkthroughServer::Play() {
     // actually reaches the frame, so queue wait covers both pool
     // scheduling delay and time spent behind earlier group members.
     const uint64_t enqueue_ns = telemetry::FlightNowNs();
-    pool.ParallelFor(groups.size(), [&](size_t slot, size_t g) {
+    pool_->ParallelFor(groups.size(), [&](size_t slot, size_t g) {
       (void)slot;
       for (size_t idx : groups[g]) {
         Runner& r = runners[idx];

@@ -19,7 +19,8 @@
 // their session is about to query; each group runs as one task, so
 // co-located sessions execute back-to-back on one worker and the first
 // one's V-page misses warm the shared cache for the rest (same-cell
-// batching). Groups run in parallel across the worker pool.
+// batching). Groups run in parallel across the worker pool, which Open
+// starts once and every Play() reuses.
 
 #ifndef HDOV_SERVER_WALKTHROUGH_SERVER_H_
 #define HDOV_SERVER_WALKTHROUGH_SERVER_H_
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "persist/snapshot.h"
 #include "scene/cell_grid.h"
 #include "scene/session.h"
@@ -168,6 +170,10 @@ class WalkthroughServer {
   // drain their own warms at destruction, and the queue's destructor
   // drains the rest before the warm targets go away.
   std::unique_ptr<prefetch::AsyncFetchQueue> prefetch_queue_;
+  // Render workers, started once in Open and reused by every Play(): the
+  // always-on flight recorder keeps a ring for every thread it ever saw,
+  // so a fresh pool per Play() would grow memory with each call.
+  std::unique_ptr<ThreadPool> pool_;
 
   SharedWorldView world_;
   std::vector<Session> sessions_;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace hdov {
 
 namespace {
 
 constexpr double kNearEpsilon = 1e-6;
+// Side planes sit this much (relative) outside the face's 45° frustum.
+constexpr double kSideSlack = 1e-9;
 
 // Sutherland–Hodgman clip of a camera-space polygon against the half-space
 // n·v >= offset. `in`/`out` must differ.
@@ -76,35 +79,39 @@ void CubeMapBuffer::Reset(const Vec3& viewpoint) {
 void CubeMapBuffer::RasterizeTriangle(const Vec3& a, const Vec3& b,
                                       const Vec3& c, uint32_t item) {
   const Vec3 cam[3] = {a - viewpoint_, b - viewpoint_, c - viewpoint_};
+  for (int face = 0; face < 6; ++face) {
+    ClipToFace(face, cam, item);
+  }
+}
+
+void CubeMapBuffer::ClipToFace(int face, const Vec3* cam, uint32_t item) {
+  const Face& f = faces_[face];
+  // Quick reject: all three vertices behind the face.
+  if (f.forward.Dot(cam[0]) <= 0.0 && f.forward.Dot(cam[1]) <= 0.0 &&
+      f.forward.Dot(cam[2]) <= 0.0) {
+    return;
+  }
   // Scratch buffers big enough for a triangle clipped by 5 planes.
   Vec3 buf_a[16];
   Vec3 buf_b[16];
-  for (int face = 0; face < 6; ++face) {
-    const Face& f = faces_[face];
-    // Quick reject: all three vertices behind the face.
-    if (f.forward.Dot(cam[0]) <= 0.0 && f.forward.Dot(cam[1]) <= 0.0 &&
-        f.forward.Dot(cam[2]) <= 0.0) {
-      continue;
-    }
-    buf_a[0] = cam[0];
-    buf_a[1] = cam[1];
-    buf_a[2] = cam[2];
-    int n = 3;
-    // Near plane, then the four side planes (with a hair of slack so
-    // neighbouring faces overlap rather than leave seams).
-    n = ClipAgainstPlane(buf_a, n, f.forward, kNearEpsilon, buf_b);
-    if (n < 3) continue;
-    const Vec3 fs = f.forward * (1.0 + 1e-9);
-    n = ClipAgainstPlane(buf_b, n, fs - f.right, 0.0, buf_a);
-    if (n < 3) continue;
-    n = ClipAgainstPlane(buf_a, n, fs + f.right, 0.0, buf_b);
-    if (n < 3) continue;
-    n = ClipAgainstPlane(buf_b, n, fs - f.up, 0.0, buf_a);
-    if (n < 3) continue;
-    n = ClipAgainstPlane(buf_a, n, fs + f.up, 0.0, buf_b);
-    if (n < 3) continue;
-    RasterizeOnFace(face, buf_b, n, item);
-  }
+  buf_a[0] = cam[0];
+  buf_a[1] = cam[1];
+  buf_a[2] = cam[2];
+  int n = 3;
+  // Near plane, then the four side planes (with a hair of slack so
+  // neighbouring faces overlap rather than leave seams).
+  n = ClipAgainstPlane(buf_a, n, f.forward, kNearEpsilon, buf_b);
+  if (n < 3) return;
+  const Vec3 fs = f.forward * (1.0 + kSideSlack);
+  n = ClipAgainstPlane(buf_b, n, fs - f.right, 0.0, buf_a);
+  if (n < 3) return;
+  n = ClipAgainstPlane(buf_a, n, fs + f.right, 0.0, buf_b);
+  if (n < 3) return;
+  n = ClipAgainstPlane(buf_b, n, fs - f.up, 0.0, buf_a);
+  if (n < 3) return;
+  n = ClipAgainstPlane(buf_a, n, fs + f.up, 0.0, buf_b);
+  if (n < 3) return;
+  RasterizeOnFace(face, buf_b, n, item);
 }
 
 void CubeMapBuffer::RasterizeOnFace(int face, const Vec3* poly, int n,
@@ -188,9 +195,14 @@ void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item) {
   if (box.IsEmpty()) {
     return;
   }
+  // Camera-space corners: exactly the vertices RasterizeTriangle would
+  // compute for each of the box's triangles.
   Vec3 c[8];
+  double extent = 0.0;  // Largest corner L1 norm.
   for (int i = 0; i < 8; ++i) {
-    c[i] = box.Corner(i);
+    c[i] = box.Corner(i) - viewpoint_;
+    extent = std::max(
+        extent, std::fabs(c[i].x) + std::fabs(c[i].y) + std::fabs(c[i].z));
   }
   static constexpr int kQuads[6][4] = {
       {0, 2, 3, 1},  // bottom
@@ -200,10 +212,103 @@ void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item) {
       {0, 4, 6, 2},  // left
       {1, 3, 7, 5},  // right
   };
-  for (const auto& q : kQuads) {
-    RasterizeTriangle(c[q[0]], c[q[1]], c[q[2]], item);
-    RasterizeTriangle(c[q[0]], c[q[2]], c[q[3]], item);
+  // Face-outer: a face writes only its own pixels, so each face still sees
+  // the box's triangles in the order 12 RasterizeTriangle calls give.
+  for (int face = 0; face < 6; ++face) {
+    if (BoxSkipsFace(face, c, extent)) {
+      continue;
+    }
+    for (const auto& q : kQuads) {
+      const Vec3 first[3] = {c[q[0]], c[q[1]], c[q[2]]};
+      const Vec3 second[3] = {c[q[0]], c[q[2]], c[q[3]]};
+      ClipToFace(face, first, item);
+      ClipToFace(face, second, item);
+    }
   }
+}
+
+bool CubeMapBuffer::BoxSkipsFace(int face, const Vec3* c,
+                                 double extent) const {
+  const Face& f = faces_[face];
+  // Near plane: the very test the near clip applies to each vertex. With
+  // every corner failing it, each triangle clips to nothing.
+  double depth[8];
+  int in_front = 0;
+  for (int i = 0; i < 8; ++i) {
+    depth[i] = f.forward.Dot(c[i]);
+    in_front += depth[i] - kNearEpsilon >= 0.0;
+  }
+  if (in_front == 0) {
+    return true;
+  }
+  // Side planes: every corner strictly outside one of them. The margin
+  // dwarfs the rounding of vertices the near clip interpolates (~1e-15
+  // relative), which could otherwise land a hair inside the plane.
+  const double margin = 1e-9 * extent;
+  const Vec3 fs = f.forward * (1.0 + kSideSlack);
+  for (const Vec3& n : {fs - f.right, fs + f.right, fs - f.up, fs + f.up}) {
+    bool outside = true;
+    for (int i = 0; i < 8 && outside; ++i) {
+      outside = n.Dot(c[i]) < -margin;
+    }
+    if (outside) {
+      return true;
+    }
+  }
+  return in_front == 8 && BoxOccludedOnFace(face, c, depth, extent);
+}
+
+bool CubeMapBuffer::BoxOccludedOnFace(int face, const Vec3* c,
+                                      const double* depth,
+                                      double extent) const {
+  const Face& f = faces_[face];
+  double min_depth = depth[0];
+  for (int i = 1; i < 8; ++i) {
+    min_depth = std::min(min_depth, depth[i]);
+  }
+  // A box nearly touching the near plane relative to its size could carry
+  // clip rounding past the 1e-6 slack below; leave it to the z-test.
+  if (min_depth * 1e6 < extent) {
+    return false;
+  }
+  // The projected box bounds every pixel its clipped triangles can cover,
+  // and its nearest corner bounds their interpolated 1/depth.
+  double min_u = std::numeric_limits<double>::infinity();
+  double max_u = -min_u;
+  double min_v = min_u;
+  double max_v = -min_u;
+  for (int i = 0; i < 8; ++i) {
+    const double inv = 1.0 / depth[i];
+    const double u = f.right.Dot(c[i]) * inv;
+    const double v = f.up.Dot(c[i]) * inv;
+    min_u = std::min(min_u, u);
+    max_u = std::max(max_u, u);
+    min_v = std::min(min_v, v);
+    max_v = std::max(max_v, v);
+  }
+  const double bound = (1.0 / min_depth) * (1.0 + 1e-6);
+  // Pixel range of the projection, widened by one pixel per side against
+  // rounding; clamped before the int conversion.
+  auto pixel = [&](double t) {
+    return std::clamp((t + 1.0) * 0.5 * res_, -1.0,
+                      static_cast<double>(res_));
+  };
+  const int i0 = std::max(0, static_cast<int>(pixel(min_u)) - 1);
+  const int i1 = std::min(res_ - 1, static_cast<int>(pixel(max_u)) + 1);
+  const int j0 = std::max(0, static_cast<int>(pixel(min_v)) - 1);
+  const int j1 = std::min(res_ - 1, static_cast<int>(pixel(max_v)) + 1);
+  const float* face_depth =
+      inv_depth_.data() + static_cast<size_t>(face) * res_ * res_;
+  // Only when every pixel already holds a depth at least `bound` can no
+  // triangle of the box pass the strict z-test anywhere.
+  for (int j = j0; j <= j1; ++j) {
+    for (int i = i0; i <= i1; ++i) {
+      if (face_depth[static_cast<size_t>(j) * res_ + i] < bound) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 double CubeMapBuffer::AccumulateSolidAngles(

@@ -43,7 +43,9 @@ class CubeMapBuffer {
   void RasterizeTriangle(const Vec3& a, const Vec3& b, const Vec3& c,
                          uint32_t item);
 
-  // Rasterizes the 12 triangles of `box`.
+  // Rasterizes the 12 triangles of `box`: the buffer ends up bit-identical
+  // to 12 RasterizeTriangle calls, but cube faces the box cannot reach, or
+  // where every pixel it could cover is already nearer, are skipped whole.
   void RasterizeBox(const Aabb& box, uint32_t item);
 
   // Accumulates the visible solid angle of every item into `solid_angles`
@@ -66,7 +68,18 @@ class CubeMapBuffer {
   // coordinates (x, y) on the z=1 plane.
   static double CornerSolidAngle(double x, double y);
 
+  // Clips the camera-space triangle `cam[0..2]` to `face` and rasterizes
+  // what is left there.
+  void ClipToFace(int face, const Vec3* cam, uint32_t item);
   void RasterizeOnFace(int face, const Vec3* poly, int n, uint32_t item);
+
+  // Whole-box tests over the camera-space corners `c[0..7]` (`extent` is
+  // their largest L1 norm). Each returns true only where ClipToFace would
+  // write no pixel for any of the box's triangles.
+  bool BoxSkipsFace(int face, const Vec3* c, double extent) const;
+  // `depth` holds the corners' face depths, all past the near plane.
+  bool BoxOccludedOnFace(int face, const Vec3* c, const double* depth,
+                         double extent) const;
 
   CubeMapOptions options_;
   int res_;

@@ -42,16 +42,4 @@ const std::vector<float>& DovComputer::ComputePointDov(const Vec3& p) {
   return dov_;
 }
 
-std::vector<float> DovComputer::ComputeRegionDov(
-    const std::vector<Vec3>& samples) {
-  std::vector<float> region(scene_->size(), 0.0f);
-  for (const Vec3& p : samples) {
-    const std::vector<float>& point = ComputePointDov(p);
-    for (size_t i = 0; i < region.size(); ++i) {
-      region[i] = std::max(region[i], point[i]);
-    }
-  }
-  return region;
-}
-
 }  // namespace hdov

@@ -1,6 +1,7 @@
 // DovComputer: evaluates the degree of visibility (DoV, paper §3.1) of
-// every scene object from a viewpoint or a viewing region. Region DoV is
-// the conservative maximum over sample viewpoints (Eq. 2).
+// every scene object from a viewpoint. Region DoV, the conservative
+// maximum over a cell's sample viewpoints (Eq. 2), is taken by
+// PrecomputeVisibility (precompute.h).
 
 #ifndef HDOV_VISIBILITY_DOV_H_
 #define HDOV_VISIBILITY_DOV_H_
@@ -37,9 +38,6 @@ class DovComputer {
   // DoV of each object viewed from `p` (indexed by ObjectId, in [0, 0.5]
   // for viewpoints outside the object).
   const std::vector<float>& ComputePointDov(const Vec3& p);
-
-  // Conservative region DoV: per-object max over `samples` (Eq. 2).
-  std::vector<float> ComputeRegionDov(const std::vector<Vec3>& samples);
 
  private:
   void Rasterize(const Vec3& p);

@@ -1,9 +1,10 @@
 #include "visibility/precompute.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
+#include <bit>
+#include <map>
 #include <memory>
-#include <mutex>
 
 #include "common/thread_pool.h"
 #include "telemetry/trace.h"
@@ -104,6 +105,13 @@ std::vector<Vec3> CellSamples(const CellGrid& grid, CellId id,
   return samples;
 }
 
+// Exact bit pattern of a viewpoint: samples render identically when their
+// coordinates are bit-identical.
+std::array<uint64_t, 3> ViewpointKey(const Vec3& p) {
+  return {std::bit_cast<uint64_t>(p.x), std::bit_cast<uint64_t>(p.y),
+          std::bit_cast<uint64_t>(p.z)};
+}
+
 }  // namespace
 
 Result<VisibilityTable> PrecomputeVisibility(
@@ -113,27 +121,26 @@ Result<VisibilityTable> PrecomputeVisibility(
     return Status::InvalidArgument("precompute: need at least one sample");
   }
   const uint32_t num_cells = grid.num_cells();
-  std::vector<CellVisibility> cells(num_cells);
 
   telemetry::Telemetry* tel = options.telemetry;
   const bool tel_on = tel != nullptr && tel->enabled();
   telemetry::Counter* ctr_cells = nullptr;
   telemetry::Counter* ctr_samples = nullptr;
+  telemetry::Counter* ctr_viewpoints = nullptr;
   telemetry::Counter* ctr_nudged = nullptr;
   telemetry::Histogram* visible_hist = nullptr;
-  const bool tracing = tel_on && tel->tracer().enabled();
+  telemetry::TraceRecorder* trace =
+      tel_on && tel->tracer().enabled() ? &tel->tracer() : nullptr;
   if (tel_on) {
     telemetry::MetricsRegistry& m = tel->metrics();
     ctr_cells = m.GetCounter("precompute.cells");
     ctr_samples = m.GetCounter("precompute.samples");
+    ctr_viewpoints = m.GetCounter("precompute.viewpoints");
     ctr_nudged = m.GetCounter("precompute.nudged_samples");
     visible_hist =
         m.GetHistogram("precompute.visible_per_cell",
                        telemetry::ExponentialBuckets(1.0, 2.0, 16));
   }
-  // One private recorder per cell so the merge below is in cell order no
-  // matter which worker finished first.
-  std::vector<telemetry::TraceRecorder> cell_traces(tracing ? num_cells : 0);
 
   ThreadPool pool(ThreadPool::ResolveThreads(options.threads));
   if (tel_on) {
@@ -141,68 +148,109 @@ Result<VisibilityTable> PrecomputeVisibility(
         ->Set(static_cast<double>(pool.num_threads() + 1));
   }
 
-  // Each slot lazily builds its own DovComputer: the cube-map buffer and
-  // scratch vectors inside are the only mutable state a cell evaluation
-  // touches besides its private cells[c] slot.
-  std::vector<std::unique_ptr<DovComputer>> computers(pool.num_slots());
-  std::atomic<uint32_t> cells_done{0};
-  std::mutex progress_mu;
-
-  pool.ParallelFor(num_cells, [&](size_t slot, size_t index) {
-    const CellId c = static_cast<CellId>(index);
-    if (computers[slot] == nullptr) {
-      computers[slot] = std::make_unique<DovComputer>(&scene, options.dov);
-    }
-    telemetry::TraceRecorder* trace = tracing ? &cell_traces[c] : nullptr;
-
-    std::vector<Vec3> samples =
-        CellSamples(grid, c, options.samples_per_cell);
-    uint64_t nudged = 0;
+  // 1. Every cell's samples, nudged out of objects.
+  std::vector<std::vector<Vec3>> samples(num_cells);
+  std::vector<uint64_t> nudged(num_cells, 0);
+  pool.ParallelFor(num_cells, [&](size_t, size_t c) {
+    samples[c] = CellSamples(grid, static_cast<CellId>(c),
+                             options.samples_per_cell);
     if (options.avoid_object_interiors) {
-      for (Vec3& p : samples) {
+      for (Vec3& p : samples[c]) {
         const Vec3 moved = PushOutOfObjects(scene, p);
         if (!(moved == p)) {
-          ++nudged;
+          ++nudged[c];
         }
         p = moved;
       }
     }
-    std::vector<float> region = computers[slot]->ComputeRegionDov(samples);
+  });
+
+  // 2. Neighbouring cells share corner samples: number the distinct
+  // viewpoints in cell order and map each cell onto them.
+  std::vector<Vec3> viewpoints;
+  std::vector<std::vector<uint32_t>> cell_viewpoints(num_cells);
+  {
+    std::map<std::array<uint64_t, 3>, uint32_t> index;
+    for (uint32_t c = 0; c < num_cells; ++c) {
+      for (const Vec3& p : samples[c]) {
+        const auto [it, inserted] = index.try_emplace(
+            ViewpointKey(p), static_cast<uint32_t>(viewpoints.size()));
+        if (inserted) {
+          viewpoints.push_back(p);
+        }
+        cell_viewpoints[c].push_back(it->second);
+      }
+    }
+  }
+  if (tel_on) {
+    ctr_viewpoints->Add(viewpoints.size());
+  }
+
+  // 3. Render each distinct viewpoint once. Each slot lazily builds its
+  // own DovComputer (the cube-map buffer inside is the only mutable state
+  // a render touches) and keeps only the visible objects, in a slot of
+  // its own: a dense DoV vector per viewpoint would outweigh the table.
+  std::vector<std::unique_ptr<DovComputer>> computers(pool.num_slots());
+  std::vector<CellVisibility> viewpoint_dov(viewpoints.size());
+  pool.ParallelFor(viewpoints.size(), [&](size_t slot, size_t v) {
+    if (computers[slot] == nullptr) {
+      computers[slot] = std::make_unique<DovComputer>(&scene, options.dov);
+    }
+    const std::vector<float>& dov =
+        computers[slot]->ComputePointDov(viewpoints[v]);
+    CellVisibility& out = viewpoint_dov[v];
+    const size_t visible = static_cast<size_t>(std::count_if(
+        dov.begin(), dov.end(), [](float d) { return d > 0.0f; }));
+    out.ids.reserve(visible);
+    out.dov.reserve(visible);
+    for (ObjectId id = 0; id < dov.size(); ++id) {
+      if (dov[id] > 0.0f) {
+        out.ids.push_back(id);
+        out.dov.push_back(dov[id]);
+      }
+    }
+  });
+
+  // 4. Region DoV (Eq. 2): per object, the max over the cell's viewpoints.
+  // Max is order-free and a viewpoint's DoV depends only on the point, so
+  // every cell is bit-identical to rendering its own samples.
+  telemetry::ScopedSpan root(trace, "precompute");
+  root.Attr("cells", static_cast<double>(num_cells));
+  root.Attr("viewpoints", static_cast<double>(viewpoints.size()));
+  root.Attr("threads", static_cast<double>(pool.num_threads() + 1));
+  std::vector<CellVisibility> cells(num_cells);
+  std::vector<float> region(scene.size(), 0.0f);
+  for (uint32_t c = 0; c < num_cells; ++c) {
+    for (uint32_t v : cell_viewpoints[c]) {
+      const CellVisibility& point = viewpoint_dov[v];
+      for (size_t k = 0; k < point.ids.size(); ++k) {
+        float& r = region[point.ids[k]];
+        r = std::max(r, point.dov[k]);
+      }
+    }
     CellVisibility& cell = cells[c];
     for (ObjectId id = 0; id < region.size(); ++id) {
       if (region[id] > 0.0f) {
         cell.ids.push_back(id);
         cell.dov.push_back(region[id]);
+        region[id] = 0.0f;
       }
     }
     if (tel_on) {
       ctr_cells->Increment();
-      ctr_samples->Add(samples.size());
-      ctr_nudged->Add(nudged);
+      ctr_samples->Add(samples[c].size());
+      ctr_nudged->Add(nudged[c]);
       visible_hist->Observe(static_cast<double>(cell.num_visible()));
     }
     if (trace != nullptr) {
       telemetry::ScopedSpan span(trace, "cell");
       span.Attr("cell", static_cast<double>(c));
-      span.Attr("samples", static_cast<double>(samples.size()));
+      span.Attr("samples", static_cast<double>(samples[c].size()));
       span.Attr("visible", static_cast<double>(cell.num_visible()));
     }
     if (progress) {
-      std::lock_guard<std::mutex> lock(progress_mu);
-      progress(cells_done.fetch_add(1) + 1, num_cells);
+      progress(c + 1, num_cells);
     }
-  });
-
-  if (tracing) {
-    telemetry::TraceRecorder& tracer = tel->tracer();
-    const int32_t root = tracer.BeginSpan("precompute");
-    tracer.AddAttr(root, "cells", static_cast<double>(num_cells));
-    tracer.AddAttr(root, "threads",
-                   static_cast<double>(pool.num_threads() + 1));
-    for (const telemetry::TraceRecorder& cell_trace : cell_traces) {
-      tracer.Merge(cell_trace);
-    }
-    tracer.EndSpan(root);
   }
   return VisibilityTable(std::move(cells));
 }

@@ -4,12 +4,17 @@
 // pre-determined cells ... a DoV algorithm is then applied on the visible
 // set").
 //
-// Cells are independent of each other, so the pass fans out over a worker
-// pool (PrecomputeOptions::threads). Each worker owns a private
-// DovComputer (cube-map buffer included) and writes only its own cells'
-// slots; a cell's result depends on nothing but the cell, so the output
-// is bit-identical for every thread count, including the sequential
-// threads = 1 default that reproduces the paper's numbers.
+// Neighbouring cells share corner samples, so the pass first collects
+// every cell's (nudged) samples and numbers the distinct viewpoints by
+// their exact bits. The rendering then fans out over those viewpoints on
+// a worker pool (PrecomputeOptions::threads): each worker owns a private
+// DovComputer (cube-map buffer included) and writes only its own
+// viewpoints' slots. Last, each cell takes the per-object max over its
+// viewpoints, in cell order. A viewpoint's DoV depends on nothing but the
+// point and max is order-free, so the output is bit-identical for every
+// thread count, including the sequential threads = 1 default that
+// reproduces the paper's numbers, and to rendering every sample of every
+// cell on its own.
 
 #ifndef HDOV_VISIBILITY_PRECOMPUTE_H_
 #define HDOV_VISIBILITY_PRECOMPUTE_H_
@@ -51,16 +56,15 @@ struct PrecomputeOptions {
   // experiences.
   bool avoid_object_interiors = true;
 
-  // Worker threads for the per-cell fan-out. 1 (default) runs entirely on
-  // the calling thread; 0 means one worker per hardware thread. Output is
-  // identical for every value (see the header comment).
+  // Worker threads for the per-viewpoint fan-out. 1 (default) runs
+  // entirely on the calling thread; 0 means one worker per hardware
+  // thread. Output is identical for every value (see the header comment).
   uint32_t threads = 1;
 
   // Optional observability: when set (and enabled), the pass bumps
   // `precompute.*` counters/histograms and — if the tracer is enabled —
-  // merges one "cell" span per cell, in cell order, under a "precompute"
-  // root span. Workers record into private buffers; the shared registry
-  // handles are atomic, so no thread ever touches another's state.
+  // records one "cell" span per cell, in cell order, under a "precompute"
+  // root span. Both happen on the calling thread, after the fan-out.
   telemetry::Telemetry* telemetry = nullptr;
 };
 
@@ -80,9 +84,9 @@ class VisibilityTable {
 };
 
 // Runs the DoV precomputation for every cell of `grid`. The optional
-// `progress` callback receives (cells_done, cells_total); with threads >
-// 1 it is invoked from worker threads, serialized under a mutex, with
-// cells_done strictly increasing (completion order, not cell order).
+// `progress` callback receives (cells_done, cells_total), on the calling
+// thread, once per cell in cell order (cells_done = 1..cells_total) as the
+// cells' region DoVs are taken after the viewpoints are rendered.
 Result<VisibilityTable> PrecomputeVisibility(
     const Scene& scene, const CellGrid& grid, const PrecomputeOptions& options,
     const std::function<void(uint32_t, uint32_t)>& progress = nullptr);

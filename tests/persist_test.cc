@@ -12,6 +12,7 @@
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
 #include "storage/file_device.h"
+#include "temp_path.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/visual_system.h"
 
@@ -19,10 +20,6 @@ namespace hdov {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
 
 // ---------------------------------------------------------------- crc32c
 

@@ -5,10 +5,8 @@
 // batching scheduler and the server's error paths.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +16,7 @@
 #include "server/walkthrough_server.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
+#include "temp_path.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/frame_loop.h"
 #include "walkthrough/visual_system.h"
@@ -25,21 +24,12 @@
 namespace hdov {
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
 // One small world snapshot shared by every test in the suite (writing it
 // is the expensive part; the tests only read).
 class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Per-process path: ctest runs each test case as its own process, in
-    // parallel, and they must not clobber one another's snapshot.
-    path_ = new std::string(TempPath(
-        "hdov_server_test." + std::to_string(::getpid()) + ".hdov"));
+    path_ = new std::string(TempPath("hdov_server_test.hdov"));
     TestbedOptions topt;
     topt.blocks = 4;
     topt.cells = 4;
@@ -280,6 +270,27 @@ TEST_F(ServerTest, SchedulingKnobsDoNotChangeBilling) {
                        runs[0].sessions[i].sim_clock_ms);
     }
   }
+}
+
+TEST_F(ServerTest, RepeatedPlaysReuseTheWorkerThreads) {
+  // The flight recorder keeps a ring for every thread that ever records,
+  // for the life of the process. Play() must therefore run on the workers
+  // Open started, not on fresh threads per call: across five Plays the
+  // recorder may meet at most the pool's workers plus this thread.
+  ServerOptions opt = BaseOptions();
+  auto server = WalkthroughServer::Open(opt);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const telemetry::FlightRecorder& recorder =
+      telemetry::GlobalFlightRecorder();
+  const size_t threads_before = recorder.num_threads();
+  for (int play = 0; play < 5; ++play) {
+    for (const Session& s : MakeSessions(8, 10)) {
+      ASSERT_TRUE((*server)->AddSession(s).ok());
+    }
+    auto stats = (*server)->Play();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  }
+  EXPECT_LE(recorder.num_threads() - threads_before, opt.workers + 1u);
 }
 
 TEST_F(ServerTest, IdenticalSessionsBatchEveryRound) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
+#include "persist/world_codec.h"
 #include "scene/city_generator.h"
 #include "visibility/cubemap_buffer.h"
 #include "visibility/dov.h"
@@ -153,17 +157,39 @@ TEST_F(ScenedDovTest, OcclusionAndRange) {
 }
 
 TEST_F(ScenedDovTest, RegionDovIsMaxOverSamples) {
-  DovOptions opt;
-  opt.cubemap.face_resolution = 32;
-  DovComputer computer(&scene_, opt);
-  std::vector<Vec3> samples = {Vec3(0, 0, 5), Vec3(0, 10, 5), Vec3(0, -10, 5)};
-  std::vector<float> region = computer.ComputeRegionDov(samples);
+  // One cell in front of the boxes, 5 samples: its center and mid-height
+  // corners. Its region DoV must be exactly the per-object max of the
+  // point DoVs at those samples (Eq. 2).
+  CellGridOptions gopt;
+  gopt.cells_x = 1;
+  gopt.cells_y = 1;
+  Result<CellGrid> grid =
+      CellGrid::Build(Aabb(Vec3(-10, -10, 0), Vec3(0, 10, 1)), gopt);
+  ASSERT_TRUE(grid.ok());
+  PrecomputeOptions popt;
+  popt.dov.cubemap.face_resolution = 32;
+  popt.samples_per_cell = 5;
+  Result<VisibilityTable> table = PrecomputeVisibility(scene_, *grid, popt);
+  ASSERT_TRUE(table.ok());
+
+  const Aabb cell = grid->CellBounds(0);
+  const Vec3 center = cell.Center();
+  std::vector<Vec3> samples = {center};
+  for (int i = 0; i < 4; ++i) {
+    samples.emplace_back(cell.Corner(i).x, cell.Corner(i).y, center.z);
+  }
+  DovComputer computer(&scene_, popt.dov);
+  std::vector<float> region(scene_.size(), 0.0f);
   for (const Vec3& p : samples) {
     const std::vector<float>& point = computer.ComputePointDov(p);
     for (size_t i = 0; i < region.size(); ++i) {
-      EXPECT_GE(region[i] + 1e-7f, point[i]) << "object " << i;
+      region[i] = std::max(region[i], point[i]);
     }
   }
+  for (ObjectId id = 0; id < region.size(); ++id) {
+    EXPECT_EQ(table->cell(0).DovOf(id), region[id]) << "object " << id;
+  }
+  EXPECT_GT(table->cell(0).num_visible(), 0u);
 }
 
 TEST_F(ScenedDovTest, RasterizerAgreesWithMonteCarloReference) {
@@ -214,6 +240,92 @@ TEST(CubeMapTest, CoverageEqualsSumOfItemAngles) {
   }
   EXPECT_NEAR(total, sum, 1e-9);
   EXPECT_NEAR(buffer.TotalCoverage(), total / (4.0 * M_PI), 1e-12);
+}
+
+// A box of kind `kind % 6` for eye point `eye`: the cases whole-box
+// culling must get exactly right. `axis` picks the direction of kinds 3-4.
+Aabb DifferentialBox(Rng& rng, const Vec3& eye, int kind, int axis) {
+  static const Vec3 kAxes[6] = {Vec3(1, 0, 0), Vec3(-1, 0, 0),
+                                Vec3(0, 1, 0), Vec3(0, -1, 0),
+                                Vec3(0, 0, 1), Vec3(0, 0, -1)};
+  const Vec3 half(rng.Uniform(0.5, 6), rng.Uniform(0.5, 6),
+                  rng.Uniform(0.5, 6));
+  switch (kind % 6) {
+    case 0: {  // Anywhere around the eye.
+      const Vec3 center = eye + Vec3(rng.Uniform(-40, 40),
+                                     rng.Uniform(-40, 40),
+                                     rng.Uniform(-40, 40));
+      return Aabb(center - half, center + half);
+    }
+    case 1: {  // Straddles the eye's x = const plane, off to +y.
+      const double d = rng.Uniform(0.1, 10);
+      return Aabb(eye + Vec3(-half.x, d, -half.z),
+                  eye + Vec3(half.x, d + half.y, half.z));
+    }
+    case 2: {  // One corner a hair either side of the +x face's side
+               // clip plane y = (1 + 1e-9) x, the other corners outside.
+      const double d = rng.Uniform(1, 20);
+      const double y = d * (1.0 + 1e-9) + d * rng.Uniform(-1e-12, 1e-12);
+      const Vec3 corner = eye + Vec3(d, y, rng.Uniform(-2, 2));
+      return Aabb(corner - Vec3(half.x, 0, 0),
+                  corner + Vec3(0, half.y, half.z));
+    }
+    case 3: {  // A near wall across one axis...
+      const Vec3& dir = kAxes[axis];
+      const Vec3 center = eye + dir * rng.Uniform(3, 5);
+      const Vec3 wall = Vec3(8, 8, 8) - Vec3(std::fabs(dir.x),
+                                             std::fabs(dir.y),
+                                             std::fabs(dir.z)) * 7.5;
+      return Aabb(center - wall, center + wall);
+    }
+    case 4: {  // ...and a small box fully behind it.
+      const Vec3 center = eye + kAxes[axis] * rng.Uniform(15, 30);
+      return Aabb(center - Vec3(1, 1, 1), center + Vec3(1, 1, 1));
+    }
+    default: {  // A corner exactly at the eye.
+      return Aabb(eye, eye + half);
+    }
+  }
+}
+
+TEST(CubeMapTest, RasterizeBoxMatchesItsTwelveTriangles) {
+  // RasterizeBox culls whole faces before clipping; the pixels it writes
+  // must be exactly those of its 12 triangles drawn one at a time, in the
+  // same order.
+  static constexpr int kQuads[6][4] = {
+      {0, 2, 3, 1}, {4, 5, 7, 6}, {0, 1, 5, 4},
+      {2, 6, 7, 3}, {0, 4, 6, 2}, {1, 3, 7, 5},
+  };
+  constexpr uint32_t kItems = 36;
+  Rng rng(1203);
+  for (int trial = 0; trial < 40; ++trial) {
+    CubeMapOptions opt;
+    opt.face_resolution = trial % 2 == 0 ? 16 : 33;
+    const Vec3 eye(rng.Uniform(-5, 5), rng.Uniform(-5, 5), rng.Uniform(0, 3));
+    CubeMapBuffer boxes(opt);
+    CubeMapBuffer triangles(opt);
+    boxes.Reset(eye);
+    triangles.Reset(eye);
+    for (uint32_t item = 0; item < kItems; ++item) {
+      const int axis = (trial + static_cast<int>(item) / 6) % 6;
+      const Aabb box = DifferentialBox(rng, eye, static_cast<int>(item), axis);
+      boxes.RasterizeBox(box, item);
+      for (const auto& q : kQuads) {
+        triangles.RasterizeTriangle(box.Corner(q[0]), box.Corner(q[1]),
+                                    box.Corner(q[2]), item);
+        triangles.RasterizeTriangle(box.Corner(q[0]), box.Corner(q[2]),
+                                    box.Corner(q[3]), item);
+      }
+    }
+    std::vector<double> from_boxes(kItems, 0.0);
+    std::vector<double> from_triangles(kItems, 0.0);
+    EXPECT_EQ(boxes.AccumulateSolidAngles(&from_boxes),
+              triangles.AccumulateSolidAngles(&from_triangles))
+        << "trial " << trial;
+    EXPECT_EQ(from_boxes, from_triangles) << "trial " << trial;
+    EXPECT_EQ(boxes.TotalCoverage(), triangles.TotalCoverage())
+        << "trial " << trial;
+  }
 }
 
 TEST(CubeMapTest, DeterministicAcrossRuns) {
@@ -438,6 +550,102 @@ TEST(PrecomputeTest, ParallelMatchesSequentialBitExact) {
     EXPECT_EQ(t_seq->cell(c).ids, t_par->cell(c).ids) << "cell " << c;
     EXPECT_EQ(t_seq->cell(c).dov, t_par->cell(c).dov) << "cell " << c;
   }
+}
+
+// Proxy city of blocks x blocks (default seed) with a cells x cells grid,
+// precomputed with `popt`.
+Result<VisibilityTable> PrecomputeCity(int blocks, int cells,
+                                       const PrecomputeOptions& popt) {
+  CityOptions copt;
+  copt.mode = GeometryMode::kProxy;
+  copt.blocks_x = blocks;
+  copt.blocks_y = blocks;
+  HDOV_ASSIGN_OR_RETURN(Scene city, GenerateCity(copt));
+  CellGridOptions gopt;
+  gopt.cells_x = cells;
+  gopt.cells_y = cells;
+  HDOV_ASSIGN_OR_RETURN(CellGrid grid, CellGrid::Build(city.bounds(), gopt));
+  return PrecomputeVisibility(city, grid, popt);
+}
+
+// Size and CRC32C of the table's snapshot encoding: a bit-exact
+// fingerprint of every id and every DoV float.
+std::pair<size_t, uint32_t> TableFingerprint(const VisibilityTable& table) {
+  std::string bytes;
+  EncodeVisibilityTable(table, &bytes);
+  return {bytes.size(), Crc32c(bytes)};
+}
+
+TEST(PrecomputeTest, LargePresetTableIsPinned) {
+  // The large preset the benchmarks build (20x20 blocks, 24x24 cells, 5
+  // samples per cell, 64 px faces). Work-saving changes to the precompute
+  // must leave every bit of it as recorded here.
+  PrecomputeOptions popt;
+  popt.dov.cubemap.face_resolution = 64;
+  popt.samples_per_cell = 5;
+  popt.threads = 0;
+  Result<VisibilityTable> table = PrecomputeCity(20, 24, popt);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const auto [size, crc] = TableFingerprint(*table);
+  EXPECT_EQ(size, 411052u);
+  EXPECT_EQ(crc, 0x711d6745u);
+}
+
+TEST(PrecomputeTest, SmallWorldTablesArePinned) {
+  struct Case {
+    int samples;
+    bool avoid_interiors;
+    int resolution;
+    size_t size;
+    uint32_t crc;
+  };
+  // Recorded before culling and viewpoint sharing were added.
+  const Case kCases[] = {
+      {1, true, 16, 2408u, 0x42cb8257u},
+      {2, false, 24, 3440u, 0x7f4f7ef0u},
+      {5, true, 24, 5184u, 0x23e250b4u},
+      {5, false, 16, 4560u, 0xc99c4d55u},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(testing::Message() << "samples " << c.samples << " avoid "
+                                    << c.avoid_interiors << " resolution "
+                                    << c.resolution);
+    PrecomputeOptions popt;
+    popt.dov.cubemap.face_resolution = c.resolution;
+    popt.samples_per_cell = c.samples;
+    popt.avoid_object_interiors = c.avoid_interiors;
+    popt.threads = 2;
+    Result<VisibilityTable> table = PrecomputeCity(4, 5, popt);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const auto [size, crc] = TableFingerprint(*table);
+    EXPECT_EQ(size, c.size);
+    EXPECT_EQ(crc, c.crc);
+  }
+}
+
+TEST(PrecomputeTest, TelemetryCountsSharedViewpoints) {
+  // Neighbouring cells share corner samples and each distinct viewpoint
+  // is rendered once; precompute.viewpoints counts those renders. Spans
+  // stay one per cell under one precompute root.
+  telemetry::Telemetry tel;
+  tel.tracer().set_enabled(true);
+  PrecomputeOptions popt;
+  popt.dov.cubemap.face_resolution = 16;
+  popt.samples_per_cell = 5;
+  popt.avoid_object_interiors = false;
+  popt.threads = 2;
+  popt.telemetry = &tel;
+  ASSERT_TRUE(PrecomputeCity(2, 4, popt).ok());
+  const uint64_t samples =
+      tel.metrics().GetCounter("precompute.samples")->value();
+  const uint64_t viewpoints =
+      tel.metrics().GetCounter("precompute.viewpoints")->value();
+  EXPECT_EQ(tel.metrics().GetCounter("precompute.cells")->value(), 16u);
+  EXPECT_EQ(samples, 16u * 5);
+  EXPECT_GT(viewpoints, 16u);       // Every center is a viewpoint of its own,
+  EXPECT_LT(viewpoints, samples);   // but corners are shared.
+  EXPECT_EQ(tel.tracer().CountNamed("precompute"), 1u);
+  EXPECT_EQ(tel.tracer().CountNamed("cell"), 16u);
 }
 
 TEST(PrecomputeTest, ThreadedProgressIsSerializedAndMonotonic) {
