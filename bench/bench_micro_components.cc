@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -25,8 +26,13 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/trace_context.h"
 #include "visibility/cubemap_buffer.h"
 #include "visibility/precompute.h"
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
 
 namespace hdov {
 namespace {
@@ -151,13 +157,90 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
     if (enabled && (n & 0xffff) == 0) {
       // Periodically consume so steady state measures ring writes, not an
       // ever-lapped ring (drop accounting is branch-identical either way).
+      // The drain itself is off the clock: it is not a per-event cost.
+      state.PauseTiming();
       benchmark::DoNotOptimize(recorder.Drain(/*consume=*/true).events.size());
+      state.ResumeTiming();
     }
   }
   state.SetLabel(enabled ? "enabled" : "disabled");
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlightRecorderOverhead)->Arg(1)->Arg(0);
+
+// The per-event budget split into its parts. An enabled Record is one
+// clock read (BM_FlightClock), one TraceContext read
+// (BM_FlightContextStamp), one ring lookup and a four-word slot write.
+
+// Arg 0: raw steady_clock::now(); arg 1: FlightNowNs(), the recorder's
+// clock (a scaled TSC read where the kernel trusts the TSC); arg 2 (x86-64
+// only): a raw __rdtsc(), the floor under arg 1.
+void BM_FlightClock(benchmark::State& state) {
+  const int64_t arm = state.range(0);
+  for (auto _ : state) {
+    if (arm == 1) {
+      benchmark::DoNotOptimize(telemetry::FlightNowNs());
+    } else if (arm == 0) {
+      benchmark::DoNotOptimize(std::chrono::steady_clock::now());
+    } else {
+#if defined(__x86_64__)
+      benchmark::DoNotOptimize(__rdtsc());
+#endif
+    }
+  }
+  state.SetLabel(arm == 1 ? "FlightNowNs"
+                          : (arm == 0 ? "steady_clock" : "rdtsc"));
+  state.SetItemsProcessed(state.iterations());
+}
+#if defined(__x86_64__)
+BENCHMARK(BM_FlightClock)->Arg(0)->Arg(1)->Arg(2);
+#else
+BENCHMARK(BM_FlightClock)->Arg(0)->Arg(1);
+#endif
+
+// The context stamp: reading the thread's ambient session and stage.
+void BM_FlightContextStamp(benchmark::State& state) {
+  telemetry::SessionTraceScope session(7, 0);
+  telemetry::StageTraceScope stage(telemetry::TraceStage::kSearch);
+  for (auto _ : state) {
+    const telemetry::TraceContext& ctx = telemetry::CurrentTraceContext();
+    benchmark::DoNotOptimize(ctx.session);
+    benchmark::DoNotOptimize(ctx.stage);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlightContextStamp);
+
+// The ring lookup: enabled Records that alternate over `range(0)` (1 or 2)
+// recorders. With one recorder every event hits the thread's cached ring,
+// as on the production path; with two, every event misses it and scans
+// the thread's ring table, so the difference is the lookup it saves.
+void BM_FlightRecorderRingLookup(benchmark::State& state) {
+  const size_t count = static_cast<size_t>(state.range(0));
+  const uint64_t mask = count - 1;
+  std::vector<std::unique_ptr<telemetry::FlightRecorder>> recorders;
+  for (size_t i = 0; i < count; ++i) {
+    recorders.push_back(std::make_unique<telemetry::FlightRecorder>(1 << 16));
+  }
+  const uint16_t code = telemetry::FlightInternName("bench");
+  uint64_t n = 0;
+  for (auto _ : state) {
+    recorders[n & mask]->Record(telemetry::FlightEventType::kPageRead, code,
+                                 n, 1);
+    ++n;
+    if ((n & 0xffff) == 0) {
+      state.PauseTiming();
+      for (auto& recorder : recorders) {
+        benchmark::DoNotOptimize(
+            recorder->Drain(/*consume=*/true).events.size());
+      }
+      state.ResumeTiming();
+    }
+  }
+  state.SetLabel(count == 1 ? "cached ring" : "ring table scan");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlightRecorderRingLookup)->Arg(1)->Arg(2);
 
 void BM_BufferPoolGet(benchmark::State& state) {
   PageDevice device;

@@ -28,7 +28,7 @@ class HorizontalStore : public VisibilityStore {
                                                        std::string_view meta,
                                                        PageDevice* device);
 
-  std::string name() const override { return "horizontal"; }
+  std::string_view name() const override { return "horizontal"; }
   Status BeginCell(CellId cell) override;
   Status GetVPage(uint32_t node_id, VPage* page, bool* visible) override;
   uint64_t SizeBytes() const override { return device_->SizeBytes(); }

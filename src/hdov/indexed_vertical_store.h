@@ -26,7 +26,7 @@ class IndexedVerticalStore : public VisibilityStore {
   static Result<std::unique_ptr<IndexedVerticalStore>> Load(
       const HdovTree& tree, std::string_view meta, PageDevice* device);
 
-  std::string name() const override { return "indexed-vertical"; }
+  std::string_view name() const override { return "indexed-vertical"; }
   Status BeginCell(CellId cell) override;
   Status GetVPage(uint32_t node_id, VPage* page, bool* visible) override;
   bool FillSegment(std::vector<uint32_t>* nodes,

@@ -91,7 +91,20 @@ HdovSearcher::HdovSearcher(const HdovTree* tree, const Scene* scene,
     : tree_(tree), scene_(scene), models_(models),
       tree_device_(tree_device),
       log_fanout_(std::log(static_cast<double>(
-          std::max<size_t>(2, tree->fanout())))) {}
+          std::max<size_t>(2, tree->fanout())))),
+      log_s_(std::log(std::max(1e-9, tree->s_ratio())) / log_fanout_) {}
+
+namespace {
+
+// Eq. 5 LoD selection for an internal entry: blend the child's internal
+// LoDs by DoV / eta. Called only where the level is used — the cost
+// model's estimate and the termination itself — and both need eta > 0, so
+// the blend factor is in (0, 1].
+size_t Eq5Level(const HdovNode& child, float dov, double eta) {
+  return child.internal_lods.LevelForBlend(std::min(dov / eta, 1.0));
+}
+
+}  // namespace
 
 Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
                             const SearchOptions& options,
@@ -108,8 +121,8 @@ Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
   span.Attr("eta", options.eta);
   span.Attr("store", store->name());
   HDOV_RETURN_IF_ERROR(store->BeginCell(cell));
-  Status status = SearchNode(store, tree_->root_index(), options, result,
-                             &local_stats);
+  Status status = SearchNode(store, tree_->root_index(), /*depth=*/0,
+                             options, result, &local_stats);
   span.Attr("nodes_visited", static_cast<double>(local_stats.nodes_visited));
   span.Attr("vpages_fetched",
             static_cast<double>(local_stats.vpages_fetched));
@@ -124,7 +137,7 @@ Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
 }
 
 Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
-                                const SearchOptions& options,
+                                size_t depth, const SearchOptions& options,
                                 std::vector<RetrievedLod>* result,
                                 SearchStats* stats) {
   const HdovNode& node = tree_->node(node_index);
@@ -144,7 +157,10 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
     }
   }
 
-  VPage vpage;
+  if (depth == vpages_.size()) {
+    vpages_.emplace_back();
+  }
+  VPage& vpage = vpages_[depth];
   bool visible = false;
   HDOV_RETURN_IF_ERROR(store->GetVPage(node.node_id, &vpage, &visible));
   ++stats->vpages_fetched;
@@ -158,9 +174,6 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
   if (vpage.size() != node.entries.size()) {
     return Status::Corruption("hdov search: V-page entry count mismatch");
   }
-
-  const double log_s =
-      std::log(std::max(1e-9, tree_->s_ratio())) / log_fanout_;
 
   for (size_t i = 0; i < node.entries.size(); ++i) {
     const HdovEntry& entry = node.entries[i];
@@ -197,12 +210,6 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
     // LoD (Fig. 3 lines 7-8) and descending (line 10).
     const size_t child_index = static_cast<size_t>(entry.child);
     const HdovNode& child = tree_->node(child_index);
-    // Eq. 5 LoD selection, needed by both the cost model and the
-    // termination itself: blend by DoV / eta (in (0, 1] on this branch).
-    const double k =
-        options.eta > 0.0 ? std::min(vd.dov / options.eta, 1.0) : 1.0;
-    const size_t internal_level = child.internal_lods.LevelForBlend(k);
-
     bool terminate = false;
     bool eq4_evaluated = false;
     double eq4_lhs = 0.0;
@@ -218,7 +225,7 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
               std::log(static_cast<double>(
                   std::max<uint32_t>(1, entry.leaf_descendants))) /
               log_fanout_;
-          eq4_lhs = h * (1.0 + log_s);
+          eq4_lhs = h * (1.0 + log_s_);
           eq4_rhs =
               std::log(static_cast<double>(std::max<uint32_t>(1, vd.nvo))) /
               log_fanout_;
@@ -240,15 +247,16 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
               n * f_bar *
               (per_object_k +
                (1.0 - per_object_k) * options.assumed_coarsest_ratio);
-          terminate =
-              child.internal_lods.level(internal_level).triangle_count <
-              descent_triangles;
+          terminate = child.internal_lods
+                          .level(Eq5Level(child, vd.dov, options.eta))
+                          .triangle_count < descent_triangles;
           break;
         }
       }
     }
 
     if (terminate) {
+      const size_t internal_level = Eq5Level(child, vd.dov, options.eta);
       ++stats->internal_terminations;
       RetrievedLod lod;
       lod.kind = RetrievedLod::Kind::kInternal;
@@ -283,7 +291,7 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
       descend_span.Attr("eq4_verdict", 0.0);
     }
     HDOV_RETURN_IF_ERROR(
-        SearchNode(store, child_index, options, result, stats));
+        SearchNode(store, child_index, depth + 1, options, result, stats));
   }
   return Status::OK();
 }

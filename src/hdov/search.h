@@ -12,6 +12,7 @@
 #define HDOV_HDOV_SEARCH_H_
 
 #include <cstdint>
+#include <deque>
 #include <string_view>
 #include <vector>
 
@@ -137,7 +138,7 @@ class HdovSearcher {
   void set_tree_cache(BufferPool* cache) { tree_cache_ = cache; }
 
  private:
-  Status SearchNode(VisibilityStore* store, size_t node_index,
+  Status SearchNode(VisibilityStore* store, size_t node_index, size_t depth,
                     const SearchOptions& options,
                     std::vector<RetrievedLod>* result, SearchStats* stats);
 
@@ -147,6 +148,11 @@ class HdovSearcher {
   PageDevice* tree_device_;
   BufferPool* tree_cache_ = nullptr;
   double log_fanout_ = 1.0;
+  double log_s_ = 0.0;  // log_M s of Eq. 4.
+  // One reusable V-page buffer per recursion depth. A deque, because a
+  // frame holds a reference to its page while deeper frames append; a
+  // growing vector would move the parent's page out from under it.
+  std::deque<VPage> vpages_;
   // Several nodes share a page; re-reading the page just read is free
   // (it is still in the transfer buffer).
   PageId last_node_page_ = kInvalidPage;

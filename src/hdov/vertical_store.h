@@ -28,7 +28,7 @@ class VerticalStore : public VisibilityStore {
                                                      std::string_view meta,
                                                      PageDevice* device);
 
-  std::string name() const override { return "vertical"; }
+  std::string_view name() const override { return "vertical"; }
   Status BeginCell(CellId cell) override;
   Status GetVPage(uint32_t node_id, VPage* page, bool* visible) override;
   bool FillSegment(std::vector<uint32_t>* nodes,

@@ -8,7 +8,7 @@ namespace hdov {
 void VisibilityStore::RegisterTelemetry(telemetry::MetricsRegistry* registry,
                                         const std::string& prefix) const {
   const VisibilityStoreStats* stats = &tstats_;
-  const std::string base = prefix + ".store." + name();
+  const std::string base = prefix + ".store." + std::string(name());
   registry->RegisterView(base + ".vpage_fetches", [stats] {
     return static_cast<double>(stats->vpage_fetches);
   });

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/coding.h"
@@ -43,7 +44,7 @@ class VisibilityStore {
  public:
   virtual ~VisibilityStore() = default;
 
-  virtual std::string name() const = 0;
+  virtual std::string_view name() const = 0;
 
   // Switches the query context to `cell`. Vertical schemes pay the
   // V-page-index segment "flip" here; calling it again with the same cell

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
 
 #include "common/coding.h"
 #include "telemetry/json.h"
@@ -39,13 +44,145 @@ std::string_view FlightEventTypeName(FlightEventType type) {
   return "unknown";
 }
 
-uint64_t FlightNowNs() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
+namespace {
+
+// The flight clock, fixed on first use. `use_tsc` is chosen once, so every
+// caller stays on one timeline for the life of the process.
+struct FlightClock {
+  std::chrono::steady_clock::time_point steady_epoch;
+  bool use_tsc = false;
+  uint64_t tsc_epoch = 0;
+  uint64_t ns_per_tick_q32 = 0;  // ns per TSC tick, 32.32 fixed point.
+};
+
+#if defined(__x86_64__)
+// The kernel switches its clocksource away from "tsc" when it finds the
+// counter unsynchronized across CPUs or not invariant, so "tsc" here means
+// a raw TSC read is a valid system-wide monotonic clock. Read with stdio,
+// not an ifstream: this runs on the first flight event, and an iostream's
+// first use touches enough of the C++ library to show in a small
+// process's resident set.
+bool KernelClocksourceIsTsc() {
+  std::FILE* file = std::fopen(
+      "/sys/devices/system/clocksource/clocksource0/current_clocksource",
+      "r");
+  if (file == nullptr) {
+    return false;
+  }
+  char source[32] = {};
+  const bool read = std::fgets(source, sizeof(source), file) != nullptr;
+  std::fclose(file);
+  return read && std::string_view(source) == "tsc\n";
+}
+
+struct ClockPair {
+  std::chrono::steady_clock::time_point steady;
+  uint64_t tsc;
+};
+
+// One TSC read bracketed by two steady_clock reads, keeping the narrowest
+// bracket of a few tries: a preemption between the reads cannot skew the
+// pairing by more than the bracket we keep.
+ClockPair ReadClockPair() {
+  ClockPair best{};
+  std::chrono::steady_clock::duration best_width =
+      std::chrono::steady_clock::duration::max();
+  for (int i = 0; i < 5; ++i) {
+    const auto before = std::chrono::steady_clock::now();
+    const uint64_t tsc = __rdtsc();
+    const auto after = std::chrono::steady_clock::now();
+    if (after - before < best_width) {
+      best_width = after - before;
+      best = ClockPair{before + (after - before) / 2, tsc};
+    }
+  }
+  return best;
+}
+#endif
+
+// Calibrates the TSC against steady_clock over a ~2 ms spin. Falls back
+// to steady_clock off x86-64, when the kernel does not trust the TSC, or
+// when the TSC did not advance over the spin.
+FlightClock CalibrateFlightClock() {
+  FlightClock clock;
+  clock.steady_epoch = std::chrono::steady_clock::now();
+#if defined(__x86_64__)
+  if (!KernelClocksourceIsTsc()) {
+    return clock;
+  }
+  const ClockPair start = ReadClockPair();
+  while (std::chrono::steady_clock::now() - start.steady <
+         std::chrono::milliseconds(2)) {
+  }
+  const ClockPair end = ReadClockPair();
+  const double ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end.steady -
+                                                           start.steady)
+          .count());
+  if (end.tsc <= start.tsc) {
+    return clock;  // A TSC that did not advance: do not trust it.
+  }
+  const double ns_per_tick = ns / static_cast<double>(end.tsc - start.tsc);
+  clock.steady_epoch = start.steady;
+  clock.tsc_epoch = start.tsc;
+  clock.ns_per_tick_q32 = static_cast<uint64_t>(ns_per_tick * 4294967296.0);
+  clock.use_tsc = true;
+#endif
+  return clock;
+}
+
+const FlightClock& GetFlightClock() {
+  static const FlightClock clock = CalibrateFlightClock();
+  return clock;
+}
+
+uint64_t SteadyToFlightNs(const FlightClock& clock,
+                          std::chrono::steady_clock::time_point t) {
+  if (t <= clock.steady_epoch) {
+    return 0;
+  }
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch)
+          t - clock.steady_epoch)
           .count());
+}
+
+uint64_t TscToFlightNs(const FlightClock& clock, uint64_t tsc) {
+  if (tsc <= clock.tsc_epoch) {
+    return 0;
+  }
+  return static_cast<uint64_t>(
+      (static_cast<unsigned __int128>(tsc - clock.tsc_epoch) *
+       clock.ns_per_tick_q32) >>
+      32);
+}
+
+}  // namespace
+
+namespace internal {
+
+uint64_t FlightNsFromSteady(std::chrono::steady_clock::time_point t) {
+  return SteadyToFlightNs(GetFlightClock(), t);
+}
+
+}  // namespace internal
+
+uint64_t FlightNowNs() {
+  const FlightClock& clock = GetFlightClock();
+#if defined(__x86_64__)
+  if (clock.use_tsc) {
+    // Synchronized TSCs may still differ by a few ticks between cores, and
+    // the read is not ordered against earlier instructions; the per-thread
+    // floor keeps the timeline monotone on each thread regardless.
+    thread_local uint64_t last_ns = 0;
+    const uint64_t ns = TscToFlightNs(clock, __rdtsc());
+    if (ns > last_ns) {
+      last_ns = ns;
+    }
+    return last_ns;
+  }
+#endif
+  return SteadyToFlightNs(clock, std::chrono::steady_clock::now());
 }
 
 namespace {
@@ -141,26 +278,37 @@ FlightRecorder::Buffer* FlightRecorder::LocalBuffer() {
     uint64_t serial;
     Buffer* buffer;
   };
+  // The ring this thread used last. Trivially initialized, so the hit
+  // path is one compare with no thread-local construction guard; serials
+  // start at 1, so the zero entry never matches.
+  thread_local CacheEntry last{0, nullptr};
+  if (last.serial == serial_) {
+    return last.buffer;
+  }
   thread_local std::vector<CacheEntry> cache;
   for (const CacheEntry& entry : cache) {
     if (entry.serial == serial_) {
+      last = entry;
       return entry.buffer;
     }
   }
   std::lock_guard<std::mutex> lock(mu_);
   buffers_.push_back(std::make_unique<Buffer>(
       capacity_, static_cast<uint32_t>(buffers_.size())));
-  Buffer* buffer = buffers_.back().get();
-  cache.push_back(CacheEntry{serial_, buffer});
-  return buffer;
+  last = CacheEntry{serial_, buffers_.back().get()};
+  cache.push_back(last);
+  return last.buffer;
 }
 
 void FlightRecorder::Record(FlightEventType type, uint16_t code, uint64_t a,
                             uint64_t b) {
+  if (!enabled()) {
+    return;
+  }
   // Stamp the thread's ambient session + stage so the event is
   // attributable without widening any hook signature.
-  RecordWithStage(type, code, a, b,
-                  static_cast<uint8_t>(CurrentTraceContext().stage));
+  const TraceContext& ctx = CurrentTraceContext();
+  Append(type, code, a, b, static_cast<uint8_t>(ctx.stage), ctx.session);
 }
 
 void FlightRecorder::RecordWithStage(FlightEventType type, uint16_t code,
@@ -168,15 +316,19 @@ void FlightRecorder::RecordWithStage(FlightEventType type, uint16_t code,
   if (!enabled()) {
     return;
   }
+  Append(type, code, a, b, stage, CurrentTraceContext().session);
+}
+
+void FlightRecorder::Append(FlightEventType type, uint16_t code, uint64_t a,
+                            uint64_t b, uint8_t stage, uint16_t session) {
   Buffer* buf = LocalBuffer();
-  const TraceContext& ctx = CurrentTraceContext();
   const uint64_t idx = buf->head.load(std::memory_order_relaxed);
   Slot& slot = buf->ring[idx & (capacity_ - 1)];
   slot.w[0].store(FlightNowNs(), std::memory_order_relaxed);
   slot.w[1].store(static_cast<uint64_t>(type) |
                       (static_cast<uint64_t>(stage) << 8) |
                       (static_cast<uint64_t>(code) << 16) |
-                      (static_cast<uint64_t>(ctx.session) << 32) |
+                      (static_cast<uint64_t>(session) << 32) |
                       (static_cast<uint64_t>(buf->id & 0xffff) << 48),
                   std::memory_order_relaxed);
   slot.w[2].store(a, std::memory_order_relaxed);

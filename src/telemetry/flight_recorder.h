@@ -3,10 +3,12 @@
 // 32-byte binary events — span begin/end, page fetches, buffer-pool
 // hits/misses, frame boundaries — into lock-free per-thread ring buffers.
 // Old events are overwritten, never flushed, so a long-lived process pays
-// a constant memory cost and a ~tens-of-nanoseconds per-event hot-path
-// cost (quantified by BM_FlightRecorderOverhead): the last N events per
-// thread are always available for a post-hoc "what just happened" drain,
-// exactly like an aircraft flight recorder.
+// a constant memory cost and a ~30 ns per-event hot-path cost: one clock
+// read (FlightNowNs, a scaled TSC read where the kernel trusts the TSC),
+// one TraceContext read and one cached ring lookup, each quantified by the
+// BM_Flight* micro benchmarks. The last N events per thread are always
+// available for a post-hoc "what just happened" drain, exactly like an
+// aircraft flight recorder.
 //
 // Concurrency model: each thread writes only its own ring (registered on
 // first use); every slot is a quartet of relaxed atomics published by a
@@ -14,10 +16,10 @@
 // consistent prefix and discards the (rare) region a writer may have
 // lapped mid-copy. No lock is ever taken on the record path.
 //
-// Determinism: events carry real steady_clock timestamps but the recorder
-// never touches the SimClock, IoStats, or any registry metric — enabling
-// or disabling it cannot move a single simulated counter, which is what
-// lets it stay on under the zero-drift CI perf gate.
+// Determinism: events carry real wall timestamps (FlightNowNs) but the
+// recorder never touches the SimClock, IoStats, or any registry metric —
+// enabling or disabling it cannot move a single simulated counter, which
+// is what lets it stay on under the zero-drift CI perf gate.
 //
 // Attribution: every event is stamped with the recording thread's ambient
 // TraceContext (telemetry/trace_context.h) — the session it serves and
@@ -30,6 +32,7 @@
 #define HDOV_TELEMETRY_FLIGHT_RECORDER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -68,7 +71,7 @@ std::string_view FlightEventTypeName(FlightEventType type);
 // unattributed) and `stage` the TraceStage it was in, both captured from
 // the thread's TraceContext at Record() time.
 struct FlightEvent {
-  uint64_t ts_ns = 0;   // steady_clock, since the process flight epoch.
+  uint64_t ts_ns = 0;   // FlightNowNs(): ns since the process flight epoch.
   uint8_t type = 0;     // FlightEventType.
   uint8_t stage = 0;    // TraceStage.
   uint16_t code = 0;
@@ -170,6 +173,10 @@ class FlightRecorder {
   };
 
   Buffer* LocalBuffer();
+  // The record path behind Record / RecordWithStage: one ring write with
+  // the caller's already-read attribution.
+  void Append(FlightEventType type, uint16_t code, uint64_t a, uint64_t b,
+              uint8_t stage, uint16_t session);
 
   const size_t capacity_;  // Power of two.
   const uint64_t serial_;  // Process-unique; keys the thread-local cache.
@@ -191,14 +198,28 @@ Result<FlightDump> DecodeFlightDump(std::string_view data);
 
 // Chrome trace-event conversion: frame begin/end and span begin/end pair
 // into "B"/"E" events per ring thread, page/pool events become instants,
-// all on the recorder's steady-clock timeline under pid 3 (the telemetry
+// all on the recorder's FlightNowNs timeline under pid 3 (the telemetry
 // exporter uses pids 1 and 2, slow-frame dumps pid 4; see
 // docs/telemetry.md). Session/stage attribution lands in each event's
 // args.
 std::string FlightChromeTraceJson(const FlightDump& dump);
 
-// Nanoseconds since the process flight epoch (first use).
+// Nanoseconds since the process flight epoch (the first use of the clock):
+// monotone on each thread, and one timeline for every caller — event
+// stamps, server start/wall times, stage accounting, pool-miss fill times.
+// On x86-64, when the kernel's clocksource is "tsc" (it keeps that only
+// for a synchronized, invariant TSC), it is a raw TSC read scaled by a
+// ticks-to-ns ratio calibrated once against steady_clock with a ~2 ms spin
+// on first use; everywhere else it is steady_clock. The choice is made
+// once per process.
 uint64_t FlightNowNs();
+
+namespace internal {
+// FlightNowNs's steady_clock fallback: `t` on the flight timeline (0 for
+// instants before the epoch). Exposed so tests can hold the fallback to
+// the same contract on hosts that take the TSC path.
+uint64_t FlightNsFromSteady(std::chrono::steady_clock::time_point t);
+}  // namespace internal
 
 // RAII frame boundary: kFrameBegin on construction, kFrameEnd on
 // destruction, recorded into the global recorder. `code` identifies the

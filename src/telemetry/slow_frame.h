@@ -9,7 +9,7 @@
 // convertible to a Chrome trace with one track per session.
 //
 // Like the flight recorder it rides on, the capture only reads the
-// steady clock and thread-local state — never the SimClock, IoStats, or
+// flight clock and thread-local state — never the SimClock, IoStats, or
 // a metrics registry — so enabling it cannot move a simulated counter.
 
 #ifndef HDOV_TELEMETRY_SLOW_FRAME_H_

@@ -18,9 +18,9 @@
 // frame start; FinishStageAccounting() flushes and returns it.
 //
 // Determinism: the context and the accounting touch only thread-locals
-// and the steady clock — never the SimClock, IoStats or a metrics
-// registry — so enabling them cannot move a simulated counter (the same
-// contract the flight recorder honors; see docs/telemetry.md).
+// and the flight clock (FlightNowNs) — never the SimClock, IoStats or a
+// metrics registry — so enabling them cannot move a simulated counter
+// (the same contract the flight recorder honors; see docs/telemetry.md).
 
 #ifndef HDOV_TELEMETRY_TRACE_CONTEXT_H_
 #define HDOV_TELEMETRY_TRACE_CONTEXT_H_

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -129,13 +130,18 @@ TEST(FlightRecorderTest, ConcurrentWritersFromThreadPool) {
 
   FlightDump dump = recorder.Drain();
   EXPECT_EQ(dump.events.size(), kWriters * kPerWriter);
-  // Each participating thread recorded into its own ring; per-thread event
-  // sequences stay internally ordered by `b`.
+  // Each participating thread recorded into its own ring. Drain merges
+  // the rings by timestamp, so each thread's events come out in its ring
+  // order only if its flight clock never ran backwards: `b` counts up and
+  // `ts_ns` never decreases per thread.
   std::vector<uint64_t> next_b(recorder.num_threads(), 0);
+  std::vector<uint64_t> last_ts(recorder.num_threads(), 0);
   for (const FlightEvent& ev : dump.events) {
     ASSERT_LT(ev.thread, next_b.size());
     EXPECT_EQ(ev.b, next_b[ev.thread]);
+    EXPECT_GE(ev.ts_ns, last_ts[ev.thread]);
     ++next_b[ev.thread];
+    last_ts[ev.thread] = ev.ts_ns;
   }
 }
 
@@ -411,6 +417,95 @@ TEST(FlightRecorderTest, NamesDroppedCountsTableOverflow) {
   FlightRecorder recorder(8);
   recorder.Record(FlightEventType::kPoolHit, 0, 1, 0);
   EXPECT_EQ(recorder.Drain().names_dropped, before + 2);
+}
+
+// ---- The flight clock ------------------------------------------------
+
+using telemetry::FlightNowNs;
+using SteadyClock = std::chrono::steady_clock;
+
+// 10^6 reads on one thread never go backwards.
+template <typename Fn>
+void ExpectNonDecreasing(Fn flight) {
+  uint64_t prev = flight();
+  uint64_t backwards = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const uint64_t now = flight();
+    backwards += now < prev ? 1 : 0;
+    prev = now;
+  }
+  EXPECT_EQ(backwards, 0u);
+}
+
+TEST(FlightClockTest, NonDecreasingOnOneThread) {
+  ExpectNonDecreasing([] { return FlightNowNs(); });
+}
+
+// Reads `flight` bracketed by two steady_clock reads.
+struct Bracket {
+  SteadyClock::time_point before;
+  uint64_t flight_ns;
+  SteadyClock::time_point after;
+};
+
+template <typename Fn>
+Bracket ReadBracketed(Fn flight) {
+  Bracket b;
+  b.before = SteadyClock::now();
+  b.flight_ns = flight();
+  b.after = SteadyClock::now();
+  return b;
+}
+
+double Ns(SteadyClock::duration d) {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+}
+
+// Over >= 100 ms, the flight interval must match the steady_clock interval
+// within 0.1%. The bracketing steady reads bound where each flight read
+// happened, so a preemption between reads widens the bounds instead of
+// failing the test.
+template <typename Fn>
+void ExpectTracksSteadyClock(Fn flight) {
+  const Bracket start = ReadBracketed(flight);
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  const Bracket end = ReadBracketed(flight);
+  const double shortest = Ns(end.before - start.after);
+  const double longest = Ns(end.after - start.before);
+  ASSERT_GE(shortest, 100e6);
+  ASSERT_GE(end.flight_ns, start.flight_ns);
+  const double elapsed = static_cast<double>(end.flight_ns - start.flight_ns);
+  EXPECT_GE(elapsed, shortest * (1.0 - 1e-3));
+  EXPECT_LE(elapsed, longest * (1.0 + 1e-3));
+}
+
+TEST(FlightClockTest, AgreesWithSteadyClockWithinATenthOfAPercent) {
+  ExpectTracksSteadyClock([] { return FlightNowNs(); });
+}
+
+TEST(FlightClockTest, SteadyFallbackKeepsTheContract) {
+  // The fallback conversion is what FlightNowNs returns on hosts without a
+  // trusted TSC; hold it to the same contract here, whichever path this
+  // host takes.
+  const auto fallback = [] {
+    return telemetry::internal::FlightNsFromSteady(SteadyClock::now());
+  };
+  ExpectNonDecreasing(fallback);
+  ExpectTracksSteadyClock(fallback);
+
+  // Both conversions share the flight epoch: a fallback read lands
+  // between two FlightNowNs reads, up to the TSC ratio's calibration
+  // error accumulated since the epoch (far below 0.1% of it) plus 10 us.
+  const uint64_t a = FlightNowNs();
+  const uint64_t b = fallback();
+  const uint64_t c = FlightNowNs();
+  const double slack = 1e-3 * static_cast<double>(c) + 10e3;
+  EXPECT_GE(static_cast<double>(b), static_cast<double>(a) - slack);
+  EXPECT_LE(static_cast<double>(b), static_cast<double>(c) + slack);
+  // Instants before the epoch clamp to zero rather than wrapping.
+  EXPECT_EQ(telemetry::internal::FlightNsFromSteady(SteadyClock::time_point{}),
+            0u);
 }
 
 }  // namespace
