@@ -49,6 +49,17 @@ CubeMapBuffer::CubeMapBuffer(const CubeMapOptions& options)
   faces_[3] = {{0, -1, 0}, {1, 0, 0}, {0, 0, 1}};   // -y
   faces_[4] = {{0, 0, 1}, {1, 0, 0}, {0, 1, 0}};    // +z
   faces_[5] = {{0, 0, -1}, {1, 0, 0}, {0, -1, 0}};  // -z
+  // Side clip planes, with a hair of slack so neighbouring faces overlap
+  // rather than leave seams.
+  for (Face& f : faces_) {
+    const Vec3 fs = f.forward * (1.0 + kSideSlack);
+    f.side = {fs - f.right, fs + f.right, fs - f.up, fs + f.up};
+  }
+
+  pixel_center_.resize(res_);
+  for (int i = 0; i < res_; ++i) {
+    pixel_center_[i] = 2.0 * (i + 0.5) / res_ - 1.0;
+  }
 
   // Exact per-pixel solid angles on the z = 1 face plane.
   pixel_solid_angle_.assign(static_cast<size_t>(res_) * res_, 0.0);
@@ -84,11 +95,40 @@ void CubeMapBuffer::RasterizeTriangle(const Vec3& a, const Vec3& b,
   }
 }
 
+bool CubeMapBuffer::InsideFace(const Face& f, const Vec3& p) {
+  // The expressions ClipAgainstPlane evaluates, so the verdict is its own.
+  if (!(f.forward.Dot(p) - kNearEpsilon >= 0.0)) {
+    return false;
+  }
+  for (const Vec3& n : f.side) {
+    if (!(n.Dot(p) - 0.0 >= 0.0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+CubeMapBuffer::Projected CubeMapBuffer::Project(const Face& f,
+                                                const Vec3& p) {
+  // 1/depth is kept for z-buffering: it is affine in screen space across
+  // a planar polygon.
+  const double depth = f.forward.Dot(p);
+  const double inv = 1.0 / depth;
+  return {f.right.Dot(p) * inv, f.up.Dot(p) * inv, inv};
+}
+
 void CubeMapBuffer::ClipToFace(int face, const Vec3* cam, uint32_t item) {
   const Face& f = faces_[face];
   // Quick reject: all three vertices behind the face.
   if (f.forward.Dot(cam[0]) <= 0.0 && f.forward.Dot(cam[1]) <= 0.0 &&
       f.forward.Dot(cam[2]) <= 0.0) {
+    return;
+  }
+  // No plane cuts a triangle whose vertices are all inside: the clip
+  // would hand back `cam` itself.
+  if (InsideFace(f, cam[0]) && InsideFace(f, cam[1]) &&
+      InsideFace(f, cam[2])) {
+    RasterizeOnFace(face, cam, 3, item);
     return;
   }
   // Scratch buffers big enough for a triangle clipped by 5 planes.
@@ -98,94 +138,86 @@ void CubeMapBuffer::ClipToFace(int face, const Vec3* cam, uint32_t item) {
   buf_a[1] = cam[1];
   buf_a[2] = cam[2];
   int n = 3;
-  // Near plane, then the four side planes (with a hair of slack so
-  // neighbouring faces overlap rather than leave seams).
+  // Near plane, then the four side planes.
   n = ClipAgainstPlane(buf_a, n, f.forward, kNearEpsilon, buf_b);
   if (n < 3) return;
-  const Vec3 fs = f.forward * (1.0 + kSideSlack);
-  n = ClipAgainstPlane(buf_b, n, fs - f.right, 0.0, buf_a);
+  n = ClipAgainstPlane(buf_b, n, f.side[0], 0.0, buf_a);
   if (n < 3) return;
-  n = ClipAgainstPlane(buf_a, n, fs + f.right, 0.0, buf_b);
+  n = ClipAgainstPlane(buf_a, n, f.side[1], 0.0, buf_b);
   if (n < 3) return;
-  n = ClipAgainstPlane(buf_b, n, fs - f.up, 0.0, buf_a);
+  n = ClipAgainstPlane(buf_b, n, f.side[2], 0.0, buf_a);
   if (n < 3) return;
-  n = ClipAgainstPlane(buf_a, n, fs + f.up, 0.0, buf_b);
+  n = ClipAgainstPlane(buf_a, n, f.side[3], 0.0, buf_b);
   if (n < 3) return;
   RasterizeOnFace(face, buf_b, n, item);
 }
 
 void CubeMapBuffer::RasterizeOnFace(int face, const Vec3* poly, int n,
                                     uint32_t item) {
-  const Face& f = faces_[face];
-  // Project to face-plane coordinates; keep 1/depth for z-buffering
-  // (1/depth is affine in screen space across a planar polygon).
-  double u[16];
-  double v[16];
-  double w[16];
+  Projected p[16];
   for (int i = 0; i < n; ++i) {
-    const double depth = f.forward.Dot(poly[i]);
-    const double inv = 1.0 / depth;
-    u[i] = f.right.Dot(poly[i]) * inv;
-    v[i] = f.up.Dot(poly[i]) * inv;
-    w[i] = inv;
+    p[i] = Project(faces_[face], poly[i]);
+  }
+  // Fan-triangulate.
+  for (int k = 1; k + 1 < n; ++k) {
+    RasterizeProjected(face, p[0], p[k], p[k + 1], item);
+  }
+}
+
+void CubeMapBuffer::RasterizeProjected(int face, const Projected& a,
+                                       const Projected& b,
+                                       const Projected& c, uint32_t item) {
+  const double ux[3] = {a.u, b.u, c.u};
+  const double vy[3] = {a.v, b.v, c.v};
+  const double ws[3] = {a.w, b.w, c.w};
+
+  const double min_u = std::min({ux[0], ux[1], ux[2]});
+  const double max_u = std::max({ux[0], ux[1], ux[2]});
+  const double min_v = std::min({vy[0], vy[1], vy[2]});
+  const double max_v = std::max({vy[0], vy[1], vy[2]});
+
+  // Pixel index range covering [min, max] in [-1, 1] coordinates.
+  const int i0 = std::max(0, static_cast<int>((min_u + 1.0) * 0.5 * res_));
+  const int i1 =
+      std::min(res_ - 1, static_cast<int>((max_u + 1.0) * 0.5 * res_));
+  const int j0 = std::max(0, static_cast<int>((min_v + 1.0) * 0.5 * res_));
+  const int j1 =
+      std::min(res_ - 1, static_cast<int>((max_v + 1.0) * 0.5 * res_));
+  if (i0 > i1 || j0 > j1) {
+    return;
   }
 
-  uint32_t* face_items = items_.data() + static_cast<size_t>(face) * res_ *
-                                              res_;
-  float* face_depth = inv_depth_.data() + static_cast<size_t>(face) * res_ *
-                                              res_;
+  const double area = (ux[1] - ux[0]) * (vy[2] - vy[0]) -
+                      (ux[2] - ux[0]) * (vy[1] - vy[0]);
+  if (std::fabs(area) < 1e-18) {
+    return;
+  }
+  const double inv_area = 1.0 / area;
 
-  // Fan-triangulate and raster each triangle with edge functions.
-  for (int k = 1; k + 1 < n; ++k) {
-    const double ux[3] = {u[0], u[k], u[k + 1]};
-    const double vy[3] = {v[0], v[k], v[k + 1]};
-    const double ws[3] = {w[0], w[k], w[k + 1]};
-
-    double min_u = std::min({ux[0], ux[1], ux[2]});
-    double max_u = std::max({ux[0], ux[1], ux[2]});
-    double min_v = std::min({vy[0], vy[1], vy[2]});
-    double max_v = std::max({vy[0], vy[1], vy[2]});
-
-    // Pixel index range covering [min, max] in [-1, 1] coordinates.
-    int i0 = std::max(0, static_cast<int>((min_u + 1.0) * 0.5 * res_));
-    int i1 = std::min(res_ - 1,
-                      static_cast<int>((max_u + 1.0) * 0.5 * res_));
-    int j0 = std::max(0, static_cast<int>((min_v + 1.0) * 0.5 * res_));
-    int j1 = std::min(res_ - 1,
-                      static_cast<int>((max_v + 1.0) * 0.5 * res_));
-    if (i0 > i1 || j0 > j1) {
-      continue;
-    }
-
-    const double area = (ux[1] - ux[0]) * (vy[2] - vy[0]) -
-                        (ux[2] - ux[0]) * (vy[1] - vy[0]);
-    if (std::fabs(area) < 1e-18) {
-      continue;
-    }
-    const double inv_area = 1.0 / area;
-
-    for (int j = j0; j <= j1; ++j) {
-      const double py = 2.0 * (j + 0.5) / res_ - 1.0;
-      for (int i = i0; i <= i1; ++i) {
-        const double px = 2.0 * (i + 0.5) / res_ - 1.0;
-        // Barycentric coordinates (signed, normalized by the full area so
-        // both windings are accepted when all have the same sign).
-        const double w0 = ((ux[1] - px) * (vy[2] - py) -
-                           (ux[2] - px) * (vy[1] - py)) *
-                          inv_area;
-        const double w1 = ((ux[2] - px) * (vy[0] - py) -
-                           (ux[0] - px) * (vy[2] - py)) *
-                          inv_area;
-        const double w2 = 1.0 - w0 - w1;
-        if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0) {
-          continue;
-        }
-        const double inv_depth = w0 * ws[0] + w1 * ws[1] + w2 * ws[2];
-        const size_t pixel = static_cast<size_t>(j) * res_ + i;
-        if (inv_depth > face_depth[pixel]) {
-          face_depth[pixel] = static_cast<float>(inv_depth);
-          face_items[pixel] = item;
-        }
+  const size_t face_offset = static_cast<size_t>(face) * res_ * res_;
+  uint32_t* face_items = items_.data() + face_offset;
+  float* face_depth = inv_depth_.data() + face_offset;
+  for (int j = j0; j <= j1; ++j) {
+    const double py = pixel_center_[j];
+    for (int i = i0; i <= i1; ++i) {
+      const double px = pixel_center_[i];
+      // Barycentric coordinates (signed, normalized by the full area so
+      // both windings are accepted when all have the same sign).
+      const double w0 = ((ux[1] - px) * (vy[2] - py) -
+                         (ux[2] - px) * (vy[1] - py)) *
+                        inv_area;
+      const double w1 = ((ux[2] - px) * (vy[0] - py) -
+                         (ux[0] - px) * (vy[2] - py)) *
+                        inv_area;
+      const double w2 = 1.0 - w0 - w1;
+      if (w0 < 0.0 || w1 < 0.0 || w2 < 0.0) {
+        continue;
+      }
+      const double inv_depth = w0 * ws[0] + w1 * ws[1] + w2 * ws[2];
+      const size_t pixel = static_cast<size_t>(j) * res_ + i;
+      if (inv_depth > face_depth[pixel]) {
+        face_depth[pixel] = static_cast<float>(inv_depth);
+        face_items[pixel] = item;
       }
     }
   }
@@ -218,6 +250,24 @@ void CubeMapBuffer::RasterizeBox(const Aabb& box, uint32_t item) {
     if (BoxSkipsFace(face, c, extent)) {
       continue;
     }
+    const Face& f = faces_[face];
+    bool inside = true;
+    for (int i = 0; i < 8 && inside; ++i) {
+      inside = InsideFace(f, c[i]);
+    }
+    if (inside) {
+      // Every triangle takes ClipToFace's no-clip path: project each
+      // corner once instead of once per triangle that uses it.
+      Projected p[8];
+      for (int i = 0; i < 8; ++i) {
+        p[i] = Project(f, c[i]);
+      }
+      for (const auto& q : kQuads) {
+        RasterizeProjected(face, p[q[0]], p[q[1]], p[q[2]], item);
+        RasterizeProjected(face, p[q[0]], p[q[2]], p[q[3]], item);
+      }
+      continue;
+    }
     for (const auto& q : kQuads) {
       const Vec3 first[3] = {c[q[0]], c[q[1]], c[q[2]]};
       const Vec3 second[3] = {c[q[0]], c[q[2]], c[q[3]]};
@@ -245,8 +295,7 @@ bool CubeMapBuffer::BoxSkipsFace(int face, const Vec3* c,
   // dwarfs the rounding of vertices the near clip interpolates (~1e-15
   // relative), which could otherwise land a hair inside the plane.
   const double margin = 1e-9 * extent;
-  const Vec3 fs = f.forward * (1.0 + kSideSlack);
-  for (const Vec3& n : {fs - f.right, fs + f.right, fs - f.up, fs + f.up}) {
+  for (const Vec3& n : f.side) {
     bool outside = true;
     for (int i = 0; i < 8 && outside; ++i) {
       outside = n.Dot(c[i]) < -margin;
@@ -278,13 +327,11 @@ bool CubeMapBuffer::BoxOccludedOnFace(int face, const Vec3* c,
   double min_v = min_u;
   double max_v = -min_u;
   for (int i = 0; i < 8; ++i) {
-    const double inv = 1.0 / depth[i];
-    const double u = f.right.Dot(c[i]) * inv;
-    const double v = f.up.Dot(c[i]) * inv;
-    min_u = std::min(min_u, u);
-    max_u = std::max(max_u, u);
-    min_v = std::min(min_v, v);
-    max_v = std::max(max_v, v);
+    const Projected p = Project(f, c[i]);
+    min_u = std::min(min_u, p.u);
+    max_u = std::max(max_u, p.u);
+    min_v = std::min(min_v, p.v);
+    max_v = std::max(max_v, p.v);
   }
   const double bound = (1.0 / min_depth) * (1.0 + 1e-6);
   // Pixel range of the projection, widened by one pixel per side against

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -242,15 +244,16 @@ TEST(CubeMapTest, CoverageEqualsSumOfItemAngles) {
   EXPECT_NEAR(buffer.TotalCoverage(), total / (4.0 * M_PI), 1e-12);
 }
 
-// A box of kind `kind % 6` for eye point `eye`: the cases whole-box
-// culling must get exactly right. `axis` picks the direction of kinds 3-4.
+// A box of kind `kind % 9` for eye point `eye`: the cases whole-box
+// culling and the clip-free paths must get exactly right. `axis` picks the
+// direction of kinds 3-4 and 8 and the side plane of kinds 6-7.
 Aabb DifferentialBox(Rng& rng, const Vec3& eye, int kind, int axis) {
   static const Vec3 kAxes[6] = {Vec3(1, 0, 0), Vec3(-1, 0, 0),
                                 Vec3(0, 1, 0), Vec3(0, -1, 0),
                                 Vec3(0, 0, 1), Vec3(0, 0, -1)};
   const Vec3 half(rng.Uniform(0.5, 6), rng.Uniform(0.5, 6),
                   rng.Uniform(0.5, 6));
-  switch (kind % 6) {
+  switch (kind % 9) {
     case 0: {  // Anywhere around the eye.
       const Vec3 center = eye + Vec3(rng.Uniform(-40, 40),
                                      rng.Uniform(-40, 40),
@@ -282,32 +285,93 @@ Aabb DifferentialBox(Rng& rng, const Vec3& eye, int kind, int axis) {
       const Vec3 center = eye + kAxes[axis] * rng.Uniform(15, 30);
       return Aabb(center - Vec3(1, 1, 1), center + Vec3(1, 1, 1));
     }
-    default: {  // A corner exactly at the eye.
+    case 5: {  // A corner exactly at the eye.
       return Aabb(eye, eye + half);
+    }
+    case 6:    // Every corner inside the +x face, one of them within
+    case 7: {  // 1e-12 (relative) of a side plane: just inside it (6) or
+               // just outside (7), so only some triangles skip the clip.
+      const double d = rng.Uniform(1, 20);
+      const double slack = d * rng.Uniform(0.2e-12, 1e-12);
+      const double edge =
+          d * (1.0 + 1e-9) + (kind % 9 == 6 ? -slack : slack);
+      // Lateral ranges: the chosen one ends at `edge`, the other stays
+      // well inside (|coordinate| < 0.9 d at depth >= d).
+      double lo[2] = {edge - d * rng.Uniform(0.1, 1.0),
+                      -d * rng.Uniform(0.0, 0.9)};
+      double hi[2] = {edge, d * rng.Uniform(0.0, 0.9)};
+      if (axis % 2 == 1) {  // Mirror onto the negative side plane.
+        std::swap(lo[0], hi[0]);
+        lo[0] = -lo[0];
+        hi[0] = -hi[0];
+      }
+      // Which range is y: the plane is y = +-(1 + 1e-9) x for y = 0 and
+      // z = +-(1 + 1e-9) x for y = 1.
+      const int y = axis % 4 < 2 ? 0 : 1;
+      return Aabb(eye + Vec3(d, lo[y], lo[1 - y]),
+                  eye + Vec3(d + half.x, hi[y], hi[1 - y]));
+    }
+    default: {  // A thin box straight ahead whose near face lies at the
+                // near clip depth 1e-6 give or take 3 ulps (exactly so
+                // where the eye's coordinate on that axis is 0).
+      double t = 1e-6;
+      const int steps = rng.UniformInt(-3, 3);
+      for (int k = 0; k < std::abs(steps); ++k) {
+        t = std::nextafter(t, steps > 0 ? 1.0 : 0.0);
+      }
+      const Vec3& dir = kAxes[axis];
+      const Vec3 lateral = Vec3(1, 1, 1) - Vec3(std::fabs(dir.x),
+                                                std::fabs(dir.y),
+                                                std::fabs(dir.z));
+      // Lateral offsets within +-0.9 t keep the near face inside the
+      // side planes.
+      const double a = -t * rng.Uniform(0.0, 0.9);
+      const double b = t * rng.Uniform(0.0, 0.9);
+      Aabb box = Aabb::Empty();
+      box.Extend(eye + dir * t + lateral * a);
+      box.Extend(eye + dir * (t + half.x) + lateral * b);
+      return box;
     }
   }
 }
 
+// Bit patterns of the buffer's stored depths: equal only if every float
+// is the same bit for bit.
+std::vector<uint32_t> DepthBits(const CubeMapBuffer& buffer) {
+  std::vector<uint32_t> bits;
+  for (float d : buffer.inverse_depths()) {
+    bits.push_back(std::bit_cast<uint32_t>(d));
+  }
+  return bits;
+}
+
 TEST(CubeMapTest, RasterizeBoxMatchesItsTwelveTriangles) {
-  // RasterizeBox culls whole faces before clipping; the pixels it writes
-  // must be exactly those of its 12 triangles drawn one at a time, in the
+  // RasterizeBox culls whole faces before clipping and skips the clip
+  // where a box lies inside a face; every pixel it writes, item and depth,
+  // must be exactly that of its 12 triangles drawn one at a time, in the
   // same order.
   static constexpr int kQuads[6][4] = {
       {0, 2, 3, 1}, {4, 5, 7, 6}, {0, 1, 5, 4},
       {2, 6, 7, 3}, {0, 4, 6, 2}, {1, 3, 7, 5},
   };
-  constexpr uint32_t kItems = 36;
+  constexpr uint32_t kItems = 45;
   Rng rng(1203);
+  uint32_t crc = 0;  // Over every trial's triangle-drawn buffer.
   for (int trial = 0; trial < 40; ++trial) {
     CubeMapOptions opt;
     opt.face_resolution = trial % 2 == 0 ? 16 : 33;
-    const Vec3 eye(rng.Uniform(-5, 5), rng.Uniform(-5, 5), rng.Uniform(0, 3));
+    // Every fourth eye sits at the origin, where kind 8's near depths are
+    // exact.
+    const Vec3 eye = trial % 4 == 3 ? Vec3(0, 0, 0)
+                                    : Vec3(rng.Uniform(-5, 5),
+                                           rng.Uniform(-5, 5),
+                                           rng.Uniform(0, 3));
     CubeMapBuffer boxes(opt);
     CubeMapBuffer triangles(opt);
     boxes.Reset(eye);
     triangles.Reset(eye);
     for (uint32_t item = 0; item < kItems; ++item) {
-      const int axis = (trial + static_cast<int>(item) / 6) % 6;
+      const int axis = (trial + static_cast<int>(item) / 9) % 6;
       const Aabb box = DifferentialBox(rng, eye, static_cast<int>(item), axis);
       boxes.RasterizeBox(box, item);
       for (const auto& q : kQuads) {
@@ -317,15 +381,56 @@ TEST(CubeMapTest, RasterizeBoxMatchesItsTwelveTriangles) {
                                     box.Corner(q[3]), item);
       }
     }
-    std::vector<double> from_boxes(kItems, 0.0);
-    std::vector<double> from_triangles(kItems, 0.0);
-    EXPECT_EQ(boxes.AccumulateSolidAngles(&from_boxes),
-              triangles.AccumulateSolidAngles(&from_triangles))
-        << "trial " << trial;
-    EXPECT_EQ(from_boxes, from_triangles) << "trial " << trial;
-    EXPECT_EQ(boxes.TotalCoverage(), triangles.TotalCoverage())
-        << "trial " << trial;
+    EXPECT_EQ(boxes.items(), triangles.items()) << "trial " << trial;
+    EXPECT_EQ(DepthBits(boxes), DepthBits(triangles)) << "trial " << trial;
+    const std::vector<uint32_t> depths = DepthBits(triangles);
+    crc = Crc32cExtend(crc, triangles.items().data(),
+                       triangles.items().size() * sizeof(uint32_t));
+    crc = Crc32cExtend(crc, depths.data(), depths.size() * sizeof(uint32_t));
   }
+  // Both paths above skip the clip by the same rule; this pin, recorded
+  // when every triangle was still clipped, holds the rule to the clipper.
+  EXPECT_EQ(crc, 0xfcc1cc6au);
+}
+
+TEST(CubeMapTest, BoundaryTrianglesArePinned) {
+  // Loose triangles whose vertices sit a few ulps either side of a face's
+  // side planes or its near plane: where skipping the clip is decided.
+  // The fingerprint was recorded when every triangle was still clipped.
+  Rng rng(4411);
+  auto nudge = [&](double x) {  // x moved by -3..3 ulps.
+    const int steps = rng.UniformInt(-3, 3);
+    for (int k = 0; k < std::abs(steps); ++k) {
+      x = std::nextafter(x, steps > 0 ? HUGE_VAL : -HUGE_VAL);
+    }
+    return x;
+  };
+  uint32_t crc = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    CubeMapOptions opt;
+    opt.face_resolution = 8 + trial % 41;
+    CubeMapBuffer buffer(opt);
+    buffer.Reset(Vec3(0, 0, 0));
+    for (uint32_t item = 0; item < 20; ++item) {
+      const double d = rng.Uniform(1e-7, 10);
+      Vec3 v[3];
+      for (Vec3& p : v) {
+        // Depth: the near clip depth 1e-6, or near `d`.
+        p.x = rng.Bernoulli(0.3) ? nudge(1e-6) : d * rng.Uniform(0.5, 2);
+        // y on a side plane of the +x face, or anywhere inside it.
+        const double side = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+        const double along = rng.Bernoulli(0.5) ? 1.0 : rng.Uniform(-1, 1);
+        p.y = nudge(p.x * (1.0 + 1e-9) * side * along);
+        p.z = p.x * rng.Uniform(-1, 1);
+      }
+      buffer.RasterizeTriangle(v[0], v[1], v[2], item);
+    }
+    const std::vector<uint32_t> depths = DepthBits(buffer);
+    crc = Crc32cExtend(crc, buffer.items().data(),
+                       buffer.items().size() * sizeof(uint32_t));
+    crc = Crc32cExtend(crc, depths.data(), depths.size() * sizeof(uint32_t));
+  }
+  EXPECT_EQ(crc, 0x7de74d08u);
 }
 
 TEST(CubeMapTest, DeterministicAcrossRuns) {
@@ -616,6 +721,50 @@ TEST(PrecomputeTest, SmallWorldTablesArePinned) {
     popt.avoid_object_interiors = c.avoid_interiors;
     popt.threads = 2;
     Result<VisibilityTable> table = PrecomputeCity(4, 5, popt);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const auto [size, crc] = TableFingerprint(*table);
+    EXPECT_EQ(size, c.size);
+    EXPECT_EQ(crc, c.crc);
+  }
+}
+
+TEST(PrecomputeTest, MeshLodTableIsPinned) {
+  // Full-geometry city rasterized through its LoD meshes
+  // (RasterizeTriangle), not its MBR boxes: both the coarsest occluder
+  // level and the finest one. Recorded before the clip-free paths.
+  CityOptions copt;
+  copt.mode = GeometryMode::kFull;
+  copt.blocks_x = 3;
+  copt.blocks_y = 3;
+  copt.facade_columns = 4;
+  copt.facade_rows = 6;
+  copt.bunny_subdivisions = 2;
+  copt.park_fraction = 0.4;
+  Result<Scene> city = GenerateCity(copt);
+  ASSERT_TRUE(city.ok()) << city.status().ToString();
+  CellGridOptions gopt;
+  gopt.cells_x = 4;
+  gopt.cells_y = 4;
+  Result<CellGrid> grid = CellGrid::Build(city->bounds(), gopt);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  struct Case {
+    size_t lod_level;
+    size_t size;
+    uint32_t crc;
+  };
+  const Case kCases[] = {
+      {static_cast<size_t>(-1), 3524u, 0xcd5ff545u},
+      {0, 2988u, 0x546fcdaeu},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(testing::Message() << "lod level " << c.lod_level);
+    PrecomputeOptions popt;
+    popt.dov.cubemap.face_resolution = 32;
+    popt.dov.geometry = OccluderGeometry::kMeshLod;
+    popt.dov.occluder_lod_level = c.lod_level;
+    popt.samples_per_cell = 5;
+    popt.threads = 2;
+    Result<VisibilityTable> table = PrecomputeVisibility(*city, *grid, popt);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     const auto [size, crc] = TableFingerprint(*table);
     EXPECT_EQ(size, c.size);

@@ -12,7 +12,8 @@
 // --scale presets the paper's bench sizes (same values as the
 // HDOV_BENCH_SCALE environment knob); the explicit flags override it.
 // --telemetry-out writes the full build metric snapshot (persist.* plus
-// build.* world-shape gauges) as JSON; --stats-out writes the persist.*
+// build.* world-shape gauges and the wall time of each phase: world,
+// snapshot, verify and the total) as JSON; --stats-out writes the persist.*
 // subset of the SAME snapshot through the same emitter, so the persist
 // view can never drift from the full one.
 
@@ -145,11 +146,11 @@ int Run(const BuildArgs& args) {
                  bed.status().ToString().c_str());
     return 1;
   }
+  const double world_ms = phase.ElapsedMs();
   std::printf("world: %s | %u cells | avg %.1f visible objects/cell"
               " (%.1f s)\n",
               bed->scene.Summary().c_str(), bed->grid.num_cells(),
-              bed->table.AverageVisibleObjects(),
-              phase.ElapsedMs() / 1000.0);
+              bed->table.AverageVisibleObjects(), world_ms / 1000.0);
 
   PersistStats stats;
   phase = telemetry::WallTimer();
@@ -167,11 +168,12 @@ int Run(const BuildArgs& args) {
     std::fprintf(stderr, "hdov_build: %s\n", status.ToString().c_str());
     return 1;
   }
+  const double snapshot_ms = phase.ElapsedMs();
   std::printf("snapshot: wrote %s — %.2f MB, %llu fsyncs (%.1f s)\n",
               args.out.c_str(),
               static_cast<double>(stats.bytes_written) / (1024.0 * 1024.0),
               static_cast<unsigned long long>(stats.fsyncs),
-              phase.ElapsedMs() / 1000.0);
+              snapshot_ms / 1000.0);
 
   // Verification pass: reload every section through the checksummed read
   // path, so a build whose file cannot be read back fails here, not in the
@@ -194,10 +196,11 @@ int Run(const BuildArgs& args) {
                  status.ToString().c_str());
     return 1;
   }
+  const double verify_ms = phase.ElapsedMs();
   std::printf("verify: reloaded world + indexed-vertical system"
               " (%llu checksum verifications, %.1f s)\n",
               static_cast<unsigned long long>(stats.checksum_verifications),
-              phase.ElapsedMs() / 1000.0);
+              verify_ms / 1000.0);
 
   if (!args.stats_out.empty() || !args.telemetry_out.empty()) {
     telemetry::MetricsRegistry registry;
@@ -213,6 +216,11 @@ int Run(const BuildArgs& args) {
     registry.RegisterView("build.objects", [objects] { return objects; });
     registry.RegisterView("build.avg_visible_objects",
                           [avg_visible] { return avg_visible; });
+    registry.RegisterView("build.world_ms", [world_ms] { return world_ms; });
+    registry.RegisterView("build.snapshot_ms",
+                          [snapshot_ms] { return snapshot_ms; });
+    registry.RegisterView("build.verify_ms",
+                          [verify_ms] { return verify_ms; });
     registry.RegisterView("build.wall_ms", [wall_ms] { return wall_ms; });
     const telemetry::MetricsSnapshot metrics = registry.Snapshot();
     if (!args.telemetry_out.empty()) {
