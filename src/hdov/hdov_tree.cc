@@ -179,6 +179,11 @@ Result<HdovTree> HdovTree::FromManifest(PageDevice* device,
   if (num_nodes == 0) {
     return Status::Corruption("hdov tree: empty manifest");
   }
+  // Every count is checked against the bytes left before it sizes a
+  // container: 12 bytes per node, at least 4 per object, 8 per level.
+  if (decoder.remaining() < uint64_t{num_nodes} * 12) {
+    return Status::Corruption("hdov tree: node count exceeds manifest");
+  }
   tree.nodes_.resize(num_nodes);
   tree.dfs_order_.resize(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
@@ -196,10 +201,16 @@ Result<HdovTree> HdovTree::FromManifest(PageDevice* device,
   tree.root_ = tree.dfs_order_.front();
   uint32_t num_objects = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&num_objects));
+  if (decoder.remaining() < uint64_t{num_objects} * 4) {
+    return Status::Corruption("hdov tree: object count exceeds manifest");
+  }
   tree.object_models_.resize(num_objects);
   for (uint32_t i = 0; i < num_objects; ++i) {
     uint32_t levels = 0;
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&levels));
+    if (decoder.remaining() < uint64_t{levels} * 8) {
+      return Status::Corruption("hdov tree: level count exceeds manifest");
+    }
     tree.object_models_[i].reserve(levels);
     for (uint32_t l = 0; l < levels; ++l) {
       uint64_t model = 0;

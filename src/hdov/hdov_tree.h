@@ -70,7 +70,6 @@ class HdovTree {
   HdovTree() = default;
 
   const HdovNode& node(size_t index) const { return nodes_[index]; }
-  HdovNode& mutable_node(size_t index) { return nodes_[index]; }
   size_t num_nodes() const { return nodes_.size(); }
   size_t root_index() const { return root_; }
   int height() const { return nodes_.empty() ? 0 : nodes_[root_].level + 1; }

@@ -108,22 +108,6 @@ Status IndexedVerticalStore::BeginCell(CellId cell) {
   return Status::OK();
 }
 
-bool IndexedVerticalStore::FillSegment(std::vector<uint32_t>* nodes,
-                                       std::vector<uint64_t>* slots) const {
-  if (current_cell_ == kInvalidCell) {
-    return false;
-  }
-  *nodes = seg_nodes_;
-  *slots = seg_slots_;
-  return true;
-}
-
-Status IndexedVerticalStore::ReadVPageAt(uint64_t slot, VPage* page) {
-  HDOV_RETURN_IF_ERROR(vpages_.ReadRecord(slot, page));
-  ++tstats_.vpage_fetches;
-  return Status::OK();
-}
-
 Status IndexedVerticalStore::GetVPage(uint32_t node_id, VPage* page,
                                       bool* visible) {
   if (current_cell_ == kInvalidCell) {

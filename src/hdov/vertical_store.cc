@@ -95,28 +95,6 @@ Status VerticalStore::BeginCell(CellId cell) {
   return Status::OK();
 }
 
-bool VerticalStore::FillSegment(std::vector<uint32_t>* nodes,
-                                std::vector<uint64_t>* slots) const {
-  if (current_cell_ == kInvalidCell) {
-    return false;
-  }
-  nodes->clear();
-  slots->clear();
-  for (size_t node = 0; node < segment_.size(); ++node) {
-    if (segment_[node] != kNilPointer) {
-      nodes->push_back(static_cast<uint32_t>(node));
-      slots->push_back(segment_[node]);
-    }
-  }
-  return true;
-}
-
-Status VerticalStore::ReadVPageAt(uint64_t slot, VPage* page) {
-  HDOV_RETURN_IF_ERROR(vpages_.ReadRecord(slot, page));
-  ++tstats_.vpage_fetches;
-  return Status::OK();
-}
-
 Status VerticalStore::GetVPage(uint32_t node_id, VPage* page, bool* visible) {
   if (current_cell_ == kInvalidCell) {
     return Status::FailedPrecondition("vertical store: BeginCell first");

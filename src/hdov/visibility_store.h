@@ -55,31 +55,6 @@ class VisibilityStore {
   // false (leaving `page` empty) when the node has no V-page in this cell.
   virtual Status GetVPage(uint32_t node_id, VPage* page, bool* visible) = 0;
 
-  // Fast-path introspection for the flat searcher (see flat_tree.h):
-  // fills `nodes`/`slots` with the current cell's visible node ids
-  // (ascending) and their V-page record slots, answered from the store's
-  // in-memory segment with no I/O and no counter ticks — BeginCell
-  // already billed the segment flip. Returns false when the scheme keeps
-  // no in-memory segment (horizontal) or no cell is active; callers then
-  // fall back to GetVPage per node.
-  virtual bool FillSegment(std::vector<uint32_t>* nodes,
-                           std::vector<uint64_t>* slots) const {
-    (void)nodes;
-    (void)slots;
-    return false;
-  }
-
-  // Reads the V-page record at `slot` (obtained from FillSegment), billed
-  // exactly like the visible tail of GetVPage: one record read plus one
-  // vpage_fetches tick. Only schemes whose FillSegment returns true
-  // implement it.
-  virtual Status ReadVPageAt(uint64_t slot, VPage* page) {
-    (void)slot;
-    (void)page;
-    return Status::Unimplemented(
-        "visibility store: no slot-addressed read fast path");
-  }
-
   // Total bytes occupied on the device (the Table 2 number).
   virtual uint64_t SizeBytes() const = 0;
 

@@ -20,6 +20,11 @@ Status ParseVPage(std::string_view data, VPage* page) {
   Decoder decoder(data);
   uint32_t count = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&count));
+  // Each entry is 8 bytes; check before reserving so a corrupt count
+  // cannot drive the allocation.
+  if (decoder.remaining() < uint64_t{count} * 8) {
+    return Status::Corruption("vpage: entry count exceeds record");
+  }
   page->clear();
   page->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

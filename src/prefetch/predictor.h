@@ -55,7 +55,7 @@ bool ParsePrefetchMode(std::string_view name, PrefetchMode* mode);
 // once from the HDOV_PREFETCH environment variable ("off"/"sync"/"async",
 // unset or unparseable = kOff) so whole test/bench binaries can be
 // flipped without touching call sites; mutable for flag plumbing
-// (bench --prefetch=...), exactly like DefaultSearchBackend().
+// (bench --prefetch=...).
 PrefetchMode& DefaultPrefetchMode();
 
 struct CellPrediction {

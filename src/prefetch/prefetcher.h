@@ -153,7 +153,7 @@ class Prefetcher {
   // exact same searcher / model store / resident maps the inline code
   // did.
   struct SyncHooks {
-    // Runs the cell search on the caller's configured backend.
+    // Runs the cell search through the caller's searcher.
     std::function<Status(CellId, std::vector<RetrievedLod>*)> search;
     // Clears the caller's prefetch-loaded map (new plan).
     std::function<void()> clear_loaded;
@@ -203,9 +203,8 @@ class Prefetcher {
   uint16_t flight_code_;
 
   // Async-mode speculative machinery (null in sync mode): a private store
-  // instance over the shared store device plus a private legacy searcher
-  // (both backends read the same pages, so the warmed set is
-  // backend-independent).
+  // instance over the shared store device plus a private searcher, which
+  // reads the same pages as the caller's, so the warmed set matches.
   std::unique_ptr<VisibilityStore> spec_store_;
   std::unique_ptr<HdovSearcher> spec_searcher_;
   std::vector<RetrievedLod> spec_result_;

@@ -89,13 +89,6 @@ Status WalkthroughServer::LoadWorld() {
   world_.scene = &scene_;
   world_.grid = &grid_;
   world_.tree = tree_;
-  // Flat-backend sessions all share one compiled layout (it is immutable,
-  // like the tree) instead of compiling a private copy each.
-  if (options_.visual.backend == SearchBackend::kFlat) {
-    HDOV_ASSIGN_OR_RETURN(FlatHdovTree flat, FlatHdovTree::Compile(*tree_));
-    flat_tree_ = std::make_shared<const FlatHdovTree>(std::move(flat));
-    world_.flat_tree = flat_tree_;
-  }
   world_.store_meta = store_meta_;
   world_.model_meta = model_meta_;
   world_.make_device =

@@ -153,9 +153,6 @@ class WalkthroughServer {
   Scene scene_;
   CellGrid grid_;
   std::shared_ptr<const HdovTree> tree_;
-  // Compiled once per server when the sessions run the flat backend;
-  // shared by every session view (immutable, like the tree).
-  std::shared_ptr<const FlatHdovTree> flat_tree_;
   std::string store_meta_;
   std::string model_meta_;
 

@@ -16,30 +16,18 @@ VisualSystem::VisualSystem(const Scene* scene, const CellGrid* grid,
       model_device_(std::make_unique<PageDevice>(options.disk, &clock_)),
       models_(std::make_unique<ModelStore>(model_device_.get())) {}
 
-// Shared tail of the three factories: wire the searcher of the configured
-// backend and the optional tree cache, then zero every simulated counter
+// Shared tail of the three factories: wire the searcher and the optional
+// tree cache, then zero every simulated counter
 // and the disk-head trackers so measured workloads start from an identical
 // state on every path.
 Status VisualSystem::FinishConstruction() {
   searcher_ = std::make_unique<HdovSearcher>(tree_.get(), scene_,
                                              models_.get(),
                                              tree_device_.get());
-  if (options_.backend == SearchBackend::kFlat) {
-    if (flat_tree_ == nullptr) {
-      HDOV_ASSIGN_OR_RETURN(FlatHdovTree flat,
-                            FlatHdovTree::Compile(*tree_));
-      flat_tree_ = std::make_shared<const FlatHdovTree>(std::move(flat));
-    }
-    flat_searcher_ = std::make_unique<FlatSearcher>(
-        flat_tree_.get(), scene_, models_.get(), tree_device_.get());
-  }
   if (options_.tree_cache_pages > 0) {
     tree_cache_ = std::make_unique<BufferPool>(tree_device_.get(),
                                                options_.tree_cache_pages);
     searcher_->set_tree_cache(tree_cache_.get());
-    if (flat_searcher_ != nullptr) {
-      flat_searcher_->set_tree_cache(tree_cache_.get());
-    }
   }
   // Nonzero prefetch_models_per_frame is the historical way to ask for
   // the (then-inline) synchronous prefetch; it keeps meaning exactly
@@ -90,15 +78,6 @@ Status VisualSystem::FinishConstruction() {
   model_device_->ResetAccessTracker();
   ResetIoStats();
   return Status::OK();
-}
-
-Status VisualSystem::RunSearch(CellId cell, const SearchOptions& search,
-                               std::vector<RetrievedLod>* result,
-                               SearchStats* stats) {
-  if (flat_searcher_ != nullptr) {
-    return flat_searcher_->Search(store_.get(), cell, search, result, stats);
-  }
-  return searcher_->Search(store_.get(), cell, search, result, stats);
 }
 
 Result<std::unique_ptr<VisualSystem>> VisualSystem::Create(
@@ -200,7 +179,6 @@ Result<std::unique_ptr<VisualSystem>> VisualSystem::CreateSessionView(
       std::make_unique<ModelStore>(system->model_device_.get());
   HDOV_RETURN_IF_ERROR(system->models_->RestoreMeta(world.model_meta));
   system->tree_ = world.tree;
-  system->flat_tree_ = world.flat_tree;  // May be null: compiled on demand.
   HDOV_ASSIGN_OR_RETURN(
       system->store_,
       LoadStore(options.scheme, *system->tree_, world.store_meta,
@@ -273,7 +251,8 @@ Status VisualSystem::Query(const Vec3& position, bool fetch_models,
       search.trace = &tracer;
     }
   }
-  HDOV_RETURN_IF_ERROR(RunSearch(cell, search, result, stats_out));
+  HDOV_RETURN_IF_ERROR(
+      searcher_->Search(store_.get(), cell, search, result, stats_out));
   if (fetch_models) {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
     for (const RetrievedLod& lod : *result) {
@@ -309,7 +288,8 @@ Status VisualSystem::QueryWithHeuristic(const Vec3& position,
   SearchOptions search = options_.search;
   search.eta = options_.eta;
   search.heuristic = heuristic;
-  HDOV_RETURN_IF_ERROR(RunSearch(cell, search, result, nullptr));
+  HDOV_RETURN_IF_ERROR(
+      searcher_->Search(store_.get(), cell, search, result, nullptr));
   for (const RetrievedLod& lod : *result) {
     HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
   }
@@ -388,7 +368,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
     hooks.search = [this](CellId cell, std::vector<RetrievedLod>* out) {
       SearchOptions search = options_.search;
       search.eta = options_.eta;
-      return RunSearch(cell, search, out, nullptr);
+      return searcher_->Search(store_.get(), cell, search, out, nullptr);
     };
     hooks.clear_loaded = [this] { prefetch_loaded_.clear(); };
     hooks.should_skip = [this](const RetrievedLod& lod) {

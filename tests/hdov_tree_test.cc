@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
+#include "common/coding.h"
 #include "hdov/builder.h"
 #include "hdov/hdov_tree.h"
 #include "hdov/search.h"
@@ -48,6 +50,27 @@ TEST(VPageTest, TruncatedRecordIsCorruption) {
   VPage back;
   EXPECT_TRUE(ParseVPage(std::string_view(record).substr(0, 5), &back)
                   .IsCorruption());
+}
+
+TEST(VPageTest, HugeCountIsCorruption) {
+  // A 4-byte record claiming 2^32 - 1 entries must fail on its length,
+  // not reserve 32 GiB first.
+  std::string record;
+  EncodeFixed32(&record, 0xFFFFFFFFu);
+  VPage back;
+  EXPECT_TRUE(ParseVPage(record, &back).IsCorruption());
+}
+
+TEST(HdovManifestTest, HugeNodeCountIsCorruption) {
+  // A 20-byte manifest: num_nodes = 2^32 - 1, then fanout and s_ratio.
+  std::string manifest;
+  EncodeFixed32(&manifest, 0xFFFFFFFFu);
+  EncodeFixed64(&manifest, 8);
+  EncodeDouble(&manifest, 0.5);
+  PageDevice device;
+  Result<HdovTree> tree = HdovTree::FromManifest(&device, manifest);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
 }
 
 // Shared fixture: a small proxy city with precomputed visibility and a
@@ -660,6 +683,44 @@ TEST_F(HdovFixture, FullPersistenceRoundTrip) {
       EXPECT_EQ(a[i].model, b[i].model);
     }
   }
+}
+
+// Packs a copy of `tree` onto `device` and returns its manifest cut just
+// after the object-count field (`object_count` written there) or, with
+// `levels` set, just after the first object's level-count field (`levels`
+// written there).
+std::string InflatedManifest(const HdovTree& tree, PageDevice* device,
+                             uint32_t object_count,
+                             std::optional<uint32_t> levels) {
+  HdovTree packed = tree;
+  EXPECT_TRUE(packed.Pack(device).ok());
+  std::string manifest;
+  EXPECT_TRUE(packed.EncodeManifest(&manifest).ok());
+  const size_t objects_at = 20 + 12 * packed.num_nodes();
+  manifest.resize(objects_at);
+  EncodeFixed32(&manifest, object_count);
+  if (levels.has_value()) {
+    EncodeFixed32(&manifest, *levels);
+  }
+  return manifest;
+}
+
+TEST_F(HdovFixture, ManifestHugeObjectCountIsCorruption) {
+  PageDevice device;
+  const std::string manifest =
+      InflatedManifest(*tree_, &device, 0xFFFFFFFFu, std::nullopt);
+  Result<HdovTree> tree = HdovTree::FromManifest(&device, manifest);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
+}
+
+TEST_F(HdovFixture, ManifestHugeLevelCountIsCorruption) {
+  PageDevice device;
+  const std::string manifest = InflatedManifest(*tree_, &device, 1,
+                                                0xFFFFFFFFu);
+  Result<HdovTree> tree = HdovTree::FromManifest(&device, manifest);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
 }
 
 TEST_F(HdovFixture, BulkLoadedTreeSearchesEquivalently) {

@@ -156,51 +156,6 @@ TEST_F(ServerTest, ConcurrentSessionsBillExactlyLikeSoloPlayback) {
   }
 }
 
-TEST_F(ServerTest, FlatBackendServesBitIdenticalToSoloAndLegacy) {
-  // Sessions served on the flat backend bill exactly like solo flat
-  // playback — and solo flat playback bills exactly like solo legacy
-  // playback, closing the loop: server(flat) == solo(flat) == solo(legacy).
-  const std::vector<Session> sessions = MakeSessions(3, 30);
-  ServerOptions opt = BaseOptions();
-  opt.visual.backend = SearchBackend::kFlat;
-
-  auto server = WalkthroughServer::Open(opt);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  // The server compiles the flat layout once and shares it with every
-  // session view.
-  EXPECT_NE((*server)->world().flat_tree, nullptr);
-  for (const Session& s : sessions) {
-    ASSERT_TRUE((*server)->AddSession(s).ok());
-  }
-  auto stats = (*server)->Play();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats->sessions.size(), sessions.size());
-
-  VisualOptions legacy_opt = BaseOptions().visual;
-  legacy_opt.backend = SearchBackend::kLegacy;
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    SCOPED_TRACE(sessions[i].name);
-    SessionSummary flat_summary, legacy_summary;
-    IoStats flat_io, legacy_io;
-    double flat_ms = 0.0, legacy_ms = 0.0;
-    PlaySolo(sessions[i], opt.visual, &flat_summary, &flat_io, &flat_ms);
-    PlaySolo(sessions[i], legacy_opt, &legacy_summary, &legacy_io,
-             &legacy_ms);
-
-    const ServerSessionRecord& served = stats->sessions[i];
-    ExpectSummariesIdentical(served.summary, flat_summary);
-    ExpectSummariesIdentical(served.summary, legacy_summary);
-    EXPECT_EQ(served.io.page_reads, flat_io.page_reads);
-    EXPECT_EQ(served.io.seeks, flat_io.seeks);
-    EXPECT_EQ(served.io.bytes_read, flat_io.bytes_read);
-    EXPECT_EQ(served.io.page_reads, legacy_io.page_reads);
-    EXPECT_EQ(served.io.seeks, legacy_io.seeks);
-    EXPECT_EQ(served.io.bytes_read, legacy_io.bytes_read);
-    EXPECT_DOUBLE_EQ(served.sim_clock_ms, flat_ms);
-    EXPECT_DOUBLE_EQ(served.sim_clock_ms, legacy_ms);
-  }
-}
-
 TEST_F(ServerTest, AsyncPrefetchServesBitIdenticalToSolo) {
   // With the async prefetch pipeline on, every session gets its own
   // predictor/epoch over one server-wide warm queue. The pipeline only
