@@ -165,6 +165,23 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecorderOverhead)->Arg(1)->Arg(0);
 
+// The billed read inside a stage (RecordRead): no event and no clock
+// read, only an add into the thread's pending (stage, device) totals that
+// the stage scope flushes as one kPageReadAgg. BM_FlightRecorderOverhead
+// is the per-run event it replaces.
+void BM_FlightRecordRead(benchmark::State& state) {
+  telemetry::FlightRecorder recorder(1 << 16);
+  const uint16_t code = telemetry::FlightInternName("bench");
+  telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
+  uint64_t n = 0;
+  for (auto _ : state) {
+    recorder.RecordRead(code, n, 1, (n & 7) == 0);
+    ++n;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlightRecordRead);
+
 // The per-event budget split into its parts. An enabled Record is one
 // clock read (BM_FlightClock), one TraceContext read
 // (BM_FlightContextStamp), one ring lookup and a four-word slot write.

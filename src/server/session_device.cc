@@ -28,7 +28,8 @@ Status SessionDevice::ReadRun(PageId first, uint64_t count,
   if (count == 0) {
     return Status::OK();
   }
-  if (first + count > base_->page_count()) {
+  const uint64_t size = base_->page_count();
+  if (count > size || first > size - count) {
     return Status::OutOfRange("session device: run read past end");
   }
   BillRead(first, count);

@@ -360,7 +360,7 @@ Status FilePageDevice::ReadRun(PageId first, uint64_t count,
   if (count == 0) {
     return Status::OK();
   }
-  if (first + count > table_.size()) {
+  if (count > table_.size() || first > table_.size() - count) {
     return Status::OutOfRange("file device: run read past end");
   }
   BillRead(first, count);

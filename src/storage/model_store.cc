@@ -40,12 +40,19 @@ Status ModelStore::RestoreMeta(std::string_view meta) {
   Decoder decoder(meta);
   uint64_t count = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&count));
+  // Each extent is 24 bytes on disk: check the count against what is
+  // left before sizing anything from it.
+  if (count > decoder.remaining() / 24) {
+    return Status::Corruption("model store: extent count past meta end");
+  }
+  const uint64_t device_pages = device_->page_count();
   std::vector<ModelExtent> extents(count);
   for (ModelExtent& extent : extents) {
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&extent.first_page));
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&extent.page_count));
     HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&extent.bytes));
-    if (extent.first_page + extent.page_count > device_->page_count()) {
+    if (extent.page_count > device_pages ||
+        extent.first_page > device_pages - extent.page_count) {
       return Status::Corruption("model store: extent past device end");
     }
   }

@@ -65,7 +65,7 @@ Status PageDevice::ReadRun(PageId first, uint64_t count,
   if (count == 0) {
     return Status::OK();
   }
-  if (first + count > pages_.size()) {
+  if (count > pages_.size() || first > pages_.size() - count) {
     return Status::OutOfRange("page device: run read past end");
   }
   BillRead(first, count);
@@ -261,8 +261,9 @@ void PageDevice::BillRead(PageId first, uint64_t pages) {
   next_sequential_ = first + pages;
   // Flight-recorder hook: observes the billed access, never bills itself
   // (the simulated counters above are identical with the recorder off).
-  telemetry::GlobalFlightRecorder().Record(
-      telemetry::FlightEventType::kPageRead, flight_code_, first, pages);
+  // Inside a stage it only adds to the stage's per-device totals.
+  telemetry::GlobalFlightRecorder().RecordRead(flight_code_, first, pages,
+                                               seeks != 0);
 }
 
 void PageDevice::BillWrite(PageId page) {

@@ -40,6 +40,8 @@ std::string_view FlightEventTypeName(FlightEventType type) {
       return "prefetch_used";
     case FlightEventType::kPrefetchCancel:
       return "prefetch_cancel";
+    case FlightEventType::kPageReadAgg:
+      return "page_read_agg";
   }
   return "unknown";
 }
@@ -262,6 +264,26 @@ namespace {
 
 std::atomic<uint64_t> g_recorder_serial{1};
 
+// The calling thread's in-stage read totals, one slot per device code,
+// all for one (recorder, stage, session). Constant-initialized, so the
+// record path reaches it without a thread-local construction guard.
+struct PendingReads {
+  static constexpr uint32_t kSlots = 4;
+  struct Slot {
+    uint16_t code;
+    uint32_t runs;
+    uint32_t seeks;
+    uint64_t pages;
+  };
+  FlightRecorder* recorder;
+  uint8_t stage;
+  uint16_t session;
+  uint32_t count;  // Slots in use.
+  Slot slots[kSlots];
+};
+
+thread_local PendingReads t_pending{};
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(size_t events_per_thread)
@@ -319,6 +341,57 @@ void FlightRecorder::RecordWithStage(FlightEventType type, uint16_t code,
   Append(type, code, a, b, stage, CurrentTraceContext().session);
 }
 
+void FlightRecorder::RecordRead(uint16_t code, uint64_t first,
+                                uint64_t pages, bool seek) {
+  if (!enabled()) {
+    return;
+  }
+  const TraceContext& ctx = CurrentTraceContext();
+  if (ctx.stage == TraceStage::kNone) {
+    Append(FlightEventType::kPageRead, code, first, pages, 0, ctx.session);
+    return;
+  }
+  PendingReads& p = t_pending;
+  const auto stage = static_cast<uint8_t>(ctx.stage);
+  if (p.recorder != this || p.stage != stage || p.session != ctx.session) {
+    FlushThreadReads();
+    p.recorder = this;
+    p.stage = stage;
+    p.session = ctx.session;
+  }
+  PendingReads::Slot* slot = nullptr;
+  for (uint32_t i = 0; i < p.count; ++i) {
+    if (p.slots[i].code == code) {
+      slot = &p.slots[i];
+      break;
+    }
+  }
+  if (slot == nullptr || slot->runs == UINT32_MAX) {
+    // A fifth device, or a run count about to overflow its 32 bits:
+    // write out what is pending and start over.
+    if (slot != nullptr || p.count == PendingReads::kSlots) {
+      FlushThreadReads();
+    }
+    slot = &p.slots[p.count++];
+    *slot = PendingReads::Slot{code, 0, 0, 0};
+  }
+  ++slot->runs;
+  slot->seeks += seek ? 1 : 0;
+  slot->pages += pages;
+}
+
+void FlightRecorder::FlushThreadReads() {
+  PendingReads& p = t_pending;
+  for (uint32_t i = 0; i < p.count; ++i) {
+    const PendingReads::Slot& slot = p.slots[i];
+    p.recorder->Append(FlightEventType::kPageReadAgg, slot.code,
+                       static_cast<uint64_t>(slot.runs) |
+                           (static_cast<uint64_t>(slot.seeks) << 32),
+                       slot.pages, p.stage, p.session);
+  }
+  p.count = 0;
+}
+
 void FlightRecorder::Append(FlightEventType type, uint16_t code, uint64_t a,
                             uint64_t b, uint8_t stage, uint16_t session) {
   Buffer* buf = LocalBuffer();
@@ -367,6 +440,7 @@ uint64_t FlightRecorder::events_dropped() const {
 }
 
 FlightDump FlightRecorder::Drain(bool consume) {
+  FlushThreadReads();
   FlightDump dump;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& buf : buffers_) {
@@ -437,12 +511,14 @@ FlightDump FlightRecorder::Drain(bool consume) {
 //     type(16) | code(16) | thread(32).
 // v2: header gains names_dropped; event meta packs
 //     type(8) | stage(8) | code(16) | session(16) | thread(16).
-// The reader accepts both; v1 events decode with session/stage zero
+// v3: the v2 layout plus kPageReadAgg events, whose pages a v2 reader
+//     would not count.
+// The reader accepts all three; v1 events decode with session/stage zero
 // (old dumps predate attribution).
 
 namespace {
 constexpr char kFlightMagic[8] = {'H', 'D', 'O', 'V', 'F', 'R', 'E', 'C'};
-constexpr uint32_t kFlightVersion = 2;
+constexpr uint32_t kFlightVersion = 3;
 }  // namespace
 
 std::string EncodeFlightDump(const FlightDump& dump) {
@@ -566,6 +642,21 @@ Result<FlightDump> FlightRecorder::ReadDump(const std::string& path) {
   return DecodeFlightDump(data);
 }
 
+namespace internal {
+
+void WriteFlightPayloadArgs(JsonWriter* w, const FlightEvent& ev) {
+  if (static_cast<FlightEventType>(ev.type) == FlightEventType::kPageReadAgg) {
+    w->Key("runs").Number(FlightReadRuns(ev));
+    w->Key("seeks").Number(FlightReadSeeks(ev));
+    w->Key("pages").Number(ev.b);
+  } else {
+    w->Key("a").Number(ev.a);
+    w->Key("b").Number(ev.b);
+  }
+}
+
+}  // namespace internal
+
 std::string FlightChromeTraceJson(const FlightDump& dump) {
   constexpr int kFlightPid = 3;  // Pids 1/2 belong to Telemetry's export.
   JsonWriter w;
@@ -596,8 +687,7 @@ std::string FlightChromeTraceJson(const FlightDump& dump) {
       w.Key("ts").Number(ts_us);
       w.Key("args").BeginObject();
       w.Key("type").String(FlightEventTypeName(type));
-      w.Key("a").Number(ev.a);
-      w.Key("b").Number(ev.b);
+      internal::WriteFlightPayloadArgs(&w, ev);
       if (ev.session != 0) {
         w.Key("session").String(ev.session < dump.names.size()
                                     ? std::string_view(dump.names[ev.session])
@@ -625,6 +715,7 @@ std::string FlightChromeTraceJson(const FlightDump& dump) {
         break;
       case FlightEventType::kPageRead:
       case FlightEventType::kPageWrite:
+      case FlightEventType::kPageReadAgg:
         emit("io", "i");
         break;
       case FlightEventType::kPoolHit:

@@ -25,8 +25,17 @@
 // TraceContext (telemetry/trace_context.h) — the session it serves and
 // the pipeline stage it is in — so a drained dump can answer "which
 // session's fetch stage caused this pool miss" without any hook changing
-// its signature. Dumps are versioned ("HDOVFREC" v2 carries the wider
-// events; v1 dumps still decode with session/stage zero).
+// its signature. Dumps are versioned ("HDOVFREC" v3 adds the page-read
+// aggregate; v2 and v1 dumps still decode, v1 with session/stage zero).
+//
+// Page reads inside a stage are aggregated (RecordRead): the ring holds
+// one kPageReadAgg per (stage, session, device) with its run, seek and
+// page totals, not one event per run with its page ids. That is the
+// trade that keeps a query to a few events: per-model detail now comes
+// from sampled trace spans (--trace-out) plus the ModelStore extents, and
+// slow-frame captures hold the aggregates of the frame's stages. Reads
+// outside any stage, prefetch-diverted reads and every other event type
+// stay one event each.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
 #define HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -60,6 +69,9 @@ enum class FlightEventType : uint8_t {
   // these two cover the other ends of a prefetched page's life.
   kPrefetchUsed = 9,    // a = first page id, b = pages consumed unbilled.
   kPrefetchCancel = 10, // a = resident pages invalidated, b = planned cell.
+  // The billed reads of one device within one stage scope (RecordRead):
+  // a = runs (low 32 bits) | seeks (high 32 bits), b = pages.
+  kPageReadAgg = 11,
 };
 
 std::string_view FlightEventTypeName(FlightEventType type);
@@ -81,6 +93,35 @@ struct FlightEvent {
   uint64_t b = 0;
 };
 static_assert(sizeof(FlightEvent) == 32, "events are fixed 32-byte records");
+
+// Billed pages an event stands for: b of kPageRead and kPageReadAgg, 0
+// for every other type.
+inline uint64_t FlightReadPages(const FlightEvent& e) {
+  const auto type = static_cast<FlightEventType>(e.type);
+  return type == FlightEventType::kPageRead ||
+                 type == FlightEventType::kPageReadAgg
+             ? e.b
+             : 0;
+}
+// Runs an event stands for: 1 for kPageRead, the packed count for
+// kPageReadAgg, 0 otherwise.
+inline uint64_t FlightReadRuns(const FlightEvent& e) {
+  switch (static_cast<FlightEventType>(e.type)) {
+    case FlightEventType::kPageRead:
+      return 1;
+    case FlightEventType::kPageReadAgg:
+      return e.a & 0xffffffffu;
+    default:
+      return 0;
+  }
+}
+// Seeks of a kPageReadAgg (0 otherwise: a per-run kPageRead does not
+// carry its seek).
+inline uint64_t FlightReadSeeks(const FlightEvent& e) {
+  return static_cast<FlightEventType>(e.type) == FlightEventType::kPageReadAgg
+             ? e.a >> 32
+             : 0;
+}
 
 // Process-wide name interning for event codes. The table is append-only
 // and capped (kMaxFlightNames); id 0 is the reserved "?" returned when the
@@ -141,6 +182,21 @@ class FlightRecorder {
   void RecordWithStage(FlightEventType type, uint16_t code, uint64_t a,
                        uint64_t b, uint8_t stage);
 
+  // One billed read of `pages` pages from `first` on device `code`;
+  // `seek` says whether it was charged a seek. Outside any stage it is a
+  // kPageRead event (a = first, b = pages). Inside a StageTraceScope it
+  // writes no event and reads no clock: it adds into the calling thread's
+  // pending totals for (stage, session, code), which FlushThreadReads
+  // turns into one kPageReadAgg per device. A recorder must outlive the
+  // stage scopes that record reads into it.
+  void RecordRead(uint16_t code, uint64_t first, uint64_t pages, bool seek);
+
+  // Writes the calling thread's pending read totals as kPageReadAgg
+  // events into the recorder they were read into. StageTraceScope calls
+  // it when a scope opens or closes, so each aggregate covers one stage
+  // interval; Drain calls it for the draining thread.
+  static void FlushThreadReads();
+
   // Threads that ever recorded into this recorder.
   size_t num_threads() const;
   // Total events ever recorded / overwritten before being consumed.
@@ -148,9 +204,10 @@ class FlightRecorder {
   uint64_t events_dropped() const;
 
   // Snapshot of every ring's surviving events, merged across threads in
-  // timestamp order. With `consume`, drained events are marked consumed:
-  // the next Drain starts after them and they can no longer count as
-  // dropped. Safe to call while other threads record (events published
+  // timestamp order, after flushing the calling thread's pending reads
+  // (other threads' pending reads appear when their stage scopes close).
+  // With `consume`, drained events are marked consumed: the next Drain
+  // starts after them and they can no longer count as dropped. Safe to call while other threads record (events published
   // mid-drain may or may not be included).
   FlightDump Drain(bool consume = false);
 
@@ -214,7 +271,13 @@ std::string FlightChromeTraceJson(const FlightDump& dump);
 // once per process.
 uint64_t FlightNowNs();
 
+class JsonWriter;
+
 namespace internal {
+// Writes an event's payload into an open Chrome-trace "args" object:
+// runs, seeks and pages for a kPageReadAgg, raw a and b otherwise.
+void WriteFlightPayloadArgs(JsonWriter* w, const FlightEvent& ev);
+
 // FlightNowNs's steady_clock fallback: `t` on the flight timeline (0 for
 // instants before the epoch). Exposed so tests can hold the fallback to
 // the same contract on hosts that take the TSC path.

@@ -389,6 +389,7 @@ std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
     for (const FlightEvent& ev : cap.events) {
       const auto type = static_cast<FlightEventType>(ev.type);
       if (type != FlightEventType::kPageRead &&
+          type != FlightEventType::kPageReadAgg &&
           type != FlightEventType::kPageWrite &&
           type != FlightEventType::kPoolHit &&
           type != FlightEventType::kPoolMiss) {
@@ -405,8 +406,7 @@ std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
       w.Key("args").BeginObject();
       w.Key("type").String(FlightEventTypeName(type));
       w.Key("stage").String(TraceStageName(static_cast<TraceStage>(ev.stage)));
-      w.Key("a").Number(ev.a);
-      w.Key("b").Number(ev.b);
+      internal::WriteFlightPayloadArgs(&w, ev);
       w.EndObject();
       w.EndObject();
     }

@@ -1,6 +1,6 @@
 #include "telemetry/trace_context.h"
 
-#include "telemetry/flight_recorder.h"  // FlightNowNs
+#include "telemetry/flight_recorder.h"
 
 namespace hdov::telemetry {
 namespace {
@@ -75,7 +75,11 @@ SessionTraceScope::~SessionTraceScope() {
   s.ctx.frame = prev_frame_;
 }
 
+// Both stage switches first write out the page reads the closing stage
+// interval aggregated (FlightRecorder::RecordRead), so each kPageReadAgg
+// covers one interval of one stage.
 StageTraceScope::StageTraceScope(TraceStage stage) {
+  FlightRecorder::FlushThreadReads();
   ThreadTraceState& s = State();
   FlushInterval(s);
   prev_ = s.ctx.stage;
@@ -83,6 +87,7 @@ StageTraceScope::StageTraceScope(TraceStage stage) {
 }
 
 StageTraceScope::~StageTraceScope() {
+  FlightRecorder::FlushThreadReads();
   ThreadTraceState& s = State();
   FlushInterval(s);
   s.ctx.stage = prev_;

@@ -11,8 +11,15 @@
 
 #include "common/coding.h"
 #include "common/thread_pool.h"
+#include "prefetch/prefetcher.h"
+#include "scene/city_generator.h"
+#include "storage/page_device.h"
+#include "telemetry/flight_rollup.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace_context.h"
 #include "temp_path.h"
+#include "walkthrough/visual_system.h"
 
 namespace hdov {
 namespace {
@@ -33,6 +40,289 @@ using telemetry::kMaxFlightNames;
 using telemetry::SessionTraceScope;
 using telemetry::StageTraceScope;
 using telemetry::TraceStage;
+
+// ---- Exactness against the simulated counters ------------------------
+//
+// Defined first so that, in a single-process run of this binary, the
+// suite runs before NamesDroppedCountsTableOverflow fills the name table
+// its device names need.
+
+// A memory device that counts the billed reads asked of it.
+class CountingDevice : public PageDevice {
+ public:
+  CountingDevice(const DiskModel& model, SimClock* clock)
+      : PageDevice(model, clock) {}
+
+  Status Read(PageId page, std::string* out) override {
+    ++reads;
+    return PageDevice::Read(page, out);
+  }
+  Status ReadRun(PageId first, uint64_t count,
+                 std::vector<std::string>* out) override {
+    reads += count > 0 ? 1 : 0;
+    return PageDevice::ReadRun(first, count, out);
+  }
+
+  uint64_t reads = 0;
+};
+
+// One scheme's world, queried through a session view whose three devices
+// count their reads.
+struct CountedSystem {
+  std::unique_ptr<VisualSystem> built;  // Holds the device images.
+  std::unique_ptr<VisualSystem> view;
+  CountingDevice* devices[3] = {};  // Indexed by SessionDeviceRole.
+};
+
+// A device's reads as the ring holds them.
+struct RingReads {
+  uint64_t runs = 0;   // kPageReadAgg runs.
+  uint64_t seeks = 0;  // kPageReadAgg seeks.
+  uint64_t pages = 0;  // kPageReadAgg pages.
+  uint64_t diverted_runs = 0;   // Per-run kPageRead in the prefetch stage.
+  uint64_t diverted_pages = 0;
+  uint64_t other_runs = 0;  // Per-run kPageRead in any other stage.
+  uint64_t used_runs = 0;   // kPrefetchUsed.
+};
+
+RingReads ReadsOf(const FlightDump& dump, uint16_t code) {
+  RingReads r;
+  for (const FlightEvent& ev : dump.events) {
+    if (ev.code != code) {
+      continue;
+    }
+    switch (static_cast<FlightEventType>(ev.type)) {
+      case FlightEventType::kPageReadAgg:
+        r.runs += telemetry::FlightReadRuns(ev);
+        r.seeks += telemetry::FlightReadSeeks(ev);
+        r.pages += ev.b;
+        break;
+      case FlightEventType::kPageRead:
+        if (ev.stage == static_cast<uint8_t>(TraceStage::kPrefetch)) {
+          ++r.diverted_runs;
+          r.diverted_pages += ev.b;
+        } else {
+          ++r.other_runs;
+        }
+        break;
+      case FlightEventType::kPrefetchUsed:
+        ++r.used_runs;
+        break;
+      default:
+        break;
+    }
+  }
+  return r;
+}
+
+constexpr const char* kRoleNames[3] = {"tree", "store", "model"};
+
+class FlightRecorderExactnessTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    CityOptions copt;
+    copt.mode = GeometryMode::kProxy;
+    copt.blocks_x = 4;
+    copt.blocks_y = 4;
+    scene_ = new Scene(std::move(*GenerateCity(copt)));
+    CellGridOptions gopt;
+    gopt.cells_x = 4;
+    gopt.cells_y = 4;
+    grid_ = new CellGrid(std::move(*CellGrid::Build(scene_->bounds(), gopt)));
+    PrecomputeOptions popt;
+    popt.dov.cubemap.face_resolution = 24;
+    popt.samples_per_cell = 1;
+    table_ = new VisibilityTable(
+        std::move(*PrecomputeVisibility(*scene_, *grid_, popt)));
+  }
+
+  static void TearDownTestSuite() {
+    delete table_;
+    delete grid_;
+    delete scene_;
+  }
+
+  static void Make(StorageScheme scheme, prefetch::PrefetchMode mode,
+                   CountedSystem* out) {
+    VisualOptions opt;
+    opt.eta = 0.001;
+    opt.scheme = scheme;
+    opt.build.rtree.max_entries = 8;
+    opt.build.rtree.min_entries = 3;
+    opt.prefetch = prefetch::PrefetchMode::kOff;
+    auto built = VisualSystem::Create(scene_, grid_, table_, opt);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    out->built = std::move(*built);
+    SharedWorldView world;
+    world.scene = scene_;
+    world.grid = grid_;
+    world.tree = out->built->shared_tree();
+    out->built->store()->EncodeMeta(&world.store_meta);
+    out->built->models().EncodeMeta(&world.model_meta);
+    PageDevice* images[3] = {&out->built->tree_device(),
+                             &out->built->store_device(),
+                             &out->built->model_device()};
+    world.make_device = [out, images](SessionDeviceRole role, SimClock* clock)
+        -> Result<std::unique_ptr<PageDevice>> {
+      const PageDevice* image = images[static_cast<int>(role)];
+      auto device = std::make_unique<CountingDevice>(image->model(), clock);
+      std::vector<std::string> pages;
+      HDOV_RETURN_IF_ERROR(image->ExportContents(&pages));
+      HDOV_RETURN_IF_ERROR(device->RestoreContents(std::move(pages)));
+      out->devices[static_cast<int>(role)] = device.get();
+      return std::unique_ptr<PageDevice>(std::move(device));
+    };
+    opt.prefetch = mode;
+    auto view = VisualSystem::CreateSessionView(world, opt);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    out->view = std::move(*view);
+  }
+
+  // The Fig. 7 query loop: one search plus model fetch per cell center.
+  static void QueryEveryCell(VisualSystem* system) {
+    std::vector<RetrievedLod> result;
+    for (CellId c = 0; c < grid_->num_cells(); ++c) {
+      ASSERT_TRUE(
+          system->Query(grid_->CellCenter(c), true, &result, nullptr).ok());
+    }
+  }
+
+  static Scene* scene_;
+  static CellGrid* grid_;
+  static VisibilityTable* table_;
+};
+
+Scene* FlightRecorderExactnessTest::scene_ = nullptr;
+CellGrid* FlightRecorderExactnessTest::grid_ = nullptr;
+VisibilityTable* FlightRecorderExactnessTest::table_ = nullptr;
+
+// Every billed read of every device is in the ring, aggregated or per
+// run: the ring's runs, seeks and pages equal the device's own count of
+// reads and its IoStats deltas, across horizontal and indexed-vertical
+// queries and an async-prefetch walk.
+TEST_F(FlightRecorderExactnessTest, RingAccountsForEveryBilledRead) {
+  telemetry::Telemetry tel;  // Outlives the systems' registrations.
+  CountedSystem horizontal;
+  CountedSystem indexed;
+  ASSERT_NO_FATAL_FAILURE(Make(StorageScheme::kHorizontal,
+                               prefetch::PrefetchMode::kOff, &horizontal));
+  ASSERT_NO_FATAL_FAILURE(Make(StorageScheme::kIndexedVertical,
+                               prefetch::PrefetchMode::kAsync, &indexed));
+  CountedSystem* systems[2] = {&horizontal, &indexed};
+  const char* prefixes[2] = {"exact.h", "exact.v"};
+  for (int s = 0; s < 2; ++s) {
+    systems[s]->view->AttachTelemetry(&tel, prefixes[s]);
+  }
+
+  FlightRecorder& global = telemetry::GlobalFlightRecorder();
+  const uint64_t dropped_before = global.Drain(/*consume=*/true).dropped;
+  IoStats stats_before[2][3];
+  uint64_t reads_before[2][3];
+  for (int s = 0; s < 2; ++s) {
+    for (int r = 0; r < 3; ++r) {
+      stats_before[s][r] = systems[s]->devices[r]->stats();
+      reads_before[s][r] = systems[s]->devices[r]->reads;
+    }
+  }
+  const uint64_t issued_before =
+      indexed.view->prefetcher()->stats().issued_pages;
+
+  QueryEveryCell(horizontal.view.get());
+  QueryEveryCell(indexed.view.get());
+  const Aabb& b = scene_->bounds();
+  const double y = (b.min.y + b.max.y) / 2.0;
+  for (int i = 0; i < 12; ++i) {
+    const double x = b.min.x + 1.0 + i * (b.max.x - b.min.x - 2.0) / 11.0;
+    FrameResult frame;
+    ASSERT_TRUE(indexed.view
+                    ->RenderFrame(Viewpoint{Vec3(x, y, 1.7), Vec3(1, 0, 0)},
+                                  &frame)
+                    .ok());
+  }
+
+  const FlightDump dump = global.Drain(/*consume=*/true);
+  ASSERT_EQ(dump.dropped, dropped_before) << "the window outgrew the ring";
+  uint64_t diverted_pages = 0;
+  uint64_t used_runs = 0;
+  for (int s = 0; s < 2; ++s) {
+    for (int r = 0; r < 3; ++r) {
+      const std::string name =
+          std::string(prefixes[s]) + ".io." + kRoleNames[r];
+      SCOPED_TRACE(name);
+      const CountingDevice& device = *systems[s]->devices[r];
+      const RingReads ring = ReadsOf(dump, FlightInternName(name));
+      const IoStats delta = device.stats().Delta(stats_before[s][r]);
+      EXPECT_GT(ring.runs, 0u);
+      EXPECT_EQ(ring.other_runs, 0u);  // Every billed read ran in a stage.
+      EXPECT_EQ(ring.pages, delta.page_reads);
+      EXPECT_EQ(ring.seeks, delta.seeks);
+      EXPECT_EQ(ring.runs + ring.diverted_runs + ring.used_runs,
+                device.reads - reads_before[s][r]);
+      diverted_pages += ring.diverted_pages;
+      used_runs += ring.used_runs;
+    }
+  }
+  // The walk really diverted and consumed prefetch reads, and the
+  // diverted ones are exactly the prefetcher's issued pages.
+  EXPECT_GT(diverted_pages, 0u);
+  EXPECT_GT(used_runs, 0u);
+  EXPECT_EQ(diverted_pages,
+            indexed.view->prefetcher()->stats().issued_pages - issued_before);
+}
+
+// What `hdov_inspect --flight` prints for a Fig. 7-style run (queries with
+// model fetches, no frames) adds up to the devices' counters, from a dump
+// holding a few aggregates per query and no per-run reads.
+TEST_F(FlightRecorderExactnessTest, InspectRollupMatchesFig7StyleRun) {
+  telemetry::Telemetry tel;
+  CountedSystem system;
+  ASSERT_NO_FATAL_FAILURE(Make(StorageScheme::kIndexedVertical,
+                               prefetch::PrefetchMode::kOff, &system));
+  system.view->AttachTelemetry(&tel, "fig7");
+  FlightRecorder& global = telemetry::GlobalFlightRecorder();
+  global.Drain(/*consume=*/true);
+  IoStats before[3];
+  uint64_t reads_before[3];
+  for (int r = 0; r < 3; ++r) {
+    before[r] = system.devices[r]->stats();
+    reads_before[r] = system.devices[r]->reads;
+  }
+  QueryEveryCell(system.view.get());
+  QueryEveryCell(system.view.get());
+  const std::string path = TempPath("fig7.flight");
+  ASSERT_TRUE(global.WriteDump(path, /*consume=*/true).ok());
+  Result<FlightDump> dump = FlightRecorder::ReadDump(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+
+  const uint64_t queries = 2 * grid_->num_cells();
+  EXPECT_LE(dump->events.size(), 3 * queries);
+  const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(*dump);
+  EXPECT_EQ(rollup.by_type.count(
+                static_cast<uint8_t>(FlightEventType::kPageRead)),
+            0u);
+  uint64_t search_pages = 0;
+  uint64_t total_pages = 0;
+  for (int r = 0; r < 3; ++r) {
+    const std::string name = std::string("fig7.io.") + kRoleNames[r];
+    SCOPED_TRACE(name);
+    ASSERT_EQ(rollup.by_source.count(name), 1u);
+    const telemetry::FlightTotals& totals = rollup.by_source.at(name);
+    const IoStats delta = system.devices[r]->stats().Delta(before[r]);
+    EXPECT_EQ(totals.pages_read, delta.page_reads);
+    EXPECT_EQ(totals.seeks, delta.seeks);
+    EXPECT_EQ(totals.runs, system.devices[r]->reads - reads_before[r]);
+    total_pages += delta.page_reads;
+    search_pages += r == 2 ? 0 : delta.page_reads;
+  }
+  const auto stage = [&](TraceStage s) {
+    return rollup.by_stage[static_cast<size_t>(s)].pages_read;
+  };
+  EXPECT_EQ(stage(TraceStage::kSearch), search_pages);
+  EXPECT_EQ(stage(TraceStage::kFetch), total_pages - search_pages);
+  EXPECT_EQ(rollup.by_session.at("<unattributed>").pages_read, total_pages);
+  EXPECT_GT(total_pages, 0u);
+}
 
 TEST(FlightRecorderTest, RecordAndDrainInOrder) {
   FlightRecorder recorder(64);
@@ -390,6 +680,229 @@ TEST(FlightRecorderTest, V1DumpDecodesWithZeroAttribution) {
   std::string future("HDOVFREC", 8);
   EncodeFixed32(&future, 99);
   EXPECT_FALSE(DecodeFlightDump(future).ok());
+}
+
+// ---- Page-read aggregation --------------------------------------------
+
+// The kPageReadAgg events of `code` in `dump`.
+std::vector<FlightEvent> AggregatesOf(const FlightDump& dump, uint16_t code) {
+  std::vector<FlightEvent> out;
+  for (const FlightEvent& ev : dump.events) {
+    if (ev.code == code &&
+        ev.type == static_cast<uint8_t>(FlightEventType::kPageReadAgg)) {
+      out.push_back(ev);
+    }
+  }
+  return out;
+}
+
+TEST(FlightRecorderTest, InStageReadsAggregatePerStageAndDevice) {
+  FlightRecorder recorder(64);
+  const uint16_t session = FlightInternName("agg-session");
+  uint16_t codes[5];
+  for (int i = 0; i < 5; ++i) {
+    codes[i] = FlightInternName("agg-device-" + std::to_string(i));
+  }
+  // Outside any stage a read is one kPageRead event, as before.
+  recorder.RecordRead(codes[0], 40, 3, true);
+  {
+    SessionTraceScope trace(session, 2);
+    StageTraceScope stage(TraceStage::kFetch);
+    recorder.RecordRead(codes[0], 7, 2, true);
+    recorder.RecordRead(codes[0], 9, 1, false);
+    recorder.RecordRead(codes[1], 100, 5, true);
+    // Nothing is written while the stage is open.
+    EXPECT_EQ(recorder.events_recorded(), 1u);
+    // Five devices overflow the four pending slots: the totals still
+    // come out exact, split over two aggregates of the first device.
+    for (int i = 2; i < 5; ++i) {
+      recorder.RecordRead(codes[i], 0, 1, true);
+    }
+    recorder.RecordRead(codes[0], 50, 4, true);
+  }
+  FlightDump dump = recorder.Drain();
+  ASSERT_EQ(dump.events.front().type,
+            static_cast<uint8_t>(FlightEventType::kPageRead));
+  EXPECT_EQ(dump.events.front().a, 40u);
+  EXPECT_EQ(dump.events.front().b, 3u);
+  EXPECT_EQ(dump.events.front().stage, 0u);
+
+  uint64_t runs = 0, seeks = 0, pages = 0;
+  for (const FlightEvent& ev : AggregatesOf(dump, codes[0])) {
+    EXPECT_EQ(ev.stage, static_cast<uint8_t>(TraceStage::kFetch));
+    EXPECT_EQ(ev.session, session);
+    runs += telemetry::FlightReadRuns(ev);
+    seeks += telemetry::FlightReadSeeks(ev);
+    pages += telemetry::FlightReadPages(ev);
+  }
+  EXPECT_EQ(runs, 3u);
+  EXPECT_EQ(seeks, 2u);
+  EXPECT_EQ(pages, 7u);
+  const std::vector<FlightEvent> second = AggregatesOf(dump, codes[1]);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].a, 1u | (1ull << 32));
+  EXPECT_EQ(second[0].b, 5u);
+  for (int i = 2; i < 5; ++i) {
+    ASSERT_EQ(AggregatesOf(dump, codes[i]).size(), 1u);
+  }
+  EXPECT_EQ(dump.events.size(), 1u + 2u + 1u + 3u);
+}
+
+TEST(FlightRecorderTest, NestedStagesFlushEachStageOnItsOwn) {
+  FlightRecorder recorder(64);
+  const uint16_t code = FlightInternName("nested-device");
+  {
+    StageTraceScope outer(TraceStage::kPrefetch);
+    recorder.RecordRead(code, 0, 1, true);
+    {
+      StageTraceScope inner(TraceStage::kSearch);
+      recorder.RecordRead(code, 10, 2, true);
+      recorder.RecordRead(code, 12, 2, false);
+    }
+    recorder.RecordRead(code, 20, 4, true);
+  }
+  const std::vector<FlightEvent> aggs = AggregatesOf(recorder.Drain(), code);
+  ASSERT_EQ(aggs.size(), 3u);
+  EXPECT_EQ(aggs[0].stage, static_cast<uint8_t>(TraceStage::kPrefetch));
+  EXPECT_EQ(aggs[0].b, 1u);
+  EXPECT_EQ(aggs[1].stage, static_cast<uint8_t>(TraceStage::kSearch));
+  EXPECT_EQ(aggs[1].a, 2u | (1ull << 32));
+  EXPECT_EQ(aggs[1].b, 4u);
+  EXPECT_EQ(aggs[2].stage, static_cast<uint8_t>(TraceStage::kPrefetch));
+  EXPECT_EQ(aggs[2].b, 4u);
+  EXPECT_LE(aggs[0].ts_ns, aggs[1].ts_ns);
+  EXPECT_LE(aggs[1].ts_ns, aggs[2].ts_ns);
+}
+
+TEST(FlightRecorderTest, SameThreadDrainInsideStageSeesPendingReads) {
+  FlightRecorder recorder(64);
+  const uint16_t code = FlightInternName("drain-device");
+  StageTraceScope stage(TraceStage::kSearch);
+  recorder.RecordRead(code, 3, 6, true);
+  std::vector<FlightEvent> aggs = AggregatesOf(recorder.Drain(), code);
+  ASSERT_EQ(aggs.size(), 1u);
+  EXPECT_EQ(aggs[0].b, 6u);
+  // The flush emptied the pending totals: reads after it start afresh.
+  recorder.RecordRead(code, 9, 1, true);
+  aggs = AggregatesOf(recorder.Drain(/*consume=*/true), code);
+  ASSERT_EQ(aggs.size(), 2u);
+  EXPECT_EQ(aggs[1].b, 1u);
+}
+
+TEST(FlightRecorderTest, DivertedPrefetchReadsStayPerRun) {
+  FlightRecorder& global = telemetry::GlobalFlightRecorder();
+  global.Drain(/*consume=*/true);
+  PageDevice device;
+  const PageId first = device.AllocateUnmaterialized(8);
+  telemetry::MetricsRegistry registry;
+  device.RegisterWith(&registry, "diverted-device");
+  const uint16_t code = FlightInternName("diverted-device");
+  PrefetchSink sink;
+  {
+    // The speculative searcher's own kSearch scope inside the prefetch
+    // pass: diverted reads are still prefetch issues, one event per run.
+    StageTraceScope prefetch(TraceStage::kPrefetch);
+    StageTraceScope search(TraceStage::kSearch);
+    ScopedPrefetchBilling divert(&device, &sink);
+    ASSERT_TRUE(device.ReadRun(first, 2, nullptr).ok());
+    ASSERT_TRUE(device.ReadRun(first + 4, 3, nullptr).ok());
+  }
+  FlightDump dump = global.Drain(/*consume=*/true);
+  std::vector<FlightEvent> reads;
+  for (const FlightEvent& ev : dump.events) {
+    if (ev.code == code) {
+      reads.push_back(ev);
+    }
+  }
+  ASSERT_EQ(reads.size(), 2u);
+  for (const FlightEvent& ev : reads) {
+    EXPECT_EQ(ev.type, static_cast<uint8_t>(FlightEventType::kPageRead));
+    EXPECT_EQ(ev.stage, static_cast<uint8_t>(TraceStage::kPrefetch));
+  }
+  EXPECT_EQ(reads[0].a, first);
+  EXPECT_EQ(reads[1].b, 3u);
+  EXPECT_EQ(device.stats().page_reads, 0u);
+}
+
+TEST(FlightRecorderTest, V3DumpRoundTripsPageReadAggregates) {
+  FlightDump dump;
+  dump.names = {"?", "v3-session", "v3-device"};
+  FlightEvent ev;
+  ev.ts_ns = 77;
+  ev.type = static_cast<uint8_t>(FlightEventType::kPageReadAgg);
+  ev.stage = static_cast<uint8_t>(TraceStage::kFetch);
+  ev.code = 2;
+  ev.thread = 1;
+  ev.session = 1;
+  ev.a = 12u | (5ull << 32);
+  ev.b = 4096;
+  dump.events.push_back(ev);
+
+  const std::string encoded = EncodeFlightDump(dump);
+  Decoder header(std::string_view(encoded).substr(8));
+  uint32_t version = 0;
+  ASSERT_TRUE(header.DecodeFixed32(&version).ok());
+  EXPECT_EQ(version, 3u);
+  Result<FlightDump> back = DecodeFlightDump(encoded);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->events.size(), 1u);
+  const FlightEvent& rt = back->events[0];
+  EXPECT_EQ(rt.type, static_cast<uint8_t>(FlightEventType::kPageReadAgg));
+  EXPECT_EQ(rt.stage, static_cast<uint8_t>(TraceStage::kFetch));
+  EXPECT_EQ(rt.session, 1u);
+  EXPECT_EQ(telemetry::FlightReadRuns(rt), 12u);
+  EXPECT_EQ(telemetry::FlightReadSeeks(rt), 5u);
+  EXPECT_EQ(telemetry::FlightReadPages(rt), 4096u);
+  EXPECT_EQ(telemetry::FlightEventTypeName(FlightEventType::kPageReadAgg),
+            "page_read_agg");
+}
+
+TEST(FlightRecorderTest, V2DumpStillDecodes) {
+  // A v2 dump hand-built byte for byte: the v3 layout with version 2.
+  std::string data("HDOVFREC", 8);
+  EncodeFixed32(&data, 2);  // version
+  EncodeFixed32(&data, 2);  // name count
+  EncodeFixed64(&data, 1);  // event count
+  EncodeFixed64(&data, 0);  // dropped
+  EncodeFixed64(&data, 5);  // names_dropped
+  EncodeFixed32(&data, 1);
+  data += "?";
+  EncodeFixed32(&data, 3);
+  data += "dev";
+  EncodeFixed64(&data, 9);  // ts_ns
+  EncodeFixed64(&data, static_cast<uint64_t>(FlightEventType::kPageRead) |
+                           (static_cast<uint64_t>(TraceStage::kSearch) << 8) |
+                           (static_cast<uint64_t>(1) << 16) |
+                           (static_cast<uint64_t>(4) << 48));
+  EncodeFixed64(&data, 11);  // a
+  EncodeFixed64(&data, 2);   // b
+  Result<FlightDump> dump = DecodeFlightDump(data);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  EXPECT_EQ(dump->names_dropped, 5u);
+  ASSERT_EQ(dump->events.size(), 1u);
+  EXPECT_EQ(dump->events[0].stage, static_cast<uint8_t>(TraceStage::kSearch));
+  EXPECT_EQ(dump->events[0].thread, 4u);
+  EXPECT_EQ(dump->NameOf(dump->events[0]), "dev");
+  EXPECT_EQ(telemetry::FlightReadPages(dump->events[0]), 2u);
+}
+
+TEST(FlightRecorderTest, ChromeTraceShowsAggregateTotals) {
+  FlightDump dump;
+  dump.names = {"?", "agg-dev"};
+  FlightEvent ev;
+  ev.ts_ns = 5000;
+  ev.type = static_cast<uint8_t>(FlightEventType::kPageReadAgg);
+  ev.code = 1;
+  ev.a = 3u | (2ull << 32);
+  ev.b = 9;
+  dump.events = {ev};
+  const std::string json = FlightChromeTraceJson(dump);
+  EXPECT_NE(json.find("\"cat\":\"io\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"page_read_agg\""), std::string::npos);
+  EXPECT_NE(json.find("\"runs\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"seeks\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"pages\":9"), std::string::npos);
 }
 
 TEST(FlightRecorderTest, NamesDroppedCountsTableOverflow) {

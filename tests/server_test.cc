@@ -13,6 +13,7 @@
 
 #include "persist/world_codec.h"
 #include "server/session_device.h"
+#include "storage/file_device.h"
 #include "server/walkthrough_server.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
@@ -465,6 +466,32 @@ TEST_F(ServerTest, ErrorPaths) {
   ServerOptions missing = BaseOptions();
   missing.snapshot_path = TempPath("hdov_server_no_such_file.hdov");
   EXPECT_FALSE(WalkthroughServer::Open(missing).ok());
+}
+
+// first + count wraps past 2^64 for a run at the top of the id space;
+// every device's run bounds must still reject it without billing.
+TEST(DeviceBoundsTest, ReadRunDoesNotWrapOnAnyDevice) {
+  PageDevice memory;
+  memory.AllocateUnmaterialized(4);
+  const std::string path = TempPath("run_bounds.bin");
+  auto file = FilePageDevice::Create(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  (*file)->AllocateUnmaterialized(4);
+  SimClock clock;
+  SessionDevice session(&memory, nullptr, DiskModel(), &clock);
+  for (PageDevice* device :
+       {&memory, static_cast<PageDevice*>(file->get()),
+        static_cast<PageDevice*>(&session)}) {
+    EXPECT_EQ(device->ReadRun(~0ull, 2, nullptr).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(device->ReadRun(3, ~0ull, nullptr).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(device->ReadRun(3, 2, nullptr).code(), StatusCode::kOutOfRange);
+    EXPECT_TRUE(device->ReadRun(2, 2, nullptr).ok());
+    EXPECT_EQ(device->stats().page_reads, 2u);
+  }
+  file->reset();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/model_store.h"
@@ -375,6 +376,44 @@ TEST(ModelStoreTest, RegisterAndFetchBilling) {
   EXPECT_EQ(device.stats().page_reads, 3u);
   EXPECT_EQ(device.stats().seeks, 1u);
   EXPECT_TRUE(store.Fetch(999).code() == StatusCode::kOutOfRange);
+}
+
+// A meta blob whose extent count claims more extents than it holds is
+// corrupt; it must not size an allocation from the count first.
+TEST(ModelStoreTest, RestoreMetaRejectsCountPastMetaEnd) {
+  PageDevice device;
+  ModelStore store(&device);
+  store.Register(100);
+  std::string meta;
+  EncodeFixed64(&meta, 0xFFFFFFFFFFFFull);
+  EXPECT_EQ(store.RestoreMeta(meta).code(), StatusCode::kCorruption);
+  // One extent short of the claimed count fails the same way.
+  std::string short_meta;
+  EncodeFixed64(&short_meta, 2);
+  EncodeFixed64(&short_meta, 0);
+  EncodeFixed64(&short_meta, 1);
+  EncodeFixed64(&short_meta, 100);
+  EXPECT_EQ(store.RestoreMeta(short_meta).code(), StatusCode::kCorruption);
+  // The store keeps its registered extent after both rejections.
+  EXPECT_EQ(store.PagesOf(0), 1u);
+}
+
+// first_page + page_count wraps to a small number for this extent; the
+// bounds check must still see that it runs past the device.
+TEST(ModelStoreTest, RestoreMetaRejectsWrappingExtent) {
+  PageDevice device;
+  ModelStore store(&device);
+  store.Register(100);
+  std::string meta;
+  EncodeFixed64(&meta, 1);
+  EncodeFixed64(&meta, ~0ull);  // first_page
+  EncodeFixed64(&meta, 2);      // page_count
+  EncodeFixed64(&meta, 100);    // bytes
+  EncodeFixed64(&meta, 100);    // total
+  EXPECT_EQ(store.RestoreMeta(meta).code(), StatusCode::kCorruption);
+  device.ResetStats();
+  ASSERT_TRUE(store.Fetch(0).ok());
+  EXPECT_EQ(device.stats().page_reads, 1u);
 }
 
 TEST(PageDeviceTest, UnmaterializedExtentLastPageReadsAsZeros) {

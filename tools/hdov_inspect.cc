@@ -15,8 +15,9 @@
 // persist-roundtrip job runs exactly this).
 //
 // --flight prints per-type, per-source, per-session and per-stage event
-// rollups of a recorder dump; --chrome-out converts it to a Chrome
-// trace-event file.
+// rollups of a recorder dump (pages_read adds the pages of per-run
+// page_read and aggregated page_read_agg events); --chrome-out converts
+// it to a Chrome trace-event file.
 //
 // --slowdump prints the captured slow frames of a --slowdump-out file:
 // per capture the session, frame, queue-wait vs service time, the
@@ -43,6 +44,7 @@
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
 #include "telemetry/slow_frame.h"
 #include "telemetry/trace_context.h"
@@ -348,106 +350,9 @@ int InspectFlight(const InspectArgs& args) {
                 telemetry::kMaxFlightNames);
   }
 
-  // Per-type counts.
-  std::map<uint16_t, uint64_t> by_type;
-  // Per-source rollup: events, pages read, frames, frame io_pages.
-  struct SourceRollup {
-    uint64_t events = 0;
-    uint64_t pages_read = 0;
-    uint64_t pool_hits = 0;
-    uint64_t pool_misses = 0;
-    uint64_t frames = 0;
-    uint64_t io_pages = 0;
-    uint64_t spans = 0;
-    // Async prefetch pipeline accounting (docs/prefetch.md). Issued =
-    // page reads billed during speculation (kPageRead stamped with the
-    // prefetch stage), used/cancelled from their dedicated event types.
-    uint64_t prefetch_issued = 0;
-    uint64_t prefetch_used = 0;
-    uint64_t prefetch_cancelled = 0;
-  };
-  std::map<std::string, SourceRollup> by_source;
-  std::map<uint32_t, uint64_t> by_thread;
-  // Attribution rollups (v2 dumps; v1 events land on "<unattributed>").
-  std::map<std::string, SourceRollup> by_session;
-  uint64_t by_stage[telemetry::kNumTraceStages] = {};
-  for (const telemetry::FlightEvent& e : dump.events) {
-    by_type[e.type] += 1;
-    by_thread[e.thread] += 1;
-    if (e.stage < telemetry::kNumTraceStages) {
-      by_stage[e.stage] += 1;
-    }
-    const std::string session_key =
-        e.session != 0 && e.session < dump.names.size()
-            ? dump.names[e.session]
-            : std::string("<unattributed>");
-    SourceRollup& sess = by_session[session_key];
-    sess.events += 1;
-    switch (static_cast<telemetry::FlightEventType>(e.type)) {
-      case telemetry::FlightEventType::kPageRead:
-        sess.pages_read += e.b;
-        if (e.stage ==
-            static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
-          sess.prefetch_issued += e.b;
-        }
-        break;
-      case telemetry::FlightEventType::kPrefetchUsed:
-        sess.prefetch_used += e.b;
-        break;
-      case telemetry::FlightEventType::kPrefetchCancel:
-        sess.prefetch_cancelled += e.a;
-        break;
-      case telemetry::FlightEventType::kPoolHit:
-        sess.pool_hits += 1;
-        break;
-      case telemetry::FlightEventType::kPoolMiss:
-        sess.pool_misses += 1;
-        break;
-      case telemetry::FlightEventType::kFrameEnd:
-        sess.frames += 1;
-        sess.io_pages += e.b;
-        break;
-      case telemetry::FlightEventType::kSpanBegin:
-        sess.spans += 1;
-        break;
-      default:
-        break;
-    }
-    SourceRollup& roll = by_source[std::string(dump.NameOf(e))];
-    roll.events += 1;
-    switch (static_cast<telemetry::FlightEventType>(e.type)) {
-      case telemetry::FlightEventType::kPageRead:
-        roll.pages_read += e.b;
-        if (e.stage ==
-            static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
-          roll.prefetch_issued += e.b;
-        }
-        break;
-      case telemetry::FlightEventType::kPrefetchUsed:
-        roll.prefetch_used += e.b;
-        break;
-      case telemetry::FlightEventType::kPrefetchCancel:
-        roll.prefetch_cancelled += e.a;
-        break;
-      case telemetry::FlightEventType::kPoolHit:
-        roll.pool_hits += 1;
-        break;
-      case telemetry::FlightEventType::kPoolMiss:
-        roll.pool_misses += 1;
-        break;
-      case telemetry::FlightEventType::kFrameEnd:
-        roll.frames += 1;
-        roll.io_pages += e.b;
-        break;
-      case telemetry::FlightEventType::kSpanBegin:
-        roll.spans += 1;
-        break;
-      default:
-        break;
-    }
-  }
+  const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(dump);
   std::printf("events by type:");
-  for (const auto& [type, count] : by_type) {
+  for (const auto& [type, count] : rollup.by_type) {
     std::printf(" %s=%llu",
                 std::string(telemetry::FlightEventTypeName(
                                 static_cast<telemetry::FlightEventType>(
@@ -456,20 +361,24 @@ int InspectFlight(const InspectArgs& args) {
                 static_cast<unsigned long long>(count));
   }
   std::printf("\nevents by thread:");
-  for (const auto& [thread, count] : by_thread) {
+  for (const auto& [thread, count] : rollup.by_thread) {
     std::printf(" t%u=%llu", thread,
                 static_cast<unsigned long long>(count));
   }
+  // Seeks come from page_read_agg events only: a per-run page_read (a
+  // read outside any stage, or a prefetch-diverted one) carries none.
   std::printf("\nper-source rollup:\n");
-  std::printf("  %-24s %10s %10s %10s %10s %8s %10s %8s\n", "source",
-              "events", "pages_read", "pool_hits", "pool_miss", "frames",
-              "io_pages", "spans");
-  for (const auto& [name, roll] : by_source) {
-    std::printf("  %-24s %10llu %10llu %10llu %10llu %8llu %10llu"
-                " %8llu\n",
+  std::printf("  %-24s %10s %10s %8s %8s %10s %10s %8s %10s %8s\n",
+              "source", "events", "pages_read", "runs", "seeks",
+              "pool_hits", "pool_miss", "frames", "io_pages", "spans");
+  for (const auto& [name, roll] : rollup.by_source) {
+    std::printf("  %-24s %10llu %10llu %8llu %8llu %10llu %10llu %8llu"
+                " %10llu %8llu\n",
                 name.c_str(),
                 static_cast<unsigned long long>(roll.events),
                 static_cast<unsigned long long>(roll.pages_read),
+                static_cast<unsigned long long>(roll.runs),
+                static_cast<unsigned long long>(roll.seeks),
                 static_cast<unsigned long long>(roll.pool_hits),
                 static_cast<unsigned long long>(roll.pool_misses),
                 static_cast<unsigned long long>(roll.frames),
@@ -477,21 +386,24 @@ int InspectFlight(const InspectArgs& args) {
                 static_cast<unsigned long long>(roll.spans));
   }
   std::printf("per-session rollup:\n");
-  std::printf("  %-24s %10s %10s %10s %10s %8s %10s\n", "session",
-              "events", "pages_read", "pool_hits", "pool_miss", "frames",
-              "io_pages");
-  for (const auto& [name, roll] : by_session) {
-    std::printf("  %-24s %10llu %10llu %10llu %10llu %8llu %10llu\n",
+  std::printf("  %-24s %10s %10s %8s %8s %10s %10s %8s %10s\n", "session",
+              "events", "pages_read", "runs", "seeks", "pool_hits",
+              "pool_miss", "frames", "io_pages");
+  for (const auto& [name, roll] : rollup.by_session) {
+    std::printf("  %-24s %10llu %10llu %8llu %8llu %10llu %10llu %8llu"
+                " %10llu\n",
                 name.c_str(),
                 static_cast<unsigned long long>(roll.events),
                 static_cast<unsigned long long>(roll.pages_read),
+                static_cast<unsigned long long>(roll.runs),
+                static_cast<unsigned long long>(roll.seeks),
                 static_cast<unsigned long long>(roll.pool_hits),
                 static_cast<unsigned long long>(roll.pool_misses),
                 static_cast<unsigned long long>(roll.frames),
                 static_cast<unsigned long long>(roll.io_pages));
   }
   bool any_prefetch = false;
-  for (const auto& [name, roll] : by_session) {
+  for (const auto& [name, roll] : rollup.by_session) {
     any_prefetch = any_prefetch || roll.prefetch_issued != 0 ||
                    roll.prefetch_used != 0 || roll.prefetch_cancelled != 0;
   }
@@ -499,7 +411,7 @@ int InspectFlight(const InspectArgs& args) {
     std::printf("per-session prefetch rollup (pages):\n");
     std::printf("  %-24s %10s %10s %10s %8s\n", "session", "issued",
                 "used", "cancelled", "wasted");
-    for (const auto& [name, roll] : by_session) {
+    for (const auto& [name, roll] : rollup.by_session) {
       if (roll.prefetch_issued == 0 && roll.prefetch_used == 0 &&
           roll.prefetch_cancelled == 0) {
         continue;
@@ -519,15 +431,21 @@ int InspectFlight(const InspectArgs& args) {
                   wasted);
     }
   }
-  std::printf("events by stage:");
-  for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
-    std::printf(" %s=%llu",
-                std::string(telemetry::TraceStageName(
-                                static_cast<telemetry::TraceStage>(s)))
-                    .c_str(),
-                static_cast<unsigned long long>(by_stage[s]));
-  }
-  std::printf("\n");
+  const auto print_by_stage = [&](const char* title,
+                                  uint64_t telemetry::FlightTotals::*field) {
+    std::printf("%s", title);
+    for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
+      std::printf(" %s=%llu",
+                  std::string(telemetry::TraceStageName(
+                                  static_cast<telemetry::TraceStage>(s)))
+                      .c_str(),
+                  static_cast<unsigned long long>(rollup.by_stage[s].*field));
+    }
+    std::printf("\n");
+  };
+  print_by_stage("events by stage:", &telemetry::FlightTotals::events);
+  print_by_stage("pages read by stage:",
+                 &telemetry::FlightTotals::pages_read);
 
   if (!args.chrome_out.empty()) {
     std::ofstream out(args.chrome_out,
@@ -586,28 +504,11 @@ int InspectSlowdump(const InspectArgs& args) {
     }
     // The captured flight events of the frame's window, rolled up by
     // type (the full event list is in the Chrome trace conversion).
-    std::map<uint16_t, uint64_t> by_type;
-    uint64_t prefetch_issued = 0;
-    uint64_t prefetch_used = 0;
-    uint64_t prefetch_cancelled = 0;
+    std::map<uint8_t, uint64_t> by_type;
+    telemetry::FlightTotals window;
     for (const telemetry::FlightEvent& e : cap.events) {
       by_type[e.type] += 1;
-      switch (static_cast<telemetry::FlightEventType>(e.type)) {
-        case telemetry::FlightEventType::kPageRead:
-          if (e.stage ==
-              static_cast<uint8_t>(telemetry::TraceStage::kPrefetch)) {
-            prefetch_issued += e.b;
-          }
-          break;
-        case telemetry::FlightEventType::kPrefetchUsed:
-          prefetch_used += e.b;
-          break;
-        case telemetry::FlightEventType::kPrefetchCancel:
-          prefetch_cancelled += e.a;
-          break;
-        default:
-          break;
-      }
+      window.Add(e);
     }
     std::printf("\n  %zu flight events in window:", cap.events.size());
     for (const auto& [type, count] : by_type) {
@@ -619,13 +520,13 @@ int InspectSlowdump(const InspectArgs& args) {
                   static_cast<unsigned long long>(count));
     }
     std::printf("\n");
-    if (prefetch_issued != 0 || prefetch_used != 0 ||
-        prefetch_cancelled != 0) {
+    if (window.prefetch_issued != 0 || window.prefetch_used != 0 ||
+        window.prefetch_cancelled != 0) {
       std::printf("  prefetch in window: issued=%llu used=%llu"
                   " cancelled=%llu pages\n",
-                  static_cast<unsigned long long>(prefetch_issued),
-                  static_cast<unsigned long long>(prefetch_used),
-                  static_cast<unsigned long long>(prefetch_cancelled));
+                  static_cast<unsigned long long>(window.prefetch_issued),
+                  static_cast<unsigned long long>(window.prefetch_used),
+                  static_cast<unsigned long long>(window.prefetch_cancelled));
     }
   }
 
