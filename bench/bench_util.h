@@ -10,7 +10,11 @@
 //                           (figure rows, counters, env fingerprint);
 //   --telemetry-out=<path>  write the full telemetry snapshot;
 //   --trace-out=<path>      enable span recording and write a Chrome
-//                           trace-event file (chrome://tracing);
+//                           trace-event file (chrome://tracing): frames
+//                           on the simulated clock, the trace's spans as
+//                           B/E events on the flight recorder's wall
+//                           clock (the same spans, as a tree, are the
+//                           --telemetry-out "trace" section);
 //   --trace-sample=N        with --trace-out, give only 1-in-N queries a
 //                           full span tree (default 1 = every query);
 //   --flight-out=<path>     drain the always-on flight recorder into a

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
+#include "common/file_util.h"
 #include "telemetry/telemetry.h"
 
 namespace hdov::telemetry {
@@ -183,17 +183,7 @@ std::string BenchReport::ToJson() const {
 }
 
 Status BenchReport::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("bench report: cannot open " + path);
-  }
-  const std::string json = ToJson();
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  out.put('\n');
-  if (!out) {
-    return Status::IoError("bench report: write to " + path + " failed");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, ToJson() + '\n', "bench report");
 }
 
 // ---------------------------------------------------------------------

@@ -4,46 +4,26 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
 #endif
 
 #include "common/coding.h"
-#include "telemetry/json.h"
+#include "common/file_util.h"
 #include "telemetry/trace_context.h"
 
 namespace hdov::telemetry {
 
 std::string_view FlightEventTypeName(FlightEventType type) {
-  switch (type) {
-    case FlightEventType::kNone:
-      return "none";
-    case FlightEventType::kSpanBegin:
-      return "span_begin";
-    case FlightEventType::kSpanEnd:
-      return "span_end";
-    case FlightEventType::kPageRead:
-      return "page_read";
-    case FlightEventType::kPageWrite:
-      return "page_write";
-    case FlightEventType::kPoolHit:
-      return "pool_hit";
-    case FlightEventType::kPoolMiss:
-      return "pool_miss";
-    case FlightEventType::kFrameBegin:
-      return "frame_begin";
-    case FlightEventType::kFrameEnd:
-      return "frame_end";
-    case FlightEventType::kPrefetchUsed:
-      return "prefetch_used";
-    case FlightEventType::kPrefetchCancel:
-      return "prefetch_cancel";
-    case FlightEventType::kPageReadAgg:
-      return "page_read_agg";
-  }
-  return "unknown";
+  static constexpr std::string_view kNames[] = {
+      "none",          "span_begin",      "span_end",      "page_read",
+      "page_write",    "pool_hit",        "pool_miss",     "frame_begin",
+      "frame_end",     "prefetch_used",   "prefetch_cancel",
+      "page_read_agg", "span_attr",
+  };
+  const auto index = static_cast<size_t>(type);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 namespace {
@@ -521,6 +501,31 @@ constexpr char kFlightMagic[8] = {'H', 'D', 'O', 'V', 'F', 'R', 'E', 'C'};
 constexpr uint32_t kFlightVersion = 3;
 }  // namespace
 
+void EncodeFlightEvent(std::string* out, const FlightEvent& ev) {
+  EncodeFixed64(out, ev.ts_ns);
+  EncodeFixed64(out, static_cast<uint64_t>(ev.type) |
+                         (static_cast<uint64_t>(ev.stage) << 8) |
+                         (static_cast<uint64_t>(ev.code) << 16) |
+                         (static_cast<uint64_t>(ev.session) << 32) |
+                         (static_cast<uint64_t>(ev.thread) << 48));
+  EncodeFixed64(out, ev.a);
+  EncodeFixed64(out, ev.b);
+}
+
+Status DecodeFlightEvent(Decoder* dec, FlightEvent* ev) {
+  uint64_t meta = 0;
+  HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev->ts_ns));
+  HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&meta));
+  HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev->a));
+  HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev->b));
+  ev->type = static_cast<uint8_t>(meta & 0xff);
+  ev->stage = static_cast<uint8_t>((meta >> 8) & 0xff);
+  ev->code = static_cast<uint16_t>((meta >> 16) & 0xffff);
+  ev->session = static_cast<uint16_t>((meta >> 32) & 0xffff);
+  ev->thread = static_cast<uint16_t>(meta >> 48);
+  return Status::OK();
+}
+
 std::string EncodeFlightDump(const FlightDump& dump) {
   std::string out;
   out.append(kFlightMagic, sizeof(kFlightMagic));
@@ -534,14 +539,7 @@ std::string EncodeFlightDump(const FlightDump& dump) {
     out.append(name);
   }
   for (const FlightEvent& ev : dump.events) {
-    EncodeFixed64(&out, ev.ts_ns);
-    EncodeFixed64(&out, static_cast<uint64_t>(ev.type) |
-                            (static_cast<uint64_t>(ev.stage) << 8) |
-                            (static_cast<uint64_t>(ev.code) << 16) |
-                            (static_cast<uint64_t>(ev.session) << 32) |
-                            (static_cast<uint64_t>(ev.thread) << 48));
-    EncodeFixed64(&out, ev.a);
-    EncodeFixed64(&out, ev.b);
+    EncodeFlightEvent(&out, ev);
   }
   return out;
 }
@@ -588,27 +586,16 @@ Result<FlightDump> DecodeFlightDump(std::string_view data) {
   }
   dump.events.reserve(static_cast<size_t>(event_count));
   for (uint64_t i = 0; i < event_count; ++i) {
-    FlightEvent ev;
-    uint64_t meta = 0;
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.ts_ns));
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&meta));
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.a));
-    HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.b));
-    if (version >= 2) {
-      ev.type = static_cast<uint8_t>(meta & 0xff);
-      ev.stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-      ev.thread = static_cast<uint16_t>(meta >> 48);
-    } else {
-      // v1 layout; no session/stage attribution existed.
-      ev.type = static_cast<uint8_t>(meta & 0xffff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.thread = static_cast<uint16_t>((meta >> 32) & 0xffff);
+    FlightEvent& ev = dump.events.emplace_back();
+    HDOV_RETURN_IF_ERROR(DecodeFlightEvent(&dec, &ev));
+    if (version == 1) {
+      // v1 meta: type(16) | code(16) | thread(32), read here as the v2
+      // fields; its thread's low half landed in `session`. Types fit in
+      // 8 bits and v1 had no attribution.
+      ev.thread = ev.session;
       ev.session = 0;
       ev.stage = 0;
     }
-    dump.events.push_back(ev);
   }
   if (dec.remaining() != 0) {
     return Status::Corruption("flight dump: trailing bytes");
@@ -617,122 +604,14 @@ Result<FlightDump> DecodeFlightDump(std::string_view data) {
 }
 
 Status FlightRecorder::WriteDump(const std::string& path, bool consume) {
-  const std::string encoded = EncodeFlightDump(Drain(consume));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("flight dump: cannot open " + path);
-  }
-  out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-  if (!out) {
-    return Status::IoError("flight dump: write to " + path + " failed");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, EncodeFlightDump(Drain(consume)),
+                           "flight dump");
 }
 
 Result<FlightDump> FlightRecorder::ReadDump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("flight dump: cannot open " + path);
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IoError("flight dump: read from " + path + " failed");
-  }
+  HDOV_ASSIGN_OR_RETURN(const std::string data,
+                        ReadFileToString(path, "flight dump"));
   return DecodeFlightDump(data);
-}
-
-namespace internal {
-
-void WriteFlightPayloadArgs(JsonWriter* w, const FlightEvent& ev) {
-  if (static_cast<FlightEventType>(ev.type) == FlightEventType::kPageReadAgg) {
-    w->Key("runs").Number(FlightReadRuns(ev));
-    w->Key("seeks").Number(FlightReadSeeks(ev));
-    w->Key("pages").Number(ev.b);
-  } else {
-    w->Key("a").Number(ev.a);
-    w->Key("b").Number(ev.b);
-  }
-}
-
-}  // namespace internal
-
-std::string FlightChromeTraceJson(const FlightDump& dump) {
-  constexpr int kFlightPid = 3;  // Pids 1/2 belong to Telemetry's export.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").String("ms");
-  w.Key("traceEvents").BeginArray();
-  w.BeginObject();
-  w.Key("name").String("process_name");
-  w.Key("ph").String("M");
-  w.Key("pid").Number(static_cast<uint64_t>(kFlightPid));
-  w.Key("args").BeginObject();
-  w.Key("name").String("flight recorder (wall time)");
-  w.EndObject();
-  w.EndObject();
-  for (const FlightEvent& ev : dump.events) {
-    const auto type = static_cast<FlightEventType>(ev.type);
-    const double ts_us = static_cast<double>(ev.ts_ns) / 1000.0;
-    const auto emit = [&](std::string_view cat, std::string_view ph) {
-      w.BeginObject();
-      w.Key("name").String(dump.NameOf(ev));
-      w.Key("cat").String(cat);
-      w.Key("ph").String(ph);
-      if (ph == "i") {
-        w.Key("s").String("t");
-      }
-      w.Key("pid").Number(static_cast<uint64_t>(kFlightPid));
-      w.Key("tid").Number(static_cast<uint64_t>(ev.thread));
-      w.Key("ts").Number(ts_us);
-      w.Key("args").BeginObject();
-      w.Key("type").String(FlightEventTypeName(type));
-      internal::WriteFlightPayloadArgs(&w, ev);
-      if (ev.session != 0) {
-        w.Key("session").String(ev.session < dump.names.size()
-                                    ? std::string_view(dump.names[ev.session])
-                                    : std::string_view("?"));
-      }
-      if (ev.stage != 0) {
-        w.Key("stage").String(
-            TraceStageName(static_cast<TraceStage>(ev.stage)));
-      }
-      w.EndObject();
-      w.EndObject();
-    };
-    switch (type) {
-      case FlightEventType::kFrameBegin:
-        emit("frame", "B");
-        break;
-      case FlightEventType::kFrameEnd:
-        emit("frame", "E");
-        break;
-      case FlightEventType::kSpanBegin:
-        emit("span", "B");
-        break;
-      case FlightEventType::kSpanEnd:
-        emit("span", "E");
-        break;
-      case FlightEventType::kPageRead:
-      case FlightEventType::kPageWrite:
-      case FlightEventType::kPageReadAgg:
-        emit("io", "i");
-        break;
-      case FlightEventType::kPoolHit:
-      case FlightEventType::kPoolMiss:
-        emit("pool", "i");
-        break;
-      case FlightEventType::kPrefetchUsed:
-      case FlightEventType::kPrefetchCancel:
-        emit("prefetch", "i");
-        break;
-      case FlightEventType::kNone:
-        break;
-    }
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.TakeString();
 }
 
 FlightRecorder& GlobalFlightRecorder() {

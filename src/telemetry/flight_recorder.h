@@ -1,12 +1,11 @@
-// FlightRecorder: the always-on, bounded-memory event log underneath the
-// richer (opt-in) TraceRecorder. Instrumented code appends fixed-size
-// 32-byte binary events — span begin/end, page fetches, buffer-pool
-// hits/misses, frame boundaries — into lock-free per-thread ring buffers.
-// Old events are overwritten, never flushed, so a long-lived process pays
-// a constant memory cost and a ~30 ns per-event hot-path cost: one clock
-// read (FlightNowNs, a scaled TSC read where the kernel trusts the TSC),
-// one TraceContext read and one cached ring lookup, each quantified by the
-// BM_Flight* micro benchmarks. The last N events per thread are always
+// FlightRecorder: the always-on, bounded-memory event log. Instrumented
+// code appends fixed-size 32-byte binary events — span begin/end, page
+// fetches, buffer-pool hits/misses, frame boundaries — into lock-free
+// per-thread ring buffers. Old events are overwritten, never flushed, so
+// a long-lived process pays a constant memory cost and a ~30 ns per-event
+// hot-path cost: one clock read (FlightNowNs, a scaled TSC read where the
+// kernel trusts the TSC), one TraceContext read and one cached ring
+// lookup, each quantified by the BM_Flight* micro benchmarks. The last N events per thread are always
 // available for a post-hoc "what just happened" drain, exactly like an
 // aircraft flight recorder.
 //
@@ -36,6 +35,11 @@
 // slow-frame captures hold the aggregates of the frame's stages. Reads
 // outside any stage, prefetch-diverted reads and every other event type
 // stay one event each.
+//
+// The event is also the only span format: an opt-in TraceRecorder
+// (telemetry/trace.h) keeps its span tree as a FlightDump of its own, and
+// one exporter (telemetry/chrome_trace.h) turns any dump into Chrome
+// trace events.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
 #define HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -49,6 +53,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -72,6 +77,10 @@ enum class FlightEventType : uint8_t {
   // The billed reads of one device within one stage scope (RecordRead):
   // a = runs (low 32 bits) | seeks (high 32 bits), b = pages.
   kPageReadAgg = 11,
+  // One span attribute, in TraceRecorder dumps only (never in the ring):
+  // code = key, a = span id (| kSpanAttrString), b = the double's bits or
+  // the name id of a string value.
+  kSpanAttr = 12,
 };
 
 std::string_view FlightEventTypeName(FlightEventType type);
@@ -138,7 +147,8 @@ size_t FlightNameCount();
 uint64_t FlightNamesDropped();
 
 // A drained recorder image: the merged events plus the name table they
-// index into. This is also the in-memory form of a dump file.
+// index into. This is also the in-memory form of a dump file, and the
+// storage of a TraceRecorder (one thread's events, with names of its own).
 struct FlightDump {
   std::vector<std::string> names;   // Indexed by FlightEvent::code.
   std::vector<FlightEvent> events;  // Merged, timestamp order.
@@ -207,8 +217,9 @@ class FlightRecorder {
   // timestamp order, after flushing the calling thread's pending reads
   // (other threads' pending reads appear when their stage scopes close).
   // With `consume`, drained events are marked consumed: the next Drain
-  // starts after them and they can no longer count as dropped. Safe to call while other threads record (events published
-  // mid-drain may or may not be included).
+  // starts after them and they can no longer count as dropped. Safe to
+  // call while other threads record (events published mid-drain may or
+  // may not be included).
   FlightDump Drain(bool consume = false);
 
   // Binary dump round trip ("HDOVFREC" container, see docs/telemetry.md).
@@ -253,13 +264,11 @@ FlightRecorder& GlobalFlightRecorder();
 std::string EncodeFlightDump(const FlightDump& dump);
 Result<FlightDump> DecodeFlightDump(std::string_view data);
 
-// Chrome trace-event conversion: frame begin/end and span begin/end pair
-// into "B"/"E" events per ring thread, page/pool events become instants,
-// all on the recorder's FlightNowNs timeline under pid 3 (the telemetry
-// exporter uses pids 1 and 2, slow-frame dumps pid 4; see
-// docs/telemetry.md). Session/stage attribution lands in each event's
-// args.
-std::string FlightChromeTraceJson(const FlightDump& dump);
+// One event's 32-byte container form, shared by HDOVFREC (v2 and later)
+// and HDOVSLOW: {u64 ts_ns, u64 type | stage<<8 | code<<16 | session<<32
+// | thread<<48, u64 a, u64 b}.
+void EncodeFlightEvent(std::string* out, const FlightEvent& ev);
+Status DecodeFlightEvent(Decoder* dec, FlightEvent* ev);
 
 // Nanoseconds since the process flight epoch (the first use of the clock):
 // monotone on each thread, and one timeline for every caller — event
@@ -271,13 +280,7 @@ std::string FlightChromeTraceJson(const FlightDump& dump);
 // once per process.
 uint64_t FlightNowNs();
 
-class JsonWriter;
-
 namespace internal {
-// Writes an event's payload into an open Chrome-trace "args" object:
-// runs, seeks and pages for a kPageReadAgg, raw a and b otherwise.
-void WriteFlightPayloadArgs(JsonWriter* w, const FlightEvent& ev);
-
 // FlightNowNs's steady_clock fallback: `t` on the flight timeline (0 for
 // instants before the epoch). Exposed so tests can hold the fallback to
 // the same contract on hosts that take the TSC path.

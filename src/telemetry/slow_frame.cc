@@ -1,10 +1,9 @@
 #include "telemetry/slow_frame.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/coding.h"
-#include "telemetry/json.h"
+#include "common/file_util.h"
 
 namespace hdov::telemetry {
 
@@ -135,28 +134,12 @@ SlowDump SlowFrameCapture::Snapshot() const {
 }
 
 Status SlowFrameCapture::WriteDump(const std::string& path) const {
-  const std::string encoded = EncodeSlowDump(Snapshot());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("slow dump: cannot open " + path);
-  }
-  out.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
-  if (!out) {
-    return Status::IoError("slow dump: write to " + path + " failed");
-  }
-  return Status::OK();
+  return WriteStringToFile(path, EncodeSlowDump(Snapshot()), "slow dump");
 }
 
 Result<SlowDump> SlowFrameCapture::ReadDump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("slow dump: cannot open " + path);
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IoError("slow dump: read from " + path + " failed");
-  }
+  HDOV_ASSIGN_OR_RETURN(const std::string data,
+                        ReadFileToString(path, "slow dump"));
   return DecodeSlowDump(data);
 }
 
@@ -204,14 +187,7 @@ std::string EncodeSlowDump(const SlowDump& dump) {
     }
     EncodeFixed64(&out, cap.events.size());
     for (const FlightEvent& ev : cap.events) {
-      EncodeFixed64(&out, ev.ts_ns);
-      EncodeFixed64(&out, static_cast<uint64_t>(ev.type) |
-                              (static_cast<uint64_t>(ev.stage) << 8) |
-                              (static_cast<uint64_t>(ev.code) << 16) |
-                              (static_cast<uint64_t>(ev.session) << 32) |
-                              (static_cast<uint64_t>(ev.thread) << 48));
-      EncodeFixed64(&out, ev.a);
-      EncodeFixed64(&out, ev.b);
+      EncodeFlightEvent(&out, ev);
     }
   }
   return out;
@@ -251,6 +227,11 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
     dump.names.emplace_back(body.substr(dec.position(), len));
     HDOV_RETURN_IF_ERROR(dec.Skip(len));
   }
+  // Checked before the reserve: a capture is at least 64 bytes (no
+  // stages, no events), so a larger count cannot fit in what is left.
+  if (capture_count > dec.remaining() / 64) {
+    return Status::Corruption("slow dump: truncated capture section");
+  }
   dump.captures.reserve(capture_count);
   for (uint32_t i = 0; i < capture_count; ++i) {
     SlowFrameEntry cap;
@@ -285,18 +266,7 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
     }
     cap.events.reserve(static_cast<size_t>(event_count));
     for (uint64_t e = 0; e < event_count; ++e) {
-      FlightEvent ev;
-      uint64_t meta = 0;
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.ts_ns));
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&meta));
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.a));
-      HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&ev.b));
-      ev.type = static_cast<uint8_t>(meta & 0xff);
-      ev.stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-      ev.thread = static_cast<uint16_t>(meta >> 48);
-      cap.events.push_back(ev);
+      HDOV_RETURN_IF_ERROR(DecodeFlightEvent(&dec, &cap.events.emplace_back()));
     }
     dump.captures.push_back(std::move(cap));
   }
@@ -304,116 +274,6 @@ Result<SlowDump> DecodeSlowDump(std::string_view data) {
     return Status::Corruption("slow dump: trailing bytes");
   }
   return dump;
-}
-
-std::string SlowDumpChromeTraceJson(const SlowDump& dump) {
-  constexpr int kSlowPid = 4;  // Pids 1-3 belong to the other exporters.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit").String("ms");
-  w.Key("traceEvents").BeginArray();
-  w.BeginObject();
-  w.Key("name").String("process_name");
-  w.Key("ph").String("M");
-  w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-  w.Key("args").BeginObject();
-  w.Key("name").String("slow-frame captures (wall time)");
-  w.EndObject();
-  w.EndObject();
-  // One track (tid) per session, labeled with the session name.
-  std::vector<uint16_t> sessions;
-  for (const SlowFrameEntry& cap : dump.captures) {
-    if (std::find(sessions.begin(), sessions.end(), cap.record.session) ==
-        sessions.end()) {
-      sessions.push_back(cap.record.session);
-    }
-  }
-  std::sort(sessions.begin(), sessions.end());
-  for (uint16_t session : sessions) {
-    w.BeginObject();
-    w.Key("name").String("thread_name");
-    w.Key("ph").String("M");
-    w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-    w.Key("tid").Number(static_cast<uint64_t>(session));
-    w.Key("args").BeginObject();
-    w.Key("name").String(dump.NameOf(session));
-    w.EndObject();
-    w.EndObject();
-  }
-  const auto slice = [&](uint16_t session, std::string_view name,
-                         std::string_view cat, uint64_t start_ns,
-                         uint64_t dur_ns, const SlowFrameEntry* cap) {
-    w.BeginObject();
-    w.Key("name").String(name);
-    w.Key("cat").String(cat);
-    w.Key("ph").String("X");
-    w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-    w.Key("tid").Number(static_cast<uint64_t>(session));
-    w.Key("ts").Number(static_cast<double>(start_ns) / 1000.0);
-    w.Key("dur").Number(static_cast<double>(dur_ns) / 1000.0);
-    if (cap != nullptr) {
-      w.Key("args").BeginObject();
-      w.Key("frame").Number(cap->record.frame);
-      w.Key("queue_ms")
-          .Number(static_cast<double>(cap->record.queue_ns) / 1e6);
-      w.Key("service_ms")
-          .Number(static_cast<double>(cap->record.wall_ns) / 1e6);
-      w.Key("io_pages").Number(cap->record.io_pages);
-      w.Key("trip_threshold_ms").Number(cap->trip_threshold_ms);
-      w.EndObject();
-    }
-    w.EndObject();
-  };
-  for (const SlowFrameEntry& cap : dump.captures) {
-    const FrameStageRecord& r = cap.record;
-    std::string frame_name = "frame ";
-    frame_name += std::to_string(r.frame);
-    frame_name += " (slow)";
-    if (r.queue_ns > 0 && r.start_ns >= r.queue_ns) {
-      slice(r.session, "queue wait", "queue", r.start_ns - r.queue_ns,
-            r.queue_ns, nullptr);
-    }
-    slice(r.session, frame_name, "frame", r.start_ns, r.wall_ns, &cap);
-    // Stage breakdown as child slices laid end to end in stage order —
-    // an aggregate view, not the true interleaving (see header).
-    uint64_t cursor = r.start_ns;
-    for (size_t s = 0; s < kNumTraceStages; ++s) {
-      const uint64_t ns = r.stages.ns[s];
-      if (ns == 0) {
-        continue;
-      }
-      slice(r.session, TraceStageName(static_cast<TraceStage>(s)), "stage",
-            cursor, ns, nullptr);
-      cursor += ns;
-    }
-    for (const FlightEvent& ev : cap.events) {
-      const auto type = static_cast<FlightEventType>(ev.type);
-      if (type != FlightEventType::kPageRead &&
-          type != FlightEventType::kPageReadAgg &&
-          type != FlightEventType::kPageWrite &&
-          type != FlightEventType::kPoolHit &&
-          type != FlightEventType::kPoolMiss) {
-        continue;
-      }
-      w.BeginObject();
-      w.Key("name").String(dump.NameOf(ev.code));
-      w.Key("cat").String("io");
-      w.Key("ph").String("i");
-      w.Key("s").String("t");
-      w.Key("pid").Number(static_cast<uint64_t>(kSlowPid));
-      w.Key("tid").Number(static_cast<uint64_t>(ev.session));
-      w.Key("ts").Number(static_cast<double>(ev.ts_ns) / 1000.0);
-      w.Key("args").BeginObject();
-      w.Key("type").String(FlightEventTypeName(type));
-      w.Key("stage").String(TraceStageName(static_cast<TraceStage>(ev.stage)));
-      internal::WriteFlightPayloadArgs(&w, ev);
-      w.EndObject();
-      w.EndObject();
-    }
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.TakeString();
 }
 
 }  // namespace hdov::telemetry

@@ -6,7 +6,8 @@
 // that frame's record together with the flight-recorder events of its
 // session/time window. The result is written as a "HDOVSLOW" binary
 // dump (--slowdump-out=), decodable by `hdov_inspect --slowdump` and
-// convertible to a Chrome trace with one track per session.
+// convertible to a Chrome trace with one track per session
+// (telemetry/chrome_trace.h).
 //
 // Like the flight recorder it rides on, the capture only reads the
 // flight clock and thread-local state — never the SimClock, IoStats, or
@@ -119,14 +120,6 @@ SlowFrameCapture& GlobalSlowFrameCapture();
 // Container round trip ("HDOVSLOW", see docs/telemetry.md).
 std::string EncodeSlowDump(const SlowDump& dump);
 Result<SlowDump> DecodeSlowDump(std::string_view data);
-
-// Chrome trace-event conversion under pid 4: one tid (track) per
-// session, named after it. Each capture renders the queue wait and the
-// frame as "X" slices, the stage breakdown as child slices laid end to
-// end in stage order (an approximation: real stage intervals may
-// interleave), and the captured io/pool flight events as instants at
-// their true timestamps.
-std::string SlowDumpChromeTraceJson(const SlowDump& dump);
 
 }  // namespace hdov::telemetry
 

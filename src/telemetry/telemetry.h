@@ -4,7 +4,8 @@
 //
 //   - a MetricsRegistry (counters / gauges / histograms plus read-through
 //     views over IoStats and BufferPool counters),
-//   - a TraceRecorder for opt-in per-query search span trees,
+//   - a TraceRecorder for opt-in per-query search span trees (its trace is
+//     a FlightDump; DecodeSpanForest turns it back into a tree),
 //   - the stream of per-frame FrameRecords emitted by instrumented
 //     systems (one structured record per RenderFrame / Query).
 //
@@ -114,13 +115,9 @@ class Telemetry {
 
   Status WriteJsonFile(const std::string& path) const;
 
-  // Chrome trace-event (catapult) export: the recorded span forest and
-  // the frame timeline as one {"traceEvents": [...]} document that loads
-  // directly in chrome://tracing or ui.perfetto.dev. Frame events run on
-  // the *simulated* clock (one track per system, ts accumulating each
-  // frame's simulated time); span events have no clock at all (the
-  // search is simulated), so they use logical time — ts = preorder
-  // index, dur = subtree span count — preserving exact nesting.
+  // Chrome trace-event export (telemetry/chrome_trace.h) of the frame
+  // timeline (pid 1, simulated clock) and the trace's spans (pid 2, B/E
+  // events on the FlightNowNs wall timeline, attributes in their args).
   std::string ChromeTraceJson() const;
   Status WriteChromeTrace(const std::string& path) const;
 

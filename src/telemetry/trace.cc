@@ -1,9 +1,9 @@
 #include "telemetry/trace.h"
 
-#include <algorithm>
+#include <bit>
 
-#include "telemetry/flight_recorder.h"
 #include "telemetry/json.h"
+#include "telemetry/trace_context.h"
 
 namespace hdov::telemetry {
 
@@ -25,9 +25,108 @@ const std::string* TraceSpan::StrAttr(std::string_view key) const {
   return nullptr;
 }
 
+SpanForest DecodeSpanForest(const FlightDump& dump) {
+  const auto name = [&dump](uint64_t id) -> std::string_view {
+    return id < dump.names.size() ? std::string_view(dump.names[id]) : "?";
+  };
+  SpanForest forest;
+  std::vector<TraceSpan>& spans = forest.spans;
+  std::vector<int32_t> open;
+  for (const FlightEvent& ev : dump.events) {
+    switch (static_cast<FlightEventType>(ev.type)) {
+      case FlightEventType::kSpanBegin: {
+        TraceSpan& span = spans.emplace_back();
+        span.name = name(ev.code);
+        span.parent = open.empty() ? -1 : open.back();
+        open.push_back(static_cast<int32_t>(spans.size() - 1));
+        break;
+      }
+      case FlightEventType::kSpanEnd:
+        while (!open.empty()) {
+          const int32_t top = open.back();
+          open.pop_back();
+          spans[static_cast<size_t>(top)].closed = true;
+          if (static_cast<uint64_t>(top) == ev.a) {
+            break;
+          }
+        }
+        break;
+      case FlightEventType::kSpanAttr: {
+        const uint64_t index = ev.a & ~kSpanAttrString;
+        if (index >= spans.size()) {
+          break;
+        }
+        TraceSpan& span = spans[static_cast<size_t>(index)];
+        if ((ev.a & kSpanAttrString) != 0) {
+          span.str_attrs.emplace_back(name(ev.code), name(ev.b));
+        } else {
+          span.num_attrs.emplace_back(name(ev.code),
+                                      std::bit_cast<double>(ev.b));
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return forest;
+}
+
+namespace {
+
+void WriteSpan(const std::vector<TraceSpan>& spans,
+               const std::vector<std::vector<size_t>>& children, size_t index,
+               JsonWriter* w) {
+  const TraceSpan& span = spans[index];
+  w->BeginObject();
+  w->Key("name").String(span.name);
+  if (!span.num_attrs.empty() || !span.str_attrs.empty()) {
+    w->Key("attrs").BeginObject();
+    for (const auto& [key, value] : span.num_attrs) {
+      w->Key(key).Number(value);
+    }
+    for (const auto& [key, value] : span.str_attrs) {
+      w->Key(key).String(value);
+    }
+    w->EndObject();
+  }
+  if (!children[index].empty()) {
+    w->Key("children").BeginArray();
+    for (size_t child : children[index]) {
+      WriteSpan(spans, children, child, w);
+    }
+    w->EndArray();
+  }
+  w->EndObject();
+}
+
+}  // namespace
+
+std::string SpanForest::ToJson() const {
+  // Children lists in one pass (every child follows its parent).
+  std::vector<std::vector<size_t>> children(spans.size());
+  std::vector<size_t> roots;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].parent < 0) {
+      roots.push_back(i);
+    } else {
+      children[static_cast<size_t>(spans[i].parent)].push_back(i);
+    }
+  }
+  JsonWriter w;
+  w.BeginArray();
+  for (size_t root : roots) {
+    WriteSpan(spans, children, root, &w);
+  }
+  w.EndArray();
+  return w.TakeString();
+}
+
 void TraceRecorder::Clear() {
-  spans_.clear();
-  open_.clear();
+  dump_ = FlightDump{};
+  dump_.names.emplace_back("?");
+  num_spans_ = 0;
+  open_ = 0;
   spans_dropped_ = 0;
   queries_seen_ = 0;
   queries_sampled_ = 0;
@@ -45,43 +144,45 @@ bool TraceRecorder::SampleQuery() {
   return false;
 }
 
-void TraceRecorder::Merge(const TraceRecorder& other) {
-  if (!enabled_ || other.spans_.empty()) {
-    return;
-  }
-  const int32_t offset = static_cast<int32_t>(spans_.size());
-  const int32_t root_parent = open_.empty() ? kNoSpan : open_.back();
-  spans_.reserve(std::min(spans_.size() + other.spans_.size(), max_spans_));
-  for (const TraceSpan& span : other.spans_) {
-    // Source spans are in creation order (children after parents), so a
-    // mid-stream cutoff keeps every stored parent index valid.
-    if (spans_.size() >= max_spans_) {
-      spans_dropped_ +=
-          other.spans_.size() - static_cast<size_t>(&span - &other.spans_[0]);
-      return;
+uint16_t TraceRecorder::Intern(std::string_view name) {
+  std::vector<std::string>& names = dump_.names;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == name) {
+      return static_cast<uint16_t>(i);
     }
-    TraceSpan copy = span;
-    copy.parent =
-        span.parent == kNoSpan ? root_parent : span.parent + offset;
-    spans_.push_back(std::move(copy));
   }
-  spans_dropped_ += other.spans_dropped_;
+  if (names.size() > UINT16_MAX) {
+    ++dump_.names_dropped;
+    return 0;
+  }
+  names.emplace_back(name);
+  return static_cast<uint16_t>(names.size() - 1);
+}
+
+void TraceRecorder::Append(FlightEventType type, uint16_t code, uint64_t a,
+                           uint64_t b) {
+  FlightEvent ev;
+  ev.ts_ns = FlightNowNs();
+  ev.type = static_cast<uint8_t>(type);
+  ev.stage = static_cast<uint8_t>(CurrentTraceContext().stage);
+  ev.code = code;
+  ev.a = a;
+  ev.b = b;
+  dump_.events.push_back(ev);
 }
 
 int32_t TraceRecorder::BeginSpan(std::string_view name) {
   if (!enabled_) {
     return kNoSpan;
   }
-  if (spans_.size() >= max_spans_) {
+  if (num_spans_ >= max_spans_) {
     ++spans_dropped_;
     return kNoSpan;
   }
-  TraceSpan span;
-  span.name.assign(name);
-  span.parent = open_.empty() ? kNoSpan : open_.back();
-  const int32_t id = static_cast<int32_t>(spans_.size());
-  spans_.push_back(std::move(span));
-  open_.push_back(id);
+  const auto id = static_cast<int32_t>(num_spans_++);
+  Append(FlightEventType::kSpanBegin, Intern(name), static_cast<uint64_t>(id),
+         open_);
+  open_ = dump_.events.size();
   FlightRecorder& flight = GlobalFlightRecorder();
   if (flight.enabled()) {
     flight.Record(FlightEventType::kSpanBegin, FlightInternName(name),
@@ -94,19 +195,18 @@ void TraceRecorder::EndSpan(int32_t span) {
   if (span == kNoSpan) {
     return;
   }
-  FlightRecorder& flight = GlobalFlightRecorder();
-  if (flight.enabled()) {
-    flight.Record(FlightEventType::kSpanEnd,
-                  FlightInternName(spans_[static_cast<size_t>(span)].name),
-                  static_cast<uint64_t>(span), 0);
-  }
   // Close any children left open (defensive: RAII call sites make this a
-  // no-op), then the span itself.
-  while (!open_.empty()) {
-    const int32_t top = open_.back();
-    open_.pop_back();
-    spans_[static_cast<size_t>(top)].closed = true;
-    if (top == span) {
+  // no-op), then the span itself. A span that is not open closes them all.
+  while (open_ != 0) {
+    const FlightEvent begin = dump_.events[open_ - 1];
+    Append(FlightEventType::kSpanEnd, begin.code, begin.a, 0);
+    open_ = begin.b;
+    if (begin.a == static_cast<uint64_t>(span)) {
+      FlightRecorder& flight = GlobalFlightRecorder();
+      if (flight.enabled()) {
+        flight.Record(FlightEventType::kSpanEnd,
+                      FlightInternName(dump_.names[begin.code]), begin.a, 0);
+      }
       return;
     }
   }
@@ -117,8 +217,8 @@ void TraceRecorder::AddAttr(int32_t span, std::string_view key,
   if (span == kNoSpan) {
     return;
   }
-  spans_[static_cast<size_t>(span)].num_attrs.emplace_back(std::string(key),
-                                                           value);
+  Append(FlightEventType::kSpanAttr, Intern(key), static_cast<uint64_t>(span),
+         std::bit_cast<uint64_t>(value));
 }
 
 void TraceRecorder::AddAttr(int32_t span, std::string_view key,
@@ -126,75 +226,18 @@ void TraceRecorder::AddAttr(int32_t span, std::string_view key,
   if (span == kNoSpan) {
     return;
   }
-  spans_[static_cast<size_t>(span)].str_attrs.emplace_back(
-      std::string(key), std::string(value));
+  const uint16_t code = Intern(key);
+  const uint16_t value_id = Intern(value);
+  Append(FlightEventType::kSpanAttr, code,
+         static_cast<uint64_t>(span) | kSpanAttrString, value_id);
 }
 
-std::vector<size_t> TraceRecorder::Children(int32_t parent) const {
-  std::vector<size_t> children;
-  for (size_t i = 0; i < spans_.size(); ++i) {
-    if (spans_[i].parent == parent) {
-      children.push_back(i);
-    }
+size_t TraceRecorder::open_depth() const {
+  size_t depth = 0;
+  for (uint64_t at = open_; at != 0; at = dump_.events[at - 1].b) {
+    ++depth;
   }
-  return children;
-}
-
-size_t TraceRecorder::CountNamed(std::string_view name) const {
-  return static_cast<size_t>(
-      std::count_if(spans_.begin(), spans_.end(),
-                    [&](const TraceSpan& s) { return s.name == name; }));
-}
-
-namespace {
-
-void WriteSpan(const TraceRecorder& recorder,
-               const std::vector<std::vector<size_t>>& children, size_t index,
-               JsonWriter* w) {
-  const TraceSpan& span = recorder.span(index);
-  w->BeginObject();
-  w->Key("name").String(span.name);
-  if (!span.num_attrs.empty() || !span.str_attrs.empty()) {
-    w->Key("attrs").BeginObject();
-    for (const auto& [key, value] : span.num_attrs) {
-      w->Key(key).Number(value);
-    }
-    for (const auto& [key, value] : span.str_attrs) {
-      w->Key(key).String(value);
-    }
-    w->EndObject();
-  }
-  if (!children[index].empty()) {
-    w->Key("children").BeginArray();
-    for (size_t child : children[index]) {
-      WriteSpan(recorder, children, child, w);
-    }
-    w->EndArray();
-  }
-  w->EndObject();
-}
-
-}  // namespace
-
-std::string TraceRecorder::ToJson() const {
-  // Children lists in one pass (spans are stored in creation order, so
-  // every child index is greater than its parent's).
-  std::vector<std::vector<size_t>> children(spans_.size());
-  std::vector<size_t> roots;
-  for (size_t i = 0; i < spans_.size(); ++i) {
-    if (spans_[i].parent == kNoSpan) {
-      roots.push_back(i);
-    } else {
-      children[static_cast<size_t>(spans_[i].parent)].push_back(i);
-    }
-  }
-  JsonWriter w;
-  w.BeginArray();
-  for (size_t root : roots) {
-    WriteSpan(*this, children, root, &w);
-  }
-  w.EndArray();
-  return w.TakeString();
+  return depth;
 }
 
 }  // namespace hdov::telemetry

@@ -14,6 +14,7 @@
 #include "prefetch/prefetcher.h"
 #include "scene/city_generator.h"
 #include "storage/page_device.h"
+#include "telemetry/chrome_trace.h"
 #include "telemetry/flight_rollup.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -26,7 +27,6 @@ namespace {
 
 using telemetry::DecodeFlightDump;
 using telemetry::EncodeFlightDump;
-using telemetry::FlightChromeTraceJson;
 using telemetry::FlightDump;
 using telemetry::FlightEvent;
 using telemetry::FlightEventType;
@@ -535,7 +535,7 @@ TEST(FlightRecorderTest, ChromeTraceConversion) {
   end.b = 4;
   dump.events = {begin, io, end};
 
-  const std::string json = FlightChromeTraceJson(dump);
+  const std::string json = telemetry::ChromeTraceJson({.flight = &dump});
   // Frame boundaries pair as B/E duration events under pid 3; the page
   // read becomes an instant.
   EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
@@ -896,7 +896,7 @@ TEST(FlightRecorderTest, ChromeTraceShowsAggregateTotals) {
   ev.a = 3u | (2ull << 32);
   ev.b = 9;
   dump.events = {ev};
-  const std::string json = FlightChromeTraceJson(dump);
+  const std::string json = telemetry::ChromeTraceJson({.flight = &dump});
   EXPECT_NE(json.find("\"cat\":\"io\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"page_read_agg\""), std::string::npos);

@@ -382,8 +382,9 @@ TEST(SearchPinTest, TraceSpanTreeIsPinned) {
         std::vector<RetrievedLod> result;
         ASSERT_TRUE(searcher.Search(store->get(), cell, opt, &result).ok());
         EXPECT_EQ(rec.open_depth(), 0u);
-        for (size_t i = 0; i < rec.num_spans(); ++i) {
-          const telemetry::TraceSpan& span = rec.span(i);
+        const telemetry::SpanForest forest =
+            telemetry::DecodeSpanForest(rec.dump());
+        for (const telemetry::TraceSpan& span : forest.spans) {
           AppendString(span.name, &bytes);
           EncodeFixed32(&bytes, static_cast<uint32_t>(span.parent));
           bytes.push_back(span.closed ? 1 : 0);
@@ -398,7 +399,7 @@ TEST(SearchPinTest, TraceSpanTreeIsPinned) {
             AppendString(value, &bytes);
           }
         }
-        spans += rec.num_spans();
+        spans += forest.spans.size();
       }
     }
     EXPECT_EQ(PinString({spans, 0, Crc(bytes)}),

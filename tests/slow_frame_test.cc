@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
+#include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_context.h"
 #include "temp_path.h"
@@ -24,7 +26,6 @@ using telemetry::FrameStageRecord;
 using telemetry::kNumTraceStages;
 using telemetry::SessionTraceScope;
 using telemetry::SlowDump;
-using telemetry::SlowDumpChromeTraceJson;
 using telemetry::SlowFrameCapture;
 using telemetry::SlowFrameEntry;
 using telemetry::SlowFrameOptions;
@@ -243,6 +244,21 @@ TEST(SlowFrameTest, DecodeRejectsMalformedDumps) {
   EXPECT_FALSE(DecodeSlowDump(bad_version).ok());
 }
 
+TEST(SlowFrameTest, HugeCaptureCountIsCorruption) {
+  // A bare 36-byte header claiming 2^32 - 1 captures: the decoder must
+  // refuse the count before reserving room for it.
+  std::string header = "HDOVSLOW";
+  EncodeFixed32(&header, 1);  // Version.
+  EncodeFixed32(&header, 0);  // Names.
+  EncodeFixed64(&header, 0);  // Frames seen.
+  EncodeFixed64(&header, 0);  // Captures dropped.
+  EncodeFixed32(&header, 0xFFFFFFFFu);
+  ASSERT_EQ(header.size(), 36u);
+  Result<SlowDump> decoded = DecodeSlowDump(header);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+}
+
 TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
   SlowDump dump;
   dump.names = {"?", "u0.walk", "u1.turn"};
@@ -261,7 +277,7 @@ TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
     dump.captures.push_back(entry);
   }
 
-  const std::string json = SlowDumpChromeTraceJson(dump);
+  const std::string json = telemetry::ChromeTraceJson({.slow = &dump});
   // Slow-frame captures render under their own pid with one named track
   // (tid = session id) per session.
   EXPECT_NE(json.find("\"pid\":4"), std::string::npos);

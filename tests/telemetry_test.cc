@@ -7,6 +7,7 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -26,7 +27,9 @@ using telemetry::MetricSample;
 using telemetry::MetricsRegistry;
 using telemetry::MetricsSnapshot;
 using telemetry::ParseJson;
+using telemetry::DecodeSpanForest;
 using telemetry::ScopedSpan;
+using telemetry::SpanForest;
 using telemetry::Telemetry;
 using telemetry::TraceRecorder;
 
@@ -181,17 +184,17 @@ TEST(TraceRecorderTest, SpanNesting) {
   rec.EndSpan(node);
   rec.EndSpan(root);
   ASSERT_EQ(rec.num_spans(), 3u);
-  EXPECT_EQ(rec.span(0).parent, TraceRecorder::kNoSpan);
-  EXPECT_EQ(rec.span(1).parent, root);
-  EXPECT_EQ(rec.span(2).parent, node);
-  EXPECT_TRUE(rec.span(2).closed);
   EXPECT_EQ(rec.open_depth(), 0u);
-  EXPECT_EQ(rec.Children(TraceRecorder::kNoSpan),
-            (std::vector<size_t>{0}));
-  EXPECT_EQ(rec.Children(node), (std::vector<size_t>{2}));
-  EXPECT_EQ(rec.CountNamed("prune"), 1u);
-  EXPECT_DOUBLE_EQ(rec.span(2).NumAttrOr("dov", -1.0), 0.25);
-  EXPECT_DOUBLE_EQ(rec.span(2).NumAttrOr("absent", -1.0), -1.0);
+  const SpanForest forest = DecodeSpanForest(rec.dump());
+  ASSERT_EQ(forest.spans.size(), 3u);
+  EXPECT_EQ(forest.spans[0].name, "search");
+  EXPECT_EQ(forest.spans[0].parent, TraceRecorder::kNoSpan);
+  EXPECT_EQ(forest.spans[1].parent, root);
+  EXPECT_EQ(forest.spans[2].parent, node);
+  EXPECT_EQ(forest.spans[2].name, "prune");
+  EXPECT_TRUE(forest.spans[2].closed);
+  EXPECT_DOUBLE_EQ(forest.spans[2].NumAttrOr("dov", -1.0), 0.25);
+  EXPECT_DOUBLE_EQ(forest.spans[2].NumAttrOr("absent", -1.0), -1.0);
 }
 
 TEST(TraceRecorderTest, DisabledRecorderIsFree) {
@@ -202,6 +205,7 @@ TEST(TraceRecorderTest, DisabledRecorderIsFree) {
   rec.AddAttr(id, "k", 1.0);  // All no-ops on kNoSpan.
   rec.EndSpan(id);
   EXPECT_EQ(rec.num_spans(), 0u);
+  EXPECT_TRUE(rec.dump().events.empty());
 }
 
 TEST(TraceRecorderTest, EndSpanClosesLeakedChildren) {
@@ -210,8 +214,11 @@ TEST(TraceRecorderTest, EndSpanClosesLeakedChildren) {
   rec.BeginSpan("leaked");
   rec.EndSpan(root);  // Must close the still-open child too.
   EXPECT_EQ(rec.open_depth(), 0u);
-  EXPECT_TRUE(rec.span(0).closed);
-  EXPECT_TRUE(rec.span(1).closed);
+  const SpanForest forest = DecodeSpanForest(rec.dump());
+  ASSERT_EQ(forest.spans.size(), 2u);
+  EXPECT_TRUE(forest.spans[0].closed);
+  EXPECT_TRUE(forest.spans[1].closed);
+  EXPECT_EQ(forest.spans[1].parent, root);
 }
 
 TEST(TraceRecorderTest, ScopedSpanToleratesNullRecorder) {
@@ -225,61 +232,40 @@ TEST(TraceRecorderTest, ScopedSpanToleratesNullRecorder) {
     span.Attr("k", 2.0);
     span.Attr("s", "text");
   }
-  ASSERT_EQ(rec.num_spans(), 1u);
-  EXPECT_TRUE(rec.span(0).closed);
-  ASSERT_NE(rec.span(0).StrAttr("s"), nullptr);
-  EXPECT_EQ(*rec.span(0).StrAttr("s"), "text");
+  const SpanForest forest = DecodeSpanForest(rec.dump());
+  ASSERT_EQ(forest.spans.size(), 1u);
+  EXPECT_TRUE(forest.spans[0].closed);
+  EXPECT_DOUBLE_EQ(forest.spans[0].NumAttrOr("k", -1.0), 2.0);
+  ASSERT_NE(forest.spans[0].StrAttr("s"), nullptr);
+  EXPECT_EQ(*forest.spans[0].StrAttr("s"), "text");
 }
 
-TEST(TraceRecorderTest, MergeReRootsUnderOpenSpan) {
-  // Two per-worker recorders fold into a phase recorder in caller-chosen
-  // order: roots re-root under the open span, internal parent links shift
-  // by the destination's size, attributes survive.
-  TraceRecorder worker_a;
-  int32_t a_root = worker_a.BeginSpan("cell");
-  worker_a.AddAttr(a_root, "cell", 0.0);
-  int32_t a_child = worker_a.BeginSpan("sample");
-  worker_a.EndSpan(a_child);
-  worker_a.EndSpan(a_root);
+TEST(TraceRecorderTest, NamesSurviveAFullGlobalNameTable) {
+  // A trace's names live in its own dump, so a process whose flight name
+  // table is full (here: filled on purpose) still decodes every span
+  // name, attribute key and string value. Each ctest case runs in its own
+  // process, so the filled table cannot leak into other tests.
+  for (size_t i = 0; telemetry::FlightNameCount() < telemetry::kMaxFlightNames;
+       ++i) {
+    telemetry::FlightInternName("filler-" + std::to_string(i));
+  }
+  ASSERT_EQ(telemetry::FlightInternName("a-name-past-the-cap"), 0u);
 
-  TraceRecorder worker_b;
-  int32_t b_root = worker_b.BeginSpan("cell");
-  worker_b.AddAttr(b_root, "cell", 1.0);
-  worker_b.EndSpan(b_root);
-
-  TraceRecorder phase;
-  int32_t root = phase.BeginSpan("precompute");
-  phase.Merge(worker_a);
-  phase.Merge(worker_b);
-  phase.EndSpan(root);
-
-  ASSERT_EQ(phase.num_spans(), 4u);  // precompute + (cell, sample) + cell.
-  EXPECT_EQ(phase.span(1).parent, root);              // a's cell.
-  EXPECT_EQ(phase.span(2).parent, 1);                 // a's sample, shifted.
-  EXPECT_EQ(phase.span(3).parent, root);              // b's cell.
-  EXPECT_DOUBLE_EQ(phase.span(1).NumAttrOr("cell", -1), 0.0);
-  EXPECT_DOUBLE_EQ(phase.span(3).NumAttrOr("cell", -1), 1.0);
-  EXPECT_EQ(phase.CountNamed("cell"), 2u);
-  EXPECT_EQ(phase.open_depth(), 0u);
-}
-
-TEST(TraceRecorderTest, MergeWithNoOpenSpanAddsRoots) {
-  TraceRecorder src;
-  int32_t s = src.BeginSpan("solo");
-  src.EndSpan(s);
-  TraceRecorder dst;
-  dst.Merge(src);
-  ASSERT_EQ(dst.num_spans(), 1u);
-  EXPECT_EQ(dst.span(0).parent, TraceRecorder::kNoSpan);
-}
-
-TEST(TraceRecorderTest, MergeIntoDisabledRecorderDrops) {
-  TraceRecorder src;
-  src.EndSpan(src.BeginSpan("x"));
-  TraceRecorder dst;
-  dst.set_enabled(false);
-  dst.Merge(src);
-  EXPECT_EQ(dst.num_spans(), 0u);
+  TraceRecorder rec;
+  {
+    ScopedSpan search(&rec, "search-past-cap");
+    search.Attr("store-past-cap", "vertical-past-cap");
+    ScopedSpan node(&rec, "node-past-cap");
+    node.Attr("dov-past-cap", 0.5);
+  }
+  const SpanForest forest = DecodeSpanForest(rec.dump());
+  ASSERT_EQ(forest.spans.size(), 2u);
+  EXPECT_EQ(forest.spans[0].name, "search-past-cap");
+  ASSERT_NE(forest.spans[0].StrAttr("store-past-cap"), nullptr);
+  EXPECT_EQ(*forest.spans[0].StrAttr("store-past-cap"), "vertical-past-cap");
+  EXPECT_EQ(forest.spans[1].name, "node-past-cap");
+  EXPECT_DOUBLE_EQ(forest.spans[1].NumAttrOr("dov-past-cap", -1.0), 0.5);
+  EXPECT_EQ(rec.dump().names_dropped, 0u);
 }
 
 TEST(CounterTest, ConcurrentIncrementsLoseNothing) {
@@ -329,7 +315,8 @@ TEST(TraceRecorderTest, JsonTreeShape) {
   int32_t node = rec.BeginSpan("node");
   rec.EndSpan(node);
   rec.EndSpan(root);
-  Result<JsonValue> parsed = ParseJson(rec.ToJson());
+  Result<JsonValue> parsed =
+      ParseJson(DecodeSpanForest(rec.dump()).ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->items.size(), 1u);
   const JsonValue& tree = parsed->items[0];
@@ -544,7 +531,8 @@ TEST(TelemetryTest, ChromeTraceSchema) {
   // A traced search records the span shapes the searcher emits (one
   // "search" root, "node" children, decision leaves) plus per-query frame
   // records; the Chrome-trace export of that state must be a valid
-  // trace-event document with exactly nested span intervals.
+  // trace-event document: frames as complete events, spans as balanced
+  // B/E pairs in wall-clock order with their attributes in the B args.
   Telemetry t;
   t.tracer().set_enabled(true);
   int32_t search = t.tracer().BeginSpan("search");
@@ -575,48 +563,49 @@ TEST(TelemetryTest, ChromeTraceSchema) {
   ASSERT_FALSE(events->items.empty());
 
   size_t complete_events = 0;
-  std::vector<std::pair<double, double>> span_intervals;  // [ts, ts+dur)
+  std::vector<std::string> span_phases;  // "B search", "E search", ...
+  double last_span_ts = 0.0;
   for (const JsonValue& event : events->items) {
     // Every event carries the mandatory trace-event fields.
     ASSERT_NE(event.Find("name"), nullptr);
     ASSERT_NE(event.Find("ph"), nullptr);
     ASSERT_NE(event.Find("pid"), nullptr);
     const std::string& ph = event.Find("ph")->string;
-    EXPECT_TRUE(ph == "X" || ph == "M" || ph == "C") << ph;
+    EXPECT_TRUE(ph == "X" || ph == "M" || ph == "C" || ph == "B" ||
+                ph == "E")
+        << ph;
     if (ph != "M") {
       ASSERT_NE(event.Find("ts"), nullptr);
       ASSERT_NE(event.Find("tid"), nullptr);
     }
     if (ph == "X") {
       ++complete_events;
+      EXPECT_EQ(event.Find("pid")->number, 1.0);  // Frame process.
       ASSERT_NE(event.Find("dur"), nullptr);
       EXPECT_GT(event.Find("dur")->number, 0.0);
-      if (event.Find("pid")->number == 2.0) {  // Span-forest process.
-        span_intervals.emplace_back(
-            event.Find("ts")->number,
-            event.Find("ts")->number + event.Find("dur")->number);
+    }
+    if (ph == "B" || ph == "E") {
+      EXPECT_EQ(event.Find("pid")->number, 2.0);  // Search-trace process.
+      EXPECT_GE(event.Find("ts")->number, last_span_ts);
+      last_span_ts = event.Find("ts")->number;
+      span_phases.push_back(ph + " " + event.Find("name")->string);
+      const JsonValue* args = event.Find("args");
+      ASSERT_NE(args, nullptr);
+      if (ph == "B" && event.Find("name")->string == "search") {
+        ASSERT_NE(args->Find("eta"), nullptr);
+        EXPECT_DOUBLE_EQ(args->Find("eta")->number, 0.001);
+      }
+      if (ph == "B" && event.Find("name")->string == "prune") {
+        ASSERT_NE(args->Find("dov"), nullptr);
       }
     }
   }
-  // 4 spans + 2 frames, all exported as complete events.
-  EXPECT_EQ(complete_events, 6u);
-
-  // Span intervals either nest or are disjoint — never partially overlap
-  // (chrome://tracing renders partial overlaps wrong).
-  ASSERT_EQ(span_intervals.size(), 4u);
-  for (size_t i = 0; i < span_intervals.size(); ++i) {
-    for (size_t j = i + 1; j < span_intervals.size(); ++j) {
-      const auto& [a0, a1] = span_intervals[i];
-      const auto& [b0, b1] = span_intervals[j];
-      const bool disjoint = a1 <= b0 || b1 <= a0;
-      const bool nested = (a0 <= b0 && b1 <= a1) || (b0 <= a0 && a1 <= b1);
-      EXPECT_TRUE(disjoint || nested)
-          << "[" << a0 << "," << a1 << ") vs [" << b0 << "," << b1 << ")";
-    }
-  }
-  // The root "search" interval covers all four spans.
-  EXPECT_DOUBLE_EQ(span_intervals[0].first, 0.0);
-  EXPECT_DOUBLE_EQ(span_intervals[0].second, 4.0);
+  EXPECT_EQ(complete_events, 2u);  // The two frames.
+  // The spans nest exactly like the recorded tree.
+  EXPECT_EQ(span_phases,
+            (std::vector<std::string>{"B search", "B node", "B prune",
+                                      "E prune", "E node", "B node",
+                                      "E node", "E search"}));
 }
 
 }  // namespace

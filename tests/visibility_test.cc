@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "persist/world_codec.h"
 #include "scene/city_generator.h"
+#include "telemetry/trace.h"
 #include "visibility/cubemap_buffer.h"
 #include "visibility/dov.h"
 #include "visibility/dov_sampling.h"
@@ -793,8 +796,15 @@ TEST(PrecomputeTest, TelemetryCountsSharedViewpoints) {
   EXPECT_EQ(samples, 16u * 5);
   EXPECT_GT(viewpoints, 16u);       // Every center is a viewpoint of its own,
   EXPECT_LT(viewpoints, samples);   // but corners are shared.
-  EXPECT_EQ(tel.tracer().CountNamed("precompute"), 1u);
-  EXPECT_EQ(tel.tracer().CountNamed("cell"), 16u);
+  const telemetry::SpanForest forest =
+      telemetry::DecodeSpanForest(tel.tracer().dump());
+  const auto count = [&forest](std::string_view name) {
+    return std::count_if(
+        forest.spans.begin(), forest.spans.end(),
+        [name](const telemetry::TraceSpan& s) { return s.name == name; });
+  };
+  EXPECT_EQ(count("precompute"), 1);
+  EXPECT_EQ(count("cell"), 16);
 }
 
 TEST(PrecomputeTest, ThreadedProgressIsSerializedAndMonotonic) {

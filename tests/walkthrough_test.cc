@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <string_view>
+#include <utility>
 
 #include "scene/city_generator.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/json.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 #include "walkthrough/fidelity.h"
 #include "walkthrough/frame_loop.h"
 #include "walkthrough/naive_system.h"
@@ -17,6 +21,12 @@
 
 namespace hdov {
 namespace {
+
+size_t CountSpans(const telemetry::SpanForest& forest, std::string_view name) {
+  return static_cast<size_t>(std::count_if(
+      forest.spans.begin(), forest.spans.end(),
+      [name](const telemetry::TraceSpan& s) { return s.name == name; }));
+}
 
 class WalkthroughFixture : public ::testing::Test {
  protected:
@@ -593,12 +603,13 @@ TEST_F(WalkthroughFixture, TelemetryQueryTraceHasSearchSpans) {
                   ->Query(CenterViewpoint().position,
                           /*fetch_models=*/false, &result, &stats)
                   .ok());
-  const telemetry::TraceRecorder& rec = tel.tracer();
-  ASSERT_EQ(rec.CountNamed("search"), 1u);
-  EXPECT_EQ(rec.CountNamed("node"), stats.nodes_visited);
-  EXPECT_EQ(rec.CountNamed("prune"), stats.hidden_entries_pruned);
-  EXPECT_EQ(rec.CountNamed("terminate"), stats.internal_terminations);
-  EXPECT_EQ(rec.open_depth(), 0u);
+  const telemetry::SpanForest forest =
+      telemetry::DecodeSpanForest(tel.tracer().dump());
+  ASSERT_EQ(CountSpans(forest, "search"), 1u);
+  EXPECT_EQ(CountSpans(forest, "node"), stats.nodes_visited);
+  EXPECT_EQ(CountSpans(forest, "prune"), stats.hidden_entries_pruned);
+  EXPECT_EQ(CountSpans(forest, "terminate"), stats.internal_terminations);
+  EXPECT_EQ(tel.tracer().open_depth(), 0u);
   // Standalone queries emit kind="query" records.
   ASSERT_EQ(tel.frames().size(), 1u);
   EXPECT_EQ(tel.frames()[0].kind, "query");
@@ -627,11 +638,59 @@ TEST_F(WalkthroughFixture, TraceSamplingGatesSpanTrees) {
   const telemetry::TraceRecorder& rec = tel.tracer();
   EXPECT_EQ(rec.queries_seen(), 4u);
   EXPECT_EQ(rec.queries_sampled(), 2u);
-  EXPECT_EQ(rec.CountNamed("search"), 2u);
+  EXPECT_EQ(CountSpans(telemetry::DecodeSpanForest(rec.dump()), "search"),
+            2u);
   // Sampling only thins span trees — counters still see every query.
   const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
   ASSERT_NE(snap.Find("visual.search.queries"), nullptr);
   EXPECT_DOUBLE_EQ(snap.Find("visual.search.queries")->value, 4.0);
+}
+
+TEST_F(WalkthroughFixture, TracedQueryChromeSpansBalance) {
+  // A traced query's Chrome export: span B/E events balance on every
+  // (pid, tid) track, one B per recorded span, and the "search" span's B
+  // event carries the search's attributes in its args.
+  telemetry::Telemetry tel;
+  tel.tracer().set_enabled(true);
+  auto visual = MakeVisual(0.001);
+  visual->AttachTelemetry(&tel, "visual");
+  std::vector<RetrievedLod> result;
+  ASSERT_TRUE(visual
+                  ->Query(CenterViewpoint().position,
+                          /*fetch_models=*/true, &result, nullptr)
+                  .ok());
+  Result<telemetry::JsonValue> parsed =
+      telemetry::ParseJson(tel.ChromeTraceJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::map<std::pair<double, double>, int64_t> depth;  // (pid, tid) -> open.
+  size_t begins = 0;
+  const telemetry::JsonValue* search_args = nullptr;
+  for (const telemetry::JsonValue& ev : parsed->Find("traceEvents")->items) {
+    const std::string& ph = ev.Find("ph")->string;
+    if (ph != "B" && ph != "E") {
+      continue;
+    }
+    int64_t& open =
+        depth[{ev.Find("pid")->number, ev.Find("tid")->number}];
+    open += ph == "B" ? 1 : -1;
+    ASSERT_GE(open, 0);
+    if (ph == "B") {
+      ++begins;
+      if (ev.Find("name")->string == "search") {
+        search_args = ev.Find("args");
+      }
+    }
+  }
+  for (const auto& [track, open] : depth) {
+    EXPECT_EQ(open, 0) << "pid " << track.first << " tid " << track.second;
+  }
+  EXPECT_EQ(begins, tel.tracer().num_spans());
+  ASSERT_NE(search_args, nullptr);
+  for (const char* key : {"cell", "eta", "store", "nodes_visited",
+                          "vpages_fetched", "hidden_pruned",
+                          "internal_terminations"}) {
+    EXPECT_NE(search_args->Find(key), nullptr) << key;
+  }
 }
 
 TEST_F(WalkthroughFixture, FlightRecorderToggleKeepsCountersBitIdentical) {

@@ -43,6 +43,7 @@
 #include "hdov/hdov_tree.h"
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
+#include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
@@ -323,6 +324,28 @@ int InspectDb(const InspectArgs& args) {
   return 0;
 }
 
+// Writes a --chrome-out conversion; 0 on success, 1 (with a message on
+// stderr) when the file cannot be opened or written. `what` names the
+// layout in the success line.
+int WriteChromeOut(const std::string& path,
+                   const telemetry::ChromeTraceSources& sources,
+                   const char* what) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "hdov_inspect: cannot open %s\n", path.c_str());
+    return 1;
+  }
+  out << telemetry::ChromeTraceJson(sources);
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "hdov_inspect: write failed: %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("chrome trace: wrote %s (%sopen in chrome://tracing)\n",
+              path.c_str(), what);
+  return 0;
+}
+
 int InspectFlight(const InspectArgs& args) {
   Result<telemetry::FlightDump> read =
       telemetry::FlightRecorder::ReadDump(args.flight);
@@ -448,22 +471,7 @@ int InspectFlight(const InspectArgs& args) {
                  &telemetry::FlightTotals::pages_read);
 
   if (!args.chrome_out.empty()) {
-    std::ofstream out(args.chrome_out,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: cannot open %s\n",
-                   args.chrome_out.c_str());
-      return 1;
-    }
-    out << telemetry::FlightChromeTraceJson(dump);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: write failed: %s\n",
-                   args.chrome_out.c_str());
-      return 1;
-    }
-    std::printf("chrome trace: wrote %s (open in chrome://tracing)\n",
-                args.chrome_out.c_str());
+    return WriteChromeOut(args.chrome_out, {.flight = &dump}, "");
   }
   return 0;
 }
@@ -532,23 +540,8 @@ int InspectSlowdump(const InspectArgs& args) {
 
   // --chrome-out belongs to --flight when both inputs are given.
   if (!args.chrome_out.empty() && args.flight.empty()) {
-    std::ofstream out(args.chrome_out,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: cannot open %s\n",
-                   args.chrome_out.c_str());
-      return 1;
-    }
-    out << telemetry::SlowDumpChromeTraceJson(dump);
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "hdov_inspect: write failed: %s\n",
-                   args.chrome_out.c_str());
-      return 1;
-    }
-    std::printf("chrome trace: wrote %s (one track per session; open in"
-                " chrome://tracing)\n",
-                args.chrome_out.c_str());
+    return WriteChromeOut(args.chrome_out, {.slow = &dump},
+                          "one track per session; ");
   }
   return 0;
 }
