@@ -262,11 +262,14 @@ void BM_BufferPoolGet(benchmark::State& state) {
   for (uint64_t i = 0; i < kPages; ++i) {
     device.Allocate();
   }
-  BufferPool pool(&device, static_cast<size_t>(state.range(0)));
+  // One shard, as a VisualSystem's tree cache uses it.
+  BufferPool pool(&device,
+                  {.capacity_pages = static_cast<size_t>(state.range(0)),
+                   .shards = 1});
   Rng rng(5);
   for (auto _ : state) {
-    Result<BufferPool::PageRef> ref = pool.Get(rng.NextUint64(kPages));
-    benchmark::DoNotOptimize(ref.ok());
+    auto page = pool.Get(rng.NextUint64(kPages));
+    benchmark::DoNotOptimize(page.ok());
   }
   state.counters["hit_rate"] = pool.stats().HitRate();
 }

@@ -113,14 +113,16 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
   node_span.Attr("node", static_cast<double>(node.node_id));
   node_span.Attr("fanout", static_cast<double>(node.entries.size()));
   node_span.Attr("leaf", node.is_leaf ? 1.0 : 0.0);
-  if (node.page != kInvalidPage && node.page != last_node_page_) {
+  if (tree_device_ != nullptr && node.page != kInvalidPage &&
+      node.page != last_node_page_) {
+    bool hit = false;
     if (tree_cache_ != nullptr) {
-      HDOV_RETURN_IF_ERROR(tree_cache_->Get(node.page).status());
-      last_node_page_ = node.page;
-    } else if (tree_device_ != nullptr) {
-      HDOV_RETURN_IF_ERROR(tree_device_->Read(node.page, nullptr));
-      last_node_page_ = node.page;
+      HDOV_RETURN_IF_ERROR(tree_cache_->Get(node.page, &hit).status());
     }
+    if (!hit) {
+      HDOV_RETURN_IF_ERROR(tree_device_->Read(node.page, nullptr));
+    }
+    last_node_page_ = node.page;
   }
 
   if (depth == vpages_.size()) {

@@ -110,8 +110,9 @@ class HdovSearcher {
                 SearchStats* stats = nullptr);
 
   // Optional LRU pool in front of the tree-node page reads: pages hit in
-  // the pool cost no simulated I/O. Null (the default) reads straight from
-  // the tree device. The pool must wrap the same device.
+  // the pool cost no simulated I/O, a miss bills one tree-device page read.
+  // Null (the default) bills every node read. The pool must wrap the same
+  // device; without a tree device it is never consulted.
   void set_tree_cache(BufferPool* cache) { tree_cache_ = cache; }
 
  private:

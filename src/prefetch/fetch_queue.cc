@@ -15,11 +15,6 @@ AsyncFetchQueue::~AsyncFetchQueue() {
   Drain();
 }
 
-uint64_t AsyncFetchQueue::EpochOf(const void* owner) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return owner_epochs_[owner];  // Default-constructs epoch 0 on first use.
-}
-
 void AsyncFetchQueue::Issue(const Request& request) {
   if (request.pages == 0 ||
       (request.pool == nullptr && request.device == nullptr)) {

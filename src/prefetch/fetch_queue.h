@@ -1,12 +1,12 @@
 // AsyncFetchQueue: the background half of the prefetch pipeline — a
 // ThreadPool-backed queue of page-run warm requests. Each request names a
-// warm target (a ShardedBufferPool to populate, or a device whose ReadRaw
-// path is the warmer) and a page run; workers pull requests and touch
-// every page so the REAL read happens off the render thread.
+// warm target (a BufferPool to populate, or a device whose ReadRaw path
+// is the warmer) and a page run; workers pull requests and touch every
+// page so the REAL read happens off the render thread.
 //
 // The queue lives entirely on the wall-clock side of the house: warms go
-// through ShardedBufferPool::Get and PageDevice::ReadRaw — both unbilled —
-// so running it (or not) cannot move a simulated counter. The simulated
+// through BufferPool::Get and PageDevice::ReadRaw — both unbilled — so
+// running it (or not) cannot move a simulated counter. The simulated
 // side of prefetch (diverted billing, residency credit) is handled by the
 // issuer (prefetch/prefetcher.h) against storage/page_device.h hooks.
 //
@@ -27,8 +27,8 @@
 #include <unordered_set>
 
 #include "common/thread_pool.h"
+#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
-#include "storage/sharded_buffer_pool.h"
 
 namespace hdov::prefetch {
 
@@ -51,15 +51,15 @@ struct FetchQueueStats {
 class AsyncFetchQueue {
  public:
   // One warm request. Exactly one of `pool` / `device` is the warm
-  // target: with a pool, pages are pulled through ShardedBufferPool::Get
+  // target: with a pool, pages are pulled through BufferPool::Get
   // (populating the shared cache); otherwise they are read via the
   // device's unbilled ReadRaw (paging a file-backed device's data into
   // the OS cache / materializing nothing for memory devices). Both
   // targets must outlive the request (Drain() before tearing them down).
   struct Request {
-    const void* owner = nullptr;          // Cancellation scope.
-    ShardedBufferPool* pool = nullptr;    // Preferred warm target.
-    const PageDevice* device = nullptr;   // Fallback warm target.
+    const void* owner = nullptr;         // Cancellation scope.
+    BufferPool* pool = nullptr;          // Preferred warm target.
+    const PageDevice* device = nullptr;  // Fallback warm target.
     PageId first = kInvalidPage;
     uint64_t pages = 0;
   };
@@ -103,7 +103,6 @@ class AsyncFetchQueue {
   };
 
   void Pump(Request request, uint64_t epoch);
-  uint64_t EpochOf(const void* owner);
 
   ThreadPool pool_;
   mutable std::mutex mu_;

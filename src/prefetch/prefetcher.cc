@@ -146,7 +146,7 @@ void Prefetcher::StageSink(PrefetchRole role) {
   PrefetchSink& sink = sinks_[static_cast<int>(role)];
   stats_.issued_pages += sink.stats.page_reads;
   stats_.overlap_cost_millis += sink.cost_millis;
-  ShardedBufferPool* pool =
+  BufferPool* pool =
       wiring_.warm_pool ? wiring_.warm_pool(role) : nullptr;
   auto& staged = staged_[static_cast<int>(role)];
   for (const auto& [first, pages] : sink.runs) {

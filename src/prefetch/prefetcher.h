@@ -83,9 +83,9 @@ struct PrefetcherWiring {
   // cancellation is scoped to this prefetcher. Null in sync mode.
   AsyncFetchQueue* queue = nullptr;
   // Optional shared cache to warm instead of raw device reads, per role
-  // (servers pass their ShardedBufferPools). Null / null-returning: warm
+  // (servers pass their BufferPools). Null / null-returning: warm
   // via the device's ReadRaw.
-  std::function<ShardedBufferPool*(PrefetchRole)> warm_pool;
+  std::function<BufferPool*(PrefetchRole)> warm_pool;
   // Optional: true when the caller already holds this representation at
   // sufficient detail (the delta search would not refetch it), so the
   // model-warm budget skips it. Null: warm everything in budget.

@@ -1,6 +1,6 @@
 // SessionDevice: one session's private, billed view over a shared
 // read-only base device. N concurrent sessions each wrap the same base
-// FilePageDevice (and optionally a ShardedBufferPool in front of it); the
+// FilePageDevice (and optionally a BufferPool in front of it); the
 // wrapper owns nothing shared — its IoStats, SimClock hookup, and
 // sequential-access tracker live in the PageDevice base class, private to
 // the session — so the simulated counters a session accumulates are
@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
-#include "storage/sharded_buffer_pool.h"
 
 namespace hdov {
 
@@ -25,7 +25,7 @@ class SessionDevice : public PageDevice {
   // `base` (and `cache`, when given) must outlive the device. `cache` may
   // be null — misses then read straight through base->ReadRaw. When a
   // cache is given it must front the same base device.
-  SessionDevice(const PageDevice* base, ShardedBufferPool* cache,
+  SessionDevice(const PageDevice* base, BufferPool* cache,
                 const DiskModel& model, SimClock* clock)
       : PageDevice(model, clock), base_(base), cache_(cache) {}
 
@@ -54,7 +54,7 @@ class SessionDevice : public PageDevice {
   Status FetchThrough(PageId page, std::string* out);
 
   const PageDevice* base_;
-  ShardedBufferPool* cache_;  // May be null.
+  BufferPool* cache_;  // May be null.
 };
 
 }  // namespace hdov

@@ -77,13 +77,13 @@ Status WalkthroughServer::LoadWorld() {
   HDOV_ASSIGN_OR_RETURN(model_meta_, loader_->ReadBlob(kSectionModelMeta));
 
   if (options_.shared_cache_pages > 0) {
-    ShardedPoolOptions popt;
+    BufferPoolOptions popt;
     popt.capacity_pages = options_.shared_cache_pages;
     popt.shards = options_.cache_shards;
     popt.flight_name = "server.pool.store";
-    store_pool_ = std::make_unique<ShardedBufferPool>(store_base_.get(), popt);
+    store_pool_ = std::make_unique<BufferPool>(store_base_.get(), popt);
     popt.flight_name = "server.pool.tree";
-    tree_pool_ = std::make_unique<ShardedBufferPool>(tree_base_.get(), popt);
+    tree_pool_ = std::make_unique<BufferPool>(tree_base_.get(), popt);
   }
 
   world_.scene = &scene_;
@@ -95,7 +95,7 @@ Status WalkthroughServer::LoadWorld() {
       [this](SessionDeviceRole role,
              SimClock* clock) -> Result<std::unique_ptr<PageDevice>> {
     const PageDevice* base = nullptr;
-    ShardedBufferPool* cache = nullptr;
+    BufferPool* cache = nullptr;
     switch (role) {
       case SessionDeviceRole::kTree:
         base = tree_base_.get();
@@ -121,7 +121,7 @@ Status WalkthroughServer::LoadWorld() {
     qopt.workers = options_.prefetch_workers;
     prefetch_queue_ = std::make_unique<prefetch::AsyncFetchQueue>(qopt);
     options_.visual.prefetch_queue = prefetch_queue_.get();
-    world_.warm_pool = [this](SessionDeviceRole role) -> ShardedBufferPool* {
+    world_.warm_pool = [this](SessionDeviceRole role) -> BufferPool* {
       switch (role) {
         case SessionDeviceRole::kTree:
           return tree_pool_.get();
@@ -175,9 +175,9 @@ Result<ServerRunStats> WalkthroughServer::Play() {
   telemetry::SlowFrameCapture& slow = telemetry::GlobalSlowFrameCapture();
 
   const BufferPoolStats store_cache0 =
-      store_pool_ != nullptr ? store_pool_->TotalStats() : BufferPoolStats();
+      store_pool_ != nullptr ? store_pool_->stats() : BufferPoolStats();
   const BufferPoolStats tree_cache0 =
-      tree_pool_ != nullptr ? tree_pool_->TotalStats() : BufferPoolStats();
+      tree_pool_ != nullptr ? tree_pool_->stats() : BufferPoolStats();
 
   ServerRunStats stats;
   const auto wall0 = std::chrono::steady_clock::now();
@@ -281,13 +281,13 @@ Result<ServerRunStats> WalkthroughServer::Play() {
     stats.sessions.push_back(std::move(record));
   }
   if (store_pool_ != nullptr) {
-    const BufferPoolStats now = store_pool_->TotalStats();
+    const BufferPoolStats now = store_pool_->stats();
     stats.store_cache.hits = now.hits - store_cache0.hits;
     stats.store_cache.misses = now.misses - store_cache0.misses;
     stats.store_cache.evictions = now.evictions - store_cache0.evictions;
   }
   if (tree_pool_ != nullptr) {
-    const BufferPoolStats now = tree_pool_->TotalStats();
+    const BufferPoolStats now = tree_pool_->stats();
     stats.tree_cache.hits = now.hits - tree_cache0.hits;
     stats.tree_cache.misses = now.misses - tree_cache0.misses;
     stats.tree_cache.evictions = now.evictions - tree_cache0.evictions;

@@ -34,7 +34,7 @@
 #include "persist/snapshot.h"
 #include "scene/cell_grid.h"
 #include "scene/session.h"
-#include "storage/sharded_buffer_pool.h"
+#include "storage/buffer_pool.h"
 #include "telemetry/trace_context.h"
 #include "walkthrough/frame_loop.h"
 #include "walkthrough/visual_system.h"
@@ -160,8 +160,8 @@ class WalkthroughServer {
   std::unique_ptr<FilePageDevice> tree_base_;
   std::unique_ptr<FilePageDevice> store_base_;
   std::unique_ptr<FilePageDevice> model_base_;
-  std::unique_ptr<ShardedBufferPool> tree_pool_;   // Null when disabled.
-  std::unique_ptr<ShardedBufferPool> store_pool_;  // Null when disabled.
+  std::unique_ptr<BufferPool> tree_pool_;   // Null when disabled.
+  std::unique_ptr<BufferPool> store_pool_;  // Null when disabled.
   // Server-wide background warm queue for async prefetch (null
   // otherwise). Declared after the pools/devices it warms: sessions
   // drain their own warms at destruction, and the queue's destructor

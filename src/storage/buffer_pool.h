@@ -1,27 +1,39 @@
-// BufferPool: an LRU page cache in front of a PageDevice. The walkthrough
-// systems read index pages through the pool; hit pages cost no simulated
-// I/O. Capacity is in pages.
+// BufferPool: the LRU page cache in front of a PageDevice. A walkthrough
+// system's searcher reads its tree-node pages through one; a server shares
+// one per device across every session (src/server/). Capacity is in pages.
 //
-// Get returns a pinned PageRef handle: the page cannot be evicted while a
-// ref to it is alive, so holding one across further Get calls is safe.
-// Invariants:
-//   - after every Get, at most `capacity()` *unpinned* entries remain
-//     (pins can push the momentary total above capacity — pin-through);
-//   - an unpin that leaves the pool over capacity evicts the excess in
-//     LRU order immediately.
-// A capacity of 0 is therefore legal and means "no caching": every page
-// lives only as long as its refs, and every Get is a miss.
+//   - The page space is hash-partitioned into shards; each shard has its
+//     own mutex, LRU list and hit/miss/eviction counters, so hot pages in
+//     different shards never contend on one lock. Each shard holds at most
+//     ceil(capacity / shards) pages, so the total can exceed capacity by
+//     fewer than `shards` pages; one shard makes the LRU global and the
+//     bound exact.
+//   - Get returns shared_ptr<const string>: the shared_ptr IS the pin.
+//     Eviction (and Clear) only drops the pool's reference; readers
+//     holding the page keep it alive, so there is no unpin bookkeeping.
+//   - Misses read through PageDevice::ReadRaw, the UNBILLED const path.
+//     The pool never touches a SimClock or IoStats: a caller that bills
+//     simulated I/O (the searcher) bills its own device on a miss, which
+//     Get reports through `hit`.
+//   - The device miss read runs outside the shard lock, so a slow pread
+//     only blocks readers of the same page's shard, briefly, twice.
+// A capacity of 0 means "no caching": every Get is a miss and nothing is
+// retained.
+//
+// Locking order: a shard mutex is a leaf lock — no other lock is ever
+// taken while one is held, and ReadRaw is lock-free on the device side.
 
 #ifndef HDOV_STORAGE_BUFFER_POOL_H_
 #define HDOV_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/page_device.h"
@@ -39,95 +51,52 @@ struct BufferPoolStats {
   }
 };
 
+struct BufferPoolOptions {
+  size_t capacity_pages = 1024;
+  size_t shards = 8;
+  // Flight-recorder label of hit/miss events until RegisterWith renames
+  // them after its prefix.
+  std::string flight_name = "pool";
+};
+
 class BufferPool {
- private:
-  struct Entry;  // Defined below; PageRef holds a pointer to one.
-
  public:
-  // Move-only pinned handle to one cached page. The page's bytes stay
-  // valid (and the entry un-evictable) for the life of the ref; the pool
-  // must outlive every ref it handed out.
-  class PageRef {
-   public:
-    PageRef() = default;
-    PageRef(PageRef&& other) noexcept
-        : pool_(other.pool_), entry_(other.entry_) {
-      other.pool_ = nullptr;
-      other.entry_ = nullptr;
-    }
-    PageRef& operator=(PageRef&& other) noexcept {
-      if (this != &other) {
-        Release();
-        pool_ = other.pool_;
-        entry_ = other.entry_;
-        other.pool_ = nullptr;
-        other.entry_ = nullptr;
-      }
-      return *this;
-    }
-    ~PageRef() { Release(); }
-
-    PageRef(const PageRef&) = delete;
-    PageRef& operator=(const PageRef&) = delete;
-
-    bool valid() const { return entry_ != nullptr; }
-    const std::string& data() const {
-      assert(valid());
-      return entry_->data;
-    }
-    const std::string& operator*() const { return data(); }
-    const std::string* operator->() const { return &data(); }
-
-    // Unpins early (idempotent); the ref is empty afterwards.
-    void Release() {
-      if (pool_ != nullptr) {
-        pool_->Unpin(entry_);
-      }
-      pool_ = nullptr;
-      entry_ = nullptr;
-    }
-
-   private:
-    friend class BufferPool;
-    PageRef(BufferPool* pool, Entry* entry) : pool_(pool), entry_(entry) {}
-
-    BufferPool* pool_ = nullptr;
-    Entry* entry_ = nullptr;
-  };
-
-  BufferPool(PageDevice* device, size_t capacity_pages)
-      : device_(device),
-        capacity_(capacity_pages),
-        flight_code_(telemetry::FlightInternName("pool")) {}
+  // `base` must outlive the pool. Concurrent Gets additionally need its
+  // const read path (ReadRaw / page_count) to be safe for concurrent
+  // callers — FilePageDevice opened read-only qualifies.
+  BufferPool(const PageDevice* base, const BufferPoolOptions& options);
+  ~BufferPool() { UnregisterViews(); }
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  ~BufferPool() { UnregisterViews(); }
+  // Returns the page contents (zeros when unmaterialized), reading
+  // through the base device on a miss; `*hit` (when given) tells which.
+  // Thread-safe. The returned page stays valid for the life of the
+  // shared_ptr.
+  Result<std::shared_ptr<const std::string>> Get(PageId page,
+                                                 bool* hit = nullptr);
 
-  // Returns a pinned ref to the page contents, reading through on a miss.
-  Result<PageRef> Get(PageId page);
-
-  // Drops every unpinned entry and resets the hit/miss/eviction counters:
-  // a cleared pool reports statistics for the work after the Clear only
-  // (the walkthrough systems clear between sessions, so per-session
-  // telemetry views read per-session numbers). Entries kept alive by live
-  // refs survive with their pins; dropped entries do not count as
-  // evictions.
+  // Drops every entry and resets the counters: a cleared pool reports
+  // statistics for the work after the Clear only (the walkthrough systems
+  // clear between sessions, so per-session views read per-session
+  // numbers). Dropped entries do not count as evictions; a page a caller
+  // still holds stays valid through its shared_ptr.
   void Clear();
 
   size_t capacity() const { return capacity_; }
-  size_t size() const { return entries_.size(); }
-  const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferPoolStats(); }
 
-  // Folds the pool's hit/miss/eviction counters (and a derived hit-rate
-  // gauge) into `registry` as `<prefix>.hits`, `.misses`, `.evictions`,
-  // `.hit_rate` read-through views. The registration is dropped again by
-  // UnregisterViews(), which the destructor calls, so a view can never
-  // outlive the pool it reads; `registry` must still be alive at that
-  // point (registering with a registry the pool outlives requires an
-  // explicit UnregisterViews() before the registry goes away).
+  // Cached entries and hit/miss/eviction totals across shards. Each shard
+  // is read under its lock; the sums are approximate under concurrent
+  // traffic.
+  size_t size() const;
+  BufferPoolStats stats() const;
+
+  // Folds stats() into `registry` as `<prefix>.hits`, `.misses`,
+  // `.evictions`, `.hit_rate` read-through views, and names the pool's
+  // flight events after `prefix`. UnregisterViews(), which the destructor
+  // calls, drops them again, so a view never outlives the pool; `registry`
+  // must still be alive at that point.
   void RegisterWith(telemetry::MetricsRegistry* registry,
                     const std::string& prefix);
 
@@ -137,30 +106,32 @@ class BufferPool {
 
  private:
   struct Entry {
-    std::string data;
+    std::shared_ptr<const std::string> data;
     std::list<PageId>::iterator lru_it;
-    uint32_t pins = 0;
   };
 
-  // Evicts unpinned entries in LRU order until size() <= capacity() (or
-  // only pinned entries remain).
-  void TrimToCapacity();
-  void Unpin(Entry* entry);
+  struct Shard {
+    mutable std::mutex mu;
+    std::list<PageId> lru;  // Front = most recently used.
+    std::unordered_map<PageId, Entry> entries;
+    BufferPoolStats stats;
+  };
 
-  PageDevice* device_;
+  Shard& ShardFor(PageId page) {
+    return shards_[static_cast<size_t>(page) % shards_.size()];
+  }
+
+  const PageDevice* base_;
   size_t capacity_;
-  // Flight-recorder code of hit/miss events; "pool" until RegisterWith
-  // names it after the registration prefix. Atomic because a concurrent
-  // reader can be on the Get/Record path while another thread (re)wires
-  // telemetry; relaxed ordering is enough, a stale code only mislabels
-  // an event, it cannot corrupt anything.
+  size_t per_shard_capacity_;
+  // Atomic because a Get may record an event while another thread
+  // retargets the code in RegisterWith; relaxed is enough, a stale code
+  // only mislabels one event.
   std::atomic<uint16_t> flight_code_;
+  std::vector<Shard> shards_;
   // Where the stats views are currently registered (null when none).
   telemetry::MetricsRegistry* view_registry_ = nullptr;
   std::string view_prefix_;
-  BufferPoolStats stats_;
-  std::list<PageId> lru_;  // Front = most recently used.
-  std::unordered_map<PageId, std::unique_ptr<Entry>> entries_;
 };
 
 }  // namespace hdov

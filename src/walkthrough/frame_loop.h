@@ -29,9 +29,9 @@ struct SessionSummary {
   // Buffer-pool hit rate over the whole session, as total hits divided by
   // total pool traffic (ratio of sums — a frame with heavy traffic weighs
   // more than an idle one). Sessions start with a cleared pool
-  // (BufferPool::Clear resets entries AND counters), so this — like the
-  // pool's telemetry views while the session runs — covers only this
-  // session's frames. 0 when the system runs uncached.
+  // (BufferPool::Clear drops every entry AND resets the counters), so
+  // this — like the pool's telemetry views while the session runs —
+  // covers only this session's frames. 0 when the system runs uncached.
   double avg_cache_hit_rate = 0.0;
   uint64_t max_resident_bytes = 0;
 

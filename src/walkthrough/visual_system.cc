@@ -25,8 +25,11 @@ Status VisualSystem::FinishConstruction() {
                                              models_.get(),
                                              tree_device_.get());
   if (options_.tree_cache_pages > 0) {
-    tree_cache_ = std::make_unique<BufferPool>(tree_device_.get(),
-                                               options_.tree_cache_pages);
+    // One shard: a global LRU over the session's own tree pages.
+    tree_cache_ = std::make_unique<BufferPool>(
+        tree_device_.get(),
+        BufferPoolOptions{.capacity_pages = options_.tree_cache_pages,
+                          .shards = 1});
     searcher_->set_tree_cache(tree_cache_.get());
   }
   // Nonzero prefetch_models_per_frame is the historical way to ask for
@@ -218,6 +221,12 @@ void VisualSystem::RegisterTelemetry() {
                                std::max<size_t>(2, tree_->fanout() / 2 + 1)));
   for (size_t i = 0; i < tree_->num_nodes(); ++i) {
     fanout->Observe(static_cast<double>(tree_->node(i).entries.size()));
+  }
+}
+
+void VisualSystem::UnregisterTelemetry() {
+  if (tree_cache_ != nullptr) {
+    tree_cache_->UnregisterViews();
   }
 }
 

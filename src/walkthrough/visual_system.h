@@ -96,9 +96,9 @@ struct SharedWorldView {
                                                     SimClock* clock)>
       make_device;
   // Optional: the shared page cache background prefetch warms for a role
-  // (servers hand out their ShardedBufferPools here). Null / returning
+  // (servers hand out their BufferPools here). Null / returning
   // null makes warms read the session device's raw path instead.
-  std::function<ShardedBufferPool*(SessionDeviceRole)> warm_pool;
+  std::function<BufferPool*(SessionDeviceRole)> warm_pool;
 };
 
 // How CreateFromSnapshot materializes the snapshot's device sections.
@@ -185,6 +185,7 @@ class VisualSystem : public WalkthroughSystem {
   Status FinishConstruction();
 
   void RegisterTelemetry() override;
+  void UnregisterTelemetry() override;
   // Folds one query's stats into the registry counters (telemetry only).
   void CountQuery(const SearchStats& stats);
 
@@ -241,7 +242,7 @@ class VisualSystem : public WalkthroughSystem {
   // prefetcher; this map is the legacy PrefetchState::loaded).
   std::unordered_map<uint64_t, ResidentEntry> prefetch_loaded_;
   // For session views: the shared warm-pool lookup from SharedWorldView.
-  std::function<ShardedBufferPool*(SessionDeviceRole)> warm_pool_;
+  std::function<BufferPool*(SessionDeviceRole)> warm_pool_;
   // Declared after the devices and the queue on purpose: the prefetcher's
   // destructor uninstalls the device residency gates and drains its warms
   // out of the queue, so it must go first.

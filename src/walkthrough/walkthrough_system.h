@@ -89,6 +89,7 @@ class WalkthroughSystem {
 
   void DetachTelemetry() {
     if (telemetry_ != nullptr) {
+      UnregisterTelemetry();
       telemetry_->metrics().UnregisterPrefix(telemetry_prefix_ + ".");
       telemetry_ = nullptr;
       telemetry_prefix_.clear();
@@ -123,6 +124,9 @@ class WalkthroughSystem {
   // Called once per AttachTelemetry; subclasses register their devices,
   // counters and histograms under telemetry_prefix().
   virtual void RegisterTelemetry() {}
+  // Called by DetachTelemetry before the prefix is dropped; subclasses
+  // release registrations that remember the registry they went into.
+  virtual void UnregisterTelemetry() {}
 
   // Appends the per-frame record for an instrumented frame (no-op when
   // telemetry is off).

@@ -7,8 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
-#include "storage/sharded_buffer_pool.h"
 
 namespace hdov::prefetch {
 namespace {
@@ -27,9 +27,9 @@ std::unique_ptr<PageDevice> MakeDevice(uint64_t pages) {
 
 TEST(FetchQueueTest, WarmsRunIntoPool) {
   auto device = MakeDevice(16);
-  ShardedPoolOptions popt;
+  BufferPoolOptions popt;
   popt.capacity_pages = 64;
-  ShardedBufferPool pool(device.get(), popt);
+  BufferPool pool(device.get(), popt);
 
   AsyncFetchQueue queue(FetchQueueOptions{.workers = 1});  // Inline.
   int owner = 0;
@@ -42,11 +42,11 @@ TEST(FetchQueueTest, WarmsRunIntoPool) {
   EXPECT_EQ(stats.requests_cancelled, 0u);
   EXPECT_EQ(stats.pages_warmed, 8u);
   // The warm populated the shared cache: the next Get of those pages hits.
-  BufferPoolStats before = pool.TotalStats();
+  BufferPoolStats before = pool.stats();
   for (PageId p = 1; p <= 8; ++p) {
     ASSERT_TRUE(pool.Get(p).ok());
   }
-  BufferPoolStats after = pool.TotalStats();
+  BufferPoolStats after = pool.stats();
   EXPECT_EQ(after.hits - before.hits, 8u);
   EXPECT_EQ(after.misses, before.misses);
 }
@@ -146,9 +146,9 @@ TEST(FetchQueueTest, DuplicateInFlightRequestIsCoalesced) {
 // request"; the assertions check the conservation laws.
 TEST(FetchQueueTest, ConcurrentIssueCancelDrain) {
   auto device = MakeDevice(256);
-  ShardedPoolOptions popt;
+  BufferPoolOptions popt;
   popt.capacity_pages = 128;
-  ShardedBufferPool pool(device.get(), popt);
+  BufferPool pool(device.get(), popt);
   AsyncFetchQueue queue(FetchQueueOptions{.workers = 4});
 
   constexpr int kIssuers = 4;

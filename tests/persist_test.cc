@@ -11,7 +11,9 @@
 #include "common/crc32c.h"
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
+#include "storage/buffer_pool.h"
 #include "storage/file_device.h"
+#include "telemetry/telemetry.h"
 #include "temp_path.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/visual_system.h"
@@ -353,11 +355,14 @@ class WorldRoundTripTest : public ::testing::Test {
   void TearDown() override { std::remove(path_.c_str()); }
 
   // Runs the fig7-style query workload and returns per-query results plus
-  // the I/O counter and simulated-clock deltas through the out-params.
+  // the I/O counter, simulated-clock and tree-cache deltas (all zero
+  // without a cache) through the out-params.
   static void Drive(VisualSystem* system, const Aabb& bounds,
                     std::vector<std::vector<RetrievedLod>>* results,
-                    IoStats* io, double* millis) {
-    system->ResetRuntime();
+                    IoStats* io, double* millis, BufferPoolStats* cache) {
+    telemetry::Telemetry tel;
+    system->AttachTelemetry(&tel, "rt");
+    system->ResetRuntime();  // Also clears the tree cache and its counters.
     system->ResetIoStats();
     std::vector<Vec3> viewpoints;
     for (int i = 0; i < 8; ++i) {
@@ -378,15 +383,26 @@ class WorldRoundTripTest : public ::testing::Test {
     }
     *io = system->TotalIoStats();
     *millis = system->clock().NowMillis() - t0;
+    const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+    auto counter = [&snap](const char* name) {
+      const telemetry::MetricSample* sample = snap.Find(name);
+      return sample == nullptr ? 0 : static_cast<uint64_t>(sample->value);
+    };
+    *cache = {counter("rt.cache.tree.hits"), counter("rt.cache.tree.misses"),
+              counter("rt.cache.tree.evictions")};
+    system->DetachTelemetry();
   }
 
+  // Also returns the built system's tree-cache traffic through `cache`.
   static void ExpectIdentical(VisualSystem* built, VisualSystem* loaded,
-                              const Aabb& bounds) {
+                              const Aabb& bounds, BufferPoolStats* cache) {
     std::vector<std::vector<RetrievedLod>> built_results, loaded_results;
     IoStats built_io, loaded_io;
     double built_ms = 0.0, loaded_ms = 0.0;
-    Drive(built, bounds, &built_results, &built_io, &built_ms);
-    Drive(loaded, bounds, &loaded_results, &loaded_io, &loaded_ms);
+    BufferPoolStats loaded_cache;
+    Drive(built, bounds, &built_results, &built_io, &built_ms, cache);
+    Drive(loaded, bounds, &loaded_results, &loaded_io, &loaded_ms,
+          &loaded_cache);
 
     // Bit-identical result sets...
     ASSERT_EQ(built_results.size(), loaded_results.size());
@@ -409,6 +425,9 @@ class WorldRoundTripTest : public ::testing::Test {
     EXPECT_EQ(built_io.seeks, loaded_io.seeks);
     EXPECT_EQ(built_io.bytes_read, loaded_io.bytes_read);
     EXPECT_DOUBLE_EQ(built_ms, loaded_ms);
+    EXPECT_EQ(cache->hits, loaded_cache.hits);
+    EXPECT_EQ(cache->misses, loaded_cache.misses);
+    EXPECT_EQ(cache->evictions, loaded_cache.evictions);
   }
 
   std::string path_;
@@ -435,19 +454,31 @@ TEST_F(WorldRoundTripTest, EverySchemeMatchesInBothLoadModes) {
   for (StorageScheme scheme :
        {StorageScheme::kHorizontal, StorageScheme::kVertical,
         StorageScheme::kIndexedVertical, StorageScheme::kBitmapVertical}) {
-    SCOPED_TRACE(StorageSchemeName(scheme));
-    VisualOptions vopt = DefaultVisualOptions();
-    vopt.scheme = scheme;
-    auto built = VisualSystem::Create(&bed_->scene, &bed_->grid,
-                                      &bed_->table, vopt);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    // Uncached, and a one-page tree cache: the tree spans more pages, so
+    // the cache evicts and its misses bill the tree device.
+    for (size_t cache_pages : {0u, 1u}) {
+      SCOPED_TRACE(testing::Message() << StorageSchemeName(scheme)
+                                      << " tree_cache_pages " << cache_pages);
+      VisualOptions vopt = DefaultVisualOptions();
+      vopt.scheme = scheme;
+      vopt.tree_cache_pages = cache_pages;
+      auto built = VisualSystem::Create(&bed_->scene, &bed_->grid,
+                                        &bed_->table, vopt);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-    for (SnapshotLoadMode mode : {SnapshotLoadMode::kMemoryResident,
-                                  SnapshotLoadMode::kFileBacked}) {
-      auto loaded = VisualSystem::CreateFromSnapshot(
-          **loader, &loaded_bed->scene, &loaded_bed->grid, vopt, mode);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      ExpectIdentical(built->get(), loaded->get(), bed_->scene.bounds());
+      for (SnapshotLoadMode mode : {SnapshotLoadMode::kMemoryResident,
+                                    SnapshotLoadMode::kFileBacked}) {
+        auto loaded = VisualSystem::CreateFromSnapshot(
+            **loader, &loaded_bed->scene, &loaded_bed->grid, vopt, mode);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        BufferPoolStats cache;
+        ExpectIdentical(built->get(), loaded->get(), bed_->scene.bounds(),
+                        &cache);
+        if (cache_pages > 0) {
+          EXPECT_GT(cache.hits, 0u);
+          EXPECT_GT(cache.evictions, 0u);
+        }
+      }
     }
   }
   EXPECT_GT(stats.load_millis, 0.0);

@@ -319,7 +319,9 @@ TEST(SearchPinTest, TreeDeviceBillingIsPinned) {
                           &w->tree_device);
     std::unique_ptr<BufferPool> pool;
     if (c.cache_pages > 0) {
-      pool = std::make_unique<BufferPool>(&w->tree_device, c.cache_pages);
+      pool = std::make_unique<BufferPool>(
+          &w->tree_device,
+          BufferPoolOptions{.capacity_pages = c.cache_pages, .shards = 1});
       searcher.set_tree_cache(pool.get());
     }
     w->tree_device.ResetStats();

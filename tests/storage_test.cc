@@ -13,7 +13,6 @@
 #include "storage/model_store.h"
 #include "storage/page_device.h"
 #include "storage/paged_file.h"
-#include "storage/sharded_buffer_pool.h"
 #include "telemetry/metrics.h"
 
 namespace hdov {
@@ -232,33 +231,45 @@ TEST(PageDeviceTest, LoadRejectsGarbage) {
   EXPECT_TRUE(device.LoadFromFile("/nonexistent/dir/img").IsIoError());
 }
 
+// A memory device that counts the pool's unbilled fill reads.
+class RawCountingDevice : public PageDevice {
+ public:
+  Status ReadRaw(PageId page, std::string* out) const override {
+    ++raw_reads;
+    return PageDevice::ReadRaw(page, out);
+  }
+  mutable uint64_t raw_reads = 0;
+};
+
 TEST(BufferPoolTest, HitsAvoidDeviceReads) {
-  PageDevice device;
+  RawCountingDevice device;
   PageId p = device.Allocate();
   ASSERT_TRUE(device.Write(p, "cached").ok());
-  device.ResetStats();
-  BufferPool pool(&device, 4);
+  BufferPool pool(&device, {.capacity_pages = 4});
+  bool hit = true;
+  ASSERT_TRUE(pool.Get(p, &hit).ok());
+  EXPECT_FALSE(hit);
+  ASSERT_TRUE(pool.Get(p, &hit).ok());
+  EXPECT_TRUE(hit);
   ASSERT_TRUE(pool.Get(p).ok());
-  ASSERT_TRUE(pool.Get(p).ok());
-  ASSERT_TRUE(pool.Get(p).ok());
-  EXPECT_EQ(device.stats().page_reads, 1u);
+  EXPECT_EQ(device.raw_reads, 1u);
   EXPECT_EQ(pool.stats().hits, 2u);
   EXPECT_EQ(pool.stats().misses, 1u);
 }
 
 TEST(BufferPoolTest, LruEviction) {
-  PageDevice device;
+  RawCountingDevice device;
   PageId pages[3] = {device.Allocate(), device.Allocate(), device.Allocate()};
-  BufferPool pool(&device, 2);
+  BufferPool pool(&device, {.capacity_pages = 2, .shards = 1});
   ASSERT_TRUE(pool.Get(pages[0]).ok());
   ASSERT_TRUE(pool.Get(pages[1]).ok());
   ASSERT_TRUE(pool.Get(pages[0]).ok());  // Touch 0: 1 is now LRU.
   ASSERT_TRUE(pool.Get(pages[2]).ok());  // Evicts 1.
-  device.ResetStats();
+  device.raw_reads = 0;
   ASSERT_TRUE(pool.Get(pages[0]).ok());  // Hit.
-  EXPECT_EQ(device.stats().page_reads, 0u);
+  EXPECT_EQ(device.raw_reads, 0u);
   ASSERT_TRUE(pool.Get(pages[1]).ok());  // Miss: was evicted.
-  EXPECT_EQ(device.stats().page_reads, 1u);
+  EXPECT_EQ(device.raw_reads, 1u);
   // Two evictions so far: page 1 (at the page-2 miss) and then page 2
   // (bringing page 1 back into a full pool).
   EXPECT_EQ(pool.stats().evictions, 2u);
@@ -268,55 +279,26 @@ TEST(BufferPoolTest, ContentMatchesDevice) {
   PageDevice device;
   PageId p = device.Allocate();
   ASSERT_TRUE(device.Write(p, "payload!").ok());
-  BufferPool pool(&device, 2);
-  Result<BufferPool::PageRef> ref = pool.Get(p);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE(ref->valid());
-  EXPECT_EQ(ref->data().substr(0, 8), "payload!");
-  EXPECT_EQ((*ref)->substr(0, 8), "payload!");  // operator-> passthrough.
-}
-
-// Regression for the dangling-pointer bug the old API invited: the old
-// Get returned a `const std::string*` that a later Get could evict and
-// free. A live PageRef pins its page, so eviction pressure must not
-// touch it (under ASan this test dies if the payload is freed).
-TEST(BufferPoolTest, PinnedRefSurvivesEvictionPressure) {
-  PageDevice device;
-  PageId pinned = device.Allocate();
-  ASSERT_TRUE(device.Write(pinned, "pinned page").ok());
-  PageId others[3] = {device.Allocate(), device.Allocate(),
-                      device.Allocate()};
-  BufferPool pool(&device, 1);
-  Result<BufferPool::PageRef> ref = pool.Get(pinned);
-  ASSERT_TRUE(ref.ok());
-  const std::string& bytes = ref->data();
-  // Each of these would evict `pinned` under plain LRU at capacity 1.
-  for (PageId p : others) {
-    ASSERT_TRUE(pool.Get(p).ok());
-  }
-  EXPECT_EQ(bytes.substr(0, 11), "pinned page");
-  // The pinned page rode above capacity (pin-through); the transient refs
-  // released immediately, so only it and the newest unpinned page remain
-  // at most: pinned + <=1 unpinned.
-  EXPECT_LE(pool.size(), 2u);
-  ref->Release();
-  EXPECT_FALSE(ref->valid());
-  // Releasing the pin while over capacity trims back down.
-  EXPECT_LE(pool.size(), 1u);
+  BufferPool pool(&device, {.capacity_pages = 2});
+  auto page = pool.Get(p);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ((*page)->size(), device.page_size());
+  EXPECT_EQ((*page)->substr(0, 8), "payload!");
 }
 
 TEST(BufferPoolTest, CapacityZeroIsPinThrough) {
   PageDevice device;
   PageId p = device.Allocate();
   ASSERT_TRUE(device.Write(p, "transient").ok());
-  BufferPool pool(&device, 0);
+  BufferPool pool(&device, {.capacity_pages = 0});
   {
-    Result<BufferPool::PageRef> ref = pool.Get(p);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_EQ(ref->data().substr(0, 9), "transient");
-    EXPECT_EQ(pool.size(), 1u);  // Alive only because of the pin.
+    auto page = pool.Get(p);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ((*page)->substr(0, 9), "transient");
+    // The caller's shared_ptr is the page's only owner: nothing is cached.
+    EXPECT_EQ(page->use_count(), 1);
+    EXPECT_EQ(pool.size(), 0u);
   }
-  EXPECT_EQ(pool.size(), 0u);  // Dropped at unpin: nothing is cached.
   ASSERT_TRUE(pool.Get(p).ok());
   EXPECT_EQ(pool.stats().hits, 0u);  // Every Get is a miss at capacity 0.
   EXPECT_EQ(pool.stats().misses, 2u);
@@ -328,21 +310,26 @@ TEST(BufferPoolTest, GetNeverLeavesUnpinnedOverCapacity) {
   for (PageId& p : pages) {
     p = device.Allocate();
   }
-  BufferPool pool(&device, 3);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(pool.Get(pages[rng.NextUint64(8)]).ok());
-    ASSERT_LE(pool.size(), pool.capacity());  // No refs held => hard cap.
+  // One shard holds capacity exactly; several hold ceil(capacity / shards)
+  // each, fewer than `shards` pages over capacity in total.
+  for (size_t shards : {1u, 3u}) {
+    SCOPED_TRACE(shards);
+    BufferPool pool(&device, {.capacity_pages = 4, .shards = shards});
+    Rng rng(7);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(pool.Get(pages[rng.NextUint64(8)]).ok());
+      ASSERT_LE(pool.size(), pool.capacity() + shards - 1);
+    }
   }
 }
 
 TEST(BufferPoolTest, ClearResetsStatsAndDropsUnpinned) {
-  PageDevice device;
+  RawCountingDevice device;
   PageId a = device.Allocate();
   PageId b = device.Allocate();
   ASSERT_TRUE(device.Write(a, "kept alive").ok());
-  BufferPool pool(&device, 4);
-  Result<BufferPool::PageRef> held = pool.Get(a);
+  BufferPool pool(&device, {.capacity_pages = 4});
+  auto held = pool.Get(a);
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(pool.Get(b).ok());
   ASSERT_TRUE(pool.Get(b).ok());  // One hit on b.
@@ -354,12 +341,12 @@ TEST(BufferPoolTest, ClearResetsStatsAndDropsUnpinned) {
   EXPECT_EQ(pool.stats().hits, 0u);
   EXPECT_EQ(pool.stats().misses, 0u);
   EXPECT_EQ(pool.stats().evictions, 0u);
-  // ...unpinned entries are gone, but the live ref kept its page intact.
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(held->data().substr(0, 10), "kept alive");
-  device.ResetStats();
+  // ...every entry is gone, but the held page is intact (ASan-checked).
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ((*held)->substr(0, 10), "kept alive");
+  device.raw_reads = 0;
   ASSERT_TRUE(pool.Get(b).ok());
-  EXPECT_EQ(device.stats().page_reads, 1u);  // b was really dropped.
+  EXPECT_EQ(device.raw_reads, 1u);  // b was really dropped.
   EXPECT_EQ(pool.stats().misses, 1u);
 }
 
@@ -481,13 +468,13 @@ TEST(PageDeviceTest, OutOfRangeAccessesLeaveCountersUntouched) {
 // ----------------------- buffer-pool telemetry lifetime (regressions)
 
 TEST(BufferPoolTest, DestructionDropsRegisteredViews) {
-  // The views capture &stats_; before the destructor unregistered them, a
-  // snapshot taken after the pool died read freed memory.
+  // The views capture the pool; before the destructor unregistered them,
+  // a snapshot taken after the pool died read freed memory.
   telemetry::MetricsRegistry registry;
   PageDevice device;
   PageId p = device.Allocate();
   {
-    BufferPool pool(&device, 4);
+    BufferPool pool(&device, {.capacity_pages = 4});
     ASSERT_TRUE(pool.Get(p).ok());
     pool.RegisterWith(&registry, "pool");
     EXPECT_TRUE(registry.Contains("pool.hits"));
@@ -500,7 +487,7 @@ TEST(BufferPoolTest, DestructionDropsRegisteredViews) {
 TEST(BufferPoolTest, ReRegisterMovesViews) {
   telemetry::MetricsRegistry first, second;
   PageDevice device;
-  BufferPool pool(&device, 4);
+  BufferPool pool(&device, {.capacity_pages = 4});
   pool.RegisterWith(&first, "a");
   EXPECT_TRUE(first.Contains("a.hits"));
   pool.RegisterWith(&second, "b");
@@ -519,7 +506,7 @@ TEST(BufferPoolTest, FlightRetargetRacesWithGets) {
   PageDevice device;
   PageId p = device.Allocate();
   ASSERT_TRUE(device.Write(p, "raced").ok());
-  BufferPool pool(&device, 4);
+  BufferPool pool(&device, {.capacity_pages = 4});
   telemetry::MetricsRegistry registry;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -535,7 +522,7 @@ TEST(BufferPoolTest, FlightRetargetRacesWithGets) {
   pool.UnregisterViews();
 }
 
-// -------------------------------------------------- sharded buffer pool
+// ------------------------------- buffer pool with several shards (server)
 
 TEST(ShardedBufferPoolTest, MissThenHitWithoutBilling) {
   PageDevice device;
@@ -543,10 +530,10 @@ TEST(ShardedBufferPoolTest, MissThenHitWithoutBilling) {
   ASSERT_TRUE(device.Write(p, "shard payload").ok());
   device.ResetStats();
 
-  ShardedPoolOptions opt;
+  BufferPoolOptions opt;
   opt.capacity_pages = 8;
   opt.shards = 4;
-  ShardedBufferPool pool(&device, opt);
+  BufferPool pool(&device, opt);
   auto first = pool.Get(p);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ((*first)->substr(0, 13), "shard payload");
@@ -554,7 +541,7 @@ TEST(ShardedBufferPoolTest, MissThenHitWithoutBilling) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // Same cached object.
 
-  BufferPoolStats stats = pool.TotalStats();
+  BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(pool.size(), 1u);
@@ -571,15 +558,15 @@ TEST(ShardedBufferPoolTest, EvictionKeepsShardsWithinCapacity) {
     payload.append(std::to_string(i));
     ASSERT_TRUE(device.Write(pages.back(), payload).ok());
   }
-  ShardedPoolOptions opt;
+  BufferPoolOptions opt;
   opt.capacity_pages = 4;
   opt.shards = 2;
-  ShardedBufferPool pool(&device, opt);
+  BufferPool pool(&device, opt);
   for (PageId p : pages) {
     ASSERT_TRUE(pool.Get(p).ok());
   }
   EXPECT_LE(pool.size(), opt.capacity_pages);
-  BufferPoolStats stats = pool.TotalStats();
+  BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.misses, 16u);
   EXPECT_GE(stats.evictions, 12u);
 }
@@ -588,17 +575,17 @@ TEST(ShardedBufferPoolTest, CapacityZeroReadsThrough) {
   PageDevice device;
   PageId p = device.Allocate();
   ASSERT_TRUE(device.Write(p, "uncached").ok());
-  ShardedPoolOptions opt;
+  BufferPoolOptions opt;
   opt.capacity_pages = 0;
-  ShardedBufferPool pool(&device, opt);
+  BufferPool pool(&device, opt);
   auto a = pool.Get(p);
   auto b = pool.Get(p);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ((*a)->substr(0, 8), "uncached");
   EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(pool.TotalStats().hits, 0u);
-  EXPECT_EQ(pool.TotalStats().misses, 2u);
+  EXPECT_EQ(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.stats().misses, 2u);
 }
 
 TEST(ShardedBufferPoolTest, EvictedPageStaysValidWhileHeld) {
@@ -610,10 +597,10 @@ TEST(ShardedBufferPoolTest, EvictedPageStaysValidWhileHeld) {
   for (int i = 0; i < 8; ++i) {
     others.push_back(device.Allocate());
   }
-  ShardedPoolOptions opt;
+  BufferPoolOptions opt;
   opt.capacity_pages = 1;
   opt.shards = 1;
-  ShardedBufferPool pool(&device, opt);
+  BufferPool pool(&device, opt);
   auto held = pool.Get(held_page);
   ASSERT_TRUE(held.ok());
   for (PageId p : others) {
@@ -633,10 +620,10 @@ TEST(ShardedBufferPoolTest, ConcurrentGetsSeeConsistentPages) {
     ASSERT_TRUE(
         device.Write(pages.back(), "page-" + std::to_string(i)).ok());
   }
-  ShardedPoolOptions opt;
+  BufferPoolOptions opt;
   opt.capacity_pages = 8;  // Small: forces concurrent eviction too.
   opt.shards = 4;
-  ShardedBufferPool pool(&device, opt);
+  BufferPool pool(&device, opt);
 
   constexpr int kThreads = 4;
   constexpr int kIters = 500;
@@ -659,7 +646,7 @@ TEST(ShardedBufferPoolTest, ConcurrentGetsSeeConsistentPages) {
     t.join();
   }
   EXPECT_EQ(mismatches.load(), 0);
-  BufferPoolStats stats = pool.TotalStats();
+  BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads) * kIters);
 }

@@ -164,7 +164,7 @@ TEST(DeviceViewsTest, PageDeviceAndBufferPoolRegister) {
   ASSERT_TRUE(device.Read(p, &data).ok());
   EXPECT_DOUBLE_EQ(m.Snapshot().Find("t.io.disk.page_reads")->value, 2.0);
 
-  BufferPool pool(&device, 4);
+  BufferPool pool(&device, {.capacity_pages = 4});
   pool.RegisterWith(&m, "t.cache");
   ASSERT_TRUE(pool.Get(p).ok());
   ASSERT_TRUE(pool.Get(p).ok());  // Second read hits.

@@ -591,6 +591,34 @@ TEST_F(WalkthroughFixture, TelemetryTreeCacheReportsHitRate) {
   EXPECT_GT(snap.Find("cached.cache.tree.hit_rate")->value, 0.0);
 }
 
+TEST_F(WalkthroughFixture, TreeCacheViewsFollowReattachment) {
+  // Regression: detaching used to leave the tree cache remembering the
+  // registry it registered its views with, so re-attaching (or destroying
+  // the system) after that Telemetry was gone touched freed memory.
+  VisualOptions opt;
+  opt.tree_cache_pages = 4;
+  Result<std::unique_ptr<VisualSystem>> visual =
+      VisualSystem::Create(scene_, grid_, table_, opt);
+  ASSERT_TRUE(visual.ok()) << visual.status().ToString();
+  {
+    telemetry::Telemetry first;
+    (*visual)->AttachTelemetry(&first, "first");
+    EXPECT_NE(first.metrics().Snapshot().Find("first.cache.tree.hits"),
+              nullptr);
+    (*visual)->DetachTelemetry();
+    EXPECT_EQ(first.metrics().Snapshot().Find("first.cache.tree.hits"),
+              nullptr);
+  }
+  telemetry::Telemetry second;  // Under ASan: no freed registry touched.
+  (*visual)->AttachTelemetry(&second, "second");
+  FrameResult frame;
+  ASSERT_TRUE((*visual)->RenderFrame(CenterViewpoint(), &frame).ok());
+  const telemetry::MetricsSnapshot snap = second.metrics().Snapshot();
+  ASSERT_NE(snap.Find("second.cache.tree.misses"), nullptr);
+  EXPECT_GT(snap.Find("second.cache.tree.misses")->value, 0.0);
+  (*visual)->DetachTelemetry();  // `second` dies before the system.
+}
+
 TEST_F(WalkthroughFixture, TelemetryQueryTraceHasSearchSpans) {
   telemetry::Telemetry tel;
   tel.tracer().set_enabled(true);
