@@ -98,7 +98,7 @@ void AblationTerminationHeuristics(const Testbed& bed,
 
   std::vector<Vec3> probes = RandomViewpoints(bed.scene.bounds(), 500, 11);
   VisualOptions vopt = DefaultVisualOptions();
-  vopt.prefetch_models_per_frame = 0;
+  vopt.prefetch = prefetch::PrefetchMode::kOff;
   Result<std::unique_ptr<VisualSystem>> visual =
       MakeVisualSystem(bed, vopt);
   if (!visual.ok()) {
@@ -148,13 +148,15 @@ void AblationDeltaAndPrefetch(const Testbed& bed,
   struct Config {
     const char* name;
     bool delta;
-    size_t prefetch;
+    size_t prefetch;  // Sync prefetch budget per idle frame; 0 = off.
   };
   for (const Config& config :
        {Config{"no delta, no prefetch", false, 0},
         Config{"delta only", true, 0},
         Config{"delta + prefetch", true, 2}}) {
     VisualOptions vopt = DefaultVisualOptions();
+    vopt.prefetch = config.prefetch > 0 ? prefetch::PrefetchMode::kSync
+                                        : prefetch::PrefetchMode::kOff;
     vopt.prefetch_models_per_frame = config.prefetch;
     Result<std::unique_ptr<VisualSystem>> visual =
         MakeVisualSystem(bed, vopt);
@@ -210,7 +212,6 @@ void AblationPrefetchPipeline(const Testbed& bed, TelemetryScope* telemetry) {
          {prefetch::PrefetchMode::kOff, prefetch::PrefetchMode::kAsync}) {
       VisualOptions vopt = DefaultVisualOptions();
       vopt.scheme = scheme;
-      vopt.prefetch_models_per_frame = 0;  // Isolate the async pipeline.
       vopt.prefetch = mode;
       Result<std::unique_ptr<VisualSystem>> visual =
           MakeVisualSystem(bed, vopt);

@@ -146,7 +146,7 @@ int Run(const BenchArgs& args) {
   VisualOptions fvopt = DefaultVisualOptions();
   fvopt.eta = 0.002;
   fvopt.build.build_internal_meshes = true;
-  fvopt.prefetch_models_per_frame = 0;
+  fvopt.prefetch = prefetch::PrefetchMode::kOff;
   Result<std::unique_ptr<VisualSystem>> fvisual =
       VisualSystem::Create(&*full_city, &*fgrid, &*ftable, fvopt);
   if (!fvisual.ok()) {

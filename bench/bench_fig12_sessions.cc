@@ -139,7 +139,7 @@ int Run(const BenchArgs& args) {
   vopt.eta = 0.001;
   // This experiment measures raw per-query search cost; prefetching is a
   // frame-smoothing optimization that would only add speculative I/O here.
-  vopt.prefetch_models_per_frame = 0;
+  vopt.prefetch = prefetch::PrefetchMode::kOff;
   Result<std::unique_ptr<VisualSystem>> visual =
       MakeVisualSystem(bed, vopt);
   ReviewOptions ropt;

@@ -21,21 +21,16 @@
 //                           binary dump (see docs/telemetry.md);
 //   --slowdump-out=<path>   write the slow-frame captures ("HDOVSLOW",
 //                           inspect with hdov_inspect --slowdump);
-//   --slowdump-threshold-ms=F  also capture any frame slower than F ms
-//                           (on top of the default trailing-p99 trigger);
-//   --metrics-every=N       export a Prometheus-text metrics sample every
-//                           N recorded frames (plus one final sample);
-//   --metrics-out=<path>    destination of the --metrics-every log
-//                           (default metrics.prom);
+//   --metrics-out=<path>    append a Prometheus-text metrics sample to
+//                           <path> every 100 recorded frames (plus one
+//                           final sample);
 //   --threads=N             precompute/build workers (0 = hardware);
 //   --db=<path>             load the testbed and every VISUAL system from
 //                           a tools/hdov_build snapshot instead of
-//                           rebuilding (see docs/storage.md);
-//   --prefetch=MODE         prefetch pipeline of every VISUAL system:
-//                           "off" (default; billing identical to a build
-//                           without the subsystem), "sync" (the legacy
-//                           idle-frame model prefetch) or "async" (the
-//                           overlapped pipeline, docs/prefetch.md).
+//                           rebuilding (see docs/storage.md).
+//
+// Numbers (N) are unsigned decimals that fit 32 bits; anything else, like
+// an empty path, exits 2 with a message.
 //
 // Scale knob: set HDOV_BENCH_SCALE=large in the environment to run closer
 // to the paper's dataset sizes (slower); the default is sized to finish
@@ -44,6 +39,7 @@
 #ifndef HDOV_BENCH_BENCH_UTIL_H_
 #define HDOV_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -110,14 +106,14 @@ struct BenchArgs {
   std::string trace_out;      // Empty = span recording stays off.
   std::string flight_out;     // Empty = flight recorder not dumped.
   std::string slowdump_out;   // Empty = slow-frame captures not written.
-  std::string metrics_out = "metrics.prom";  // --metrics-every target.
+  std::string metrics_out;    // Empty = periodic exposition export off.
   std::string db_path;        // Empty = build the world from scratch.
-  double slowdump_threshold_ms = 0.0;  // Absolute trigger; 0 = p99 only.
   uint32_t threads = 1;       // Precompute/build workers (0 = hardware).
-  uint32_t metrics_every = 0; // 0 = periodic exposition export off.
   uint32_t trace_sample = 1;  // Span tree for 1-in-N queries.
-  prefetch::PrefetchMode prefetch = prefetch::PrefetchMode::kOff;
 };
+
+// Frames between two --metrics-out samples.
+inline constexpr uint32_t kMetricsEveryFrames = 100;
 
 // Parses the flags shared by every experiment binary. Unknown flags abort
 // so a typo does not silently run without its effect.
@@ -129,12 +125,9 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   constexpr const char kTraceSample[] = "--trace-sample=";
   constexpr const char kFlightOut[] = "--flight-out=";
   constexpr const char kSlowdumpOut[] = "--slowdump-out=";
-  constexpr const char kSlowdumpThreshold[] = "--slowdump-threshold-ms=";
-  constexpr const char kMetricsEvery[] = "--metrics-every=";
   constexpr const char kMetricsOut[] = "--metrics-out=";
   constexpr const char kDb[] = "--db=";
   constexpr const char kThreads[] = "--threads=";
-  constexpr const char kPrefetch[] = "--prefetch=";
   const auto path_flag = [](const char* arg, const char* flag, size_t len,
                             std::string* out) {
     if (std::strncmp(arg, flag, len) != 0) {
@@ -152,10 +145,14 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     if (std::strncmp(arg, flag, len) != 0) {
       return false;
     }
-    char* end = nullptr;
+    // Digits only: strtoull alone would skip a sign ("-1" wraps to the
+    // type's maximum) and leading blanks.
     const char* value = arg + len;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0') {
+    const bool digit = *value >= '0' && *value <= '9';
+    char* end = nullptr;
+    const unsigned long long parsed =
+        digit ? std::strtoull(value, &end, 10) : 0;
+    if (!digit || *end != '\0' || parsed > UINT32_MAX) {
       std::fprintf(stderr, "%s needs a number\n", flag);
       std::exit(2);
     }
@@ -174,60 +171,22 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
                   &args.slowdump_out) ||
         path_flag(argv[i], kMetricsOut, sizeof(kMetricsOut) - 1,
                   &args.metrics_out) ||
-        path_flag(argv[i], kDb, sizeof(kDb) - 1, &args.db_path)) {
-      BenchDbPath() = args.db_path;
-      continue;
-    }
-    if (count_flag(argv[i], kTraceSample, sizeof(kTraceSample) - 1,
+        path_flag(argv[i], kDb, sizeof(kDb) - 1, &args.db_path) ||
+        count_flag(argv[i], kTraceSample, sizeof(kTraceSample) - 1,
                    &args.trace_sample) ||
-        count_flag(argv[i], kMetricsEvery, sizeof(kMetricsEvery) - 1,
-                   &args.metrics_every)) {
+        count_flag(argv[i], kThreads, sizeof(kThreads) - 1,
+                   &args.threads)) {
       continue;
     }
-    if (std::strncmp(argv[i], kSlowdumpThreshold,
-                     sizeof(kSlowdumpThreshold) - 1) == 0) {
-      char* end = nullptr;
-      const char* value = argv[i] + sizeof(kSlowdumpThreshold) - 1;
-      const double parsed = std::strtod(value, &end);
-      if (end == value || *end != '\0' || parsed < 0.0) {
-        std::fprintf(stderr, "%s needs a non-negative number\n",
-                     kSlowdumpThreshold);
-        std::exit(2);
-      }
-      args.slowdump_threshold_ms = parsed;
-      continue;
-    }
-    if (std::strncmp(argv[i], kPrefetch, sizeof(kPrefetch) - 1) == 0) {
-      const char* value = argv[i] + sizeof(kPrefetch) - 1;
-      if (!prefetch::ParsePrefetchMode(value, &args.prefetch)) {
-        std::fprintf(stderr,
-                     "--prefetch needs \"off\", \"sync\" or \"async\"\n");
-        std::exit(2);
-      }
-      prefetch::DefaultPrefetchMode() = args.prefetch;
-      continue;
-    }
-    if (std::strncmp(argv[i], kThreads, sizeof(kThreads) - 1) == 0) {
-      char* end = nullptr;
-      const char* value = argv[i] + sizeof(kThreads) - 1;
-      const unsigned long parsed = std::strtoul(value, &end, 10);
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr, "--threads needs a number (0 = hardware)\n");
-        std::exit(2);
-      }
-      args.threads = static_cast<uint32_t>(parsed);
-      BenchThreads() = args.threads;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s (supported: %s<path>, %s<path>,"
-                   " %s<path>, %sN, %s<path>, %s<path>, %sF, %sN, %s<path>,"
-                   " %s<path>, %sN, %sMODE)\n",
-                   argv[i], kTelemetryOut, kJsonOut, kTraceOut, kTraceSample,
-                   kFlightOut, kSlowdumpOut, kSlowdumpThreshold,
-                   kMetricsEvery, kMetricsOut, kDb, kThreads, kPrefetch);
-      std::exit(2);
-    }
+    std::fprintf(stderr,
+                 "unknown flag %s (supported: %s<path>, %s<path>, %s<path>,"
+                 " %sN, %s<path>, %s<path>, %s<path>, %s<path>, %sN)\n",
+                 argv[i], kTelemetryOut, kJsonOut, kTraceOut, kTraceSample,
+                 kFlightOut, kSlowdumpOut, kMetricsOut, kDb, kThreads);
+    std::exit(2);
   }
+  BenchDbPath() = args.db_path;
+  BenchThreads() = args.threads;
   return args;
 }
 
@@ -248,30 +207,28 @@ class TelemetryScope {
         json_out_(args.json_out),
         trace_out_(args.trace_out),
         flight_out_(args.flight_out),
-        slowdump_out_(args.slowdump_out),
-        metrics_every_(args.metrics_every) {
+        slowdump_out_(args.slowdump_out) {
     if (!slowdump_out_.empty()) {
-      // Fresh capture window for this run; the default trailing-p99
-      // trigger stays on and an absolute threshold composes with it.
-      telemetry::SlowFrameOptions slow;
-      slow.threshold_ms = args.slowdump_threshold_ms;
-      telemetry::GlobalSlowFrameCapture().Configure(slow);
+      // Fresh capture window for this run, on the trailing-p99 trigger.
+      telemetry::GlobalSlowFrameCapture().Configure(
+          telemetry::SlowFrameOptions());
     }
     if (!telemetry_out_.empty() || !json_out_.empty() ||
-        !trace_out_.empty() || metrics_every_ > 0) {
+        !trace_out_.empty() || !args.metrics_out.empty()) {
       telemetry_ = std::make_unique<telemetry::Telemetry>();
       if (!trace_out_.empty()) {
         telemetry_->tracer().set_enabled(true);
         telemetry_->tracer().set_sample_every(args.trace_sample);
       }
-      if (metrics_every_ > 0) {
+      if (!args.metrics_out.empty()) {
         metrics_log_ =
             std::make_unique<telemetry::ExpositionLog>(args.metrics_out);
         // Sampling happens inside RecordFrame, so an exposition block
-        // lands every N frames regardless of which system emits them.
+        // lands every kMetricsEveryFrames frames regardless of which
+        // system emits them.
         telemetry_->set_frame_callback(
             [this](const telemetry::FrameRecord&) {
-              if (++frames_seen_ % metrics_every_ == 0) {
+              if (++frames_seen_ % kMetricsEveryFrames == 0) {
                 if (Status s = metrics_log_->Sample(
                         telemetry_->metrics().Snapshot(),
                         "frame " + std::to_string(frames_seen_));
@@ -415,7 +372,6 @@ class TelemetryScope {
   std::string trace_out_;
   std::string flight_out_;
   std::string slowdump_out_;
-  uint32_t metrics_every_ = 0;
   uint64_t frames_seen_ = 0;
   std::unique_ptr<telemetry::ExpositionLog> metrics_log_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;

@@ -44,6 +44,7 @@ int main() {
   visual_options.eta = 0.001;
   visual_options.build.rtree.max_entries = 8;
   visual_options.build.rtree.min_entries = 3;
+  visual_options.prefetch = prefetch::PrefetchMode::kSync;
   visual_options.prefetch_models_per_frame = 2;
   Result<std::unique_ptr<VisualSystem>> visual =
       VisualSystem::Create(&*scene, &*grid, &*table, visual_options);

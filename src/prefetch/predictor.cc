@@ -1,7 +1,6 @@
 #include "prefetch/predictor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace hdov::prefetch {
 
@@ -17,33 +16,6 @@ const char* PrefetchModeName(PrefetchMode mode) {
   return "off";
 }
 
-bool ParsePrefetchMode(std::string_view name, PrefetchMode* mode) {
-  if (name == "off") {
-    *mode = PrefetchMode::kOff;
-    return true;
-  }
-  if (name == "sync") {
-    *mode = PrefetchMode::kSync;
-    return true;
-  }
-  if (name == "async") {
-    *mode = PrefetchMode::kAsync;
-    return true;
-  }
-  return false;
-}
-
-PrefetchMode& DefaultPrefetchMode() {
-  static PrefetchMode mode = [] {
-    PrefetchMode m = PrefetchMode::kOff;
-    if (const char* env = std::getenv("HDOV_PREFETCH")) {
-      ParsePrefetchMode(env, &m);  // Unparseable values keep the default.
-    }
-    return m;
-  }();
-  return mode;
-}
-
 CellPrediction VelocityPredictor::PredictAlong(const Vec3& direction,
                                                const Vec3& position,
                                                CellId current_cell) const {
@@ -56,8 +28,7 @@ CellPrediction VelocityPredictor::PredictAlong(const Vec3& direction,
   // Degenerate horizontal component — a vertical look, a stationary
   // walker, or NaN coordinates. Written as !(x > eps) so NaN (which fails
   // every comparison) also lands here instead of being normalized into a
-  // garbage probe point. This is the vertical-look NaN guard: the legacy
-  // path normalized first and probed whatever came out.
+  // garbage probe point (the vertical-look NaN guard).
   if (!(len_sq > 1e-18)) {
     return prediction;
   }

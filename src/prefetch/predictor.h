@@ -2,12 +2,10 @@
 // pipeline (src/prefetch/, docs/prefetch.md).
 //
 // Two prediction flavors live here:
-//  - PredictFromLook: the legacy synchronous heuristic — step one cell
-//    stride along the horizontal look direction. Kept bit-identical to
-//    the old VisualSystem::RunPrefetch probe (same stride, same clamp)
-//    except for the degenerate-direction guard: a vertical look used to
-//    normalize a (near-)zero-length vector, feeding a garbage probe into
-//    ClampedCellForPoint; now it simply predicts nothing.
+//  - PredictFromLook: the sync-mode heuristic — step one cell stride
+//    along the horizontal look direction. A degenerate direction (a
+//    vertical look, a zero or NaN vector) predicts nothing rather than
+//    normalizing into a garbage probe for ClampedCellForPoint.
 //  - Observe: the velocity model — an exponentially weighted average of
 //    per-frame position deltas. Looking sideways while strafing predicts
 //    the cell the walker is MOVING into, not the one they are facing;
@@ -18,7 +16,6 @@
 #define HDOV_PREFETCH_PREDICTOR_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "geometry/vec3.h"
 #include "scene/cell_grid.h"
@@ -31,10 +28,10 @@ namespace hdov::prefetch {
 //    flight traffic are bit-identical to a build without the subsystem
 //    (the zero-drift contract CI enforces against all committed
 //    baselines).
-//  - kSync: the legacy model-prefetch path — on idle frames, fetch up to
-//    a budget of the predicted next cell's models on the frame's own
-//    clock. VisualOptions::prefetch_models_per_frame > 0 selects this
-//    mode implicitly (the historical knob is the sync alias).
+//  - kSync: idle-frame model prefetch — on frames that fetch nothing,
+//    fetch up to VisualOptions::prefetch_models_per_frame of the
+//    look-predicted next cell's models on the frame's own clock. A step
+//    of VisualSystem::RenderFrame; no prefetcher is constructed.
 //  - kAsync: the overlapped pipeline — a speculative search of the
 //    predicted cell runs at end of frame under a billing diversion, its
 //    pages become resident the next frame, and billed reads of resident
@@ -45,18 +42,8 @@ enum class PrefetchMode : uint8_t {
   kAsync = 2,
 };
 
+// "off" / "sync" / "async": the row labels of the prefetch ablation.
 const char* PrefetchModeName(PrefetchMode mode);
-
-// Parses "off" / "sync" / "async"; returns false (leaving *mode alone) on
-// anything else.
-bool ParsePrefetchMode(std::string_view name, PrefetchMode* mode);
-
-// Process-wide default mode, seeding VisualOptions::prefetch. Initialized
-// once from the HDOV_PREFETCH environment variable ("off"/"sync"/"async",
-// unset or unparseable = kOff) so whole test/bench binaries can be
-// flipped without touching call sites; mutable for flag plumbing
-// (bench --prefetch=...).
-PrefetchMode& DefaultPrefetchMode();
 
 struct CellPrediction {
   CellId cell = kInvalidCell;

@@ -6,30 +6,21 @@
 
 namespace hdov::prefetch {
 
-Prefetcher::Prefetcher(const PrefetcherWiring& wiring,
-                       const PrefetcherOptions& options)
+Prefetcher::Prefetcher(const PrefetcherWiring& wiring)
     : wiring_(wiring),
-      options_(options),
       predictor_(wiring.grid),
-      flight_code_(telemetry::FlightInternName(options.flight_name)) {}
+      flight_code_(telemetry::FlightInternName("prefetch")) {}
 
 Result<std::unique_ptr<Prefetcher>> Prefetcher::Create(
-    const PrefetcherWiring& wiring, const PrefetcherOptions& options) {
-  if (wiring.grid == nullptr) {
-    return Status::InvalidArgument("prefetch: wiring is missing the grid");
-  }
-  auto prefetcher =
-      std::unique_ptr<Prefetcher>(new Prefetcher(wiring, options));
-  if (options.mode != PrefetchMode::kAsync) {
-    return prefetcher;
-  }
-  if (wiring.scene == nullptr || wiring.tree == nullptr ||
-      wiring.models == nullptr || wiring.tree_device == nullptr ||
-      wiring.store_device == nullptr || wiring.model_device == nullptr ||
-      wiring.queue == nullptr) {
+    const PrefetcherWiring& wiring) {
+  if (wiring.grid == nullptr || wiring.scene == nullptr ||
+      wiring.tree == nullptr || wiring.models == nullptr ||
+      wiring.tree_device == nullptr || wiring.store_device == nullptr ||
+      wiring.model_device == nullptr || wiring.queue == nullptr) {
     return Status::InvalidArgument(
-        "prefetch: async wiring is missing a component");
+        "prefetch: wiring is missing a component");
   }
+  auto prefetcher = std::unique_ptr<Prefetcher>(new Prefetcher(wiring));
   // A private store instance over the shared store device: the
   // speculative search must not disturb the main searcher's per-cell
   // state. Tree reads go through a private searcher without a cache for
@@ -40,8 +31,8 @@ Result<std::unique_ptr<Prefetcher>> Prefetcher::Create(
                 wiring.store_device));
   prefetcher->spec_searcher_ = std::make_unique<HdovSearcher>(
       wiring.tree.get(), wiring.scene, wiring.models, wiring.tree_device);
-  for (int role = 0; role < kNumPrefetchRoles; ++role) {
-    prefetcher->device(static_cast<PrefetchRole>(role))
+  for (int role = 0; role < kNumSessionDeviceRoles; ++role) {
+    prefetcher->device(static_cast<SessionDeviceRole>(role))
         ->set_prefetch_residency(&prefetcher->residency_[role]);
   }
   prefetcher->gates_installed_ = true;
@@ -50,39 +41,35 @@ Result<std::unique_ptr<Prefetcher>> Prefetcher::Create(
 
 Prefetcher::~Prefetcher() {
   if (gates_installed_) {
-    for (int role = 0; role < kNumPrefetchRoles; ++role) {
-      device(static_cast<PrefetchRole>(role))->set_prefetch_residency(nullptr);
+    for (int role = 0; role < kNumSessionDeviceRoles; ++role) {
+      device(static_cast<SessionDeviceRole>(role))
+          ->set_prefetch_residency(nullptr);
     }
   }
-  if (wiring_.queue != nullptr) {
-    // Stop our queued warms, then wait the queue out: an in-flight warm
-    // may hold a pointer to a device this prefetcher's owner is about to
-    // destroy.
-    wiring_.queue->Cancel(this);
-    wiring_.queue->Drain();
-  }
+  // Stop our queued warms, then wait the queue out: an in-flight warm may
+  // hold a pointer to a device this prefetcher's owner is about to
+  // destroy.
+  wiring_.queue->Cancel(this);
+  wiring_.queue->Drain();
 }
 
-PageDevice* Prefetcher::device(PrefetchRole role) const {
+PageDevice* Prefetcher::device(SessionDeviceRole role) const {
   switch (role) {
-    case PrefetchRole::kTree:
+    case SessionDeviceRole::kTree:
       return wiring_.tree_device;
-    case PrefetchRole::kStore:
+    case SessionDeviceRole::kStore:
       return wiring_.store_device;
-    case PrefetchRole::kModel:
+    case SessionDeviceRole::kModel:
       return wiring_.model_device;
   }
   return nullptr;
 }
 
 void Prefetcher::BeginFrame() {
-  if (options_.mode != PrefetchMode::kAsync) {
-    return;
-  }
   // Publish: the runs staged at the end of the previous frame completed
   // during the frame gap and are now resident. One frame of modeled
   // latency, deterministically.
-  for (int role = 0; role < kNumPrefetchRoles; ++role) {
+  for (int role = 0; role < kNumSessionDeviceRoles; ++role) {
     for (const auto& [first, pages] : staged_[role]) {
       for (uint64_t i = 0; i < pages; ++i) {
         residency_[role].pages.insert(first + i);
@@ -94,9 +81,6 @@ void Prefetcher::BeginFrame() {
 
 Status Prefetcher::EndFrame(const Viewpoint& viewpoint, CellId current_cell,
                             const SearchOptions& search) {
-  if (options_.mode != PrefetchMode::kAsync) {
-    return Status::OK();
-  }
   const CellPrediction prediction = predictor_.Observe(viewpoint, current_cell);
   if (!prediction.valid || prediction.cell == planned_cell_) {
     // No (new) signal: keep the current plan and whatever is resident.
@@ -123,7 +107,7 @@ Status Prefetcher::EndFrame(const Viewpoint& viewpoint, CellId current_cell,
     spec_result_.clear();
     HDOV_RETURN_IF_ERROR(spec_searcher_->Search(
         spec_store_.get(), prediction.cell, search, &spec_result_, nullptr));
-    size_t budget = options_.max_models;
+    size_t budget = wiring_.max_models;
     for (const RetrievedLod& lod : spec_result_) {
       if (budget == 0) {
         break;
@@ -136,13 +120,13 @@ Status Prefetcher::EndFrame(const Viewpoint& viewpoint, CellId current_cell,
       --budget;
     }
   }
-  for (int role = 0; role < kNumPrefetchRoles; ++role) {
-    StageSink(static_cast<PrefetchRole>(role));
+  for (int role = 0; role < kNumSessionDeviceRoles; ++role) {
+    StageSink(static_cast<SessionDeviceRole>(role));
   }
   return Status::OK();
 }
 
-void Prefetcher::StageSink(PrefetchRole role) {
+void Prefetcher::StageSink(SessionDeviceRole role) {
   PrefetchSink& sink = sinks_[static_cast<int>(role)];
   stats_.issued_pages += sink.stats.page_reads;
   stats_.overlap_cost_millis += sink.cost_millis;
@@ -163,12 +147,8 @@ void Prefetcher::StageSink(PrefetchRole role) {
 }
 
 void Prefetcher::InvalidatePlan() {
-  if (options_.mode != PrefetchMode::kAsync) {
-    planned_cell_ = kInvalidCell;  // Sync plan state; nothing resident.
-    return;
-  }
   uint64_t dropped = 0;
-  for (int role = 0; role < kNumPrefetchRoles; ++role) {
+  for (int role = 0; role < kNumSessionDeviceRoles; ++role) {
     dropped += residency_[role].pages.size();
     for (const auto& [first, pages] : staged_[role]) {
       (void)first;
@@ -181,47 +161,17 @@ void Prefetcher::InvalidatePlan() {
     return;
   }
   stats_.cancelled_pages += dropped;
-  if (wiring_.queue != nullptr) {
-    wiring_.queue->Cancel(this);
-  }
+  wiring_.queue->Cancel(this);
   telemetry::GlobalFlightRecorder().Record(
       telemetry::FlightEventType::kPrefetchCancel, flight_code_, dropped,
       planned_cell_);
   planned_cell_ = kInvalidCell;
 }
 
-Status Prefetcher::SyncStep(const Viewpoint& viewpoint, CellId current_cell,
-                            size_t budget, const SyncHooks& hooks,
-                            size_t* fetched) {
-  const CellPrediction prediction =
-      predictor_.PredictFromLook(viewpoint, current_cell);
-  if (!prediction.valid) {
-    return Status::OK();  // Legacy: probe stayed in the cell (or no look).
-  }
-  if (planned_cell_ != prediction.cell) {
-    planned_cell_ = prediction.cell;
-    sync_next_ = 0;
-    hooks.clear_loaded();
-    HDOV_RETURN_IF_ERROR(hooks.search(prediction.cell, &spec_result_));
-  }
-  while (budget > 0 && sync_next_ < spec_result_.size()) {
-    const RetrievedLod& lod = spec_result_[sync_next_++];
-    if (hooks.should_skip(lod)) {
-      continue;
-    }
-    HDOV_RETURN_IF_ERROR(hooks.fetch(lod));
-    ++*fetched;
-    --budget;
-  }
-  return Status::OK();
-}
-
 void Prefetcher::Reset() {
   InvalidatePlan();
   predictor_.Reset();
   spec_result_.clear();
-  sync_next_ = 0;
-  planned_cell_ = kInvalidCell;
 }
 
 PrefetcherStats Prefetcher::stats() const {

@@ -20,11 +20,9 @@
 //                 reads that land entirely on resident pages are consumed
 //                 for free by the device's residency gate.
 //
-// Sync mode is the legacy VisualSystem::RunPrefetch fold: same
-// look-direction prediction, same plan/budget cursor, with the actual
-// search/fetch steps delegated back to the caller through SyncHooks so
-// the billing sequence is bit-identical to the historical inline code
-// (the walkthrough baselines are pinned on it).
+// Only async mode builds a Prefetcher. Sync mode is a plain step of
+// VisualSystem::RenderFrame (it needs nothing from here but the
+// look-direction prediction).
 //
 // Determinism: everything the simulation sees — the speculative search,
 // the diverted costs, the residency sets — is a pure function of the
@@ -49,19 +47,6 @@
 
 namespace hdov::prefetch {
 
-// The three billed devices a walkthrough session reads from.
-enum class PrefetchRole { kTree = 0, kStore = 1, kModel = 2 };
-inline constexpr int kNumPrefetchRoles = 3;
-
-struct PrefetcherOptions {
-  PrefetchMode mode = PrefetchMode::kAsync;
-  // Async: model representations warmed per plan, front of the predicted
-  // cell's retrieval list first.
-  size_t max_models = 32;
-  // Flight-recorder label for this prefetcher's cancel/used events.
-  std::string flight_name = "prefetch";
-};
-
 // Everything a prefetcher borrows from its VisualSystem. All pointers
 // must outlive the prefetcher; the devices additionally must outlive any
 // queue it issued warms into (drain before teardown — the prefetcher's
@@ -79,13 +64,16 @@ struct PrefetcherWiring {
   PageDevice* tree_device = nullptr;
   PageDevice* store_device = nullptr;
   PageDevice* model_device = nullptr;
-  // Background warm queue (async mode). May be shared across sessions —
-  // cancellation is scoped to this prefetcher. Null in sync mode.
+  // Background warm queue. May be shared across sessions — cancellation
+  // is scoped to this prefetcher.
   AsyncFetchQueue* queue = nullptr;
+  // Model representations warmed per plan, front of the predicted cell's
+  // retrieval list first.
+  size_t max_models = 32;
   // Optional shared cache to warm instead of raw device reads, per role
   // (servers pass their BufferPools). Null / null-returning: warm
   // via the device's ReadRaw.
-  std::function<BufferPool*(PrefetchRole)> warm_pool;
+  std::function<BufferPool*(SessionDeviceRole)> warm_pool;
   // Optional: true when the caller already holds this representation at
   // sufficient detail (the delta search would not refetch it), so the
   // model-warm budget skips it. Null: warm everything in budget.
@@ -121,54 +109,25 @@ struct PrefetcherStats {
 
 class Prefetcher {
  public:
-  // Async mode loads the speculative store from wiring.store_meta and
-  // installs residency gates on the three devices (removed on
-  // destruction); sync mode builds only the predictor.
+  // Loads the speculative store from wiring.store_meta and installs
+  // residency gates on the three devices (removed on destruction).
   static Result<std::unique_ptr<Prefetcher>> Create(
-      const PrefetcherWiring& wiring, const PrefetcherOptions& options);
+      const PrefetcherWiring& wiring);
 
   ~Prefetcher();
 
   Prefetcher(const Prefetcher&) = delete;
   Prefetcher& operator=(const Prefetcher&) = delete;
 
-  PrefetchMode mode() const { return options_.mode; }
-
-  // --- Async pipeline --------------------------------------------------
-
   // Publishes the previous frame's staged runs as resident. Call at the
-  // top of RenderFrame. No-op outside async mode.
+  // top of RenderFrame.
   void BeginFrame();
 
   // Runs the predict / invalidate / speculate / stage step. Call at the
   // end of RenderFrame with the frame's viewpoint, its cell, and the
-  // session's effective SearchOptions (eta resolved). No-op outside async
-  // mode.
+  // session's effective SearchOptions (eta resolved).
   Status EndFrame(const Viewpoint& viewpoint, CellId current_cell,
                   const SearchOptions& search);
-
-  // --- Sync fold (legacy RunPrefetch) ----------------------------------
-
-  // Callbacks into the owning VisualSystem so the sync path touches the
-  // exact same searcher / model store / resident maps the inline code
-  // did.
-  struct SyncHooks {
-    // Runs the cell search through the caller's searcher.
-    std::function<Status(CellId, std::vector<RetrievedLod>*)> search;
-    // Clears the caller's prefetch-loaded map (new plan).
-    std::function<void()> clear_loaded;
-    // True when the representation is already resident / loaded at
-    // sufficient detail (legacy skip conditions).
-    std::function<bool(const RetrievedLod&)> should_skip;
-    // Fetches the representation and records it loaded.
-    std::function<Status(const RetrievedLod&)> fetch;
-  };
-
-  // One legacy prefetch step: predict from the look direction, re-plan on
-  // a cell change, fetch up to `budget` representations. Increments
-  // *fetched per fetch, exactly like the old inline loop.
-  Status SyncStep(const Viewpoint& viewpoint, CellId current_cell,
-                  size_t budget, const SyncHooks& hooks, size_t* fetched);
 
   // Drops the plan, residency and queued warms; resets the motion model.
   // Call from ResetRuntime. Stats stay cumulative.
@@ -184,38 +143,35 @@ class Prefetcher {
                          const std::string& prefix) const;
 
   CellId planned_cell() const { return planned_cell_; }
-  const VelocityPredictor& predictor() const { return predictor_; }
 
  private:
-  Prefetcher(const PrefetcherWiring& wiring, const PrefetcherOptions& options);
+  explicit Prefetcher(const PrefetcherWiring& wiring);
 
-  PageDevice* device(PrefetchRole role) const;
+  PageDevice* device(SessionDeviceRole role) const;
   // Drops residency + staged runs + queued warms of the current plan,
   // recording the kPrefetchCancel event. Safe when there is no plan.
   void InvalidatePlan();
   // Moves one sink's recorded runs into the staged set and the warm
   // queue.
-  void StageSink(PrefetchRole role);
+  void StageSink(SessionDeviceRole role);
 
   PrefetcherWiring wiring_;
-  PrefetcherOptions options_;
   VelocityPredictor predictor_;
   uint16_t flight_code_;
 
-  // Async-mode speculative machinery (null in sync mode): a private store
-  // instance over the shared store device plus a private searcher, which
-  // reads the same pages as the caller's, so the warmed set matches.
+  // Speculative machinery: a private store instance over the shared store
+  // device plus a private searcher, which reads the same pages as the
+  // caller's, so the warmed set matches.
   std::unique_ptr<VisibilityStore> spec_store_;
   std::unique_ptr<HdovSearcher> spec_searcher_;
   std::vector<RetrievedLod> spec_result_;
-  size_t sync_next_ = 0;  // Sync mode: budget cursor into spec_result_.
 
   // Per-role accounting: the diversion sink (live only during the
   // speculative pass), the staged runs awaiting publication, and the
   // residency gate installed on the device.
-  PrefetchSink sinks_[kNumPrefetchRoles];
-  std::vector<std::pair<PageId, uint64_t>> staged_[kNumPrefetchRoles];
-  PrefetchResidency residency_[kNumPrefetchRoles];
+  PrefetchSink sinks_[kNumSessionDeviceRoles];
+  std::vector<std::pair<PageId, uint64_t>> staged_[kNumSessionDeviceRoles];
+  PrefetchResidency residency_[kNumSessionDeviceRoles];
   bool gates_installed_ = false;
 
   CellId planned_cell_ = kInvalidCell;

@@ -118,7 +118,7 @@ Status WalkthroughServer::LoadWorld() {
     // per session) and their warms land in the shared pools, so one
     // session's prefetch serves co-located sessions too.
     prefetch::FetchQueueOptions qopt;
-    qopt.workers = options_.prefetch_workers;
+    qopt.workers = options_.visual.prefetch_workers;
     prefetch_queue_ = std::make_unique<prefetch::AsyncFetchQueue>(qopt);
     options_.visual.prefetch_queue = prefetch_queue_.get();
     world_.warm_pool = [this](SessionDeviceRole role) -> BufferPool* {

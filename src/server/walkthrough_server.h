@@ -54,10 +54,6 @@ struct ServerOptions {
   uint32_t workers = 4;
   // Group same-cell frames of a round onto one worker task.
   bool batch_same_cell = true;
-  // Background warm workers of the server-wide prefetch queue (only
-  // built when visual.prefetch is kAsync). All sessions share the queue;
-  // cancellation stays per session.
-  size_t prefetch_workers = 2;
 };
 
 // Everything Play() measured about one session. `summary` holds only
@@ -113,7 +109,9 @@ class WalkthroughServer {
   const Scene& scene() const { return scene_; }
   const CellGrid& grid() const { return grid_; }
   const SharedWorldView& world() const { return world_; }
-  // Server-wide async warm queue; null unless visual.prefetch is kAsync.
+  // Server-wide async warm queue (visual.prefetch_workers workers; all
+  // sessions share it, cancellation stays per session); null unless
+  // visual.prefetch is kAsync.
   const prefetch::AsyncFetchQueue* prefetch_queue() const {
     return prefetch_queue_.get();
   }

@@ -28,6 +28,12 @@ namespace hdov {
 using PageId = uint64_t;
 inline constexpr PageId kInvalidPage = ~static_cast<PageId>(0);
 
+// The three billed devices a walkthrough session reads from: what a
+// SharedWorldView device factory is asked for, and what the prefetcher
+// diverts, gates and warms per device.
+enum class SessionDeviceRole { kTree = 0, kStore = 1, kModel = 2 };
+inline constexpr int kNumSessionDeviceRoles = 3;
+
 // --- Prefetch accounting hooks (src/prefetch/, docs/prefetch.md) --------
 //
 // The prefetch subsystem models overlapped I/O on top of the simulated

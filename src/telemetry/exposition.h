@@ -9,8 +9,8 @@
 //   - SnapshotDelta: the difference between two snapshots of the same
 //     registry, turning monotone counters into interval deltas and rates;
 //   - ExpositionLog: the periodic exporter behind the benches'
-//     --metrics-every=N flag, appending one exposition block (plus rate
-//     comments) per sample to a text file.
+//     --metrics-out flag (a sample every 100 frames), appending one
+//     exposition block (plus rate comments) per sample to a text file.
 //
 // Everything here only *reads* registry state: attaching an exporter can
 // never move a simulated counter.

@@ -87,7 +87,7 @@ class Telemetry {
   void RecordFrame(FrameRecord record);
 
   // Invoked after every RecordFrame (kept or dropped) with the stamped
-  // record — the hook behind periodic exporters (--metrics-every=N). Runs
+  // record — the hook behind periodic exporters (--metrics-out). Runs
   // on the recording thread; keep it owner-thread-only if it touches the
   // registry. Empty function clears it.
   using FrameCallback = std::function<void(const FrameRecord&)>;

@@ -35,7 +35,7 @@ VisualOptions DefaultVisualOptions(uint32_t build_threads) {
   VisualOptions opt;
   opt.build.rtree.max_entries = 8;
   opt.build.rtree.min_entries = 3;
-  opt.prefetch_models_per_frame = 2;  // Smooths walkthrough cell flips.
+  opt.prefetch = prefetch::PrefetchMode::kSync;  // Smooths cell flips.
   opt.build_threads = build_threads;
   return opt;
 }

@@ -40,7 +40,9 @@ Result<Testbed> BuildTestbed(const TestbedOptions& options);
 
 // Experiment-standard VISUAL configuration: fanout 8 so that leaf nodes
 // cover block-scale object clusters — the granularity at which distant
-// clusters' aggregate DoV falls below the paper's eta range [0, 0.008].
+// clusters' aggregate DoV falls below the paper's eta range [0, 0.008] —
+// and sync prefetch (two representations per idle frame), which the
+// walkthrough figures and their baselines are pinned on.
 VisualOptions DefaultVisualOptions(uint32_t build_threads = 1);
 
 // Writes the view-invariant world sections ("scene", "cellgrid",

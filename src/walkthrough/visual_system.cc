@@ -16,11 +16,12 @@ VisualSystem::VisualSystem(const Scene* scene, const CellGrid* grid,
       model_device_(std::make_unique<PageDevice>(options.disk, &clock_)),
       models_(std::make_unique<ModelStore>(model_device_.get())) {}
 
-// Shared tail of the three factories: wire the searcher and the optional
-// tree cache, then zero every simulated counter
+// Shared tail of the three factories: wire the searcher, the optional
+// tree cache and the async prefetcher, then zero every simulated counter
 // and the disk-head trackers so measured workloads start from an identical
 // state on every path.
-Status VisualSystem::FinishConstruction() {
+Status VisualSystem::FinishConstruction(
+    std::function<BufferPool*(SessionDeviceRole)> warm_pool) {
   searcher_ = std::make_unique<HdovSearcher>(tree_.get(), scene_,
                                              models_.get(),
                                              tree_device_.get());
@@ -32,49 +33,32 @@ Status VisualSystem::FinishConstruction() {
                           .shards = 1});
     searcher_->set_tree_cache(tree_cache_.get());
   }
-  // Nonzero prefetch_models_per_frame is the historical way to ask for
-  // the (then-inline) synchronous prefetch; it keeps meaning exactly
-  // that.
-  if (options_.prefetch == prefetch::PrefetchMode::kOff &&
-      options_.prefetch_models_per_frame > 0) {
-    options_.prefetch = prefetch::PrefetchMode::kSync;
-  }
-  if (options_.prefetch != prefetch::PrefetchMode::kOff) {
-    prefetch::PrefetcherOptions popt;
-    popt.mode = options_.prefetch;
-    popt.max_models = options_.prefetch_max_models;
+  if (options_.prefetch == prefetch::PrefetchMode::kAsync) {
     prefetch::PrefetcherWiring wiring;
+    wiring.scene = scene_;
     wiring.grid = grid_;
-    if (options_.prefetch == prefetch::PrefetchMode::kAsync) {
-      wiring.scene = scene_;
-      wiring.tree = tree_;
-      wiring.scheme = options_.scheme;
-      store_->EncodeMeta(&wiring.store_meta);
-      wiring.models = models_.get();
-      wiring.tree_device = tree_device_.get();
-      wiring.store_device = store_device_.get();
-      wiring.model_device = model_device_.get();
-      if (options_.prefetch_queue != nullptr) {
-        wiring.queue = options_.prefetch_queue;
-      } else {
-        prefetch::FetchQueueOptions qopt;
-        qopt.workers = options_.prefetch_workers;
-        own_queue_ = std::make_unique<prefetch::AsyncFetchQueue>(qopt);
-        wiring.queue = own_queue_.get();
-      }
-      if (warm_pool_) {
-        auto warm = warm_pool_;
-        wiring.warm_pool = [warm](prefetch::PrefetchRole role) {
-          return warm(static_cast<SessionDeviceRole>(static_cast<int>(role)));
-        };
-      }
-      wiring.is_resident = [this](const RetrievedLod& lod) {
-        auto it = resident_.find(ResidentKey(lod));
-        return it != resident_.end() && it->second.lod_level <= lod.lod_level;
-      };
+    wiring.tree = tree_;
+    wiring.scheme = options_.scheme;
+    store_->EncodeMeta(&wiring.store_meta);
+    wiring.models = models_.get();
+    wiring.tree_device = tree_device_.get();
+    wiring.store_device = store_device_.get();
+    wiring.model_device = model_device_.get();
+    if (options_.prefetch_queue != nullptr) {
+      wiring.queue = options_.prefetch_queue;
+    } else {
+      prefetch::FetchQueueOptions qopt;
+      qopt.workers = options_.prefetch_workers;
+      own_queue_ = std::make_unique<prefetch::AsyncFetchQueue>(qopt);
+      wiring.queue = own_queue_.get();
     }
-    HDOV_ASSIGN_OR_RETURN(prefetcher_,
-                          prefetch::Prefetcher::Create(wiring, popt));
+    wiring.max_models = options_.prefetch_max_models;
+    wiring.warm_pool = std::move(warm_pool);
+    wiring.is_resident = [this](const RetrievedLod& lod) {
+      auto it = resident_.find(ResidentKey(lod));
+      return it != resident_.end() && it->second.lod_level <= lod.lod_level;
+    };
+    HDOV_ASSIGN_OR_RETURN(prefetcher_, prefetch::Prefetcher::Create(wiring));
   }
   tree_device_->ResetAccessTracker();
   store_device_->ResetAccessTracker();
@@ -177,7 +161,6 @@ Result<std::unique_ptr<VisualSystem>> VisualSystem::CreateSessionView(
   HDOV_ASSIGN_OR_RETURN(
       system->model_device_,
       world.make_device(SessionDeviceRole::kModel, &system->clock_));
-  system->warm_pool_ = world.warm_pool;
   system->models_ =
       std::make_unique<ModelStore>(system->model_device_.get());
   HDOV_RETURN_IF_ERROR(system->models_->RestoreMeta(world.model_meta));
@@ -186,7 +169,7 @@ Result<std::unique_ptr<VisualSystem>> VisualSystem::CreateSessionView(
       system->store_,
       LoadStore(options.scheme, *system->tree_, world.store_meta,
                 system->store_device_.get()));
-  HDOV_RETURN_IF_ERROR(system->FinishConstruction());
+  HDOV_RETURN_IF_ERROR(system->FinishConstruction(world.warm_pool));
   return system;
 }
 
@@ -200,10 +183,7 @@ void VisualSystem::RegisterTelemetry() {
   if (tree_cache_ != nullptr) {
     tree_cache_->RegisterWith(&m, p + ".cache.tree");
   }
-  if (prefetcher_ != nullptr &&
-      prefetcher_->mode() == prefetch::PrefetchMode::kAsync) {
-    // Async only: the sync fold must not add metrics the pinned baseline
-    // snapshots do not carry.
+  if (prefetcher_ != nullptr) {
     prefetcher_->RegisterTelemetry(&m, p);
   }
   ctr_queries_ = m.GetCounter(p + ".search.queries");
@@ -312,7 +292,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   if (prefetcher_ != nullptr) {
     // Async pipeline: runs staged at the end of the previous frame have
     // completed in the frame gap — publish them resident before anything
-    // bills. No-op in sync mode / when nothing was staged.
+    // bills.
     prefetcher_->BeginFrame();
   }
   const double t0 = clock_.NowMillis();
@@ -363,42 +343,50 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   }
   resident_ = std::move(next_resident);
 
-  // Sync-mode idle-frame prefetching toward the predicted next cell (the
-  // legacy inline path, now folded into the prefetcher but driven through
-  // hooks so the billing sequence is unchanged). Prefetched
-  // representations are pinned in the resident set so the eventual cell
-  // flip finds them loaded.
-  if (prefetcher_ != nullptr &&
-      prefetcher_->mode() == prefetch::PrefetchMode::kSync &&
+  // Sync mode: on a frame that fetched nothing, load the next few
+  // representations of the cell the walker looks into, on this frame's
+  // clock. A new predicted cell replaces the plan (and drops what the old
+  // one loaded); the plan's cell is recorded only once its search
+  // succeeds. Prefetched representations are pinned in the resident set
+  // so the eventual cell flip finds them loaded.
+  if (options_.prefetch == prefetch::PrefetchMode::kSync &&
       options_.prefetch_models_per_frame > 0 && delta_enabled_ &&
       fetched == 0) {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kPrefetch);
-    prefetch::Prefetcher::SyncHooks hooks;
-    hooks.search = [this](CellId cell, std::vector<RetrievedLod>* out) {
-      SearchOptions search = options_.search;
-      search.eta = options_.eta;
-      return searcher_->Search(store_.get(), cell, search, out, nullptr);
-    };
-    hooks.clear_loaded = [this] { prefetch_loaded_.clear(); };
-    hooks.should_skip = [this](const RetrievedLod& lod) {
-      const uint64_t key = ResidentKey(lod);
-      auto it = resident_.find(key);
-      if (it != resident_.end() && it->second.lod_level <= lod.lod_level) {
-        return true;  // Already resident at sufficient detail.
+    const prefetch::CellPrediction prediction =
+        prefetch::VelocityPredictor(grid_).PredictFromLook(viewpoint,
+                                                           frame_cell);
+    if (prediction.valid) {
+      if (prediction.cell != sync_plan_cell_) {
+        sync_plan_cell_ = kInvalidCell;
+        sync_next_ = 0;
+        prefetch_loaded_.clear();
+        SearchOptions search = options_.search;
+        search.eta = options_.eta;
+        HDOV_RETURN_IF_ERROR(searcher_->Search(
+            store_.get(), prediction.cell, search, &sync_plan_, nullptr));
+        sync_plan_cell_ = prediction.cell;
       }
-      auto pf = prefetch_loaded_.find(key);
-      return pf != prefetch_loaded_.end() &&
-             pf->second.lod_level <= lod.lod_level;
-    };
-    hooks.fetch = [this](const RetrievedLod& lod) {
-      HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
-      prefetch_loaded_[ResidentKey(lod)] =
-          ResidentEntry{lod.lod_level, lod.byte_size, lod.triangle_count};
-      return Status::OK();
-    };
-    HDOV_RETURN_IF_ERROR(prefetcher_->SyncStep(
-        viewpoint, frame_cell, options_.prefetch_models_per_frame, hooks,
-        &fetched));
+      size_t budget = options_.prefetch_models_per_frame;
+      while (budget > 0 && sync_next_ < sync_plan_.size()) {
+        const RetrievedLod& lod = sync_plan_[sync_next_++];
+        const uint64_t key = ResidentKey(lod);
+        auto it = resident_.find(key);
+        if (it != resident_.end() && it->second.lod_level <= lod.lod_level) {
+          continue;  // Already resident at sufficient detail.
+        }
+        auto pf = prefetch_loaded_.find(key);
+        if (pf != prefetch_loaded_.end() &&
+            pf->second.lod_level <= lod.lod_level) {
+          continue;  // Already prefetched at sufficient detail.
+        }
+        HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
+        prefetch_loaded_[key] =
+            ResidentEntry{lod.lod_level, lod.byte_size, lod.triangle_count};
+        ++fetched;
+        --budget;
+      }
+    }
   }
   for (const auto& [key, entry] : prefetch_loaded_) {
     resident_.emplace(key, entry);  // Keep current-result entries as-is.
@@ -408,8 +396,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   // cell. Billing inside is diverted (frame counters and the clock do not
   // move); the discovered page runs are staged for residency at the next
   // BeginFrame and handed to the background queue to warm for real.
-  if (prefetcher_ != nullptr &&
-      prefetcher_->mode() == prefetch::PrefetchMode::kAsync) {
+  if (prefetcher_ != nullptr) {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kPrefetch);
     SearchOptions search = options_.search;
     search.eta = options_.eta;
@@ -457,6 +444,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
 void VisualSystem::ResetRuntime() {
   resident_.clear();
   last_result_.clear();
+  sync_plan_cell_ = kInvalidCell;  // The next plan resets list and cursor.
   prefetch_loaded_.clear();
   if (prefetcher_ != nullptr) {
     prefetcher_->Reset();

@@ -30,25 +30,24 @@ struct VisualOptions {
   RenderCostModel render;
   DiskModel disk;
 
-  // Motion-directed prefetching (extension; the REVIEW system deployed
-  // prefetching as well): during frames that fetch nothing, load up to
-  // this many representations of the viewing cell ahead of the walker, so
-  // crossing a cell border does not stall the frame. 0 (default) disables;
-  // the walkthrough experiments enable it. Nonzero is the historical
-  // alias for `prefetch = kSync` below; the billing sequence of that
-  // combination is pinned by the committed walkthrough baselines.
-  size_t prefetch_models_per_frame = 0;
+  // How the system prefetches (src/prefetch/, docs/prefetch.md); this
+  // field alone picks the mode. kOff (default) bills exactly as a build
+  // without the subsystem. kSync is motion-directed prefetching (an
+  // extension; the REVIEW system deployed prefetching as well): during
+  // frames that fetch nothing, load up to prefetch_models_per_frame
+  // representations of the cell ahead of the walker, so crossing a cell
+  // border does not stall the frame. The walkthrough experiments use it,
+  // and the committed walkthrough baselines pin its billing sequence.
+  // kAsync runs the speculative end-of-frame pipeline with diverted
+  // billing + residency credit.
+  prefetch::PrefetchMode prefetch = prefetch::PrefetchMode::kOff;
 
-  // The prefetch pipeline mode (src/prefetch/, docs/prefetch.md). kOff
-  // (the seeded default unless HDOV_PREFETCH says otherwise) bills
-  // exactly as a build without the subsystem. kAsync runs the
-  // speculative end-of-frame pipeline with diverted billing + residency
-  // credit; kSync is the legacy inline path (see the alias above).
-  prefetch::PrefetchMode prefetch = prefetch::DefaultPrefetchMode();
+  // Sync mode: representations loaded per idle frame.
+  size_t prefetch_models_per_frame = 2;
 
-  // Async mode: model representations warmed per plan and background
-  // warm workers for the owned queue (ignored when an external queue is
-  // supplied).
+  // Async mode: model representations warmed per plan, and background
+  // warm workers of the system's own queue (or of the server-wide queue a
+  // WalkthroughServer builds; unused when prefetch_queue is supplied).
   size_t prefetch_max_models = 32;
   size_t prefetch_workers = 2;
 
@@ -67,10 +66,6 @@ struct VisualOptions {
   // the built store is identical for every value.
   uint32_t build_threads = 1;
 };
-
-// Which of a session's three private billing devices a SharedWorldView
-// device factory is being asked for.
-enum class SessionDeviceRole { kTree = 0, kStore = 1, kModel = 2 };
 
 // One fully built, immutable world, shared by many concurrently running
 // session views (see CreateSessionView and src/server/). Everything here
@@ -173,16 +168,19 @@ class VisualSystem : public WalkthroughSystem {
                             TerminationHeuristic heuristic,
                             std::vector<RetrievedLod>* result);
 
-  // The prefetch pipeline driving this system (null when prefetch is
-  // off); benches read issued/used/wasted off its stats().
+  // The async prefetch pipeline driving this system (null unless
+  // prefetch is kAsync); benches read issued/used/wasted off its stats().
   const prefetch::Prefetcher* prefetcher() const { return prefetcher_.get(); }
 
  private:
   VisualSystem(const Scene* scene, const CellGrid* grid,
                const VisualOptions& options);
 
-  // Searcher + cache wiring and counter reset shared by all factories.
-  Status FinishConstruction();
+  // Searcher, cache and prefetcher wiring and counter reset shared by all
+  // factories. `warm_pool` is SharedWorldView::warm_pool for session
+  // views.
+  Status FinishConstruction(
+      std::function<BufferPool*(SessionDeviceRole)> warm_pool = nullptr);
 
   void RegisterTelemetry() override;
   void UnregisterTelemetry() override;
@@ -237,15 +235,17 @@ class VisualSystem : public WalkthroughSystem {
 
   std::unordered_map<uint64_t, ResidentEntry> resident_;
   std::vector<RetrievedLod> last_result_;
-  // Sync-mode prefetch: representations loaded ahead of the cell flip,
-  // pinned into resident_ every frame (plan/cursor state lives in the
-  // prefetcher; this map is the legacy PrefetchState::loaded).
+  // Sync-mode prefetch plan: the cell being warmed (kInvalidCell until
+  // its search succeeds), that cell's retrieval list, the budget cursor
+  // into it, and the representations loaded ahead of the cell flip
+  // (pinned into resident_ every frame).
+  CellId sync_plan_cell_ = kInvalidCell;
+  std::vector<RetrievedLod> sync_plan_;
+  size_t sync_next_ = 0;
   std::unordered_map<uint64_t, ResidentEntry> prefetch_loaded_;
-  // For session views: the shared warm-pool lookup from SharedWorldView.
-  std::function<BufferPool*(SessionDeviceRole)> warm_pool_;
-  // Declared after the devices and the queue on purpose: the prefetcher's
-  // destructor uninstalls the device residency gates and drains its warms
-  // out of the queue, so it must go first.
+  // Async mode only. Declared after the devices and the queue on purpose:
+  // the prefetcher's destructor uninstalls the device residency gates and
+  // drains its warms out of the queue, so it must go first.
   std::unique_ptr<prefetch::AsyncFetchQueue> own_queue_;
   std::unique_ptr<prefetch::Prefetcher> prefetcher_;
 };

@@ -1,0 +1,44 @@
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "bench_util.h"
+
+namespace hdov::bench {
+namespace {
+
+BenchArgs Parse(std::vector<std::string> flags) {
+  std::string binary = "bench";
+  std::vector<char*> argv = {binary.data()};
+  for (std::string& flag : flags) {
+    argv.push_back(flag.data());
+  }
+  return ParseBenchArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgsTest, NumbersParseUpToUint32Max) {
+  const BenchArgs args = Parse({"--threads=0", "--trace-sample=4294967295"});
+  EXPECT_EQ(args.threads, 0u);
+  EXPECT_EQ(args.trace_sample, UINT32_MAX);
+  EXPECT_EQ(BenchThreads(), 0u);
+  BenchThreads() = 1;  // Leave the process-wide default as found.
+}
+
+// strtoul reads "-1" as ULONG_MAX: --threads=-1 would ask for 4,294,967,295
+// workers. A sign, a blank, or a value past 32 bits is not a number.
+TEST(BenchArgsDeathTest, NumbersRejectSignsAndOverflow) {
+  for (const char* flag :
+       {"--threads=-1", "--threads=+1", "--threads= 1", "--threads=",
+        "--threads=4294967296", "--threads=18446744073709551615",
+        "--threads=99999999999999999999999", "--trace-sample=-1",
+        "--trace-sample=1x"}) {
+    EXPECT_EXIT(Parse({flag}), ::testing::ExitedWithCode(2),
+                "needs a number")
+        << flag;
+  }
+}
+
+}  // namespace
+}  // namespace hdov::bench

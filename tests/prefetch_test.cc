@@ -14,7 +14,6 @@ namespace hdov {
 namespace {
 
 using prefetch::CellPrediction;
-using prefetch::ParsePrefetchMode;
 using prefetch::PrefetchMode;
 using prefetch::PrefetchModeName;
 using prefetch::VelocityPredictor;
@@ -84,17 +83,12 @@ Scene* PrefetchFixture::scene_ = nullptr;
 CellGrid* PrefetchFixture::grid_ = nullptr;
 VisibilityTable* PrefetchFixture::table_ = nullptr;
 
-TEST(PrefetchModeTest, ParseNameRoundTrip) {
-  for (PrefetchMode mode : {PrefetchMode::kOff, PrefetchMode::kSync,
-                            PrefetchMode::kAsync}) {
-    PrefetchMode parsed = PrefetchMode::kOff;
-    ASSERT_TRUE(ParsePrefetchMode(PrefetchModeName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-  PrefetchMode unchanged = PrefetchMode::kSync;
-  EXPECT_FALSE(ParsePrefetchMode("garbage", &unchanged));
-  EXPECT_FALSE(ParsePrefetchMode("", &unchanged));
-  EXPECT_EQ(unchanged, PrefetchMode::kSync);
+// The labels ablation E prints ("vertical/off", "vertical/async", ...)
+// and files its telemetry under.
+TEST(PrefetchModeTest, NamesAreAblationLabels) {
+  EXPECT_STREQ(PrefetchModeName(PrefetchMode::kOff), "off");
+  EXPECT_STREQ(PrefetchModeName(PrefetchMode::kSync), "sync");
+  EXPECT_STREQ(PrefetchModeName(PrefetchMode::kAsync), "async");
 }
 
 TEST_F(PrefetchFixture, VerticalLookPredictsNothing) {
@@ -197,15 +191,13 @@ TEST_F(PrefetchFixture, ObservedBoundaryCrossingKeepsPredictingAhead) {
   EXPECT_TRUE(crossed);  // The walk really exercised boundary crossings.
 }
 
-// The regression the vertical-look NaN bug came from: the legacy inline
-// RunPrefetch normalized a zero-length horizontal look vector. A sync-mode
-// system rendering a straight-down frame must stay finite and succeed.
+// A vertical look has no horizontal component to step along: a sync-mode
+// system rendering straight-down frames must stay finite, succeed, and
+// load nothing ahead (the predictor names no cell).
 TEST_F(PrefetchFixture, SyncPrefetchSurvivesVerticalLook) {
   VisualOptions opt = BaseOptions();
-  opt.prefetch_models_per_frame = 2;  // Historical alias: selects kSync.
+  opt.prefetch = PrefetchMode::kSync;
   auto visual = MakeVisual(opt);
-  ASSERT_NE(visual->prefetcher(), nullptr);
-  EXPECT_EQ(visual->prefetcher()->mode(), PrefetchMode::kSync);
 
   const Vec3 center = scene_->bounds().Center();
   FrameResult frame;
@@ -216,12 +208,103 @@ TEST_F(PrefetchFixture, SyncPrefetchSurvivesVerticalLook) {
   ASSERT_TRUE(
       visual->RenderFrame({center, Vec3(0, 0, -1)}, &frame).ok());
   EXPECT_TRUE(std::isfinite(frame.frame_time_ms));
+  EXPECT_EQ(frame.models_fetched, 0u);
+}
+
+// Sync prefetch is a step of VisualSystem::RenderFrame: no Prefetcher,
+// and no <prefix>.prefetch.* metric (docs/prefetch.md), though the walk
+// really prefetched.
+TEST_F(PrefetchFixture, SyncModeBuildsNoPrefetcherOrPrefetchMetrics) {
+  telemetry::Telemetry tel;  // Declared first: outlives the systems.
+  VisualOptions off = BaseOptions();
+  VisualOptions sync = BaseOptions();
+  sync.prefetch = PrefetchMode::kSync;
+  auto plain = MakeVisual(off);
+  auto visual = MakeVisual(sync);
+  EXPECT_EQ(visual->prefetcher(), nullptr);
+  visual->AttachTelemetry(&tel, "vis");
+  bool prefetched = false;
+  for (const Viewpoint& vp : EastboundWalk(32)) {
+    FrameResult fo, fs;
+    ASSERT_TRUE(plain->RenderFrame(vp, &fo).ok());
+    ASSERT_TRUE(visual->RenderFrame(vp, &fs).ok());
+    prefetched = prefetched || fs.models_fetched != fo.models_fetched;
+  }
+  EXPECT_TRUE(prefetched);
+  const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+  ASSERT_FALSE(snap.samples.empty());
+  for (const telemetry::MetricSample& sample : snap.samples) {
+    EXPECT_EQ(sample.name.find(".prefetch."), std::string::npos)
+        << sample.name;
+  }
+  visual->DetachTelemetry();
+}
+
+// The sync plan (cell, retrieval list, cursor, loaded map) lives in
+// VisualSystem; ResetRuntime must drop all of it. Reset right after the
+// first frame sync prefetch changed (a live plan with loaded entries),
+// then replay the walk: it must bill exactly as a fresh system.
+TEST_F(PrefetchFixture, SyncResetRuntimeMidPlanReplaysLikeFresh) {
+  VisualOptions off = BaseOptions();
+  VisualOptions sync = BaseOptions();
+  sync.prefetch = PrefetchMode::kSync;
+  const std::vector<Viewpoint> walk = EastboundWalk(48);
+  auto plain = MakeVisual(off);
+  auto reused = MakeVisual(sync);
+  bool prefetched = false;
+  for (size_t i = 0; i < walk.size() && !prefetched; ++i) {
+    FrameResult fo, fs;
+    ASSERT_TRUE(plain->RenderFrame(walk[i], &fo).ok());
+    ASSERT_TRUE(reused->RenderFrame(walk[i], &fs).ok());
+    prefetched = fs.models_fetched != fo.models_fetched;
+  }
+  ASSERT_TRUE(prefetched);  // The walk really opened a sync plan.
+  reused->ResetRuntime();
+  // Back to the construction-time counters and disk heads, which
+  // ResetRuntime deliberately leaves alone.
+  reused->ResetIoStats();
+  reused->tree_device().ResetAccessTracker();
+  reused->store_device().ResetAccessTracker();
+  reused->model_device().ResetAccessTracker();
+
+  auto fresh = MakeVisual(sync);
+  for (size_t i = 0; i < walk.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "frame " << i);
+    FrameResult fr, ff;
+    ASSERT_TRUE(reused->RenderFrame(walk[i], &fr).ok());
+    ASSERT_TRUE(fresh->RenderFrame(walk[i], &ff).ok());
+    EXPECT_EQ(fr.frame_time_ms, ff.frame_time_ms);
+    EXPECT_EQ(fr.query_time_ms, ff.query_time_ms);
+    EXPECT_EQ(fr.io_pages, ff.io_pages);
+    EXPECT_EQ(fr.light_io_pages, ff.light_io_pages);
+    EXPECT_EQ(fr.rendered_triangles, ff.rendered_triangles);
+    EXPECT_EQ(fr.models_fetched, ff.models_fetched);
+    EXPECT_EQ(fr.resident_bytes, ff.resident_bytes);
+    EXPECT_EQ(fr.index_bytes_read, ff.index_bytes_read);
+    EXPECT_EQ(fr.store_bytes_read, ff.store_bytes_read);
+    EXPECT_EQ(fr.model_bytes_read, ff.model_bytes_read);
+    EXPECT_EQ(fr.search.nodes_visited, ff.search.nodes_visited);
+    EXPECT_EQ(fr.search.vpages_fetched, ff.search.vpages_fetched);
+    EXPECT_EQ(fr.search.hidden_entries_pruned,
+              ff.search.hidden_entries_pruned);
+    EXPECT_EQ(fr.search.internal_terminations,
+              ff.search.internal_terminations);
+    EXPECT_EQ(fr.cache_hits, ff.cache_hits);
+    EXPECT_EQ(fr.cache_misses, ff.cache_misses);
+  }
+  const IoStats r = reused->TotalIoStats();
+  const IoStats f = fresh->TotalIoStats();
+  EXPECT_EQ(r.page_reads, f.page_reads);
+  EXPECT_EQ(r.page_writes, f.page_writes);
+  EXPECT_EQ(r.seeks, f.seeks);
+  EXPECT_EQ(r.bytes_read, f.bytes_read);
+  EXPECT_EQ(r.bytes_written, f.bytes_written);
+  EXPECT_EQ(reused->clock().NowMillis(), fresh->clock().NowMillis());
 }
 
 TEST_F(PrefetchFixture, OffModeBuildsNoPrefetcher) {
   VisualOptions opt = BaseOptions();
   opt.prefetch = PrefetchMode::kOff;
-  opt.prefetch_models_per_frame = 0;
   auto visual = MakeVisual(opt);
   EXPECT_EQ(visual->prefetcher(), nullptr);
 }
@@ -232,7 +315,6 @@ TEST_F(PrefetchFixture, OffModeBuildsNoPrefetcher) {
 TEST_F(PrefetchFixture, OffModeIsDeterministicAcrossBuilds) {
   VisualOptions opt = BaseOptions();
   opt.prefetch = PrefetchMode::kOff;
-  opt.prefetch_models_per_frame = 0;
   auto a = MakeVisual(opt);
   auto b = MakeVisual(opt);
   for (const Viewpoint& vp : EastboundWalk(24)) {
@@ -252,7 +334,6 @@ TEST_F(PrefetchFixture, AsyncPipelineOverlapsIoAndGetsUsed) {
   auto base = MakeVisual(off);
   auto piped = MakeVisual(async);
   ASSERT_NE(piped->prefetcher(), nullptr);
-  EXPECT_EQ(piped->prefetcher()->mode(), PrefetchMode::kAsync);
 
   uint64_t off_pages = 0;
   uint64_t async_pages = 0;

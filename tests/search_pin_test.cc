@@ -418,9 +418,7 @@ TEST(SearchPinTest, VisualSystemWalkIsPinned) {
   VisualOptions opt = DefaultVisualOptions();
   opt.eta = 0.002;
   opt.tree_cache_pages = 8;
-  // Nonzero prefetch_models_per_frame selects sync prefetch; setting kOff
-  // first keeps the HDOV_PREFETCH default out of the pin.
-  opt.prefetch = prefetch::PrefetchMode::kOff;
+  opt.prefetch = prefetch::PrefetchMode::kSync;
   opt.prefetch_models_per_frame = 4;
   auto system =
       VisualSystem::Create(&bed->scene, &bed->grid, &bed->table, opt);

@@ -363,6 +363,7 @@ TEST_F(WalkthroughFixture, PrefetchSmoothsCellFlips) {
   base.build.rtree.max_entries = 8;
   base.build.rtree.min_entries = 3;
   VisualOptions with_prefetch = base;
+  with_prefetch.prefetch = prefetch::PrefetchMode::kSync;
   with_prefetch.prefetch_models_per_frame = 3;
 
   Result<std::unique_ptr<VisualSystem>> plain =
