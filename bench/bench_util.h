@@ -19,8 +19,8 @@
 //                           full span tree (default 1 = every query);
 //   --flight-out=<path>     drain the always-on flight recorder into a
 //                           binary dump (see docs/telemetry.md);
-//   --slowdump-out=<path>   write the slow-frame captures ("HDOVSLOW",
-//                           inspect with hdov_inspect --slowdump);
+//   --slowdump-out=<path>   write the slow-frame captures as a flight
+//                           dump (inspect with hdov_inspect --flight);
 //   --metrics-out=<path>    append a Prometheus-text metrics sample to
 //                           <path> every 100 recorded frames (plus one
 //                           final sample);
@@ -358,7 +358,7 @@ class TelemetryScope {
         ok = false;
       } else {
         std::printf("\nslowdump: wrote %s (%zu captures over %llu frames;"
-                    " inspect with hdov_inspect --slowdump)\n",
+                    " inspect with hdov_inspect --flight)\n",
                     slowdump_out_.c_str(), capture.captures(),
                     static_cast<unsigned long long>(capture.frames_seen()));
       }

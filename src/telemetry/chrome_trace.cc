@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <set>
 #include <string_view>
 #include <unordered_map>
 
+#include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
@@ -18,15 +20,17 @@ enum Pid : uint64_t {
   kFramePid = 1,
   kTracePid = 2,
   kFlightPid = 3,
-  kSlowPid = 4,
 };
 constexpr std::string_view kProcessNames[] = {
     "",
     "frames (simulated time)",
     "search trace (wall time)",
     "flight recorder (wall time)",
-    "slow-frame captures (wall time)",
 };
+
+// Captured slow frames draw on one track per session, tid = this + the
+// session id, clear of the 16-bit ring thread ids.
+constexpr uint64_t kSessionTidBase = uint64_t{1} << 16;
 
 std::string_view NameIn(const std::vector<std::string>& names, uint64_t id) {
   return id < names.size() ? std::string_view(names[id]) : "?";
@@ -113,7 +117,8 @@ struct Phase {
   std::string_view cat;
 };
 
-// Indexed by FlightEventType.
+// Indexed by FlightEventType. The capture types past the end (kSlowFrame,
+// kSlowFrameFact) are drawn as slices instead (WriteSlowFrames).
 constexpr Phase kPhases[] = {
     {},               {"B", "span"},     {"E", "span"},  {"i", "io"},
     {"i", "io"},      {"i", "pool"},     {"i", "pool"},  {"B", "frame"},
@@ -169,6 +174,61 @@ void WriteFlightEvent(JsonWriter* w, Pid pid, uint64_t tid,
   w->EndObject();
 }
 
+void WriteSlowFrames(JsonWriter* w, Pid pid,
+                     const std::vector<std::string>& names,
+                     const SlowFrameRows& rows) {
+  // One track per session, labeled with the session name.
+  std::set<uint16_t> sessions;
+  for (const SlowFrame& row : rows.captures) {
+    sessions.insert(row.record.session);
+  }
+  for (uint16_t session : sessions) {
+    WriteName(w, pid, static_cast<int64_t>(kSessionTidBase + session),
+              NameIn(names, session));
+  }
+  const auto slice = [w, pid](uint16_t session, std::string_view name,
+                              std::string_view cat, uint64_t start_ns,
+                              uint64_t dur_ns, const SlowFrame* row) {
+    OpenEvent(w, name, cat, "X", pid, kSessionTidBase + session,
+              static_cast<double>(start_ns) / 1000.0);
+    w->Key("dur").Number(static_cast<double>(dur_ns) / 1000.0);
+    if (row != nullptr) {
+      w->Key("args").BeginObject();
+      w->Key("frame").Number(row->record.frame);
+      w->Key("queue_ms")
+          .Number(static_cast<double>(row->record.queue_ns) / 1e6);
+      w->Key("service_ms")
+          .Number(static_cast<double>(row->record.wall_ns) / 1e6);
+      w->Key("io_pages").Number(row->record.io_pages);
+      w->Key("trip_threshold_ms")
+          .Number(static_cast<double>(row->trip_threshold_ns) / 1e6);
+      w->EndObject();
+    }
+    w->EndObject();
+  };
+  for (const SlowFrame& row : rows.captures) {
+    const FrameStageRecord& r = row.record;
+    if (r.queue_ns > 0 && r.start_ns >= r.queue_ns) {
+      slice(r.session, "queue wait", "queue", r.start_ns - r.queue_ns,
+            r.queue_ns, nullptr);
+    }
+    slice(r.session, "frame " + std::to_string(r.frame) + " (slow)",
+          "frame", r.start_ns, r.wall_ns, &row);
+    // Stage breakdown as child slices laid end to end in stage order: an
+    // aggregate view, not the true interleaving of the stages.
+    uint64_t cursor = r.start_ns;
+    for (size_t s = 0; s < kNumTraceStages; ++s) {
+      const uint64_t ns = r.stages.ns[s];
+      if (ns == 0) {
+        continue;
+      }
+      slice(r.session, TraceStageName(static_cast<TraceStage>(s)), "stage",
+            cursor, ns, nullptr);
+      cursor += ns;
+    }
+  }
+}
+
 void WriteFlightDump(JsonWriter* w, Pid pid, const FlightDump& dump) {
   // Attribute events (trace dumps only) ride on their span's "B" event.
   std::unordered_map<uint64_t, std::vector<const FlightEvent*>> attrs;
@@ -187,66 +247,7 @@ void WriteFlightDump(JsonWriter* w, Pid pid, const FlightDump& dump) {
     WriteFlightEvent(w, pid, ev.thread, dump.names, ev,
                      it == attrs.end() ? nullptr : &it->second);
   }
-}
-
-void WriteSlowDump(JsonWriter* w, const SlowDump& dump) {
-  // One track (tid) per session, labeled with the session name.
-  std::vector<uint16_t> sessions;
-  for (const SlowFrameEntry& cap : dump.captures) {
-    sessions.push_back(cap.record.session);
-  }
-  std::sort(sessions.begin(), sessions.end());
-  sessions.erase(std::unique(sessions.begin(), sessions.end()),
-                 sessions.end());
-  for (uint16_t session : sessions) {
-    WriteName(w, kSlowPid, session, dump.NameOf(session));
-  }
-  const auto slice = [w](uint16_t session, std::string_view name,
-                         std::string_view cat, uint64_t start_ns,
-                         uint64_t dur_ns, const SlowFrameEntry* cap) {
-    OpenEvent(w, name, cat, "X", kSlowPid, session,
-              static_cast<double>(start_ns) / 1000.0);
-    w->Key("dur").Number(static_cast<double>(dur_ns) / 1000.0);
-    if (cap != nullptr) {
-      w->Key("args").BeginObject();
-      w->Key("frame").Number(cap->record.frame);
-      w->Key("queue_ms")
-          .Number(static_cast<double>(cap->record.queue_ns) / 1e6);
-      w->Key("service_ms")
-          .Number(static_cast<double>(cap->record.wall_ns) / 1e6);
-      w->Key("io_pages").Number(cap->record.io_pages);
-      w->Key("trip_threshold_ms").Number(cap->trip_threshold_ms);
-      w->EndObject();
-    }
-    w->EndObject();
-  };
-  for (const SlowFrameEntry& cap : dump.captures) {
-    const FrameStageRecord& r = cap.record;
-    if (r.queue_ns > 0 && r.start_ns >= r.queue_ns) {
-      slice(r.session, "queue wait", "queue", r.start_ns - r.queue_ns,
-            r.queue_ns, nullptr);
-    }
-    slice(r.session, "frame " + std::to_string(r.frame) + " (slow)",
-          "frame", r.start_ns, r.wall_ns, &cap);
-    // Stage breakdown as child slices laid end to end in stage order: an
-    // aggregate view, not the true interleaving of the stages.
-    uint64_t cursor = r.start_ns;
-    for (size_t s = 0; s < kNumTraceStages; ++s) {
-      const uint64_t ns = r.stages.ns[s];
-      if (ns == 0) {
-        continue;
-      }
-      slice(r.session, TraceStageName(static_cast<TraceStage>(s)), "stage",
-            cursor, ns, nullptr);
-      cursor += ns;
-    }
-    // A window cuts spans and frames, so only instants are exported.
-    for (const FlightEvent& ev : cap.events) {
-      if (PhaseOf(static_cast<FlightEventType>(ev.type)).ph == "i") {
-        WriteFlightEvent(w, kSlowPid, ev.session, dump.names, ev, nullptr);
-      }
-    }
-  }
+  WriteSlowFrames(w, pid, dump.names, RollUpSlowFrames(dump));
 }
 
 }  // namespace
@@ -267,10 +268,6 @@ std::string ChromeTraceJson(const ChromeTraceSources& sources) {
   if (sources.flight != nullptr) {
     WriteName(&w, kFlightPid, -1, kProcessNames[kFlightPid]);
     WriteFlightDump(&w, kFlightPid, *sources.flight);
-  }
-  if (sources.slow != nullptr) {
-    WriteName(&w, kSlowPid, -1, kProcessNames[kSlowPid]);
-    WriteSlowDump(&w, *sources.slow);
   }
   w.EndArray();
   w.EndObject();

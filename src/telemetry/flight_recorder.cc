@@ -20,7 +20,7 @@ std::string_view FlightEventTypeName(FlightEventType type) {
       "none",          "span_begin",      "span_end",      "page_read",
       "page_write",    "pool_hit",        "pool_miss",     "frame_begin",
       "frame_end",     "prefetch_used",   "prefetch_cancel",
-      "page_read_agg", "span_attr",
+      "page_read_agg", "span_attr",     "slow_frame",    "slow_frame_fact",
   };
   const auto index = static_cast<size_t>(type);
   return index < std::size(kNames) ? kNames[index] : "unknown";
@@ -493,14 +493,18 @@ FlightDump FlightRecorder::Drain(bool consume) {
 //     type(8) | stage(8) | code(16) | session(16) | thread(16).
 // v3: the v2 layout plus kPageReadAgg events, whose pages a v2 reader
 //     would not count.
-// The reader accepts all three; v1 events decode with session/stage zero
+// v4: the v3 layout plus the slow-frame capture events (kSlowFrame,
+//     kSlowFrameFact), whose keys may take a capture dump's name table
+//     past the 256 process-wide names.
+// The reader accepts all four; v1 events decode with session/stage zero
 // (old dumps predate attribution).
 
 namespace {
 constexpr char kFlightMagic[8] = {'H', 'D', 'O', 'V', 'F', 'R', 'E', 'C'};
-constexpr uint32_t kFlightVersion = 3;
-}  // namespace
+constexpr uint32_t kFlightVersion = 4;
 
+// One event's 32-byte container form (v2 and later): {u64 ts_ns,
+// u64 type | stage<<8 | code<<16 | session<<32 | thread<<48, u64 a, u64 b}.
 void EncodeFlightEvent(std::string* out, const FlightEvent& ev) {
   EncodeFixed64(out, ev.ts_ns);
   EncodeFixed64(out, static_cast<uint64_t>(ev.type) |
@@ -525,6 +529,8 @@ Status DecodeFlightEvent(Decoder* dec, FlightEvent* ev) {
   ev->thread = static_cast<uint16_t>(meta >> 48);
   return Status::OK();
 }
+
+}  // namespace
 
 std::string EncodeFlightDump(const FlightDump& dump) {
   std::string out;
@@ -568,8 +574,10 @@ Result<FlightDump> DecodeFlightDump(std::string_view data) {
   if (version >= 2) {
     HDOV_RETURN_IF_ERROR(dec.DecodeFixed64(&dump.names_dropped));
   }
-  if (name_count > kMaxFlightNames) {
-    return Status::Corruption("flight dump: name table too large");
+  // A name takes at least its 4-byte length: no count may reserve more
+  // than the bytes left could hold.
+  if (name_count > dec.remaining() / 4) {
+    return Status::Corruption("flight dump: truncated name table");
   }
   if (event_count > dec.remaining() / 32) {
     return Status::Corruption("flight dump: truncated event section");

@@ -24,8 +24,9 @@
 // TraceContext (telemetry/trace_context.h) — the session it serves and
 // the pipeline stage it is in — so a drained dump can answer "which
 // session's fetch stage caused this pool miss" without any hook changing
-// its signature. Dumps are versioned ("HDOVFREC" v3 adds the page-read
-// aggregate; v2 and v1 dumps still decode, v1 with session/stage zero).
+// its signature. Dumps are versioned ("HDOVFREC" v4 adds the slow-frame
+// capture events, v3 the page-read aggregate; v3, v2 and v1 dumps still
+// decode, v1 with session/stage zero).
 //
 // Page reads inside a stage are aggregated (RecordRead): the ring holds
 // one kPageReadAgg per (stage, session, device) with its run, seek and
@@ -36,10 +37,11 @@
 // outside any stage, prefetch-diverted reads and every other event type
 // stay one event each.
 //
-// The event is also the only span format: an opt-in TraceRecorder
-// (telemetry/trace.h) keeps its span tree as a FlightDump of its own, and
-// one exporter (telemetry/chrome_trace.h) turns any dump into Chrome
-// trace events.
+// The event is also the only span format and the only capture format: an
+// opt-in TraceRecorder (telemetry/trace.h) keeps its span tree as a
+// FlightDump of its own, a SlowFrameCapture (telemetry/slow_frame.h)
+// writes its captured frames as one, and one exporter
+// (telemetry/chrome_trace.h) turns any dump into Chrome trace events.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
 #define HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -53,7 +55,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/coding.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -81,6 +82,14 @@ enum class FlightEventType : uint8_t {
   // code = key, a = span id (| kSpanAttrString), b = the double's bits or
   // the name id of a string value.
   kSpanAttr = 12,
+  // One captured slow frame, in SlowFrameCapture dumps only (never in the
+  // ring): ts = dispatch, session, a = frame index, b = service ns.
+  kSlowFrame = 13,
+  // One fact of a captured frame: code = key (a name in the dump's own
+  // table), ts / session / a = its kSlowFrame's, stage = the stage of a
+  // "stage_ns" fact, b = the value. The "frames_seen" and
+  // "captures_dropped" facts describe the whole capture (session 0).
+  kSlowFrameFact = 14,
 };
 
 std::string_view FlightEventTypeName(FlightEventType type);
@@ -263,12 +272,6 @@ FlightRecorder& GlobalFlightRecorder();
 // on files produced by --flight-out).
 std::string EncodeFlightDump(const FlightDump& dump);
 Result<FlightDump> DecodeFlightDump(std::string_view data);
-
-// One event's 32-byte container form, shared by HDOVFREC (v2 and later)
-// and HDOVSLOW: {u64 ts_ns, u64 type | stage<<8 | code<<16 | session<<32
-// | thread<<48, u64 a, u64 b}.
-void EncodeFlightEvent(std::string* out, const FlightEvent& ev);
-Status DecodeFlightEvent(Decoder* dec, FlightEvent* ev);
 
 // Nanoseconds since the process flight epoch (the first use of the clock):
 // monotone on each thread, and one timeline for every caller — event

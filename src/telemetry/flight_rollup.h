@@ -4,6 +4,12 @@
 // hold it to the simulated counters: a source's pages_read counts every
 // billed page whether the ring holds it as a per-run kPageRead or inside
 // a kPageReadAgg.
+//
+// SlowFrameRows: a capture dump's slow frames (telemetry/slow_frame.h)
+// grouped back into one row per captured frame, for `hdov_inspect
+// --flight` and the Chrome conversion. A dump read from a file may hold
+// anything, so facts without their kSlowFrame, unknown keys and stages
+// out of range are skipped.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_ROLLUP_H_
 #define HDOV_TELEMETRY_FLIGHT_ROLLUP_H_
@@ -11,8 +17,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "telemetry/flight_recorder.h"
+#include "telemetry/slow_frame.h"
 #include "telemetry/trace_context.h"
 
 namespace hdov::telemetry {
@@ -44,9 +52,23 @@ struct FlightRollup {
   // Keyed by session name; v1 events land on "<unattributed>".
   std::map<std::string, FlightTotals> by_session;
   FlightTotals by_stage[kNumTraceStages];
+  // Earliest and latest event stamps (0 for an empty dump); a file's
+  // events need not be in order.
+  uint64_t first_ns = 0;
+  uint64_t last_ns = 0;
 };
 
 FlightRollup RollUpFlightDump(const FlightDump& dump);
+
+// Facts a dump leaves out read as 0. A frame's events are in dump order;
+// an event two frames' intervals share goes to the later frame only.
+struct SlowFrameRows {
+  std::vector<SlowFrame> captures;  // In dump order.
+  uint64_t frames_seen = 0;
+  uint64_t captures_dropped = 0;
+};
+
+SlowFrameRows RollUpSlowFrames(const FlightDump& dump);
 
 }  // namespace hdov::telemetry
 

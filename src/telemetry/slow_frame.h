@@ -4,10 +4,13 @@
 // service time exceeds a threshold — absolute milliseconds, a trailing
 // percentile of the ring, or both — the capture atomically snapshots
 // that frame's record together with the flight-recorder events of its
-// session/time window. The result is written as a "HDOVSLOW" binary
-// dump (--slowdump-out=), decodable by `hdov_inspect --slowdump` and
-// convertible to a Chrome trace with one track per session
-// (telemetry/chrome_trace.h).
+// session/time window. Captures are written as a flight dump
+// (--slowdump-out=, the "HDOVFREC" container): each frame is one
+// kSlowFrame event plus kSlowFrameFact events for the rest of its record,
+// next to the window's events. `hdov_inspect --flight` lists them, and
+// the Chrome conversion draws one track per session
+// (telemetry/chrome_trace.h); RollUpSlowFrames (telemetry/flight_rollup.h)
+// reads them back.
 //
 // Like the flight recorder it rides on, the capture only reads the
 // flight clock and thread-local state — never the SimClock, IoStats, or
@@ -22,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_context.h"
@@ -41,6 +43,15 @@ struct FrameStageRecord {
   StageBreakdown stages;  // Exclusive per-stage service-time split.
 };
 
+// One captured slow frame: its record, the threshold it tripped, and the
+// flight events of its session stamped within [start_ns, start_ns +
+// wall_ns] (best effort — tiny rings may have been lapped already).
+struct SlowFrame {
+  FrameStageRecord record;
+  uint64_t trip_threshold_ns = 0;
+  std::vector<FlightEvent> events;
+};
+
 struct SlowFrameOptions {
   size_t ring_frames = 512;    // Trailing window (breakdowns + percentile).
   double threshold_ms = 0.0;   // Absolute trigger; 0 disables.
@@ -49,26 +60,16 @@ struct SlowFrameOptions {
   size_t max_captures = 32;    // Hard cap on deep captures kept.
 };
 
-// One triggered capture: the frame record, the threshold that tripped,
-// and the flight events of that session within the frame's time window
-// (best effort — tiny rings may have been lapped already).
-struct SlowFrameEntry {
-  FrameStageRecord record;
-  double trip_threshold_ms = 0.0;
-  std::vector<FlightEvent> events;
+// The names a capture dump appends to its own table, in this order: the
+// code of its kSlowFrame events, then the keys of its kSlowFrameFact
+// events. A fact whose value is 0 is not written.
+enum SlowFrameName : uint8_t {
+  kSlowFrameCode, kFactQueueNs, kFactIoPages, kFactTripThresholdNs,
+  kFactStageNs, kFactFramesSeen, kFactCapturesDropped, kNumSlowFrameNames
 };
-
-// In-memory form of a slow dump file.
-struct SlowDump {
-  std::vector<std::string> names;  // Indexed by session / event code ids.
-  std::vector<SlowFrameEntry> captures;
-  uint64_t frames_seen = 0;
-  uint64_t captures_dropped = 0;  // Triggers past max_captures.
-
-  std::string_view NameOf(uint16_t id) const {
-    return id < names.size() ? std::string_view(names[id]) : "?";
-  }
-};
+inline constexpr std::string_view kSlowFrameNames[kNumSlowFrameNames] = {
+    "slow_frame", "queue_ns", "io_pages", "trip_threshold_ns",
+    "stage_ns",   "frames_seen", "captures_dropped"};
 
 class SlowFrameCapture {
  public:
@@ -78,12 +79,8 @@ class SlowFrameCapture {
   SlowFrameCapture& operator=(const SlowFrameCapture&) = delete;
 
   // Replaces the options and clears ring/captures/counters. Call between
-  // runs, not mid-run.
+  // runs, not mid-run. ring_frames = 0 turns the capture off.
   void Configure(const SlowFrameOptions& options);
-  void Reset();
-
-  bool enabled() const;
-  void set_enabled(bool on);
 
   // Feeds one completed frame; decides the trigger and (on trip) drains
   // the global flight recorder for the frame's window. Thread-safe.
@@ -92,12 +89,14 @@ class SlowFrameCapture {
   uint64_t frames_seen() const;
   size_t captures() const;
 
-  // Snapshot of the captures accumulated so far.
-  SlowDump Snapshot() const;
+  // The captures so far as a flight dump: the global name table plus the
+  // capture names, then each frame's capture events and window events in
+  // timestamp order, then the frames_seen and captures_dropped facts.
+  FlightDump Snapshot() const;
 
-  // Encodes Snapshot() into the "HDOVSLOW" container at `path`.
+  // Encodes Snapshot() into the "HDOVFREC" container at `path`; read it
+  // back with FlightRecorder::ReadDump.
   Status WriteDump(const std::string& path) const;
-  static Result<SlowDump> ReadDump(const std::string& path);
 
  private:
   // Returns the trip threshold in ms if `wall_ns` should be captured.
@@ -105,21 +104,16 @@ class SlowFrameCapture {
 
   mutable std::mutex mu_;
   SlowFrameOptions options_;
-  bool enabled_ = true;
   uint64_t frames_seen_ = 0;
   uint64_t captures_dropped_ = 0;
   std::vector<FrameStageRecord> ring_;  // Circular, ring_frames capacity.
   size_t ring_next_ = 0;
-  std::vector<SlowFrameEntry> captures_;
+  std::vector<SlowFrame> captures_;
 };
 
 // The process-wide capture the frame loops feed. Always on with default
 // options; benches re-Configure() it when --slowdump-out is requested.
 SlowFrameCapture& GlobalSlowFrameCapture();
-
-// Container round trip ("HDOVSLOW", see docs/telemetry.md).
-std::string EncodeSlowDump(const SlowDump& dump);
-Result<SlowDump> DecodeSlowDump(std::string_view data);
 
 }  // namespace hdov::telemetry
 

@@ -2,33 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/coding.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/flight_rollup.h"
 #include "telemetry/trace_context.h"
 #include "temp_path.h"
 
 namespace hdov {
 namespace {
 
-using telemetry::DecodeSlowDump;
-using telemetry::EncodeSlowDump;
+using telemetry::DecodeFlightDump;
+using telemetry::EncodeFlightDump;
+using telemetry::FlightDump;
 using telemetry::FlightEvent;
 using telemetry::FlightEventType;
 using telemetry::FlightInternName;
 using telemetry::FlightNowNs;
+using telemetry::FlightRecorder;
 using telemetry::FrameStageRecord;
 using telemetry::kNumTraceStages;
+using telemetry::RollUpSlowFrames;
 using telemetry::SessionTraceScope;
-using telemetry::SlowDump;
+using telemetry::SlowFrame;
 using telemetry::SlowFrameCapture;
-using telemetry::SlowFrameEntry;
 using telemetry::SlowFrameOptions;
+using telemetry::SlowFrameRows;
 using telemetry::StageTraceScope;
 using telemetry::TraceStage;
 
@@ -56,14 +60,14 @@ TEST(SlowFrameTest, AbsoluteThresholdTriggers) {
   cap.OnFrame(MakeRecord(1, 1, 6.0, /*queue_ms=*/2.0));
   ASSERT_EQ(cap.captures(), 1u);
 
-  const SlowDump dump = cap.Snapshot();
-  EXPECT_EQ(dump.frames_seen, 2u);
-  EXPECT_EQ(dump.captures_dropped, 0u);
-  ASSERT_EQ(dump.captures.size(), 1u);
-  const FrameStageRecord& r = dump.captures[0].record;
+  const SlowFrameRows rows = RollUpSlowFrames(cap.Snapshot());
+  EXPECT_EQ(rows.frames_seen, 2u);
+  EXPECT_EQ(rows.captures_dropped, 0u);
+  ASSERT_EQ(rows.captures.size(), 1u);
+  const FrameStageRecord& r = rows.captures[0].record;
   EXPECT_EQ(r.frame, 1u);
   EXPECT_EQ(r.queue_ns, 2'000'000u);
-  EXPECT_DOUBLE_EQ(dump.captures[0].trip_threshold_ms, 5.0);
+  EXPECT_EQ(rows.captures[0].trip_threshold_ns, 5'000'000u);
 }
 
 TEST(SlowFrameTest, PercentileTriggerIgnoresFlatDistributions) {
@@ -83,9 +87,10 @@ TEST(SlowFrameTest, PercentileTriggerIgnoresFlatDistributions) {
   // the recorded threshold.
   cap.OnFrame(MakeRecord(1, 100, 10.0));
   ASSERT_EQ(cap.captures(), 1u);
-  const SlowDump dump = cap.Snapshot();
-  EXPECT_EQ(dump.captures[0].record.frame, 100u);
-  EXPECT_NEAR(dump.captures[0].trip_threshold_ms, 1.0, 0.01);
+  const SlowFrameRows rows = RollUpSlowFrames(cap.Snapshot());
+  ASSERT_EQ(rows.captures.size(), 1u);
+  EXPECT_EQ(rows.captures[0].record.frame, 100u);
+  EXPECT_NEAR(rows.captures[0].trip_threshold_ns / 1e6, 1.0, 0.01);
 }
 
 TEST(SlowFrameTest, PercentileWaitsForWarmup) {
@@ -113,20 +118,22 @@ TEST(SlowFrameTest, MaxCapturesCountsDroppedTriggers) {
     cap.OnFrame(MakeRecord(1, f, 2.0));
   }
   EXPECT_EQ(cap.captures(), 2u);
-  const SlowDump dump = cap.Snapshot();
-  EXPECT_EQ(dump.captures_dropped, 3u);
-  EXPECT_EQ(dump.frames_seen, 5u);
+  const SlowFrameRows rows = RollUpSlowFrames(cap.Snapshot());
+  EXPECT_EQ(rows.captures_dropped, 3u);
+  EXPECT_EQ(rows.frames_seen, 5u);
 }
 
 TEST(SlowFrameTest, DisabledCaptureSeesNothing) {
+  // ring_frames = 0 is the off switch; Configure turns it back on.
   SlowFrameOptions opt;
   opt.threshold_ms = 1.0;
+  opt.ring_frames = 0;
   SlowFrameCapture cap(opt);
-  cap.set_enabled(false);
   cap.OnFrame(MakeRecord(1, 0, 10.0));
   EXPECT_EQ(cap.frames_seen(), 0u);
   EXPECT_EQ(cap.captures(), 0u);
-  cap.set_enabled(true);
+  opt.ring_frames = 512;
+  cap.Configure(opt);
   cap.OnFrame(MakeRecord(1, 1, 10.0));
   EXPECT_EQ(cap.frames_seen(), 1u);
   EXPECT_EQ(cap.captures(), 1u);
@@ -162,9 +169,10 @@ TEST(SlowFrameTest, CaptureSnapshotsSessionWindowEvents) {
   record.wall_ns = FlightNowNs() - record.start_ns + 1'000'000;
   cap.OnFrame(record);
 
-  const SlowDump dump = cap.Snapshot();
-  ASSERT_EQ(dump.captures.size(), 1u);
-  const SlowFrameEntry& entry = dump.captures[0];
+  const FlightDump dump = cap.Snapshot();
+  const SlowFrameRows rows = RollUpSlowFrames(dump);
+  ASSERT_EQ(rows.captures.size(), 1u);
+  const SlowFrame& entry = rows.captures[0];
   bool saw_own = false;
   for (const FlightEvent& ev : entry.events) {
     EXPECT_EQ(ev.session, session);  // Window filter is per-session.
@@ -176,115 +184,94 @@ TEST(SlowFrameTest, CaptureSnapshotsSessionWindowEvents) {
     }
   }
   EXPECT_TRUE(saw_own);
-  // The shared name table resolves the session for the dump reader.
-  EXPECT_EQ(dump.NameOf(session), "slowtest-session");
+  // The dump's copy of the global name table resolves the session.
+  ASSERT_LT(session, dump.names.size());
+  EXPECT_EQ(dump.names[session], "slowtest-session");
+  // The other session's event is in no capture's window, so not in the
+  // dump at all.
+  for (const FlightEvent& ev : dump.events) {
+    EXPECT_NE(ev.session, other);
+  }
 }
 
 TEST(SlowFrameTest, DumpFileRoundTrip) {
   SlowFrameOptions opt;
   opt.threshold_ms = 1.0;
   opt.percentile = 0.0;
+  opt.max_captures = 1;
   SlowFrameCapture cap(opt);
-  cap.OnFrame(MakeRecord(2, 7, 3.5, /*queue_ms=*/0.5));
+  FrameStageRecord record = MakeRecord(2, 7, 3.5, /*queue_ms=*/0.5);
+  for (size_t s = 0; s < kNumTraceStages; ++s) {
+    record.stages.ns[s] = 1000 * (s + 1) + 3;  // Every stage, odd values.
+  }
+  cap.OnFrame(MakeRecord(2, 6, 0.5));
+  cap.OnFrame(record);
+  cap.OnFrame(MakeRecord(2, 8, 4.0));  // Past max_captures: dropped.
   ASSERT_EQ(cap.captures(), 1u);
 
   const std::string path = TempPath("slow_roundtrip.bin");
   ASSERT_TRUE(cap.WriteDump(path).ok());
-  Result<SlowDump> read = SlowFrameCapture::ReadDump(path);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read->frames_seen, 1u);
-  ASSERT_EQ(read->captures.size(), 1u);
-  const FrameStageRecord& r = read->captures[0].record;
-  EXPECT_EQ(r.session, 2u);
-  EXPECT_EQ(r.frame, 7u);
-  EXPECT_EQ(r.queue_ns, 500'000u);
-  EXPECT_EQ(r.wall_ns, 3'500'000u);
-  EXPECT_EQ(r.stages.ns[static_cast<size_t>(TraceStage::kSearch)],
-            r.wall_ns / 2);
-  EXPECT_DOUBLE_EQ(read->captures[0].trip_threshold_ms, 1.0);
+  Result<FlightDump> read = FlightRecorder::ReadDump(path);
   std::remove(path.c_str());
-}
-
-TEST(SlowFrameTest, DecodeRejectsMalformedDumps) {
-  EXPECT_FALSE(DecodeSlowDump("not a dump").ok());
-  EXPECT_FALSE(DecodeSlowDump("").ok());
-
-  SlowDump dump;
-  dump.names = {"?", "sess"};
-  dump.frames_seen = 9;
-  dump.captures_dropped = 2;
-  SlowFrameEntry entry;
-  entry.record = MakeRecord(1, 4, 2.0, 0.25);
-  entry.trip_threshold_ms = 1.5;
-  FlightEvent ev;
-  ev.ts_ns = entry.record.start_ns;
-  ev.type = static_cast<uint8_t>(FlightEventType::kPoolMiss);
-  ev.stage = static_cast<uint8_t>(TraceStage::kFetch);
-  ev.session = 1;
-  entry.events.push_back(ev);
-  dump.captures.push_back(entry);
-
-  const std::string encoded = EncodeSlowDump(dump);
-  Result<SlowDump> back = DecodeSlowDump(encoded);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->frames_seen, 9u);
-  EXPECT_EQ(back->captures_dropped, 2u);
-  ASSERT_EQ(back->captures.size(), 1u);
-  ASSERT_EQ(back->captures[0].events.size(), 1u);
-  EXPECT_EQ(back->captures[0].events[0].session, 1u);
-  EXPECT_DOUBLE_EQ(back->captures[0].trip_threshold_ms, 1.5);
-
-  // Truncation anywhere in the capture section fails cleanly, as do
-  // trailing garbage and an unsupported version.
-  EXPECT_FALSE(DecodeSlowDump(encoded.substr(0, encoded.size() - 1)).ok());
-  EXPECT_FALSE(DecodeSlowDump(encoded.substr(0, encoded.size() - 40)).ok());
-  EXPECT_FALSE(DecodeSlowDump(encoded + "x").ok());
-  std::string bad_version = encoded;
-  bad_version[8] = 99;  // Version byte right after the 8-byte magic.
-  EXPECT_FALSE(DecodeSlowDump(bad_version).ok());
-}
-
-TEST(SlowFrameTest, HugeCaptureCountIsCorruption) {
-  // A bare 36-byte header claiming 2^32 - 1 captures: the decoder must
-  // refuse the count before reserving room for it.
-  std::string header = "HDOVSLOW";
-  EncodeFixed32(&header, 1);  // Version.
-  EncodeFixed32(&header, 0);  // Names.
-  EncodeFixed64(&header, 0);  // Frames seen.
-  EncodeFixed64(&header, 0);  // Captures dropped.
-  EncodeFixed32(&header, 0xFFFFFFFFu);
-  ASSERT_EQ(header.size(), 36u);
-  Result<SlowDump> decoded = DecodeSlowDump(header);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(std::is_sorted(read->events.begin(), read->events.end(),
+                             [](const FlightEvent& x, const FlightEvent& y) {
+                               return x.ts_ns < y.ts_ns;
+                             }));
+  const SlowFrameRows rows = RollUpSlowFrames(*read);
+  EXPECT_EQ(rows.frames_seen, 3u);
+  EXPECT_EQ(rows.captures_dropped, 1u);
+  ASSERT_EQ(rows.captures.size(), 1u);
+  const FrameStageRecord& r = rows.captures[0].record;
+  EXPECT_EQ(r.session, record.session);
+  EXPECT_EQ(r.frame, record.frame);
+  EXPECT_EQ(r.start_ns, record.start_ns);
+  EXPECT_EQ(r.queue_ns, record.queue_ns);
+  EXPECT_EQ(r.wall_ns, record.wall_ns);
+  EXPECT_EQ(r.io_pages, record.io_pages);
+  for (size_t s = 0; s < kNumTraceStages; ++s) {
+    EXPECT_EQ(r.stages.ns[s], record.stages.ns[s]) << "stage " << s;
+  }
+  EXPECT_EQ(rows.captures[0].trip_threshold_ns, 1'000'000u);
 }
 
 TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
-  SlowDump dump;
-  dump.names = {"?", "u0.walk", "u1.turn"};
-  for (uint16_t session : {static_cast<uint16_t>(1),
-                           static_cast<uint16_t>(2)}) {
-    SlowFrameEntry entry;
-    entry.record = MakeRecord(session, 5, 4.0, /*queue_ms=*/1.0);
-    entry.record.start_ns = 10'000'000;  // Fixed, so queue slice fits.
-    entry.trip_threshold_ms = 2.0;
+  const uint16_t walk = FlightInternName("u0.walk");
+  const uint16_t turn = FlightInternName("u1.turn");
+  SlowFrameOptions opt;
+  opt.threshold_ms = 2.0;
+  opt.percentile = 0.0;
+  SlowFrameCapture cap(opt);
+  for (uint16_t session : {walk, turn}) {
+    FrameStageRecord record = MakeRecord(session, 5, 4.0, /*queue_ms=*/1.0);
+    record.start_ns = 10'000'000;  // Fixed, so the queue slice fits.
+    cap.OnFrame(record);
+  }
+  FlightDump dump = cap.Snapshot();
+  for (uint16_t session : {walk, turn}) {
     FlightEvent ev;
-    ev.ts_ns = entry.record.start_ns + 1000;
+    ev.ts_ns = 10'001'000;
     ev.type = static_cast<uint8_t>(FlightEventType::kPoolMiss);
     ev.session = session;
     ev.stage = static_cast<uint8_t>(TraceStage::kFetch);
-    entry.events.push_back(ev);
-    dump.captures.push_back(entry);
+    dump.events.push_back(ev);
   }
+  std::stable_sort(dump.events.begin(), dump.events.end(),
+                   [](const FlightEvent& x, const FlightEvent& y) {
+                     return x.ts_ns < y.ts_ns;
+                   });
 
-  const std::string json = telemetry::ChromeTraceJson({.slow = &dump});
-  // Slow-frame captures render under their own pid with one named track
-  // (tid = session id) per session.
-  EXPECT_NE(json.find("\"pid\":4"), std::string::npos);
+  const std::string json = telemetry::ChromeTraceJson({.flight = &dump});
+  // Captured frames render under the flight pid with one named track per
+  // session (tid = 65536 + session id, clear of the ring threads).
+  EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
+  EXPECT_EQ(json.find("\"pid\":4"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"u0.walk\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"u1.turn\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"tid\":" + std::to_string(65536 + walk)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"tid\":" + std::to_string(65536 + turn)),
+            std::string::npos);
   // Queue wait and the frame itself are complete ("X") slices; stage
   // breakdown slices carry the stage names; io events become instants.
   EXPECT_NE(json.find("\"name\":\"queue wait\""), std::string::npos);
@@ -292,6 +279,118 @@ TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
   EXPECT_NE(json.find("\"name\":\"search\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"trip_threshold_ms\":2"), std::string::npos);
+}
+
+TEST(SlowFrameTest, CaptureEventsAddNothingToFlightTotals) {
+  // A capture's record rides in kSlowFrame / kSlowFrameFact events; its
+  // io_pages and stage times must not read as frames or billed pages.
+  SlowFrameOptions opt;
+  opt.threshold_ms = 1.0;
+  opt.percentile = 0.0;
+  SlowFrameCapture cap(opt);
+  FrameStageRecord record =
+      MakeRecord(FlightInternName("slowtest-rollup"), 3, 2.0, 0.5);
+  record.io_pages = 41;
+  cap.OnFrame(record);
+  const FlightDump dump = cap.Snapshot();
+  ASSERT_EQ(RollUpSlowFrames(dump).captures.size(), 1u);
+  const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(dump);
+  EXPECT_GT(rollup.by_type.at(
+                static_cast<uint8_t>(FlightEventType::kSlowFrame)),
+            0u);
+  for (const auto* totals : {&rollup.by_source, &rollup.by_session}) {
+    for (const auto& [name, t] : *totals) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(t.frames, 0u);
+      EXPECT_EQ(t.io_pages, 0u);
+      EXPECT_EQ(t.pages_read, 0u);
+    }
+  }
+  for (const telemetry::FlightTotals& t : rollup.by_stage) {
+    EXPECT_EQ(t.frames, 0u);
+    EXPECT_EQ(t.io_pages, 0u);
+    EXPECT_EQ(t.pages_read, 0u);
+  }
+}
+
+TEST(SlowFrameTest, UntrustedCaptureEventsStayInBounds) {
+  // A capture dump read from a file can hold anything. Every reader —
+  // the decoder, the row grouping, the rollup and the Chrome export —
+  // must return a Status or skip what it cannot place, never index out
+  // of bounds (this suite also runs under ASan/UBSan).
+  FlightDump dump;
+  dump.names = {"?", "sess", "slow_frame", "queue_ns", "stage_ns", "bogus"};
+  while (dump.names.size() < 300) {  // A capture dump may pass 256 names.
+    dump.names.push_back("pad" + std::to_string(dump.names.size()));
+  }
+  const auto event = [](uint64_t ts, FlightEventType type, uint16_t code,
+                        uint16_t session, uint8_t stage, uint64_t a,
+                        uint64_t b) {
+    FlightEvent ev;
+    ev.ts_ns = ts;
+    ev.type = static_cast<uint8_t>(type);
+    ev.code = code;
+    ev.session = session;
+    ev.stage = stage;
+    ev.a = a;
+    ev.b = b;
+    return ev;
+  };
+  const auto fact = FlightEventType::kSlowFrameFact;
+  dump.events = {
+      event(100, FlightEventType::kSlowFrame, 2, 1, 0, 7, 50),
+      event(100, fact, 4, 1, 255, 7, 99),  // Stage out of range.
+      event(100, fact, 4, 1, 2, 7, 20),
+      event(100, fact, 3, 1, 0, 8, 5),      // Orphan: no frame 8.
+      event(100, fact, 5, 1, 0, 7, 6),      // Unknown key.
+      event(100, fact, 999, 1, 0, 7, 6),    // Key id past the table.
+      event(120, FlightEventType::kPoolMiss, 0, 1, 255, 1, 0),
+      event(200, FlightEventType::kPageRead, 999, 1, 0, 1, 2),
+      event(50, FlightEventType::kPoolHit, 0, 2, 0, 1, 0),  // Out of order.
+      // A truncated capture: a frame with no facts, an unnamed session
+      // and a service time that would overflow its window's end.
+      event(300, FlightEventType::kSlowFrame, 2, 999, 0, 9, UINT64_MAX),
+      event(400, FlightEventType::kPoolHit, 0, 999, 0, 1, 0),
+      event(500, FlightEventType::kSpanEnd, 0, 0, 0, 3, 0),  // Unpaired.
+  };
+
+  const std::string encoded = EncodeFlightDump(dump);
+  for (size_t cut : {size_t{1}, size_t{16}, size_t{32}, encoded.size() - 20}) {
+    Result<FlightDump> truncated =
+        DecodeFlightDump(encoded.substr(0, encoded.size() - cut));
+    ASSERT_FALSE(truncated.ok()) << cut;
+    EXPECT_TRUE(truncated.status().IsCorruption()) << cut;
+  }
+  Result<FlightDump> back = DecodeFlightDump(encoded);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->names.size(), 300u);
+  ASSERT_EQ(back->events.size(), dump.events.size());
+
+  const SlowFrameRows rows = RollUpSlowFrames(*back);
+  ASSERT_EQ(rows.captures.size(), 2u);
+  const SlowFrame& first = rows.captures[0];
+  EXPECT_EQ(first.record.frame, 7u);
+  EXPECT_EQ(first.record.wall_ns, 50u);
+  EXPECT_EQ(first.record.queue_ns, 0u);  // The queue fact was an orphan.
+  EXPECT_EQ(first.record.stages.ns[2], 20u);
+  EXPECT_EQ(first.record.stages.total_ns(), 20u);
+  ASSERT_EQ(first.events.size(), 1u);  // The 120 ns pool miss; 200 is late.
+  EXPECT_EQ(first.events[0].ts_ns, 120u);
+  const SlowFrame& truncated = rows.captures[1];
+  EXPECT_EQ(truncated.record.session, 999u);
+  EXPECT_EQ(truncated.trip_threshold_ns, 0u);
+  EXPECT_EQ(truncated.events.size(), 1u);
+  EXPECT_EQ(rows.frames_seen, 0u);
+
+  // The span runs from the earliest to the latest stamp, not from the
+  // first event to the last.
+  const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(*back);
+  EXPECT_EQ(rollup.first_ns, 50u);
+  EXPECT_EQ(rollup.last_ns, 500u);
+
+  const std::string json = telemetry::ChromeTraceJson({.flight = &*back});
+  EXPECT_NE(json.find("frame 7 (slow)"), std::string::npos);
+  EXPECT_NE(json.find("frame 9 (slow)"), std::string::npos);
 }
 
 TEST(SlowFrameTest, ConcurrentOnFrameIsSafe) {
@@ -318,7 +417,7 @@ TEST(SlowFrameTest, ConcurrentOnFrameIsSafe) {
   }
   EXPECT_EQ(cap.frames_seen(), kThreads * kFrames);
   EXPECT_EQ(cap.captures(), 8u);  // Trips beyond the cap are dropped.
-  EXPECT_GT(cap.Snapshot().captures_dropped, 0u);
+  EXPECT_GT(RollUpSlowFrames(cap.Snapshot()).captures_dropped, 0u);
 }
 
 }  // namespace

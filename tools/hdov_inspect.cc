@@ -4,7 +4,6 @@
 //
 //   hdov_inspect --db=<world.hdov> [--check]
 //   hdov_inspect --flight=<dump.bin> [--chrome-out=<trace.json>]
-//   hdov_inspect --slowdump=<slow.bin> [--chrome-out=<trace.json>]
 //   hdov_inspect --telemetry=<telemetry.json>
 //
 // --db prints the snapshot's section catalog, tree shape (depth, fanout
@@ -15,15 +14,13 @@
 // persist-roundtrip job runs exactly this).
 //
 // --flight prints per-type, per-source, per-session and per-stage event
-// rollups of a recorder dump (pages_read adds the pages of per-run
-// page_read and aggregated page_read_agg events); --chrome-out converts
-// it to a Chrome trace-event file.
-//
-// --slowdump prints the captured slow frames of a --slowdump-out file:
-// per capture the session, frame, queue-wait vs service time, the
-// threshold that tripped, the per-stage breakdown and the flight events
-// caught in the frame's window; --chrome-out converts the captures to a
-// Chrome trace with one track per session.
+// rollups of a flight dump (pages_read adds the pages of per-run
+// page_read and aggregated page_read_agg events). When the dump holds
+// slow-frame captures (--slowdump-out), it then lists them: per capture
+// the session, frame, queue-wait vs service time, the threshold that
+// tripped, the per-stage breakdown and the flight events of the frame's
+// window. --chrome-out converts the dump to a Chrome trace-event file,
+// with one track per session for the captured frames.
 //
 // --telemetry prints per-system frame rollups of a telemetry snapshot.
 
@@ -47,7 +44,6 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
-#include "telemetry/slow_frame.h"
 #include "telemetry/trace_context.h"
 #include "visibility/precompute.h"
 
@@ -57,7 +53,6 @@ namespace {
 struct InspectArgs {
   std::string db;
   std::string flight;
-  std::string slowdump;
   std::string telemetry;
   std::string chrome_out;
   bool check = false;
@@ -68,7 +63,6 @@ struct InspectArgs {
                "hdov_inspect: bad flag %s\n"
                "usage: hdov_inspect [--db=<world.hdov>] [--check]\n"
                "  [--flight=<dump.bin>] [--chrome-out=<trace.json>]\n"
-               "  [--slowdump=<slow.bin>]\n"
                "  [--telemetry=<telemetry.json>]\n",
                flag);
   std::exit(2);
@@ -91,7 +85,6 @@ InspectArgs Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (path_flag(argv[i], "--db=", &args.db) ||
         path_flag(argv[i], "--flight=", &args.flight) ||
-        path_flag(argv[i], "--slowdump=", &args.slowdump) ||
         path_flag(argv[i], "--telemetry=", &args.telemetry) ||
         path_flag(argv[i], "--chrome-out=", &args.chrome_out)) {
       continue;
@@ -102,8 +95,7 @@ InspectArgs Parse(int argc, char** argv) {
       Usage(argv[i]);
     }
   }
-  if (args.db.empty() && args.flight.empty() && args.slowdump.empty() &&
-      args.telemetry.empty()) {
+  if (args.db.empty() && args.flight.empty() && args.telemetry.empty()) {
     Usage("(no input)");
   }
   return args;
@@ -325,11 +317,9 @@ int InspectDb(const InspectArgs& args) {
 }
 
 // Writes a --chrome-out conversion; 0 on success, 1 (with a message on
-// stderr) when the file cannot be opened or written. `what` names the
-// layout in the success line.
+// stderr) when the file cannot be opened or written.
 int WriteChromeOut(const std::string& path,
-                   const telemetry::ChromeTraceSources& sources,
-                   const char* what) {
+                   const telemetry::ChromeTraceSources& sources) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "hdov_inspect: cannot open %s\n", path.c_str());
@@ -341,9 +331,69 @@ int WriteChromeOut(const std::string& path,
     std::fprintf(stderr, "hdov_inspect: write failed: %s\n", path.c_str());
     return 1;
   }
-  std::printf("chrome trace: wrote %s (%sopen in chrome://tracing)\n",
-              path.c_str(), what);
+  std::printf("chrome trace: wrote %s (open in chrome://tracing)\n",
+              path.c_str());
   return 0;
+}
+
+// The captured slow frames of a --slowdump-out dump.
+void PrintSlowFrames(const telemetry::FlightDump& dump,
+                     const telemetry::SlowFrameRows& slow) {
+  std::printf("slow frames: %zu captures over %llu frames seen"
+              " (%llu triggers dropped past the cap)\n",
+              slow.captures.size(),
+              static_cast<unsigned long long>(slow.frames_seen),
+              static_cast<unsigned long long>(slow.captures_dropped));
+  for (size_t i = 0; i < slow.captures.size(); ++i) {
+    const telemetry::SlowFrame& row = slow.captures[i];
+    const telemetry::FrameStageRecord& r = row.record;
+    std::printf(
+        "capture %zu: session %s frame %llu — queue %.3f ms,"
+        " service %.3f ms (tripped > %.3f ms), %llu sim pages\n",
+        i,
+        std::string(r.session < dump.names.size() ? dump.names[r.session]
+                                                  : "?")
+            .c_str(),
+        static_cast<unsigned long long>(r.frame), r.queue_ns / 1e6,
+        r.wall_ns / 1e6, row.trip_threshold_ns / 1e6,
+        static_cast<unsigned long long>(r.io_pages));
+    std::printf("  stage breakdown:");
+    for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
+      const double ms = r.stages.ns[s] / 1e6;
+      const double total = r.stages.total_ns() / 1e6;
+      std::printf(" %s=%.3fms(%.0f%%)",
+                  std::string(telemetry::TraceStageName(
+                                  static_cast<telemetry::TraceStage>(s)))
+                      .c_str(),
+                  ms, total > 0.0 ? 100.0 * ms / total : 0.0);
+    }
+    // The captured flight events of the frame's window, rolled up by
+    // type (the full event list is in the Chrome trace conversion).
+    std::map<uint8_t, uint64_t> by_type;
+    telemetry::FlightTotals window;
+    for (const telemetry::FlightEvent& e : row.events) {
+      by_type[e.type] += 1;
+      window.Add(e);
+    }
+    std::printf("\n  %zu flight events in window:", row.events.size());
+    for (const auto& [type, count] : by_type) {
+      std::printf(" %s=%llu",
+                  std::string(telemetry::FlightEventTypeName(
+                                  static_cast<telemetry::FlightEventType>(
+                                      type)))
+                      .c_str(),
+                  static_cast<unsigned long long>(count));
+    }
+    std::printf("\n");
+    if (window.prefetch_issued != 0 || window.prefetch_used != 0 ||
+        window.prefetch_cancelled != 0) {
+      std::printf("  prefetch in window: issued=%llu used=%llu"
+                  " cancelled=%llu pages\n",
+                  static_cast<unsigned long long>(window.prefetch_issued),
+                  static_cast<unsigned long long>(window.prefetch_used),
+                  static_cast<unsigned long long>(window.prefetch_cancelled));
+    }
+  }
 }
 
 int InspectFlight(const InspectArgs& args) {
@@ -355,17 +405,13 @@ int InspectFlight(const InspectArgs& args) {
     return 1;
   }
   const telemetry::FlightDump& dump = *read;
-  const double span_ms =
-      dump.events.empty()
-          ? 0.0
-          : static_cast<double>(dump.events.back().ts_ns -
-                                dump.events.front().ts_ns) /
-                1e6;
+  const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(dump);
   std::printf("flight dump: %s — %zu events (%llu dropped), %zu names,"
               " %.2f ms span\n",
               args.flight.c_str(), dump.events.size(),
               static_cast<unsigned long long>(dump.dropped),
-              dump.names.size(), span_ms);
+              dump.names.size(),
+              static_cast<double>(rollup.last_ns - rollup.first_ns) / 1e6);
   if (dump.names_dropped > 0) {
     std::printf("WARNING: %llu intern calls hit the %zu-name table cap and"
                 " degraded to \"?\" — per-source rollups undercount\n",
@@ -373,7 +419,6 @@ int InspectFlight(const InspectArgs& args) {
                 telemetry::kMaxFlightNames);
   }
 
-  const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(dump);
   std::printf("events by type:");
   for (const auto& [type, count] : rollup.by_type) {
     std::printf(" %s=%llu",
@@ -470,78 +515,12 @@ int InspectFlight(const InspectArgs& args) {
   print_by_stage("pages read by stage:",
                  &telemetry::FlightTotals::pages_read);
 
+  const telemetry::SlowFrameRows slow = telemetry::RollUpSlowFrames(dump);
+  if (!slow.captures.empty() || slow.frames_seen != 0) {
+    PrintSlowFrames(dump, slow);
+  }
   if (!args.chrome_out.empty()) {
-    return WriteChromeOut(args.chrome_out, {.flight = &dump}, "");
-  }
-  return 0;
-}
-
-int InspectSlowdump(const InspectArgs& args) {
-  Result<telemetry::SlowDump> read =
-      telemetry::SlowFrameCapture::ReadDump(args.slowdump);
-  if (!read.ok()) {
-    std::fprintf(stderr, "hdov_inspect: %s: %s\n", args.slowdump.c_str(),
-                 read.status().ToString().c_str());
-    return 1;
-  }
-  const telemetry::SlowDump& dump = *read;
-  std::printf("slow dump: %s — %zu captures over %llu frames seen"
-              " (%llu triggers dropped past the cap)\n",
-              args.slowdump.c_str(), dump.captures.size(),
-              static_cast<unsigned long long>(dump.frames_seen),
-              static_cast<unsigned long long>(dump.captures_dropped));
-  for (size_t i = 0; i < dump.captures.size(); ++i) {
-    const telemetry::SlowFrameEntry& cap = dump.captures[i];
-    const telemetry::FrameStageRecord& r = cap.record;
-    std::printf(
-        "capture %zu: session %s frame %llu — queue %.3f ms,"
-        " service %.3f ms (tripped > %.3f ms), %llu sim pages\n",
-        i, std::string(dump.NameOf(r.session)).c_str(),
-        static_cast<unsigned long long>(r.frame), r.queue_ns / 1e6,
-        r.wall_ns / 1e6, cap.trip_threshold_ms,
-        static_cast<unsigned long long>(r.io_pages));
-    std::printf("  stage breakdown:");
-    for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
-      const double ms = r.stages.ns[s] / 1e6;
-      const double total = r.stages.total_ns() / 1e6;
-      std::printf(" %s=%.3fms(%.0f%%)",
-                  std::string(telemetry::TraceStageName(
-                                  static_cast<telemetry::TraceStage>(s)))
-                      .c_str(),
-                  ms, total > 0.0 ? 100.0 * ms / total : 0.0);
-    }
-    // The captured flight events of the frame's window, rolled up by
-    // type (the full event list is in the Chrome trace conversion).
-    std::map<uint8_t, uint64_t> by_type;
-    telemetry::FlightTotals window;
-    for (const telemetry::FlightEvent& e : cap.events) {
-      by_type[e.type] += 1;
-      window.Add(e);
-    }
-    std::printf("\n  %zu flight events in window:", cap.events.size());
-    for (const auto& [type, count] : by_type) {
-      std::printf(" %s=%llu",
-                  std::string(telemetry::FlightEventTypeName(
-                                  static_cast<telemetry::FlightEventType>(
-                                      type)))
-                      .c_str(),
-                  static_cast<unsigned long long>(count));
-    }
-    std::printf("\n");
-    if (window.prefetch_issued != 0 || window.prefetch_used != 0 ||
-        window.prefetch_cancelled != 0) {
-      std::printf("  prefetch in window: issued=%llu used=%llu"
-                  " cancelled=%llu pages\n",
-                  static_cast<unsigned long long>(window.prefetch_issued),
-                  static_cast<unsigned long long>(window.prefetch_used),
-                  static_cast<unsigned long long>(window.prefetch_cancelled));
-    }
-  }
-
-  // --chrome-out belongs to --flight when both inputs are given.
-  if (!args.chrome_out.empty() && args.flight.empty()) {
-    return WriteChromeOut(args.chrome_out, {.slow = &dump},
-                          "one track per session; ");
+    return WriteChromeOut(args.chrome_out, {.flight = &dump});
   }
   return 0;
 }
@@ -622,11 +601,6 @@ int Run(const InspectArgs& args) {
   }
   if (!args.flight.empty()) {
     if (int rc = InspectFlight(args); rc != 0) {
-      return rc;
-    }
-  }
-  if (!args.slowdump.empty()) {
-    if (int rc = InspectSlowdump(args); rc != 0) {
       return rc;
     }
   }
