@@ -8,7 +8,9 @@
 // Further pins cover what the sweep does not: the bitmap-vertical store
 // and its telemetry counters, node-page billing on a packed tree with and
 // without a buffer pool, the traced span tree, and a whole VisualSystem
-// walk (delta search, sync prefetch, tree cache, model fetches).
+// walk (delta search, sync prefetch, tree cache, model fetches), and the
+// three baselines (naive, REVIEW, LoD-R-tree) walked through every motion
+// pattern with delta search on and off.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +25,11 @@
 #include "hdov/search.h"
 #include "storage/buffer_pool.h"
 #include "telemetry/trace.h"
+#include "telemetry/telemetry.h"
 #include "walkthrough/experiment_testbed.h"
+#include "walkthrough/lodr_system.h"
+#include "walkthrough/naive_system.h"
+#include "walkthrough/review_system.h"
 #include "walkthrough/visual_system.h"
 
 namespace hdov {
@@ -461,6 +467,188 @@ TEST(SearchPinTest, VisualSystemWalkIsPinned) {
   EXPECT_STREQ(got,
                "0x00f4a609 reads 891 seeks 178 bytes 3649536 clock "
                "1513.0999999999999");
+}
+
+// Every FrameResult field of one frame, doubles as raw bits.
+void AppendFrameResult(const FrameResult& fr, std::string* out) {
+  AppendDouble(fr.frame_time_ms, out);
+  AppendDouble(fr.query_time_ms, out);
+  EncodeFixed64(out, fr.io_pages);
+  EncodeFixed64(out, fr.light_io_pages);
+  EncodeFixed64(out, fr.rendered_triangles);
+  EncodeFixed64(out, fr.models_fetched);
+  EncodeFixed64(out, fr.resident_bytes);
+  EncodeFixed64(out, fr.index_bytes_read);
+  EncodeFixed64(out, fr.store_bytes_read);
+  EncodeFixed64(out, fr.model_bytes_read);
+  AppendSearchStats(fr.search, out);
+  EncodeFixed64(out, fr.cache_hits);
+  EncodeFixed64(out, fr.cache_misses);
+  AppendDouble(fr.cache_hit_rate, out);
+}
+
+// Plays each motion pattern with delta search on and off through `system`
+// (attached to its own Telemetry), then folds in the totals, the clock,
+// every FrameRecord and every metric the system registered.
+std::string WalkPin(WalkthroughSystem* system, SimClock* clock,
+                    const Aabb& bounds) {
+  telemetry::Telemetry telemetry;
+  system->AttachTelemetry(&telemetry, "pin");
+  std::string bytes;
+  uint64_t frames = 0;
+  uint64_t results = 0;
+  const MotionPattern patterns[] = {MotionPattern::kNormalWalk,
+                                    MotionPattern::kTurnLeftRight,
+                                    MotionPattern::kBackForward};
+  for (MotionPattern pattern : patterns) {
+    for (bool delta : {true, false}) {
+      SessionOptions sopt;
+      sopt.num_frames = 60;
+      sopt.speed = 4.0;
+      const Session session = RecordSession(pattern, bounds, sopt);
+      system->ResetRuntime();
+      system->set_delta_enabled(delta);
+      for (const Viewpoint& vp : session.frames) {
+        FrameResult fr;
+        const Status s = system->RenderFrame(vp, &fr);
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        AppendFrameResult(fr, &bytes);
+        for (const RetrievedLod& lod : system->last_result()) {
+          AppendResult(lod, &bytes);
+        }
+        ++frames;
+        results += system->last_result().size();
+
+      }
+    }
+  }
+  AppendIo(system->TotalIoStats(), &bytes);
+  AppendDouble(clock->NowMillis(), &bytes);
+  for (const telemetry::FrameRecord& rec : telemetry.frames()) {
+    AppendString(rec.system, &bytes);
+    AppendString(rec.kind, &bytes);
+    EncodeFixed64(&bytes, rec.cell);
+    AppendDouble(rec.frame_time_ms, &bytes);
+    AppendDouble(rec.query_time_ms, &bytes);
+    EncodeFixed64(&bytes, rec.io_pages);
+    EncodeFixed64(&bytes, rec.light_io_pages);
+    EncodeFixed64(&bytes, rec.index_bytes_read);
+    EncodeFixed64(&bytes, rec.store_bytes_read);
+    EncodeFixed64(&bytes, rec.model_bytes_read);
+    EncodeFixed64(&bytes, rec.rendered_triangles);
+    EncodeFixed64(&bytes, rec.models_fetched);
+    EncodeFixed64(&bytes, rec.resident_bytes);
+    AppendDouble(rec.cache_hit_rate, &bytes);
+  }
+  for (const telemetry::MetricSample& m :
+       telemetry.metrics().Snapshot().samples) {
+    AppendString(m.name, &bytes);
+    AppendDouble(m.value, &bytes);
+    for (uint64_t b : m.buckets) {
+      EncodeFixed64(&bytes, b);
+    }
+    AppendDouble(m.sum, &bytes);
+    EncodeFixed64(&bytes, m.count);
+  }
+  system->DetachTelemetry();
+  const IoStats total = system->TotalIoStats();
+  char got[200];
+  std::snprintf(got, sizeof(got),
+                "0x%08x frames %llu results %llu reads %llu seeks %llu "
+                "bytes %llu clock %.17g",
+                Crc(bytes), static_cast<unsigned long long>(frames),
+                static_cast<unsigned long long>(results),
+                static_cast<unsigned long long>(total.page_reads),
+                static_cast<unsigned long long>(total.seeks),
+                static_cast<unsigned long long>(total.bytes_read),
+                clock->NowMillis());
+  return got;
+}
+
+// A fixed viewpoint set over the world: a 4 x 4 grid of positions, each
+// looking along one of four directions.
+std::vector<Viewpoint> PinViewpoints(const Aabb& bounds) {
+  std::vector<Viewpoint> vps;
+  const Vec3 looks[] = {Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(-0.6, -0.8, 0),
+                        Vec3(0.8, -0.6, 0)};
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      const double u = 0.15 + 0.7 * i / 3.0;
+      const double v = 0.15 + 0.7 * j / 3.0;
+      vps.push_back(
+          Viewpoint{Vec3(bounds.min.x + u * (bounds.max.x - bounds.min.x),
+                         bounds.min.y + v * (bounds.max.y - bounds.min.y),
+                         1.7),
+                    looks[(i + j) % 4]});
+    }
+  }
+  return vps;
+}
+
+TEST(SearchPinTest, BaselineWalksArePinned) {
+  // Naive, REVIEW and LoD-R-tree on small world B, each over the three
+  // motion patterns with delta search on and off: every frame's billing
+  // and result set, the FrameRecords and metrics the systems emit, and
+  // the R-tree window queries themselves.
+  Result<Testbed> bed = BuildTestbed(SmallWorldB());
+  ASSERT_TRUE(bed.ok()) << bed.status().ToString();
+  const Aabb bounds = bed->scene.bounds();
+  const double extent = bounds.max.x - bounds.min.x;
+
+  auto naive = NaiveSystem::Create(&bed->scene, &bed->grid, &bed->table,
+                                   NaiveOptions());
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(WalkPin(naive->get(), &(*naive)->clock(), bounds),
+            "0xd7d30b47 frames 360 results 9920 "
+            "reads 24389 seeks 5322 bytes 99897344 "
+            "clock 45014.900000000001");
+
+  ReviewOptions ropt;
+  ropt.query_box_size = 0.3 * extent;
+  ropt.cache_distance = 0.45 * extent;
+  ropt.rtree.max_entries = 8;
+  ropt.rtree.min_entries = 3;
+  auto review = ReviewSystem::Create(&bed->scene, ropt);
+  ASSERT_TRUE(review.ok()) << review.status().ToString();
+  EXPECT_EQ(WalkPin(review->get(), &(*review)->clock(), bounds),
+            "0x9ea805d0 frames 360 results 3600 "
+            "reads 67002 seeks 4083 bytes 274440192 "
+            "clock 39364.199999999997");
+
+  LodRTreeOptions lopt;
+  lopt.frustum.far_dist = 0.4 * extent;
+  lopt.cache_distance = 0.45 * extent;
+  lopt.rtree.max_entries = 8;
+  lopt.rtree.min_entries = 3;
+  auto lodr = LodRTreeSystem::Create(&bed->scene, lopt);
+  ASSERT_TRUE(lodr.ok()) << lodr.status().ToString();
+  EXPECT_EQ(WalkPin(lodr->get(), &(*lodr)->clock(), bounds),
+            "0xf909794c frames 360 results 5320 "
+            "reads 61927 seeks 8523 bytes 253652992 "
+            "clock 74376.699999999997");
+
+  // The window queries alone, after the walks: REVIEW's ids and the
+  // LoD-R-tree's frustum bands for a fixed viewpoint set.
+  std::string bytes;
+  std::vector<uint64_t> ids;
+  for (const Viewpoint& vp : PinViewpoints(bounds)) {
+    ASSERT_TRUE((*review)->Query(vp.position, &ids).ok());
+    EncodeFixed64(&bytes, ids.size());
+    for (uint64_t id : ids) {
+      EncodeFixed64(&bytes, id);
+    }
+    for (const Aabb& box : (*lodr)->QueryBoxes(vp)) {
+      for (const Vec3& c : {box.min, box.max}) {
+        AppendDouble(c.x, &bytes);
+        AppendDouble(c.y, &bytes);
+        AppendDouble(c.z, &bytes);
+      }
+    }
+  }
+  AppendIo((*review)->TotalIoStats(), &bytes);
+  char got[32];
+  std::snprintf(got, sizeof(got), "0x%08x", Crc(bytes));
+  EXPECT_STREQ(got, "0x7f251aa9");
 }
 
 }  // namespace
