@@ -1,117 +1,91 @@
-// Persistence: build an HDoV-tree once, save the packed device image to a
-// real file, then reopen it in a fresh process state and query it —
-// the offline-precompute / online-walkthrough split the paper's system
-// implies (precomputation takes ~1 s per cell; you do it once).
+// Persistence: build a world and its HDoV-tree once, commit them to a
+// snapshot file, then reopen the snapshot and query it — the
+// offline-precompute / online-walkthrough split the paper's system implies
+// (precomputation takes ~1 s per cell; you do it once). The snapshot holds
+// the scene, the cell grid, the visibility table, the packed tree, every
+// storage scheme and the model metadata (docs/storage.md).
 //
-// Build & run:  ./build/examples/persistence [db_path]
+// Build & run:  ./build/examples/persistence [db_dir]
 
 #include <cstdio>
 #include <string>
 
-#include "hdov/builder.h"
-#include "hdov/search.h"
-#include "scene/city_generator.h"
-#include "visibility/precompute.h"
+#include "persist/snapshot.h"
+#include "walkthrough/experiment_testbed.h"
+#include "walkthrough/visual_system.h"
 
 using namespace hdov;  // Example code; library code never does this.
+
+namespace {
+
+int Fail(const char* what, const Status& status) {
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  return 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const std::string path =
       (argc > 1 ? argv[1] : std::string("/tmp")) + "/hdov_city.db";
 
-  CityOptions city_options;
-  city_options.blocks_x = 6;
-  city_options.blocks_y = 6;
-  Result<Scene> scene = GenerateCity(city_options);
-  CellGridOptions grid_options;
-  grid_options.cells_x = 6;
-  grid_options.cells_y = 6;
-  if (!scene.ok()) {
-    return 1;
-  }
-  Result<CellGrid> grid = CellGrid::Build(scene->bounds(), grid_options);
-  PrecomputeOptions precompute_options;
-  precompute_options.dov.cubemap.face_resolution = 32;
-  Result<VisibilityTable> table =
-      PrecomputeVisibility(*scene, *grid, precompute_options);
-  if (!grid.ok() || !table.ok()) {
-    return 1;
-  }
-
-  Extent manifest;
   {
-    // --- offline: build, pack, save ---
-    PageDevice device;
-    ModelStore models(&device);
-    HdovBuildOptions build_options;
-    build_options.rtree.max_entries = 8;
-    build_options.rtree.min_entries = 3;
-    build_options.bulk_load = true;
-    Result<HdovTree> tree = HdovBuilder::Build(*scene, &models,
-                                               build_options);
-    if (!tree.ok()) {
-      std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
-      return 1;
+    // --- offline: generate, precompute, build, commit ---
+    TestbedOptions testbed_options;
+    testbed_options.blocks = 6;
+    testbed_options.cells = 6;
+    testbed_options.face_resolution = 32;
+    Result<Testbed> bed = BuildTestbed(testbed_options);
+    if (!bed.ok()) {
+      return Fail("build", bed.status());
     }
-    if (Status s = tree->Pack(&device); !s.ok()) {
-      return 1;
+    Result<std::unique_ptr<SnapshotWriter>> writer =
+        SnapshotWriter::Create(path);
+    if (!writer.ok()) {
+      return Fail("snapshot", writer.status());
     }
-    PagedFile file(&device);
-    Result<Extent> m = tree->WriteManifest(&file);
-    if (!m.ok()) {
-      std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
-      return 1;
+    if (Status s = WriteWorldSnapshot(writer->get(), *bed,
+                                      DefaultVisualOptions());
+        !s.ok()) {
+      return Fail("snapshot", s);
     }
-    manifest = *m;
-    if (Status s = device.SaveToFile(path); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
+    if (Status s = (*writer)->Commit(); !s.ok()) {
+      return Fail("commit", s);
     }
-    std::printf("offline build: %zu nodes over %s\nsaved image to %s\n\n",
-                tree->num_nodes(), scene->Summary().c_str(), path.c_str());
+    std::printf("offline build: %s\ncommitted snapshot %s\n\n",
+                bed->scene.Summary().c_str(), path.c_str());
   }
 
-  // --- online: reopen and query ---
-  PageDevice device;
-  if (Status s = device.LoadFromFile(path); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+  // --- online: reopen and query, pages served from the file ---
+  Result<std::unique_ptr<SnapshotLoader>> snapshot = SnapshotLoader::Open(path);
+  if (!snapshot.ok()) {
+    return Fail("open", snapshot.status());
   }
-  PagedFile file(&device);
-  Result<HdovTree> tree = HdovTree::LoadFrom(&device, &file, manifest);
-  if (!tree.ok()) {
-    std::fprintf(stderr, "reload: %s\n", tree.status().ToString().c_str());
-    return 1;
+  Result<Testbed> world = LoadWorldSections(**snapshot);
+  if (!world.ok()) {
+    return Fail("reload", world.status());
   }
-  std::printf("reloaded %zu nodes (invariants verified on load)\n",
-              tree->num_nodes());
+  Result<std::unique_ptr<VisualSystem>> system =
+      VisualSystem::CreateFromSnapshot(**snapshot, &world->scene,
+                                       &world->grid, DefaultVisualOptions(),
+                                       SnapshotLoadMode::kFileBacked);
+  if (!system.ok()) {
+    return Fail("reload", system.status());
+  }
+  std::printf("reloaded %zu tree nodes (invariants verified on load)\n",
+              (*system)->tree().num_nodes());
 
-  // Rebuild the runtime pieces over the restored tree and query it.
-  ModelStore models(&device);  // Model extents are re-registered in demos;
-  for (const Object& obj : scene->objects()) {  // a production DB would
-    for (size_t l = 0; l < obj.lods.num_levels(); ++l) {  // persist these
-      models.Register(obj.lods.level(l).byte_size);       // extents too.
-    }
-  }
-  PageDevice store_device;
-  Result<std::unique_ptr<VisibilityStore>> store = BuildStore(
-      StorageScheme::kIndexedVertical, *tree, *table, &store_device);
-  if (!store.ok()) {
-    return 1;
-  }
-  HdovSearcher searcher(&*tree, &*scene, &models, &device);
   std::vector<RetrievedLod> result;
-  SearchOptions search_options;
-  search_options.eta = 0.001;
-  Vec3 eye = scene->bounds().Center();
-  if (Status s = searcher.Search(store->get(),
-                                 grid->ClampedCellForPoint(eye),
-                                 search_options, &result);
+  const Vec3 eye = world->scene.bounds().Center();
+  if (Status s = (*system)->Query(eye, /*fetch_models=*/true, &result,
+                                  nullptr);
       !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+    return Fail("query", s);
   }
-  std::printf("query from the restored tree: %zu representations\n",
-              result.size());
+  std::printf("query from the restored tree: %zu representations, "
+              "%llu pages read\n",
+              result.size(),
+              static_cast<unsigned long long>(
+                  (*system)->TotalIoStats().page_reads));
   return 0;
 }

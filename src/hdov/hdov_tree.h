@@ -23,7 +23,6 @@
 #include "simplify/lod_chain.h"
 #include "storage/model_store.h"
 #include "storage/page_device.h"
-#include "storage/paged_file.h"
 
 namespace hdov {
 
@@ -111,15 +110,6 @@ class HdovTree {
   // Node reads are billed on `device` like any traversal.
   static Result<HdovTree> FromManifest(PageDevice* device,
                                        std::string_view manifest);
-
-  // Writes the tree manifest as one extent of `file` (which must wrap the
-  // same device Pack() wrote to, or another one). Together with the device
-  // image (PageDevice::SaveToFile) this makes the tree fully persistent.
-  Result<Extent> WriteManifest(PagedFile* file) const;
-
-  // Restores a tree from Pack()'ed node pages plus a manifest extent.
-  static Result<HdovTree> LoadFrom(PageDevice* device, PagedFile* file,
-                                   const Extent& manifest);
 
   // Structural invariants: entry/descendant-count consistency, MBR
   // containment, level consistency, internal LoD presence.

@@ -233,10 +233,9 @@ Result<std::unique_ptr<SnapshotLoader>> SnapshotLoader::Open(
   }
   loader->page_size_ = page_size;
 
-  std::string catalog(catalog_length, '\0');
-  HDOV_RETURN_IF_ERROR(
-      loader->file_->PreadExact(catalog_offset, catalog.data(),
-                                catalog.size()));
+  HDOV_ASSIGN_OR_RETURN(
+      std::string catalog,
+      loader->file_->ReadRange(catalog_offset, catalog_length));
   if (stats != nullptr) {
     ++stats->checksum_verifications;
     stats->bytes_read += catalog.size();
@@ -302,9 +301,8 @@ Result<const SnapshotLoader::Entry*> SnapshotLoader::Find(
 Result<std::string> SnapshotLoader::ReadBlob(const std::string& name) const {
   LoadTimer timer(stats_);
   HDOV_ASSIGN_OR_RETURN(const Entry* entry, Find(name, SectionKind::kBlob));
-  std::string bytes(entry->length, '\0');
-  HDOV_RETURN_IF_ERROR(
-      file_->PreadExact(entry->offset, bytes.data(), bytes.size()));
+  HDOV_ASSIGN_OR_RETURN(std::string bytes,
+                        file_->ReadRange(entry->offset, entry->length));
   if (stats_ != nullptr) {
     ++stats_->checksum_verifications;
     stats_->bytes_read += bytes.size();

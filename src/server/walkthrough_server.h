@@ -129,9 +129,8 @@ class WalkthroughServer {
   // Writes the wall-clock latency aggregates into `registry` as gauges
   // under `<prefix>.wall.`: per-session and fleet-wide p50/p95/p99 of
   // queue wait and service time, plus per-session stage totals. Every
-  // name contains ".wall.", which the bench comparator matches with a
-  // tolerance instead of exactly (and skips entirely under
-  // --ignore-wall) — keep that marker if you add gauges here.
+  // name contains ".wall.", whose numeric values the bench comparator
+  // never compares — keep that marker if you add gauges here.
   static void RollupWallLatencyInto(const ServerRunStats& stats,
                                     telemetry::MetricsRegistry* registry,
                                     const std::string& prefix);

@@ -113,6 +113,17 @@ Result<uint64_t> FileHandle::Size() const {
   return static_cast<uint64_t>(end);
 }
 
+Result<std::string> FileHandle::ReadRange(uint64_t offset,
+                                          uint64_t length) const {
+  HDOV_ASSIGN_OR_RETURN(uint64_t size, Size());
+  if (offset > size || length > size - offset) {
+    return Status::Corruption("file handle: range past the end of " + path_);
+  }
+  std::string bytes(length, '\0');
+  HDOV_RETURN_IF_ERROR(PreadExact(offset, bytes.data(), bytes.size()));
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // PersistStats
 
@@ -223,13 +234,18 @@ Status FilePageDevice::LoadExisting() {
     return Status::InvalidArgument(
         "file device: file page size does not match the device model");
   }
-  if (table_length != page_count * kTableEntryBytes) {
+  // Division, not page_count * kTableEntryBytes, so a forged count cannot
+  // wrap into agreement; the table must then fit in the file, which bounds
+  // page_count before the entries are sized.
+  if (table_length % kTableEntryBytes != 0 ||
+      table_length / kTableEntryBytes != page_count ||
+      table_offset > UINT64_MAX - region_offset_) {
     return Status::Corruption("file device: inconsistent table length in " +
                               file_->path());
   }
-  std::string table(table_length, '\0');
-  HDOV_RETURN_IF_ERROR(file_->PreadExact(region_offset_ + table_offset,
-                                         table.data(), table.size()));
+  HDOV_ASSIGN_OR_RETURN(
+      std::string table,
+      file_->ReadRange(region_offset_ + table_offset, table_length));
   if (persist_ != nullptr) {
     persist_->bytes_read += table.size();
     ++persist_->checksum_verifications;

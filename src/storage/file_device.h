@@ -56,6 +56,11 @@ class FileHandle {
   Status Fsync();
   Result<uint64_t> Size() const;
 
+  // The bytes of [offset, offset + length), after an overflow-safe check
+  // that the range lies inside the file: a length read from a header
+  // never sizes a buffer past the file (Corruption instead).
+  Result<std::string> ReadRange(uint64_t offset, uint64_t length) const;
+
  private:
   FileHandle(int fd, std::string path, bool writable)
       : fd_(fd), path_(std::move(path)), writable_(writable) {}

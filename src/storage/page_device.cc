@@ -1,15 +1,8 @@
 #include "storage/page_device.h"
 
-#include <fstream>
-
-#include "common/coding.h"
 #include "telemetry/trace_context.h"
 
 namespace hdov {
-
-namespace {
-constexpr uint32_t kDeviceMagic = 0x76644856;  // Bytes "VHdv" on disk.
-}  // namespace
 
 PageDevice::PageDevice(const DiskModel& model, SimClock* clock)
     : model_(model),
@@ -122,73 +115,6 @@ Status PageDevice::ExportContents(std::vector<std::string>* out) const {
     }
   }
   return Status::OK();
-}
-
-Status PageDevice::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("page device: cannot open " + path);
-  }
-  std::string header;
-  EncodeFixed32(&header, kDeviceMagic);
-  EncodeFixed32(&header, model_.page_size);
-  EncodeFixed64(&header, page_count());
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  std::string page;
-  for (PageId id = 0; id < page_count(); ++id) {
-    const char materialized = IsMaterialized(id) ? 1 : 0;
-    out.put(materialized);
-    if (materialized) {
-      HDOV_RETURN_IF_ERROR(ReadRaw(id, &page));
-      out.write(page.data(), static_cast<std::streamsize>(page.size()));
-    }
-  }
-  if (!out) {
-    return Status::IoError("page device: write to " + path + " failed");
-  }
-  return Status::OK();
-}
-
-Status PageDevice::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("page device: cannot open " + path);
-  }
-  std::string header(16, '\0');
-  in.read(header.data(), 16);
-  if (!in) {
-    return Status::Corruption("page device: truncated header");
-  }
-  Decoder decoder(header);
-  uint32_t magic = 0;
-  uint32_t page_size = 0;
-  uint64_t page_count = 0;
-  HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&magic));
-  HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&page_size));
-  HDOV_RETURN_IF_ERROR(decoder.DecodeFixed64(&page_count));
-  if (magic != kDeviceMagic) {
-    return Status::Corruption("page device: bad magic in " + path);
-  }
-  if (page_size != model_.page_size) {
-    return Status::InvalidArgument(
-        "page device: file page size does not match the device model");
-  }
-  std::vector<std::string> pages(page_count);
-  for (uint64_t i = 0; i < page_count; ++i) {
-    int materialized = in.get();
-    if (materialized == std::char_traits<char>::eof()) {
-      return Status::Corruption("page device: truncated image");
-    }
-    if (materialized != 0) {
-      pages[i].resize(model_.page_size);
-      in.read(pages[i].data(),
-              static_cast<std::streamsize>(model_.page_size));
-      if (!in) {
-        return Status::Corruption("page device: truncated page data");
-      }
-    }
-  }
-  return RestoreContents(std::move(pages));
 }
 
 void PageDevice::RegisterWith(telemetry::MetricsRegistry* registry,

@@ -131,14 +131,6 @@ class PageDevice {
   //   dst->RestoreContents(src.ExportContents(&pages)) style round trip.
   Status ExportContents(std::vector<std::string>* out) const;
 
-  // Persists the device image to a real file / restores it. Materialized
-  // page contents are stored verbatim; unmaterialized extents are recorded
-  // by length only, so a multi-GB logical device saves as a small file.
-  // Statistics and the cost model are not part of the image. Implemented
-  // on top of ReadRaw/RestoreContents, so they work for any subclass.
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
-
   const IoStats& stats() const { return stats_; }
   void ResetStats() { stats_ = IoStats(); }
 

@@ -257,9 +257,8 @@ std::string DescribeValue(const JsonValue& v) {
 
 class Comparator {
  public:
-  Comparator(const JsonValue& old_doc, const JsonValue& new_doc,
-             const CompareOptions& options)
-      : old_(old_doc), new_(new_doc), options_(options) {}
+  Comparator(const JsonValue& old_doc, const JsonValue& new_doc)
+      : old_(old_doc), new_(new_doc) {}
 
   CompareResult Run() {
     if (!CheckIdentity()) {
@@ -269,42 +268,10 @@ class Comparator {
     CompareMetrics();
     CompareFrameTotals();
     CompareSeries();
-    CompareTimings();
     return std::move(result_);
   }
 
  private:
-  bool Skipped(const std::string& name) const {
-    for (const std::string& s : options_.skip_substrings) {
-      if (name.find(s) != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Wall-clock check: regressions beyond tolerance fail, improvements
-  // beyond tolerance are surfaced as info, tiny absolute values ignored.
-  void CheckWall(const std::string& where, const std::string& what,
-                 double old_value, double new_value) {
-    if (options_.ignore_wall) {
-      return;
-    }
-    ++result_.values_compared;
-    if (new_value > old_value * (1.0 + options_.wall_tolerance) &&
-        new_value - old_value > options_.wall_floor_ms) {
-      result_.Add(Severity::kFail, where,
-                  what + ": wall-clock regression " + Num(old_value) +
-                      " -> " + Num(new_value) + " ms (tolerance " +
-                      Num(options_.wall_tolerance * 100.0) + "%)");
-    } else if (old_value > new_value * (1.0 + options_.wall_tolerance) &&
-               old_value - new_value > options_.wall_floor_ms) {
-      result_.Add(Severity::kInfo, where,
-                  what + ": wall-clock improved " + Num(old_value) + " -> " +
-                      Num(new_value) + " ms");
-    }
-  }
-
   void CheckExact(const std::string& where, const std::string& what,
                   const JsonValue& old_value, const JsonValue& new_value) {
     ++result_.values_compared;
@@ -370,7 +337,7 @@ class Comparator {
     }
     for (const JsonValue& old_m : old_metrics->items) {
       const std::string* name = FindString(old_m, "name");
-      if (name == nullptr || Skipped(*name)) {
+      if (name == nullptr) {
         continue;
       }
       const JsonValue* new_m = nullptr;
@@ -388,7 +355,7 @@ class Comparator {
       }
       // Metrics whose name carries the ".wall." marker hold wall-clock
       // values (e.g. the server's queue/service latency gauges): numeric
-      // members get the tolerance check, everything else stays exact.
+      // members are not compared, everything else stays exact.
       const bool is_wall = name->find(".wall.") != std::string::npos;
       for (const auto& [key, old_value] : old_m.members) {
         if (key == "name") {
@@ -400,17 +367,14 @@ class Comparator {
                       *name + "." + key + ": field missing in new run");
           continue;
         }
-        if (is_wall && old_value.is_number() && new_value->is_number()) {
-          CheckWall("metrics", *name + "." + key, old_value.number,
-                    new_value->number);
-        } else {
+        if (!(is_wall && old_value.is_number() && new_value->is_number())) {
           CheckExact("metrics", *name + "." + key, old_value, *new_value);
         }
       }
     }
     for (const JsonValue& new_m : new_metrics->items) {
       const std::string* name = FindString(new_m, "name");
-      if (name == nullptr || Skipped(*name)) {
+      if (name == nullptr) {
         continue;
       }
       bool in_old = false;
@@ -562,64 +526,22 @@ class Comparator {
       }
       for (size_t c = 0; c < old_values->items.size(); ++c) {
         const JsonValue& column = old_columns->items[c];
-        const std::string* column_name = FindString(column, "name");
         const JsonValue* wall = column.Find("wall");
-        const std::string what =
-            label + "." +
-            (column_name != nullptr ? *column_name : std::to_string(c));
         if (wall != nullptr && wall->boolean) {
-          CheckWall(name, what, old_values->items[c].number,
-                    new_values->items[c].number);
-        } else {
-          CheckExact(name, what, old_values->items[c], new_values->items[c]);
+          continue;  // Wall-clock column: information only.
         }
-      }
-    }
-  }
-
-  void CompareTimings() {
-    const JsonValue* old_timings = old_.Find("timings");
-    const JsonValue* new_timings = new_.Find("timings");
-    if (old_timings == nullptr || new_timings == nullptr ||
-        !old_timings->is_array() || !new_timings->is_array()) {
-      return;
-    }
-    for (const JsonValue& old_t : old_timings->items) {
-      const std::string* name = FindString(old_t, "name");
-      if (name == nullptr) {
-        continue;
-      }
-      const JsonValue* new_t = nullptr;
-      for (const JsonValue& candidate : new_timings->items) {
-        const std::string* candidate_name = FindString(candidate, "name");
-        if (candidate_name != nullptr && *candidate_name == *name) {
-          new_t = &candidate;
-          break;
-        }
-      }
-      if (new_t == nullptr) {
-        result_.Add(Severity::kWarn, "timings",
-                    *name + ": missing in new run");
-        continue;
-      }
-      const JsonValue* old_median = old_t.Find("median_ms");
-      const JsonValue* new_median = new_t->Find("median_ms");
-      if (old_median != nullptr && new_median != nullptr) {
-        CheckWall("timings", *name + ".median_ms", old_median->number,
-                  new_median->number);
-      }
-      const JsonValue* old_p95 = old_t.Find("p95_ms");
-      const JsonValue* new_p95 = new_t->Find("p95_ms");
-      if (old_p95 != nullptr && new_p95 != nullptr) {
-        CheckWall("timings", *name + ".p95_ms", old_p95->number,
-                  new_p95->number);
+        const std::string* column_name = FindString(column, "name");
+        CheckExact(name,
+                   label + "." +
+                       (column_name != nullptr ? *column_name
+                                               : std::to_string(c)),
+                   old_values->items[c], new_values->items[c]);
       }
     }
   }
 
   const JsonValue& old_;
   const JsonValue& new_;
-  const CompareOptions& options_;
   CompareResult result_;
 };
 
@@ -641,9 +563,8 @@ void CompareResult::Add(CompareFinding::Severity severity, std::string where,
 }
 
 CompareResult CompareReports(const JsonValue& old_report,
-                             const JsonValue& new_report,
-                             const CompareOptions& options) {
-  return Comparator(old_report, new_report, options).Run();
+                             const JsonValue& new_report) {
+  return Comparator(old_report, new_report).Run();
 }
 
 }  // namespace hdov::telemetry

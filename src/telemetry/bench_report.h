@@ -172,20 +172,6 @@ class BenchReport {
 // ---------------------------------------------------------------------
 // Report diffing (the bench_compare tool and the CI perf gate).
 
-struct CompareOptions {
-  // Relative tolerance for wall-clock values (series columns marked
-  // `wall` and the timing stats). 0.30 = a 30% slowdown fails.
-  double wall_tolerance = 0.30;
-  // Wall-clock values below this many ms are never flagged (relative
-  // noise on near-zero timings is meaningless).
-  double wall_floor_ms = 1.0;
-  // Ignore wall-clock values entirely — the CI gate runs with this on,
-  // since baseline and CI hardware differ.
-  bool ignore_wall = false;
-  // Metric names containing any of these substrings are skipped.
-  std::vector<std::string> skip_substrings;
-};
-
 struct CompareFinding {
   enum class Severity { kInfo, kWarn, kFail };
   Severity severity = Severity::kInfo;
@@ -203,13 +189,14 @@ struct CompareResult {
 };
 
 // Diffs two parsed BenchReport documents (`old_report` is the baseline).
-// Simulated values must match exactly; wall-clock values may regress up
-// to the tolerance. Returns a finding list; HasFailure() decides the
-// exit code. Invalid/mismatched documents report kFail findings rather
-// than erroring out.
+// Simulated values must match exactly. Wall-clock values (series columns
+// marked `wall`, numeric members of `.wall.` metrics, and the timings)
+// are information only and never compared: perfbench is the wall-clock
+// contract. Returns a finding list; HasFailure() decides the exit code.
+// Invalid/mismatched documents report kFail findings rather than
+// erroring out.
 CompareResult CompareReports(const JsonValue& old_report,
-                             const JsonValue& new_report,
-                             const CompareOptions& options);
+                             const JsonValue& new_report);
 
 }  // namespace hdov::telemetry
 

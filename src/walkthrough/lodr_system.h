@@ -1,80 +1,52 @@
 // LodRTreeSystem: reimplementation of the LoD-R-tree baseline (Kofler,
-// Gervautz & Gruber 2000 — the paper's related work [8]): an R-tree whose
-// search "converts the viewing-frustum into a few rectangular query boxes"
-// — depth bands along the viewing direction, each retrieved at an ad-hoc,
-// static LoD (near = fine, far = coarse). Fast while the user looks where
-// they were looking; degrades when the view turns, because the boxes (and
-// everything cached for them) swing away — the behaviour the paper calls
-// out in §2.
+// Gervautz & Gruber 2000 — the paper's related work [8]): an R-tree
+// window-query walkthrough (rtree_baseline.h) whose search "converts the
+// viewing-frustum into a few rectangular query boxes" — depth bands along
+// the viewing direction, each retrieved at an ad-hoc, static LoD (near =
+// fine, far = coarse). Fast while the user looks where they were looking;
+// degrades when the view turns, because the boxes (and everything cached
+// for them) swing away — the behaviour the paper calls out in §2.
 
 #ifndef HDOV_WALKTHROUGH_LODR_SYSTEM_H_
 #define HDOV_WALKTHROUGH_LODR_SYSTEM_H_
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "geometry/frustum.h"
-#include "rtree/rtree.h"
-#include "storage/model_store.h"
-#include "walkthrough/render_model.h"
-#include "walkthrough/walkthrough_system.h"
+#include "walkthrough/rtree_baseline.h"
 
 namespace hdov {
 
-struct LodRTreeOptions {
+// The shared fields (cache_distance, rtree, render, disk) come from
+// RTreeBaselineOptions.
+struct LodRTreeOptions : RTreeBaselineOptions {
   FrustumOptions frustum;  // far_dist bounds the deepest band.
 
   // Depth bands as fractions of far_dist; band i spans
   // (fractions[i-1], fractions[i]] * far_dist and is retrieved at LoD
   // level i (clamped to the object's chain).
   std::vector<double> band_fractions = {0.15, 0.45, 1.0};
-
-  // Objects farther than this from the viewpoint are evicted.
-  double cache_distance = 600.0;
-
-  RTreeOptions rtree;
-  RenderCostModel render;
-  DiskModel disk;
 };
 
-class LodRTreeSystem : public WalkthroughSystem {
+class LodRTreeSystem : public RTreeBaseline {
  public:
   static Result<std::unique_ptr<LodRTreeSystem>> Create(
       const Scene* scene, const LodRTreeOptions& options);
 
   std::string name() const override { return "LoD-R-tree"; }
-  Status RenderFrame(const Viewpoint& viewpoint, FrameResult* result) override;
-  void ResetRuntime() override;
-  const std::vector<RetrievedLod>& last_result() const override {
-    return last_result_;
-  }
-  IoStats TotalIoStats() const override;
-  void ResetIoStats() override;
-
-  SimClock& clock() { return clock_; }
 
   // The frustum-derived query boxes for a viewpoint (exposed for tests).
   std::vector<Aabb> QueryBoxes(const Viewpoint& viewpoint) const;
 
  private:
-  LodRTreeSystem(const Scene* scene, const LodRTreeOptions& options);
+  LodRTreeSystem(const Scene* scene, const LodRTreeOptions& options)
+      : RTreeBaseline(scene, options), options_(options) {}
 
-  void RegisterTelemetry() override;
+  Status Select(const Viewpoint& viewpoint, std::vector<Pick>* picks) override;
 
-  const Scene* scene_;
   LodRTreeOptions options_;
-
-  SimClock clock_;
-  PageDevice index_device_;
-  PageDevice model_device_;
-  ModelStore models_;
-  std::unique_ptr<PackedRTree> packed_;
-  std::vector<std::vector<ModelId>> object_models_;
-
-  std::unordered_map<ObjectId, std::pair<uint32_t, uint64_t>> resident_;
-  std::vector<RetrievedLod> last_result_;
-  telemetry::Histogram* frame_time_hist_ = nullptr;  // Valid while attached.
 };
 
 }  // namespace hdov

@@ -56,8 +56,6 @@ void NaiveSystem::RegisterTelemetry() {
   const std::string& p = telemetry_prefix();
   list_device_.RegisterWith(&m, p + ".io.list");
   model_device_.RegisterWith(&m, p + ".io.model");
-  frame_time_hist_ = m.GetHistogram(
-      p + ".frame.time_ms", telemetry::ExponentialBuckets(0.25, 2.0, 14));
 }
 
 Status NaiveSystem::Query(const Vec3& position, bool fetch_models,
@@ -112,9 +110,7 @@ Status NaiveSystem::Query(const Vec3& position, bool fetch_models,
 Status NaiveSystem::RenderFrame(const Viewpoint& viewpoint,
                                 FrameResult* result) {
   telemetry::FlightFrameScope flight(FlightCode(), NextFlightFrame());
-  const double t0 = clock_.NowMillis();
-  const IoStats light0 = list_device_.stats();
-  const IoStats model0 = model_device_.stats();
+  const FrameMeter meter(this, clock_, list_device_, nullptr, model_device_);
 
   HDOV_RETURN_IF_ERROR(
       Query(viewpoint.position, /*fetch_models=*/false, &last_result_));
@@ -134,28 +130,13 @@ Status NaiveSystem::RenderFrame(const Viewpoint& viewpoint,
   }
   resident_ = std::move(next_resident);
 
-  const IoStats light1 = list_device_.stats();
-  const IoStats model1 = model_device_.stats();
-  result->query_time_ms = clock_.NowMillis() - t0;
-  result->light_io_pages = light1.Delta(light0).page_reads;
-  result->io_pages =
-      result->light_io_pages + model1.Delta(model0).page_reads;
-  result->index_bytes_read = light1.Delta(light0).bytes_read;
-  result->model_bytes_read = model1.Delta(model0).bytes_read;
-  result->rendered_triangles = triangles;
-  result->models_fetched = fetched;
-  result->resident_bytes = 0;
+  uint64_t resident_bytes = 0;
   for (const auto& [model, bytes] : resident_) {
-    result->resident_bytes += bytes;
+    resident_bytes += bytes;
   }
-  result->frame_time_ms =
-      result->query_time_ms + options_.render.FrameMillis(triangles);
-  flight.set_io_pages(result->io_pages);
-  if (TelemetryOn()) {
-    frame_time_hist_->Observe(result->frame_time_ms);
-    EmitFrameRecord(*result,
-                    grid_->ClampedCellForPoint(viewpoint.position));
-  }
+  meter.Finish(triangles, fetched, resident_bytes, options_.render,
+               grid_->ClampedCellForPoint(viewpoint.position), &flight,
+               result);
   return Status::OK();
 }
 

@@ -41,10 +41,6 @@ class NaiveSystem : public WalkthroughSystem {
 
   SimClock& clock() { return clock_; }
   PageDevice& list_device() { return list_device_; }
-  PageDevice& model_device() { return model_device_; }
-
-  // Total bytes of the per-cell lists on disk.
-  uint64_t ListSizeBytes() const { return list_device_.SizeBytes(); }
 
   // One query: reads the cell list and reports the LoDs to retrieve;
   // optionally fetches their model data.
@@ -73,7 +69,6 @@ class NaiveSystem : public WalkthroughSystem {
   std::vector<std::pair<ObjectId, float>> cached_list_;  // Current cell.
   std::unordered_map<ModelId, uint64_t> resident_;
   std::vector<RetrievedLod> last_result_;
-  telemetry::Histogram* frame_time_hist_ = nullptr;  // Valid while attached.
 };
 
 }  // namespace hdov

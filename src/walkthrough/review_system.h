@@ -1,91 +1,49 @@
 // ReviewSystem: reimplementation of the REVIEW baseline (Shou et al.,
-// VLDB'01): a disk-resident R-tree over object MBRs queried with spatial
-// window ("query box") searches around the viewpoint, a complement (delta)
-// search that skips objects retrieved earlier, distance-based static LoD
-// selection, and a semantic, distance-based cache replacement policy.
+// VLDB'01): an R-tree window-query walkthrough (rtree_baseline.h) whose
+// selection rule is one square query box around the viewpoint, with a
+// static LoD picked by distance bucket.
 
 #ifndef HDOV_WALKTHROUGH_REVIEW_SYSTEM_H_
 #define HDOV_WALKTHROUGH_REVIEW_SYSTEM_H_
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
-#include "rtree/rtree.h"
-#include "scene/cell_grid.h"
-#include "storage/model_store.h"
-#include "walkthrough/render_model.h"
-#include "walkthrough/walkthrough_system.h"
+#include "walkthrough/rtree_baseline.h"
 
 namespace hdov {
 
-struct ReviewOptions {
+// The shared fields (cache_distance, rtree, render, disk) come from
+// RTreeBaselineOptions; the default cache_distance (600) is 1.5x the
+// default box.
+struct ReviewOptions : RTreeBaselineOptions {
   // Side length of the cubic spatial query box centered on the viewpoint
   // (the paper evaluates 200 m and 400 m).
   double query_box_size = 400.0;
 
-  // Objects farther than this from the viewpoint are evicted from the
-  // model cache (semantic replacement). Defaults to 1.5x the box size.
-  double cache_distance = 600.0;
-
   // Distance thresholds for static LoD selection, as fractions of the
   // query box size: nearer than f * box -> finer LoD.
   std::vector<double> lod_distance_fractions = {0.25, 0.5, 0.75};
-
-  RTreeOptions rtree;
-  RenderCostModel render;
-  DiskModel disk;
 };
 
-class ReviewSystem : public WalkthroughSystem {
+class ReviewSystem : public RTreeBaseline {
  public:
   static Result<std::unique_ptr<ReviewSystem>> Create(
       const Scene* scene, const ReviewOptions& options);
 
   std::string name() const override { return "REVIEW"; }
-  Status RenderFrame(const Viewpoint& viewpoint, FrameResult* result) override;
-  void ResetRuntime() override;
-  const std::vector<RetrievedLod>& last_result() const override {
-    return last_result_;
-  }
-  IoStats TotalIoStats() const override;
-  void ResetIoStats() override;
-
-  void set_query_box_size(double size) {
-    options_.query_box_size = size;
-    options_.cache_distance = 1.5 * size;
-  }
-  double query_box_size() const { return options_.query_box_size; }
-
-  SimClock& clock() { return clock_; }
-  PageDevice& index_device() { return index_device_; }
-  PageDevice& model_device() { return model_device_; }
 
   // One spatial query around `position` (no caching side effects).
   Status Query(const Vec3& position, std::vector<uint64_t>* object_ids);
 
  private:
-  ReviewSystem(const Scene* scene, const ReviewOptions& options);
+  ReviewSystem(const Scene* scene, const ReviewOptions& options)
+      : RTreeBaseline(scene, options), options_(options) {}
 
-  void RegisterTelemetry() override;
+  Status Select(const Viewpoint& viewpoint, std::vector<Pick>* picks) override;
 
-  Aabb QueryBox(const Vec3& position) const;
-  size_t LodLevelForDistance(ObjectId id, double distance) const;
-
-  const Scene* scene_;
   ReviewOptions options_;
-
-  SimClock clock_;
-  PageDevice index_device_;
-  PageDevice model_device_;
-  ModelStore models_;
-  std::unique_ptr<PackedRTree> packed_;
-  std::vector<std::vector<ModelId>> object_models_;
-
-  // object -> (lod level resident, bytes).
-  std::unordered_map<ObjectId, std::pair<uint32_t, uint64_t>> resident_;
-  std::vector<RetrievedLod> last_result_;
-  telemetry::Histogram* frame_time_hist_ = nullptr;  // Valid while attached.
 };
 
 }  // namespace hdov

@@ -1,6 +1,7 @@
 #include "walkthrough/visual_system.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "persist/world_codec.h"
@@ -192,8 +193,6 @@ void VisualSystem::RegisterTelemetry() {
   ctr_hidden_pruned_ = m.GetCounter(p + ".search.hidden_pruned");
   ctr_internal_terminations_ =
       m.GetCounter(p + ".search.internal_terminations");
-  frame_time_hist_ = m.GetHistogram(
-      p + ".frame.time_ms", telemetry::ExponentialBuckets(0.25, 2.0, 14));
   // The node-fanout distribution is a build-time property; fill it once.
   telemetry::Histogram* fanout = m.GetHistogram(
       p + ".tree.node_fanout",
@@ -228,10 +227,12 @@ Status VisualSystem::Query(const Vec3& position, bool fetch_models,
   SearchStats local_stats;
   SearchStats* stats_out =
       stats != nullptr ? stats : (telemetry_on ? &local_stats : nullptr);
-  const double t0 = clock_.NowMillis();
-  const IoStats tree0 = tree_device_->stats();
-  const IoStats store0 = store_device_->stats();
-  const IoStats model0 = model_device_->stats();
+  // A standalone query (the Figs. 7-9 bench path) emits its own record.
+  std::optional<FrameMeter> meter;
+  if (telemetry_on && !in_frame_) {
+    meter.emplace(this, clock_, *tree_device_, store_device_.get(),
+                  *model_device_);
+  }
   if (telemetry_on) {
     // Trace sampling: only 1-in-N queries carry a full span tree; the
     // flight recorder still sees every page/pool event regardless.
@@ -250,22 +251,13 @@ Status VisualSystem::Query(const Vec3& position, bool fetch_models,
   }
   if (telemetry_on) {
     CountQuery(*stats_out);
-    if (!in_frame_) {
-      // Standalone query (the Figs. 7-9 bench path): emit its own record.
-      FrameResult r;
-      r.query_time_ms = clock_.NowMillis() - t0;
-      const IoStats tree_d = tree_device_->stats().Delta(tree0);
-      const IoStats store_d = store_device_->stats().Delta(store0);
-      const IoStats model_d = model_device_->stats().Delta(model0);
-      r.light_io_pages = tree_d.page_reads + store_d.page_reads;
-      r.io_pages = r.light_io_pages + model_d.page_reads;
-      r.index_bytes_read = tree_d.bytes_read;
-      r.store_bytes_read = store_d.bytes_read;
-      r.model_bytes_read = model_d.bytes_read;
-      r.search = *stats_out;
-      r.models_fetched = fetch_models ? result->size() : 0;
-      EmitFrameRecord(r, cell, "query");
-    }
+  }
+  if (meter.has_value()) {
+    FrameResult r;
+    meter->Bill(&r);
+    r.search = *stats_out;
+    r.models_fetched = fetch_models ? result->size() : 0;
+    EmitFrameRecord(r, cell, "query");
   }
   return Status::OK();
 }
@@ -295,10 +287,8 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
     // bills.
     prefetcher_->BeginFrame();
   }
-  const double t0 = clock_.NowMillis();
-  const IoStats tree0 = tree_device_->stats();
-  const IoStats store0 = store_device_->stats();
-  const IoStats model0 = model_device_->stats();
+  const FrameMeter meter(this, clock_, *tree_device_, store_device_.get(),
+                         *model_device_);
   const uint64_t cache_hits0 =
       tree_cache_ != nullptr ? tree_cache_->stats().hits : 0;
   const uint64_t cache_misses0 =
@@ -405,25 +395,6 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   }
 
   telemetry::StageTraceScope render_stage(telemetry::TraceStage::kRender);
-  const IoStats tree_d = tree_device_->stats().Delta(tree0);
-  const IoStats store_d = store_device_->stats().Delta(store0);
-  const IoStats model_d = model_device_->stats().Delta(model0);
-
-  result->query_time_ms = clock_.NowMillis() - t0;
-  result->light_io_pages = tree_d.page_reads + store_d.page_reads;
-  result->io_pages = result->light_io_pages + model_d.page_reads;
-  result->index_bytes_read = tree_d.bytes_read;
-  result->store_bytes_read = store_d.bytes_read;
-  result->model_bytes_read = model_d.bytes_read;
-  result->rendered_triangles = triangles;
-  result->models_fetched = fetched;
-  result->resident_bytes = 0;
-  for (const auto& [key, entry] : resident_) {
-    result->resident_bytes += entry.byte_size;
-  }
-  result->frame_time_ms =
-      result->query_time_ms + options_.render.FrameMillis(triangles);
-  flight.set_io_pages(result->io_pages);
   if (tree_cache_ != nullptr) {
     const uint64_t hits = tree_cache_->stats().hits - cache_hits0;
     const uint64_t misses = tree_cache_->stats().misses - cache_misses0;
@@ -434,10 +405,12 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
-  if (TelemetryOn()) {
-    frame_time_hist_->Observe(result->frame_time_ms);
-    EmitFrameRecord(*result, frame_cell);
+  uint64_t resident_bytes = 0;
+  for (const auto& [key, entry] : resident_) {
+    resident_bytes += entry.byte_size;
   }
+  meter.Finish(triangles, fetched, resident_bytes, options_.render,
+               frame_cell, &flight, result);
   return Status::OK();
 }
 

@@ -212,7 +212,6 @@ class VisualSystem : public WalkthroughSystem {
   telemetry::Counter* ctr_vpages_fetched_ = nullptr;
   telemetry::Counter* ctr_hidden_pruned_ = nullptr;
   telemetry::Counter* ctr_internal_terminations_ = nullptr;
-  telemetry::Histogram* frame_time_hist_ = nullptr;
   // True while RenderFrame runs, so its inner Query does not emit a
   // second (kind "query") record for the same frame.
   bool in_frame_ = false;

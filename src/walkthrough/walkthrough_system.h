@@ -1,6 +1,7 @@
-// WalkthroughSystem: the interface shared by VISUAL, REVIEW and the naive
-// baseline. A system owns its simulated devices; RenderFrame runs one
-// query + fetch + render cycle for a viewpoint and reports billed costs.
+// WalkthroughSystem: the interface shared by VISUAL, REVIEW, the
+// LoD-R-tree and the naive baseline. A system owns its simulated devices;
+// RenderFrame runs one query + fetch + render cycle for a viewpoint and
+// reports billed costs through the one FrameMeter every system uses.
 
 #ifndef HDOV_WALKTHROUGH_WALKTHROUGH_SYSTEM_H_
 #define HDOV_WALKTHROUGH_WALKTHROUGH_SYSTEM_H_
@@ -9,12 +10,15 @@
 #include <string>
 #include <vector>
 
+#include "common/sim_clock.h"
 #include "common/status.h"
 #include "hdov/search.h"
 #include "scene/session.h"
 #include "storage/io_stats.h"
+#include "storage/page_device.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/telemetry.h"
+#include "walkthrough/render_model.h"
 
 namespace hdov {
 
@@ -85,6 +89,9 @@ class WalkthroughSystem {
     telemetry_ = telemetry;
     telemetry_prefix_ = prefix;
     RegisterTelemetry();
+    frame_time_hist_ = telemetry_->metrics().GetHistogram(
+        prefix + ".frame.time_ms",
+        telemetry::ExponentialBuckets(0.25, 2.0, 14));
   }
 
   void DetachTelemetry() {
@@ -93,6 +100,7 @@ class WalkthroughSystem {
       telemetry_->metrics().UnregisterPrefix(telemetry_prefix_ + ".");
       telemetry_ = nullptr;
       telemetry_prefix_.clear();
+      frame_time_hist_ = nullptr;
     }
   }
 
@@ -122,11 +130,73 @@ class WalkthroughSystem {
   bool delta_enabled_ = true;
 
   // Called once per AttachTelemetry; subclasses register their devices,
-  // counters and histograms under telemetry_prefix().
+  // counters and histograms under telemetry_prefix(). The base registers
+  // `<prefix>.frame.time_ms` after it.
   virtual void RegisterTelemetry() {}
   // Called by DetachTelemetry before the prefix is dropped; subclasses
   // release registrations that remember the registry they went into.
   virtual void UnregisterTelemetry() {}
+
+  // Frame accounting shared by every RenderFrame. Constructing it
+  // snapshots the clock and the devices' stats; Bill fills the frame's
+  // simulated disk time and its page and byte counts, and Finish also
+  // fills the render totals, attributes the billed pages to the flight
+  // frame, observes `<prefix>.frame.time_ms` and emits the FrameRecord.
+  // Devices: index = tree / R-tree / cell lists, store = the V-page file
+  // (null for systems without one), model = model data.
+  class FrameMeter {
+   public:
+    FrameMeter(WalkthroughSystem* system, const SimClock& clock,
+               const PageDevice& index, const PageDevice* store,
+               const PageDevice& model)
+        : system_(system), clock_(clock), index_(index), store_(store),
+          model_(model), t0_(clock.NowMillis()), index0_(index.stats()),
+          store0_(store != nullptr ? store->stats() : IoStats()),
+          model0_(model.stats()) {}
+
+    void Bill(FrameResult* result) const {
+      const IoStats index_d = index_.stats().Delta(index0_);
+      const IoStats store_d =
+          store_ != nullptr ? store_->stats().Delta(store0_) : IoStats();
+      const IoStats model_d = model_.stats().Delta(model0_);
+      result->query_time_ms = clock_.NowMillis() - t0_;
+      result->light_io_pages = index_d.page_reads + store_d.page_reads;
+      result->io_pages = result->light_io_pages + model_d.page_reads;
+      result->index_bytes_read = index_d.bytes_read;
+      result->store_bytes_read = store_d.bytes_read;
+      result->model_bytes_read = model_d.bytes_read;
+    }
+
+    // `cell` labels the FrameRecord (0 for systems without viewing
+    // cells).
+    void Finish(uint64_t triangles, size_t fetched, uint64_t resident_bytes,
+                const RenderCostModel& render, uint64_t cell,
+                telemetry::FlightFrameScope* flight,
+                FrameResult* result) const {
+      Bill(result);
+      result->rendered_triangles = triangles;
+      result->models_fetched = fetched;
+      result->resident_bytes = resident_bytes;
+      result->frame_time_ms =
+          result->query_time_ms + render.FrameMillis(triangles);
+      flight->set_io_pages(result->io_pages);
+      if (system_->TelemetryOn()) {
+        system_->frame_time_hist_->Observe(result->frame_time_ms);
+        system_->EmitFrameRecord(*result, cell);
+      }
+    }
+
+   private:
+    WalkthroughSystem* system_;
+    const SimClock& clock_;
+    const PageDevice& index_;
+    const PageDevice* store_;
+    const PageDevice& model_;
+    double t0_;
+    IoStats index0_;
+    IoStats store0_;
+    IoStats model0_;
+  };
 
   // Appends the per-frame record for an instrumented frame (no-op when
   // telemetry is off).
@@ -160,6 +230,7 @@ class WalkthroughSystem {
  private:
   telemetry::Telemetry* telemetry_ = nullptr;
   std::string telemetry_prefix_;
+  telemetry::Histogram* frame_time_hist_ = nullptr;  // Valid while attached.
   uint16_t flight_code_ = 0;
   uint64_t flight_frame_ = 0;
 };

@@ -14,7 +14,6 @@ namespace {
 using telemetry::BenchEnvironment;
 using telemetry::BenchReport;
 using telemetry::CompareFinding;
-using telemetry::CompareOptions;
 using telemetry::CompareReports;
 using telemetry::CompareResult;
 using telemetry::JsonValue;
@@ -66,6 +65,7 @@ BenchReport MakeReport(double io_pages, double wall_ms) {
   Telemetry t;
   t.metrics().GetCounter("demo.reads")->Add(
       static_cast<uint64_t>(io_pages));
+  t.metrics().GetGauge("demo.wall.latency_ms")->Set(wall_ms);
   telemetry::FrameRecord frame;
   frame.system = "demo";
   frame.kind = "query";
@@ -158,7 +158,7 @@ size_t CountSeverity(const CompareResult& result,
 TEST(CompareReportsTest, IdenticalReportsPass) {
   JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
   JsonValue new_doc = ParseReport(MakeReport(100.0, 10.0));
-  CompareResult result = CompareReports(old_doc, new_doc, CompareOptions{});
+  CompareResult result = CompareReports(old_doc, new_doc);
   EXPECT_FALSE(result.HasFailure());
   EXPECT_EQ(CountSeverity(result, CompareFinding::Severity::kFail), 0u);
   EXPECT_GT(result.values_compared, 0u);
@@ -167,60 +167,23 @@ TEST(CompareReportsTest, IdenticalReportsPass) {
 TEST(CompareReportsTest, CounterDriftFails) {
   JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
   JsonValue new_doc = ParseReport(MakeReport(101.0, 10.0));
-  CompareResult result = CompareReports(old_doc, new_doc, CompareOptions{});
+  CompareResult result = CompareReports(old_doc, new_doc);
   EXPECT_TRUE(result.HasFailure());
 }
 
-TEST(CompareReportsTest, WallClockUsesTolerance) {
+TEST(CompareReportsTest, WallValuesAreNeverCompared) {
   JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
-  // +20% on every wall value: within the default 30% tolerance.
-  JsonValue within = ParseReport(MakeReport(100.0, 12.0));
-  EXPECT_FALSE(CompareReports(old_doc, within, CompareOptions{})
-                   .HasFailure());
-  // +100%: far past tolerance and the 1 ms absolute floor.
-  JsonValue beyond = ParseReport(MakeReport(100.0, 20.0));
-  EXPECT_TRUE(CompareReports(old_doc, beyond, CompareOptions{})
-                  .HasFailure());
-  // Same regression with ignore_wall: passes (CI gate mode).
-  CompareOptions ignore;
-  ignore.ignore_wall = true;
-  EXPECT_FALSE(CompareReports(old_doc, beyond, ignore).HasFailure());
-  // Wall improvements never fail.
-  JsonValue faster = ParseReport(MakeReport(100.0, 5.0));
-  EXPECT_FALSE(CompareReports(old_doc, faster, CompareOptions{})
-                   .HasFailure());
-}
-
-TEST(CompareReportsTest, WallFloorSuppressesTinyRegressions) {
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 0.1));
-  // 2x slower on every wall value, but every absolute delta (rows,
-  // medians, p95s) stays below the 1 ms floor.
-  JsonValue new_doc = ParseReport(MakeReport(100.0, 0.2));
-  EXPECT_FALSE(CompareReports(old_doc, new_doc, CompareOptions{})
-                   .HasFailure());
-}
-
-TEST(CompareReportsTest, SkipSubstringsFiltersMetrics) {
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
-  JsonValue new_doc = ParseReport(MakeReport(101.0, 10.0));
-  CompareOptions options;
-  options.skip_substrings.push_back("demo.");
-  // --skip only filters metric names; series and frame totals always
-  // compare. Verify the skip silences the metric drift specifically.
-  CompareResult unfiltered =
-      CompareReports(old_doc, new_doc, CompareOptions{});
-  bool metric_fail = false;
-  for (const CompareFinding& f : unfiltered.findings) {
-    if (f.severity == CompareFinding::Severity::kFail &&
-        f.where == "metrics") {
-      metric_fail = true;
-    }
-  }
-  EXPECT_TRUE(metric_fail);
-  CompareResult filtered = CompareReports(old_doc, new_doc, options);
-  for (const CompareFinding& f : filtered.findings) {
-    EXPECT_NE(f.where, "metrics") << f.message;
-  }
+  // 10x on the wall column, the `.wall.` gauge and the timings: passes,
+  // and none of them counts as a compared value.
+  JsonValue slower = ParseReport(MakeReport(100.0, 100.0));
+  CompareResult result = CompareReports(old_doc, slower);
+  EXPECT_FALSE(result.HasFailure());
+  EXPECT_EQ(result.values_compared,
+            CompareReports(old_doc, old_doc).values_compared);
+  // A counter that drifts by its last unit (100 -> 101 pages) still
+  // fails next to the same wall-clock change.
+  JsonValue drifted = ParseReport(MakeReport(101.0, 100.0));
+  EXPECT_TRUE(CompareReports(old_doc, drifted).HasFailure());
 }
 
 TEST(CompareReportsTest, BinaryMismatchFailsEarly) {
@@ -228,7 +191,7 @@ TEST(CompareReportsTest, BinaryMismatchFailsEarly) {
   other.set_binary("bench_other");
   JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
   JsonValue new_doc = ParseReport(other);
-  CompareResult result = CompareReports(old_doc, new_doc, CompareOptions{});
+  CompareResult result = CompareReports(old_doc, new_doc);
   EXPECT_TRUE(result.HasFailure());
 }
 
@@ -241,7 +204,7 @@ TEST(CompareReportsTest, MissingMetricFailsNewMetricWarns) {
   t.metrics().GetCounter("demo.extra")->Add(1);
   renamed.CaptureFrom(t);
   JsonValue new_doc = ParseReport(renamed);
-  CompareResult result = CompareReports(old_doc, new_doc, CompareOptions{});
+  CompareResult result = CompareReports(old_doc, new_doc);
   // Old had frame totals under "demo"; renamed's second CaptureFrom holds
   // no frames -> missing totals fail too; at minimum the new-only metric
   // warns and nothing crashes.
@@ -249,7 +212,7 @@ TEST(CompareReportsTest, MissingMetricFailsNewMetricWarns) {
 
   // Reverse direction: a metric present in old but missing in new fails.
   CompareResult reverse =
-      CompareReports(new_doc, old_doc, CompareOptions{});
+      CompareReports(new_doc, old_doc);
   EXPECT_TRUE(reverse.HasFailure());
 }
 

@@ -638,22 +638,20 @@ TEST_F(HdovFixture, PrioritizeRetrievalIsStableOnTies) {
 }
 
 TEST_F(HdovFixture, FullPersistenceRoundTrip) {
-  // Pack + manifest -> device image file -> reload -> identical search
-  // results through the restored tree.
-  const std::string path = ::testing::TempDir() + "/hdov_tree_image";
+  // Pack + manifest -> node pages copied onto a fresh device -> reload ->
+  // identical search results through the restored tree.
   PageDevice device;
   HdovTree packed = *tree_;
   ASSERT_TRUE(packed.Pack(&device).ok());
-  PagedFile file(&device);
-  Result<Extent> manifest = packed.WriteManifest(&file);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  ASSERT_TRUE(device.SaveToFile(path).ok());
+  std::string manifest;
+  ASSERT_TRUE(packed.EncodeManifest(&manifest).ok());
+  std::vector<std::string> pages;
+  ASSERT_TRUE(device.ExportContents(&pages).ok());
 
   PageDevice restored_device;
-  ASSERT_TRUE(restored_device.LoadFromFile(path).ok());
-  PagedFile restored_file(&restored_device);
+  ASSERT_TRUE(restored_device.RestoreContents(std::move(pages)).ok());
   Result<HdovTree> restored =
-      HdovTree::LoadFrom(&restored_device, &restored_file, *manifest);
+      HdovTree::FromManifest(&restored_device, manifest);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_nodes(), tree_->num_nodes());
   EXPECT_EQ(restored->fanout(), tree_->fanout());

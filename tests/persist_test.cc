@@ -182,6 +182,31 @@ TEST(FilePageDeviceTest, CorruptedPageFailsChecksum) {
   std::remove(path.c_str());
 }
 
+// Little-endian field access for forging headers in place.
+uint64_t GetFixed(const std::string& bytes, size_t at, int width) {
+  uint64_t value = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    value = (value << 8) | static_cast<uint8_t>(bytes[at + i]);
+  }
+  return value;
+}
+
+void PutFixed(std::string* bytes, size_t at, uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    (*bytes)[at + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteWholeFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 // -------------------------------------------------------------- snapshot
 
 TEST(SnapshotTest, BlobRoundTripAndAtomicCommit) {
@@ -250,6 +275,85 @@ TEST(SnapshotTest, CorruptedBlobDetected) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotTest, ForgedLengthsAreCorruption) {
+  // Every length a loader takes from a header is checked against the file
+  // before it sizes a buffer. Each case forges one field and re-signs the
+  // header, so only the bounds checks stand between it and the allocation.
+  const uint64_t kHuge = uint64_t{1} << 40;
+  const std::string path = TempPath("forged.bin");
+
+  // A file device region. Header fields: page_count @16, table_offset @32,
+  // table_length @40, table_crc @48, header_crc @52 over [0, 52).
+  {
+    auto device = FilePageDevice::Create(path);
+    ASSERT_TRUE(device.ok()) << device.status().ToString();
+    ASSERT_TRUE((*device)->Write((*device)->Allocate(), "page").ok());
+    ASSERT_TRUE((*device)->Sync().ok());
+  }
+  const std::string region = ReadWholeFile(path);
+  const uint64_t table_offset = GetFixed(region, 32, 8);
+  const auto open_forged = [&](uint64_t page_count, uint64_t table_length,
+                               uint32_t table_crc) {
+    std::string forged = region;
+    PutFixed(&forged, 16, page_count, 8);
+    PutFixed(&forged, 40, table_length, 8);
+    PutFixed(&forged, 48, table_crc, 4);
+    PutFixed(&forged, 52, Crc32c(std::string_view(forged.data(), 52)), 4);
+    WriteWholeFile(path, forged);
+    return FilePageDevice::Open(path).status();
+  };
+  // 2^40 pages with the table length to match: the table lies past the end.
+  Status s = open_forged(kHuge, kHuge * 13, GetFixed(region, 48, 4));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // A page count whose product with the 13-byte entry wraps to a 12-byte
+  // table that is really there and carries a valid CRC.
+  uint64_t inverse = 13;  // Newton's iteration for 13^-1 mod 2^64.
+  for (int i = 0; i < 5; ++i) {
+    inverse *= 2 - 13 * inverse;
+  }
+  ASSERT_EQ(13 * inverse, 1u);
+  s = open_forged(12 * inverse, 12,
+                  Crc32c(std::string_view(region.data() + table_offset, 12)));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  // A snapshot with one blob. Superblock fields: catalog_offset @24,
+  // catalog_length @32, catalog_crc @40, superblock_crc @44 over [0, 44).
+  // The catalog's one entry: count u32, name_len u32, "alpha", kind u8,
+  // offset u64, then the blob length u64 @22.
+  {
+    auto writer = SnapshotWriter::Create(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->AddBlob("alpha", "first blob").ok());
+    ASSERT_TRUE((*writer)->Commit().ok());
+  }
+  const std::string snapshot = ReadWholeFile(path);
+  const uint64_t catalog_offset = GetFixed(snapshot, 24, 8);
+  const auto resign = [](std::string* bytes) {
+    PutFixed(bytes, 44, Crc32c(std::string_view(bytes->data(), 44)), 4);
+  };
+  std::string forged = snapshot;
+  PutFixed(&forged, 32, kHuge, 8);
+  resign(&forged);
+  WriteWholeFile(path, forged);
+  s = SnapshotLoader::Open(path).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  forged = snapshot;
+  PutFixed(&forged, catalog_offset + 22, kHuge, 8);
+  const uint64_t catalog_length = GetFixed(snapshot, 32, 8);
+  PutFixed(&forged, 40,
+           Crc32c(std::string_view(forged.data() + catalog_offset,
+                                   catalog_length)),
+           4);
+  resign(&forged);
+  WriteWholeFile(path, forged);
+  auto loader = SnapshotLoader::Open(path);
+  ASSERT_TRUE(loader.ok()) << loader.status().ToString();
+  s = (*loader)->ReadBlob("alpha").status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, DeviceSectionRoundTrip) {
   const std::string path = TempPath("hdov_snapshot_device.hdov");
   PageDevice source;
@@ -287,6 +391,30 @@ TEST(SnapshotTest, DeviceSectionRoundTrip) {
     EXPECT_EQ(expect, got) << "page " << p;
   }
   std::remove(path.c_str());
+}
+
+TEST(PageDeviceTest, SparseImageStaysSmall) {
+  // A device section records unmaterialized pages in its page table only:
+  // 100,000 of them (400 MB logical) grow the snapshot by 13 bytes each,
+  // rounded up to a page.
+  const auto snapshot_bytes = [](const std::string& path,
+                                 const PageDevice& device) -> uint64_t {
+    auto writer = SnapshotWriter::Create(path);
+    EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+    EXPECT_TRUE((*writer)->AddDevice("dev", device).ok());
+    EXPECT_TRUE((*writer)->Commit().ok());
+    const uint64_t bytes = fs::file_size(path);
+    std::remove(path.c_str());
+    return bytes;
+  };
+  PageDevice empty;
+  PageDevice sparse;
+  sparse.AllocateUnmaterialized(100000);
+  const uint64_t page = DiskModel().page_size;
+  const uint64_t table = 100000 * 13;
+  EXPECT_EQ(snapshot_bytes(TempPath("sparse.hdov"), sparse) -
+                snapshot_bytes(TempPath("empty.hdov"), empty),
+            (table + page - 1) / page * page);
 }
 
 // ----------------------------------------------------------- world codec

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 
 #include <atomic>
@@ -186,49 +185,6 @@ TEST(PagedFileTest, ReadRangeBoundsChecked) {
   Result<std::string> empty = file.ReadRange(*extent, 100, 0);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
-}
-
-TEST(PageDeviceTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/hdov_device_image";
-  PageDevice device;
-  PageId a = device.Allocate();
-  ASSERT_TRUE(device.Write(a, "persisted page").ok());
-  PageId sparse = device.AllocateUnmaterialized(100);
-  PageId b = device.Allocate();
-  ASSERT_TRUE(device.Write(b, "another page").ok());
-  ASSERT_TRUE(device.SaveToFile(path).ok());
-
-  PageDevice restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_EQ(restored.page_count(), device.page_count());
-  std::string data;
-  ASSERT_TRUE(restored.Read(a, &data).ok());
-  EXPECT_EQ(data.substr(0, 14), "persisted page");
-  ASSERT_TRUE(restored.Read(b, &data).ok());
-  EXPECT_EQ(data.substr(0, 12), "another page");
-  ASSERT_TRUE(restored.Read(sparse + 5, &data).ok());
-  EXPECT_EQ(data, std::string(restored.page_size(), '\0'));
-}
-
-TEST(PageDeviceTest, SparseImageStaysSmall) {
-  const std::string path = ::testing::TempDir() + "/hdov_sparse_image";
-  PageDevice device;
-  device.AllocateUnmaterialized(100000);  // 400 MB logical.
-  ASSERT_TRUE(device.SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  ASSERT_TRUE(in.good());
-  EXPECT_LT(in.tellg(), 200000);  // Flags only, not 400 MB.
-}
-
-TEST(PageDeviceTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/hdov_bad_image";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a device image";
-  }
-  PageDevice device;
-  EXPECT_FALSE(device.LoadFromFile(path).ok());
-  EXPECT_TRUE(device.LoadFromFile("/nonexistent/dir/img").IsIoError());
 }
 
 // A memory device that counts the pool's unbilled fill reads.

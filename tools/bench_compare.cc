@@ -1,28 +1,19 @@
 // bench_compare: diff two bench-report JSON documents (the --json-out
 // format written by every bench binary; see docs/telemetry.md).
 //
-//   bench_compare old.json new.json [flags]
+//   bench_compare old.json new.json
 //
 // Simulated counters, per-figure series values and frame-total digests
 // are deterministic, so they are compared at zero tolerance — any drift
 // is a behavior change and fails the comparison (exit 1). Wall-clock
-// values (columns the report marks `wall`, and the repeated-timing
-// stats) are noisy, so they only fail beyond a relative tolerance with
-// an absolute floor, and can be excluded entirely with --ignore-wall
-// (what CI does: its runners' wall-clock says nothing about yours).
-//
-// Flags:
-//   --wall-tolerance=F   relative wall-clock regression allowed (0.30)
-//   --wall-floor-ms=F    ignore wall regressions smaller than this (1.0)
-//   --ignore-wall        skip wall-clock comparison entirely
-//   --skip=SUBSTR        ignore metrics whose name contains SUBSTR
-//                        (repeatable)
+// values (columns the report marks `wall`, `.wall.` metrics and the
+// repeated-timing stats) stay in reports as information and are never
+// compared: perfbench/ is the wall-clock contract.
 //
 // Exit codes: 0 = match, 1 = drift/regression found, 2 = usage or I/O
 // error.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,11 +25,7 @@ namespace hdov::telemetry {
 namespace {
 
 int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: bench_compare old.json new.json [--wall-tolerance=F]\n"
-      "                     [--wall-floor-ms=F] [--ignore-wall]"
-      " [--skip=SUBSTR]\n");
+  std::fprintf(stderr, "usage: bench_compare old.json new.json\n");
   return 2;
 }
 
@@ -69,18 +56,9 @@ const char* SeverityTag(CompareFinding::Severity severity) {
 int RunCompare(int argc, char** argv) {
   const char* paths[2] = {nullptr, nullptr};
   int num_paths = 0;
-  CompareOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--wall-tolerance=", 17) == 0) {
-      options.wall_tolerance = std::atof(arg + 17);
-    } else if (std::strncmp(arg, "--wall-floor-ms=", 16) == 0) {
-      options.wall_floor_ms = std::atof(arg + 16);
-    } else if (std::strcmp(arg, "--ignore-wall") == 0) {
-      options.ignore_wall = true;
-    } else if (std::strncmp(arg, "--skip=", 7) == 0) {
-      options.skip_substrings.emplace_back(arg + 7);
-    } else if (arg[0] == '-') {
+    if (arg[0] == '-') {
       std::fprintf(stderr, "unknown flag %s\n", arg);
       return Usage();
     } else if (num_paths < 2) {
@@ -101,7 +79,7 @@ int RunCompare(int argc, char** argv) {
     return 2;
   }
 
-  const CompareResult result = CompareReports(*old_doc, *new_doc, options);
+  const CompareResult result = CompareReports(*old_doc, *new_doc);
 
   size_t fails = 0;
   size_t warns = 0;
@@ -116,12 +94,10 @@ int RunCompare(int argc, char** argv) {
   }
   std::printf(
       "\nbench_compare: %llu values compared, %zu failure(s), %zu"
-      " warning(s)%s\n",
-      static_cast<unsigned long long>(result.values_compared), fails, warns,
-      options.ignore_wall ? " (wall-clock ignored)" : "");
+      " warning(s)\n",
+      static_cast<unsigned long long>(result.values_compared), fails, warns);
   if (fails == 0) {
-    std::printf("PASS: no counter drift%s\n",
-                options.ignore_wall ? "" : ", no wall-clock regression");
+    std::printf("PASS: no counter drift\n");
   }
   return fails == 0 ? 0 : 1;
 }

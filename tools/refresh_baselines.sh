@@ -8,7 +8,7 @@
 # Run it after any change that intentionally shifts simulated counters or
 # figure values, eyeball `git diff bench/baselines/` to confirm the shift
 # is the one you meant to make, and commit the result. Wall-clock fields
-# in the baselines are informational; CI compares with --ignore-wall.
+# in the baselines are informational; bench_compare never compares them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
