@@ -16,7 +16,10 @@
 #include "storage/file_device.h"
 #include "server/walkthrough_server.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/flight_rollup.h"
 #include "telemetry/metrics.h"
+#include "telemetry/slow_frame.h"
+#include "telemetry/telemetry.h"
 #include "temp_path.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/frame_loop.h"
@@ -154,6 +157,77 @@ TEST_F(ServerTest, ConcurrentSessionsBillExactlyLikeSoloPlayback) {
       EXPECT_EQ(served.io.bytes_read, solo_io.bytes_read);
       EXPECT_DOUBLE_EQ(served.sim_clock_ms, solo_ms);
     }
+  }
+}
+
+TEST_F(ServerTest, SoloAndServedPlaybackPublishTheSame) {
+  // Solo playback and the server play a session frame by frame through
+  // the same steps, so what they publish must agree: the five session
+  // gauges bit for bit, and a capture-every-frame slow-frame ring the
+  // same (frame, io_pages) sequence. Solo playback has no scheduler, so
+  // its queue wait is 0.
+  const Session session = MakeSessions(1, 30)[0];
+  const ServerOptions opt = BaseOptions();
+  telemetry::SlowFrameCapture& slow = telemetry::GlobalSlowFrameCapture();
+  telemetry::SlowFrameOptions every;
+  every.threshold_ms = 1e-6;
+  every.percentile = 0.0;
+  every.max_captures = session.frames.size();
+
+  slow.Configure(every);
+  telemetry::Telemetry tel;
+  telemetry::MetricsSnapshot solo_gauges;
+  {
+    auto loader = SnapshotLoader::Open(*path_);
+    ASSERT_TRUE(loader.ok()) << loader.status().ToString();
+    auto solo = VisualSystem::CreateFromSnapshot(
+        **loader, &bed_->scene, &bed_->grid, opt.visual,
+        SnapshotLoadMode::kFileBacked);
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    (*solo)->AttachTelemetry(&tel, "p");
+    Result<SessionSummary> played = PlaySession(solo->get(), session);
+    ASSERT_TRUE(played.ok()) << played.status().ToString();
+    solo_gauges = tel.metrics().Snapshot();
+  }
+  const telemetry::SlowFrameRows solo_rows =
+      telemetry::RollUpSlowFrames(slow.Snapshot());
+
+  slow.Configure(every);
+  auto server = WalkthroughServer::Open(opt);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->AddSession(session).ok());
+  auto stats = (*server)->Play();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  telemetry::MetricsRegistry registry;
+  WalkthroughServer::RollupInto(*stats, &registry, "p");
+  const telemetry::MetricsSnapshot served_gauges = registry.Snapshot();
+  const telemetry::SlowFrameRows served_rows =
+      telemetry::RollUpSlowFrames(slow.Snapshot());
+  slow.Configure(telemetry::SlowFrameOptions());
+
+  for (const char* gauge : {".avg_frame_time_ms", ".var_frame_time",
+                            ".avg_io_pages", ".cache_hit_rate",
+                            ".max_resident_bytes"}) {
+    const std::string name = "p.session." + session.name + gauge;
+    SCOPED_TRACE(name);
+    const telemetry::MetricSample* solo_sample = solo_gauges.Find(name);
+    const telemetry::MetricSample* served_sample = served_gauges.Find(name);
+    ASSERT_NE(solo_sample, nullptr);
+    ASSERT_NE(served_sample, nullptr);
+    EXPECT_EQ(served_sample->value, solo_sample->value);
+  }
+
+  ASSERT_EQ(solo_rows.captures.size(), session.frames.size());
+  ASSERT_EQ(served_rows.captures.size(), session.frames.size());
+  for (size_t i = 0; i < session.frames.size(); ++i) {
+    SCOPED_TRACE(i);
+    const telemetry::FrameStageRecord& solo_frame =
+        solo_rows.captures[i].record;
+    const telemetry::FrameStageRecord& served_frame =
+        served_rows.captures[i].record;
+    EXPECT_EQ(served_frame.frame, solo_frame.frame);
+    EXPECT_EQ(served_frame.io_pages, solo_frame.io_pages);
+    EXPECT_EQ(solo_frame.queue_ns, 0u);
   }
 }
 
