@@ -18,7 +18,6 @@
 // spread users (independent paths) to show shared-cell locality driving
 // the cache hit rate.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -37,15 +36,6 @@ namespace {
 constexpr MotionPattern kPatterns[] = {MotionPattern::kNormalWalk,
                                        MotionPattern::kTurnLeftRight,
                                        MotionPattern::kBackForward};
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::sort(samples.begin(), samples.end());
-  const double rank = p * static_cast<double>(samples.size() - 1);
-  return samples[static_cast<size_t>(rank + 0.5)];
-}
 
 // N user sessions over the world. Clustered users all walk the exact
 // same path (maximal shared-cell locality); spread users get distinct
@@ -115,7 +105,7 @@ bool RunServer(const ServerOptions& options,
   const double n = static_cast<double>(out->stats.sessions.size());
   out->mean_sim_ms /= n;
   out->mean_sim_io /= n;
-  out->p95_wall_ms = Percentile(std::move(walls), 0.95);
+  out->p95_wall_ms = telemetry::WallPercentile(std::move(walls), 0.95);
   const uint64_t hits =
       out->stats.store_cache.hits + out->stats.tree_cache.hits;
   const uint64_t lookups = hits + out->stats.store_cache.misses +
@@ -269,12 +259,12 @@ int Run(const BenchArgs& args) {
                       record.frame_wall_ms.end());
     }
     latency_table.Row(std::to_string(n),
-                      {WallPercentile(queues, 0.50),
-                       WallPercentile(queues, 0.95),
-                       WallPercentile(queues, 0.99),
-                       WallPercentile(services, 0.50),
-                       WallPercentile(services, 0.95),
-                       WallPercentile(services, 0.99)});
+                      {telemetry::WallPercentile(queues, 0.50),
+                       telemetry::WallPercentile(queues, 0.95),
+                       telemetry::WallPercentile(queues, 0.99),
+                       telemetry::WallPercentile(services, 0.50),
+                       telemetry::WallPercentile(services, 0.95),
+                       telemetry::WallPercentile(services, 0.99)});
     // Roll the largest fleet's per-session summaries (and the scheduler
     // counters) into the metrics registry — all deterministic values, so
     // they ride the zero-tolerance comparison path. The wall-latency

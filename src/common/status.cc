@@ -20,8 +20,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -24,7 +24,6 @@ enum class StatusCode {
   kOutOfRange,
   kAlreadyExists,
   kFailedPrecondition,
-  kUnimplemented,
   kInternal,
 };
 
@@ -71,9 +70,6 @@ class Status {
   }
   static Status FailedPrecondition(std::string_view msg) {
     return Status(StatusCode::kFailedPrecondition, msg);
-  }
-  static Status Unimplemented(std::string_view msg) {
-    return Status(StatusCode::kUnimplemented, msg);
   }
   static Status Internal(std::string_view msg) {
     return Status(StatusCode::kInternal, msg);

@@ -69,25 +69,6 @@ struct Aabb {
     return e.x * e.y * e.z;
   }
 
-  // Surface-area-like measure used by the R-tree split/choose heuristics:
-  // half surface area; degenerates gracefully for flat boxes.
-  double HalfSurfaceArea() const {
-    if (IsEmpty()) {
-      return 0.0;
-    }
-    Vec3 e = Extent();
-    return e.x * e.y + e.y * e.z + e.z * e.x;
-  }
-
-  // Sum of edge lengths per axis ("margin" in R*-tree terms).
-  double Margin() const {
-    if (IsEmpty()) {
-      return 0.0;
-    }
-    Vec3 e = Extent();
-    return e.x + e.y + e.z;
-  }
-
   bool Contains(const Vec3& p) const {
     return p.x >= min.x && p.x <= max.x && p.y >= min.y && p.y <= max.y &&
            p.z >= min.z && p.z <= max.z;

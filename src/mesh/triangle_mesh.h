@@ -71,13 +71,6 @@ class TriangleMesh {
   // Drops vertices not referenced by any triangle, remapping indices.
   void CompactVertices();
 
-  // Approximate in-memory footprint in bytes; also the basis for "logical"
-  // model sizes in the storage layer.
-  size_t ByteSize() const {
-    return vertices_.size() * sizeof(Vec3) +
-           triangles_.size() * sizeof(Triangle);
-  }
-
  private:
   std::vector<Vec3> vertices_;
   std::vector<Triangle> triangles_;

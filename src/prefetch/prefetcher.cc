@@ -107,7 +107,7 @@ Status Prefetcher::EndFrame(const Viewpoint& viewpoint, CellId current_cell,
     spec_result_.clear();
     HDOV_RETURN_IF_ERROR(spec_searcher_->Search(
         spec_store_.get(), prediction.cell, search, &spec_result_, nullptr));
-    size_t budget = wiring_.max_models;
+    size_t budget = kModelsPerPlan;
     for (const RetrievedLod& lod : spec_result_) {
       if (budget == 0) {
         break;

@@ -47,6 +47,10 @@
 
 namespace hdov::prefetch {
 
+// Model representations warmed per plan, front of the predicted cell's
+// retrieval list first.
+inline constexpr size_t kModelsPerPlan = 32;
+
 // Everything a prefetcher borrows from its VisualSystem. All pointers
 // must outlive the prefetcher; the devices additionally must outlive any
 // queue it issued warms into (drain before teardown — the prefetcher's
@@ -67,9 +71,6 @@ struct PrefetcherWiring {
   // Background warm queue. May be shared across sessions — cancellation
   // is scoped to this prefetcher.
   AsyncFetchQueue* queue = nullptr;
-  // Model representations warmed per plan, front of the predicted cell's
-  // retrieval list first.
-  size_t max_models = 32;
   // Optional shared cache to warm instead of raw device reads, per role
   // (servers pass their BufferPools). Null / null-returning: warm
   // via the device's ReadRaw.

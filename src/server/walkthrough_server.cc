@@ -1,6 +1,5 @@
 #include "server/walkthrough_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <utility>
@@ -9,11 +8,14 @@
 #include "hdov/builder.h"
 #include "persist/world_codec.h"
 #include "server/session_device.h"
-#include "telemetry/slow_frame.h"
 
 namespace hdov {
 
 namespace {
+
+// Shards of each shared page cache: enough that the render workers rarely
+// meet on one shard's mutex.
+constexpr size_t kCacheShards = 8;
 
 double WallMillisSince(
     const std::chrono::steady_clock::time_point& t0) {
@@ -79,7 +81,7 @@ Status WalkthroughServer::LoadWorld() {
   if (options_.shared_cache_pages > 0) {
     BufferPoolOptions popt;
     popt.capacity_pages = options_.shared_cache_pages;
-    popt.shards = options_.cache_shards;
+    popt.shards = kCacheShards;
     popt.flight_name = "server.pool.store";
     store_pool_ = std::make_unique<BufferPool>(store_base_.get(), popt);
     popt.flight_name = "server.pool.tree";
@@ -152,27 +154,20 @@ Result<ServerRunStats> WalkthroughServer::Play() {
   // One private view per session; construction is sequential, so even the
   // (one-time) store-meta reattachment does not race.
   struct Runner {
-    const Session* session = nullptr;
+    Runner(std::unique_ptr<VisualSystem> view, const Session& session)
+        : system(std::move(view)), player(system.get(), session) {}
     std::unique_ptr<VisualSystem> system;
-    size_t next_frame = 0;
-    SessionAccumulator acc;
-    uint16_t flight_code = 0;  // Interned session name, for attribution.
-    std::vector<double> frame_wall_ms;
-    std::vector<double> frame_queue_wait_ms;
-    telemetry::StageBreakdown stage_totals;
+    SessionPlayer player;
     Status status;  // First frame error, if any.
   };
-  std::vector<Runner> runners(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    runners[i].session = &sessions_[i];
-    HDOV_ASSIGN_OR_RETURN(runners[i].system,
+  std::vector<Runner> runners;
+  runners.reserve(sessions_.size());
+  for (const Session& session : sessions_) {
+    HDOV_ASSIGN_OR_RETURN(std::unique_ptr<VisualSystem> system,
                           VisualSystem::CreateSessionView(world_,
                                                           options_.visual));
-    runners[i].flight_code = telemetry::FlightInternName(sessions_[i].name);
-    runners[i].frame_wall_ms.reserve(sessions_[i].frames.size());
-    runners[i].frame_queue_wait_ms.reserve(sessions_[i].frames.size());
+    runners.emplace_back(std::move(system), session);
   }
-  telemetry::SlowFrameCapture& slow = telemetry::GlobalSlowFrameCapture();
 
   const BufferPoolStats store_cache0 =
       store_pool_ != nullptr ? store_pool_->stats() : BufferPoolStats();
@@ -189,20 +184,14 @@ Result<ServerRunStats> WalkthroughServer::Play() {
     // (ordered map: the group layout is deterministic, and so are the
     // batch counters derived from it).
     std::map<CellId, std::vector<size_t>> by_cell;
-    size_t live = 0;
     for (size_t i = 0; i < runners.size(); ++i) {
-      Runner& r = runners[i];
-      if (!r.status.ok() || r.next_frame >= r.session->frames.size()) {
-        continue;
+      const Runner& r = runners[i];
+      if (r.status.ok() && !r.player.done()) {
+        by_cell[grid_.ClampedCellForPoint(r.player.next_viewpoint().position)]
+            .push_back(i);
       }
-      ++live;
-      const Viewpoint& vp = r.session->frames[r.next_frame];
-      const CellId cell = options_.batch_same_cell
-                              ? grid_.ClampedCellForPoint(vp.position)
-                              : static_cast<CellId>(i);
-      by_cell[cell].push_back(i);
     }
-    if (live == 0) {
+    if (by_cell.empty()) {
       break;
     }
     ++stats.rounds;
@@ -224,38 +213,14 @@ Result<ServerRunStats> WalkthroughServer::Play() {
     // actually reaches the frame, so queue wait covers both pool
     // scheduling delay and time spent behind earlier group members.
     const uint64_t enqueue_ns = telemetry::FlightNowNs();
-    pool_->ParallelFor(groups.size(), [&](size_t slot, size_t g) {
-      (void)slot;
+    pool_->ParallelFor(groups.size(), [&](size_t /*slot*/, size_t g) {
       for (size_t idx : groups[g]) {
         Runner& r = runners[idx];
-        const Viewpoint& vp = r.session->frames[r.next_frame];
         FrameResult frame;
-        Status status;
-        telemetry::FrameStageRecord record;
-        record.start_ns = telemetry::FlightNowNs();  // Dispatch.
-        {
-          telemetry::SessionTraceScope trace(r.flight_code, r.next_frame);
-          telemetry::BeginStageAccounting();
-          status = r.system->RenderFrame(vp, &frame);
-          record.wall_ns = telemetry::FlightNowNs() - record.start_ns;
-          record.stages = telemetry::FinishStageAccounting();
-        }
-        if (!status.ok()) {
-          r.status = status;
+        r.status = r.player.PlayNext(enqueue_ns, &frame);
+        if (!r.status.ok()) {
           return;
         }
-        record.session = r.flight_code;
-        record.frame = r.next_frame;
-        record.queue_ns = record.start_ns - enqueue_ns;
-        record.io_pages = frame.io_pages;
-        slow.OnFrame(record);
-        r.frame_wall_ms.push_back(record.wall_ns / 1e6);
-        r.frame_queue_wait_ms.push_back(record.queue_ns / 1e6);
-        for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
-          r.stage_totals.ns[s] += record.stages.ns[s];
-        }
-        r.acc.Add(frame);
-        ++r.next_frame;
       }
     });
 
@@ -267,16 +232,14 @@ Result<ServerRunStats> WalkthroughServer::Play() {
   }
 
   stats.wall_ms = WallMillisSince(wall0);
-  for (Runner& r : runners) {
+  for (const Runner& r : runners) {
     ServerSessionRecord record;
-    record.summary.system_name = r.system->name();
-    record.summary.session_name = r.session->name;
-    r.acc.FinishInto(&record.summary);
+    record.summary = r.player.Summary();
     record.io = r.system->TotalIoStats();
     record.sim_clock_ms = r.system->clock().NowMillis();
-    record.frame_wall_ms = std::move(r.frame_wall_ms);
-    record.frame_queue_wait_ms = std::move(r.frame_queue_wait_ms);
-    record.stage_totals = r.stage_totals;
+    record.frame_wall_ms = r.player.frame_wall_ms();
+    record.frame_queue_wait_ms = r.player.frame_queue_wait_ms();
+    record.stage_totals = r.player.stage_totals();
     stats.total_frames += record.summary.num_frames;
     stats.sessions.push_back(std::move(record));
   }
@@ -300,14 +263,7 @@ void WalkthroughServer::RollupInto(const ServerRunStats& stats,
                                    telemetry::MetricsRegistry* registry,
                                    const std::string& prefix) {
   for (const ServerSessionRecord& record : stats.sessions) {
-    const SessionSummary& s = record.summary;
-    const std::string base = prefix + ".session." + s.session_name;
-    registry->GetGauge(base + ".avg_frame_time_ms")->Set(s.avg_frame_time_ms);
-    registry->GetGauge(base + ".var_frame_time")->Set(s.var_frame_time);
-    registry->GetGauge(base + ".avg_io_pages")->Set(s.avg_io_pages);
-    registry->GetGauge(base + ".cache_hit_rate")->Set(s.avg_cache_hit_rate);
-    registry->GetGauge(base + ".max_resident_bytes")
-        ->Set(static_cast<double>(s.max_resident_bytes));
+    PublishSessionGauges(record.summary, registry, prefix);
   }
   registry->GetGauge(prefix + ".frames")
       ->Set(static_cast<double>(stats.total_frames));
@@ -319,27 +275,17 @@ void WalkthroughServer::RollupInto(const ServerRunStats& stats,
       ->Set(static_cast<double>(stats.batched_frames));
 }
 
-double WallPercentile(std::vector<double> values, double q) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  q = std::min(1.0, std::max(0.0, q));
-  const size_t k = std::min(
-      values.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5));
-  std::nth_element(values.begin(), values.begin() + k, values.end());
-  return values[k];
-}
-
 namespace {
 
 void SetLatencyGauges(telemetry::MetricsRegistry* registry,
                       const std::string& base,
                       std::vector<double> values) {
-  registry->GetGauge(base + ".p50")->Set(WallPercentile(values, 0.50));
-  registry->GetGauge(base + ".p95")->Set(WallPercentile(values, 0.95));
+  registry->GetGauge(base + ".p50")
+      ->Set(telemetry::WallPercentile(values, 0.50));
+  registry->GetGauge(base + ".p95")
+      ->Set(telemetry::WallPercentile(values, 0.95));
   registry->GetGauge(base + ".p99")
-      ->Set(WallPercentile(std::move(values), 0.99));
+      ->Set(telemetry::WallPercentile(std::move(values), 0.99));
 }
 
 }  // namespace

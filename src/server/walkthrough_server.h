@@ -20,7 +20,9 @@
 // co-located sessions execute back-to-back on one worker and the first
 // one's V-page misses warm the shared cache for the rest (same-cell
 // batching). Groups run in parallel across the worker pool, which Open
-// starts once and every Play() reuses.
+// starts once and every Play() reuses. The scheduler only groups and
+// orders: a frame itself is played by the session's SessionPlayer
+// (walkthrough/frame_loop.h), the same step solo playback uses.
 
 #ifndef HDOV_SERVER_WALKTHROUGH_SERVER_H_
 #define HDOV_SERVER_WALKTHROUGH_SERVER_H_
@@ -47,13 +49,11 @@ struct ServerOptions {
   // snapshot and `visual.scheme` picks the store sections to serve.
   VisualOptions visual;
   // Shared read-cache capacity (pages) for each of the V-page store and
-  // the tree device; 0 disables the caches (every miss hits the file).
+  // the tree device (8 shards each); 0 disables the caches (every miss
+  // hits the file).
   size_t shared_cache_pages = 4096;
-  size_t cache_shards = 8;
   // Render worker threads (0 = one per hardware thread, 1 = inline).
   uint32_t workers = 4;
-  // Group same-cell frames of a round onto one worker task.
-  bool batch_same_cell = true;
 };
 
 // Everything Play() measured about one session. `summary` holds only
@@ -101,9 +101,9 @@ class WalkthroughServer {
   size_t num_sessions() const { return sessions_.size(); }
 
   // Plays every registered session to completion and clears the roster.
-  // Per-session summaries are computed with the same SessionAccumulator
-  // PlaySession uses, over the same frame sequence — so they match solo
-  // playback bit for bit.
+  // Each session's frames run through its own SessionPlayer, the step
+  // PlaySession loops over — so summaries match solo playback bit for
+  // bit.
   Result<ServerRunStats> Play();
 
   const Scene& scene() const { return scene_; }
@@ -117,9 +117,9 @@ class WalkthroughServer {
   }
 
   // Writes the deterministic aggregates of a finished run into `registry`
-  // as gauges: `<prefix>.session.<name>.*` per session (the same five
-  // gauges PlaySession emits) plus `<prefix>.frames`, `.rounds`,
-  // `.batch_groups`, `.batched_frames`. Wall-clock and shared-cache
+  // as gauges: `<prefix>.session.<name>.*` per session (through
+  // PublishSessionGauges, as PlaySession does) plus `<prefix>.frames`,
+  // `.rounds`, `.batch_groups`, `.batched_frames`. Wall-clock and shared-cache
   // numbers are deliberately excluded — they vary run to run, and these
   // gauges feed zero-tolerance bench comparisons.
   static void RollupInto(const ServerRunStats& stats,
@@ -172,13 +172,6 @@ class WalkthroughServer {
   SharedWorldView world_;
   std::vector<Session> sessions_;
 };
-
-// Nearest-rank percentile (q in [0,1]) of `values`, in the same unit the
-// values came in. Not an interpolating estimator: with few samples it
-// returns an actual observed value, which is what latency reporting
-// wants. Returns 0 for an empty vector. Shared by the wall rollup above
-// and the fig12 latency series.
-double WallPercentile(std::vector<double> values, double q);
 
 }  // namespace hdov
 

@@ -110,22 +110,6 @@ SnapshotDelta SnapshotDelta::Between(const MetricsSnapshot& earlier,
   return result;
 }
 
-std::string SnapshotDelta::ToTable() const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "interval: %.3f ms\n", interval_ms);
-  out.append(line);
-  for (const MetricDelta& m : metrics) {
-    std::snprintf(line, sizeof(line), "%-52s %-9s %14s %14s/s\n",
-                  m.name.c_str(),
-                  std::string(MetricKindName(m.kind)).c_str(),
-                  FormatNumber(m.delta).c_str(),
-                  FormatNumber(m.rate_per_sec).c_str());
-    out.append(line);
-  }
-  return out;
-}
-
 Status ExpositionLog::Sample(const MetricsSnapshot& snapshot,
                              std::string_view label) {
   if (!out_.is_open()) {

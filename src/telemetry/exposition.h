@@ -67,9 +67,6 @@ struct SnapshotDelta {
   static SnapshotDelta Between(const MetricsSnapshot& earlier,
                                const MetricsSnapshot& later,
                                double interval_ms);
-
-  // Aligned human-readable rows: name, delta, rate.
-  std::string ToTable() const;
 };
 
 // Appends one exposition block per Sample() call to `path` (truncated on

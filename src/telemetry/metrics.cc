@@ -1,7 +1,6 @@
 #include "telemetry/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "telemetry/json.h"
 
@@ -128,32 +127,16 @@ std::string MetricsSnapshot::ToJson() const {
   return w.TakeString();
 }
 
-std::string MetricsSnapshot::ToTable() const {
-  size_t width = 0;
-  for (const MetricSample& sample : samples) {
-    width = std::max(width, sample.name.size());
+double WallPercentile(std::vector<double> values, double q) {
+  if (values.empty()) {
+    return 0.0;
   }
-  std::string out;
-  char buf[160];
-  for (const MetricSample& sample : samples) {
-    if (sample.kind == MetricKind::kHistogram) {
-      std::snprintf(buf, sizeof(buf),
-                    "%-*s  histogram count=%llu mean=%.3f p50=%.3f"
-                    " p90=%.3f p99=%.3f\n",
-                    static_cast<int>(width), sample.name.c_str(),
-                    static_cast<unsigned long long>(sample.count),
-                    sample.count == 0
-                        ? 0.0
-                        : sample.sum / static_cast<double>(sample.count),
-                    sample.p50, sample.p90, sample.p99);
-    } else {
-      std::snprintf(buf, sizeof(buf), "%-*s  %.6g\n",
-                    static_cast<int>(width), sample.name.c_str(),
-                    sample.value);
-    }
-    out.append(buf);
-  }
-  return out;
+  q = std::min(1.0, std::max(0.0, q));
+  const size_t k = std::min(
+      values.size() - 1,
+      static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5));
+  std::nth_element(values.begin(), values.begin() + k, values.end());
+  return values[k];
 }
 
 MetricsRegistry::Entry* MetricsRegistry::FindEntry(const std::string& name) {

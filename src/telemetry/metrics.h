@@ -129,12 +129,19 @@ struct MetricSample {
   double p99 = 0.0;
 };
 
+// Nearest-rank percentile (q in [0,1], clamped) of `values`, in the unit
+// the values came in: the element of rank min(n-1, floor(q*(n-1) + 0.5))
+// in sorted order. Not an interpolating estimator: it returns an observed
+// value, which is what latency reporting wants. Returns 0 for an empty
+// vector. The server's wall rollup, the fig12 latency tables and the
+// slow-frame percentile trigger all use it.
+double WallPercentile(std::vector<double> values, double q);
+
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;  // Registration order.
 
   const MetricSample* Find(std::string_view name) const;
-  std::string ToJson() const;   // A JSON array of metric objects.
-  std::string ToTable() const;  // Human-readable aligned rows.
+  std::string ToJson() const;  // A JSON array of metric objects.
 };
 
 class MetricsRegistry {

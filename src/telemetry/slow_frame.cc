@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "common/file_util.h"
+#include "telemetry/metrics.h"
 
 namespace hdov::telemetry {
 
@@ -29,18 +30,16 @@ double SlowFrameCapture::TripThresholdMs(uint64_t wall_ns) const {
       !ring_.empty()) {
     // Trailing percentile of the ring's service times (the ring holds the
     // previous frames; the candidate itself is not yet inserted).
-    std::vector<uint64_t> walls;
+    // Service times below 2^53 ns (104 days) are exact as doubles, so
+    // the cut is an observed wall_ns.
+    std::vector<double> walls;
     walls.reserve(ring_.size());
     for (const FrameStageRecord& r : ring_) {
-      walls.push_back(r.wall_ns);
+      walls.push_back(static_cast<double>(r.wall_ns));
     }
-    const double q = std::min(1.0, std::max(0.0, options_.percentile));
-    const size_t k = std::min(
-        walls.size() - 1,
-        static_cast<size_t>(q * static_cast<double>(walls.size() - 1) + 0.5));
-    std::nth_element(walls.begin(), walls.begin() + static_cast<long>(k),
-                     walls.end());
-    const uint64_t cut_ns = walls[k];
+    const uint64_t cut_ns =
+        static_cast<uint64_t>(WallPercentile(std::move(walls),
+                                             options_.percentile));
     // Require strictly-above so a flat distribution does not capture
     // every frame.
     if (wall_ns > cut_ns) {

@@ -1,6 +1,6 @@
 // SlowFrameCapture: triggered deep-dive capture for outlier frames. An
 // always-on ring keeps the stage breakdown of the last N frames (fed by
-// PlaySession and the walkthrough server's scheduler); when a frame's
+// SessionPlayer::PlayNext, for solo and served playback); when a frame's
 // service time exceeds a threshold — absolute milliseconds, a trailing
 // percentile of the ring, or both — the capture atomically snapshots
 // that frame's record together with the flight-recorder events of its
@@ -111,8 +111,9 @@ class SlowFrameCapture {
   std::vector<SlowFrame> captures_;
 };
 
-// The process-wide capture the frame loops feed. Always on with default
-// options; benches re-Configure() it when --slowdump-out is requested.
+// The process-wide capture SessionPlayer::PlayNext feeds. Always on with
+// default options; benches re-Configure() it when --slowdump-out is
+// requested.
 SlowFrameCapture& GlobalSlowFrameCapture();
 
 }  // namespace hdov::telemetry

@@ -83,10 +83,6 @@ std::string Telemetry::SnapshotJson() const {
   return out;
 }
 
-std::string Telemetry::MetricsTable() const {
-  return metrics_.Snapshot().ToTable();
-}
-
 Status Telemetry::WriteJsonFile(const std::string& path) const {
   return WriteStringToFile(path, SnapshotJson() + '\n', "telemetry");
 }

@@ -10,7 +10,7 @@
 //     systems (one structured record per RenderFrame / Query).
 //
 // Snapshots export as machine-readable JSON (the `--telemetry-out` format
-// documented in docs/telemetry.md) or as a human-readable table.
+// documented in docs/telemetry.md).
 
 #ifndef HDOV_TELEMETRY_TELEMETRY_H_
 #define HDOV_TELEMETRY_TELEMETRY_H_
@@ -66,11 +66,6 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  // A disabled Telemetry keeps its wiring but instrumented systems stop
-  // emitting records and observations (registered views still snapshot).
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
@@ -110,8 +105,6 @@ class Telemetry {
   // Full snapshot: {"version":1, "metrics":[...], "frames":[...],
   // "trace":[...]} (trace only when the recorder holds spans).
   std::string SnapshotJson() const;
-  // The metrics section as an aligned human-readable table.
-  std::string MetricsTable() const;
 
   Status WriteJsonFile(const std::string& path) const;
 
@@ -126,7 +119,6 @@ class Telemetry {
   void Reset();
 
  private:
-  bool enabled_ = true;
   MetricsRegistry metrics_;
   TraceRecorder tracer_;
   std::string context_;

@@ -2,7 +2,7 @@
 // now — which session it serves, which frame of that session, and which
 // pipeline stage (search / fetch / render / prefetch) is executing. The
 // context is thread-local and set by RAII scopes at the layer that knows
-// the answer (WalkthroughServer / PlaySession set session+frame, the
+// the answer (SessionPlayer::PlayNext sets session+frame, the
 // searcher and VisualSystem phases set the stage); everything below —
 // page devices, buffer pools, span hooks — stays signature-free: the
 // flight recorder reads the context at Record() time and stamps every

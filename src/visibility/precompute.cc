@@ -123,7 +123,7 @@ Result<VisibilityTable> PrecomputeVisibility(
   const uint32_t num_cells = grid.num_cells();
 
   telemetry::Telemetry* tel = options.telemetry;
-  const bool tel_on = tel != nullptr && tel->enabled();
+  const bool tel_on = tel != nullptr;
   telemetry::Counter* ctr_cells = nullptr;
   telemetry::Counter* ctr_samples = nullptr;
   telemetry::Counter* ctr_viewpoints = nullptr;

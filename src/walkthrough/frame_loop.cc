@@ -1,12 +1,70 @@
 #include "walkthrough/frame_loop.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "telemetry/slow_frame.h"
-#include "telemetry/trace_context.h"
 
 namespace hdov {
+
+SessionPlayer::SessionPlayer(WalkthroughSystem* system,
+                             const Session& session)
+    : system_(system),
+      session_(&session),
+      flight_code_(telemetry::FlightInternName(session.name)) {
+  frame_wall_ms_.reserve(session.frames.size());
+  frame_queue_wait_ms_.reserve(session.frames.size());
+}
+
+Status SessionPlayer::PlayNext(uint64_t enqueue_ns, FrameResult* frame) {
+  telemetry::FrameStageRecord record;
+  record.start_ns = telemetry::FlightNowNs();  // Dispatch.
+  Status status;
+  {
+    telemetry::SessionTraceScope trace(flight_code_, next_);
+    telemetry::BeginStageAccounting();
+    status = system_->RenderFrame(session_->frames[next_], frame);
+    record.wall_ns = telemetry::FlightNowNs() - record.start_ns;
+    record.stages = telemetry::FinishStageAccounting();
+  }
+  if (!status.ok()) {
+    return status;
+  }
+  record.session = flight_code_;
+  record.frame = next_;
+  record.queue_ns = record.start_ns - std::min(enqueue_ns, record.start_ns);
+  record.io_pages = frame->io_pages;
+  telemetry::GlobalSlowFrameCapture().OnFrame(record);
+  frame_wall_ms_.push_back(record.wall_ns / 1e6);
+  frame_queue_wait_ms_.push_back(record.queue_ns / 1e6);
+  for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
+    stage_totals_.ns[s] += record.stages.ns[s];
+  }
+  acc_.Add(*frame);
+  ++next_;
+  return Status::OK();
+}
+
+SessionSummary SessionPlayer::Summary() const {
+  SessionSummary summary;
+  summary.system_name = system_->name();
+  summary.session_name = session_->name;
+  acc_.FinishInto(&summary);
+  return summary;
+}
+
+void PublishSessionGauges(const SessionSummary& summary,
+                          telemetry::MetricsRegistry* registry,
+                          const std::string& prefix) {
+  const std::string base = prefix + ".session." + summary.session_name;
+  registry->GetGauge(base + ".avg_frame_time_ms")
+      ->Set(summary.avg_frame_time_ms);
+  registry->GetGauge(base + ".var_frame_time")->Set(summary.var_frame_time);
+  registry->GetGauge(base + ".avg_io_pages")->Set(summary.avg_io_pages);
+  registry->GetGauge(base + ".cache_hit_rate")
+      ->Set(summary.avg_cache_hit_rate);
+  registry->GetGauge(base + ".max_resident_bytes")
+      ->Set(static_cast<double>(summary.max_resident_bytes));
+}
 
 Result<SessionSummary> PlaySession(WalkthroughSystem* system,
                                    const Session& session,
@@ -14,9 +72,7 @@ Result<SessionSummary> PlaySession(WalkthroughSystem* system,
   if (session.frames.empty()) {
     return Status::InvalidArgument("play session: empty session");
   }
-  if (options.reset_runtime_first) {
-    system->ResetRuntime();
-  }
+  system->ResetRuntime();
 
   // Stamp the session name into every frame record emitted below, and
   // restore whatever context the caller had set when the session ends.
@@ -27,63 +83,31 @@ Result<SessionSummary> PlaySession(WalkthroughSystem* system,
     telemetry->set_context(session.name);
   }
 
-  SessionSummary summary;
-  summary.system_name = system->name();
-  summary.session_name = session.name;
-
-  // Trace attribution: every flight event below carries this session's
-  // interned id, and each frame's stage breakdown feeds the always-on
-  // slow-frame ring (queue_ns stays 0 — solo playback has no scheduler).
-  const uint16_t session_code = telemetry::FlightInternName(session.name);
-  telemetry::SlowFrameCapture& slow = telemetry::GlobalSlowFrameCapture();
-
-  SessionAccumulator acc;
-  uint64_t frame_index = 0;
-  for (const Viewpoint& vp : session.frames) {
+  SessionPlayer player(system, session);
+  std::vector<FrameResult> kept;
+  if (options.keep_frames) {
+    kept.reserve(session.frames.size());
+  }
+  Status status;
+  while (status.ok() && !player.done()) {
     FrameResult frame;
-    Status status;
-    telemetry::FrameStageRecord record;
-    {
-      telemetry::SessionTraceScope trace(session_code, frame_index);
-      telemetry::BeginStageAccounting();
-      record.start_ns = telemetry::FlightNowNs();
-      status = system->RenderFrame(vp, &frame);
-      record.wall_ns = telemetry::FlightNowNs() - record.start_ns;
-      record.stages = telemetry::FinishStageAccounting();
-    }
-    if (!status.ok()) {
-      if (telemetry != nullptr) {
-        telemetry->set_context(saved_context);
-      }
-      return status;
-    }
-    record.session = session_code;
-    record.frame = frame_index;
-    record.io_pages = frame.io_pages;
-    slow.OnFrame(record);
-    ++frame_index;
-    acc.Add(frame);
-    if (options.keep_frames) {
-      summary.frames.push_back(frame);
+    status = player.PlayNext(SessionPlayer::kNoQueue, &frame);
+    if (status.ok() && options.keep_frames) {
+      kept.push_back(frame);
     }
   }
-  acc.FinishInto(&summary);
-
   if (telemetry != nullptr) {
     telemetry->set_context(saved_context);
-    if (telemetry->enabled()) {
-      // Session-level aggregates as gauges, keyed by system and session.
-      telemetry::MetricsRegistry& m = telemetry->metrics();
-      const std::string base = system->telemetry_prefix() + ".session." +
-                               session.name;
-      m.GetGauge(base + ".avg_frame_time_ms")
-          ->Set(summary.avg_frame_time_ms);
-      m.GetGauge(base + ".var_frame_time")->Set(summary.var_frame_time);
-      m.GetGauge(base + ".avg_io_pages")->Set(summary.avg_io_pages);
-      m.GetGauge(base + ".cache_hit_rate")->Set(summary.avg_cache_hit_rate);
-      m.GetGauge(base + ".max_resident_bytes")
-          ->Set(static_cast<double>(summary.max_resident_bytes));
-    }
+  }
+  if (!status.ok()) {
+    return status;
+  }
+
+  SessionSummary summary = player.Summary();
+  summary.frames = std::move(kept);
+  if (telemetry != nullptr) {
+    PublishSessionGauges(summary, &telemetry->metrics(),
+                         system->telemetry_prefix());
   }
   return summary;
 }

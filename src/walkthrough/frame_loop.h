@@ -1,6 +1,11 @@
 // Frame loop: plays a recorded session back on a walkthrough system and
 // aggregates the paper's metrics — average frame time, frame-time variance
 // ("choppiness"), per-query search time and I/O, peak memory.
+//
+// SessionPlayer is the one place a frame is played: solo playback
+// (PlaySession) loops over it, and the walkthrough server's scheduler
+// calls its PlayNext from a worker task. Both therefore trace, account
+// stages, feed the slow-frame capture and aggregate through the same code.
 
 #ifndef HDOV_WALKTHROUGH_FRAME_LOOP_H_
 #define HDOV_WALKTHROUGH_FRAME_LOOP_H_
@@ -12,6 +17,8 @@
 
 #include "common/result.h"
 #include "scene/session.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace_context.h"
 #include "walkthrough/walkthrough_system.h"
 
 namespace hdov {
@@ -40,9 +47,7 @@ struct SessionSummary {
 };
 
 // Streaming aggregator turning a sequence of FrameResults into the
-// SessionSummary statistics. One code path for solo playback (PlaySession)
-// and the walkthrough server's per-session loops, so their summaries are
-// equivalent by construction: the same frame sequence produces the same
+// SessionSummary statistics: the same frame sequence produces the same
 // (bit-identical) aggregate doubles.
 //
 // Frame-time variance uses Welford's online algorithm — the textbook
@@ -97,11 +102,77 @@ class SessionAccumulator {
   uint64_t max_resident_bytes_ = 0;
 };
 
-struct PlayOptions {
-  bool keep_frames = false;
-  bool reset_runtime_first = true;  // Start the session cold.
+// Plays one session's frames in order, one PlayNext() at a time, on a
+// system the caller owns (and has reset, if it wants a cold start). Not
+// thread-safe: one thread at a time may call into a player, which is
+// what the server's one-frame-per-session-per-round rule guarantees.
+class SessionPlayer {
+ public:
+  // PlayNext's enqueue stamp for a frame that never waited in a queue
+  // (solo playback): it dispatches at enqueue, so its queue wait is 0.
+  static constexpr uint64_t kNoQueue = ~uint64_t{0};
+
+  // `system` and `session` must outlive the player. Reserves the
+  // per-frame sample vectors to the session length, so PlayNext does not
+  // allocate.
+  SessionPlayer(WalkthroughSystem* system, const Session& session);
+
+  bool done() const { return next_ >= session_->frames.size(); }
+  // The viewpoint PlayNext renders next. Requires !done().
+  const Viewpoint& next_viewpoint() const {
+    return session_->frames[next_];
+  }
+
+  // Renders the next frame into `frame`. `enqueue_ns` is the FlightNowNs
+  // stamp at which a scheduler made the frame runnable: the queue wait is
+  // dispatch (stamped here) minus it, floored at 0, and the service time
+  // is dispatch to the return of RenderFrame. The frame runs under the
+  // session's SessionTraceScope with stage accounting on, feeds the
+  // slow-frame capture, and is added to the summary and the samples below.
+  // A failed frame is not counted and the player does not advance.
+  Status PlayNext(uint64_t enqueue_ns, FrameResult* frame);
+
+  // Identity fields plus the aggregates of the frames played so far.
+  // Requires at least one played frame.
+  SessionSummary Summary() const;
+
+  // Real latency samples, one per played frame, in ms.
+  const std::vector<double>& frame_wall_ms() const { return frame_wall_ms_; }
+  const std::vector<double>& frame_queue_wait_ms() const {
+    return frame_queue_wait_ms_;
+  }
+  // Where the frames' service time went, stage by stage (exclusive
+  // wall-clock ns; see telemetry/trace_context.h).
+  const telemetry::StageBreakdown& stage_totals() const {
+    return stage_totals_;
+  }
+
+ private:
+  WalkthroughSystem* system_;
+  const Session* session_;
+  uint16_t flight_code_;  // Interned session name, for attribution.
+  size_t next_ = 0;
+  SessionAccumulator acc_;
+  std::vector<double> frame_wall_ms_;
+  std::vector<double> frame_queue_wait_ms_;
+  telemetry::StageBreakdown stage_totals_;
 };
 
+// Writes the five `<prefix>.session.<session name>.*` gauges of a played
+// session: avg_frame_time_ms, var_frame_time, avg_io_pages,
+// cache_hit_rate and max_resident_bytes.
+void PublishSessionGauges(const SessionSummary& summary,
+                          telemetry::MetricsRegistry* registry,
+                          const std::string& prefix);
+
+struct PlayOptions {
+  bool keep_frames = false;
+};
+
+// Plays `session` cold (ResetRuntime first) through a SessionPlayer,
+// stamping the session name as the telemetry context of its frame
+// records, and publishes the session gauges under the system's telemetry
+// prefix when telemetry is attached.
 Result<SessionSummary> PlaySession(WalkthroughSystem* system,
                                    const Session& session,
                                    const PlayOptions& options = PlayOptions());

@@ -53,7 +53,6 @@ Status VisualSystem::FinishConstruction(
       own_queue_ = std::make_unique<prefetch::AsyncFetchQueue>(qopt);
       wiring.queue = own_queue_.get();
     }
-    wiring.max_models = options_.prefetch_max_models;
     wiring.warm_pool = std::move(warm_pool);
     wiring.is_resident = [this](const RetrievedLod& lod) {
       auto it = resident_.find(ResidentKey(lod));

@@ -45,10 +45,10 @@ struct VisualOptions {
   // Sync mode: representations loaded per idle frame.
   size_t prefetch_models_per_frame = 2;
 
-  // Async mode: model representations warmed per plan, and background
-  // warm workers of the system's own queue (or of the server-wide queue a
-  // WalkthroughServer builds; unused when prefetch_queue is supplied).
-  size_t prefetch_max_models = 32;
+  // Async mode: background warm workers of the system's own queue (or of
+  // the server-wide queue a WalkthroughServer builds; unused when
+  // prefetch_queue is supplied). Each plan warms up to
+  // prefetch::kModelsPerPlan model representations.
   size_t prefetch_workers = 2;
 
   // Async mode: issue background warms into this (possibly shared) queue

@@ -108,9 +108,7 @@ class WalkthroughSystem {
   const std::string& telemetry_prefix() const { return telemetry_prefix_; }
 
  protected:
-  bool TelemetryOn() const {
-    return telemetry_ != nullptr && telemetry_->enabled();
-  }
+  bool TelemetryOn() const { return telemetry_ != nullptr; }
 
   // Flight-recorder identity of this system: its name(), interned once.
   // Lazy because name() is virtual and unavailable in the base ctor.

@@ -56,7 +56,7 @@ TEST(StatusTest, AllCodesHaveNames) {
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
         StatusCode::kCorruption, StatusCode::kIoError, StatusCode::kOutOfRange,
         StatusCode::kAlreadyExists, StatusCode::kFailedPrecondition,
-        StatusCode::kUnimplemented, StatusCode::kInternal}) {
+        StatusCode::kInternal}) {
     EXPECT_FALSE(StatusCodeName(code).empty());
     EXPECT_NE(StatusCodeName(code), "Unknown");
   }

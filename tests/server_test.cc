@@ -271,25 +271,21 @@ TEST_F(ServerTest, AsyncPrefetchServesBitIdenticalToSolo) {
 }
 
 TEST_F(ServerTest, SchedulingKnobsDoNotChangeBilling) {
-  // Same fleet under four scheduler configurations: simulated counters
-  // must be identical whether frames run inline, across workers, batched
-  // or unbatched — only wall time may differ.
+  // Same fleet inline and across workers: simulated counters must be
+  // identical — only wall time may differ.
   const std::vector<Session> sessions = MakeSessions(3, 30);
   std::vector<ServerRunStats> runs;
   for (uint32_t workers : {1u, 4u}) {
-    for (bool batch : {true, false}) {
-      ServerOptions opt = BaseOptions();
-      opt.workers = workers;
-      opt.batch_same_cell = batch;
-      auto server = WalkthroughServer::Open(opt);
-      ASSERT_TRUE(server.ok()) << server.status().ToString();
-      for (const Session& s : sessions) {
-        ASSERT_TRUE((*server)->AddSession(s).ok());
-      }
-      auto stats = (*server)->Play();
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      runs.push_back(*std::move(stats));
+    ServerOptions opt = BaseOptions();
+    opt.workers = workers;
+    auto server = WalkthroughServer::Open(opt);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    for (const Session& s : sessions) {
+      ASSERT_TRUE((*server)->AddSession(s).ok());
     }
+    auto stats = (*server)->Play();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    runs.push_back(*std::move(stats));
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].sessions.size(), runs[0].sessions.size());
