@@ -17,13 +17,10 @@
 //                           --telemetry-out "trace" section);
 //   --trace-sample=N        with --trace-out, give only 1-in-N queries a
 //                           full span tree (default 1 = every query);
-//   --flight-out=<path>     drain the always-on flight recorder into a
-//                           binary dump (see docs/telemetry.md);
-//   --slowdump-out=<path>   write the slow-frame captures as a flight
-//                           dump (inspect with hdov_inspect --flight);
-//   --metrics-out=<path>    append a Prometheus-text metrics sample to
-//                           <path> every 100 recorded frames (plus one
-//                           final sample);
+//   --flight-out=<path>     drain the always-on flight recorder, with
+//                           the run's slow-frame captures, into one
+//                           binary dump (see docs/telemetry.md; inspect
+//                           with hdov_inspect --flight);
 //   --threads=N             precompute/build workers (0 = hardware);
 //   --db=<path>             load the testbed and every VISUAL system from
 //                           a tools/hdov_build snapshot instead of
@@ -49,13 +46,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_util.h"
 #include "common/rng.h"
 #include "persist/snapshot.h"
 #include "scene/cell_grid.h"
 #include "scene/city_generator.h"
 #include "scene/session.h"
 #include "telemetry/bench_report.h"
-#include "telemetry/exposition.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/slow_frame.h"
 #include "telemetry/telemetry.h"
@@ -104,16 +101,11 @@ struct BenchArgs {
   std::string telemetry_out;  // Empty = full snapshot not written.
   std::string json_out;       // Empty = bench report not written.
   std::string trace_out;      // Empty = span recording stays off.
-  std::string flight_out;     // Empty = flight recorder not dumped.
-  std::string slowdump_out;   // Empty = slow-frame captures not written.
-  std::string metrics_out;    // Empty = periodic exposition export off.
+  std::string flight_out;     // Empty = run dump not written.
   std::string db_path;        // Empty = build the world from scratch.
   uint32_t threads = 1;       // Precompute/build workers (0 = hardware).
   uint32_t trace_sample = 1;  // Span tree for 1-in-N queries.
 };
-
-// Frames between two --metrics-out samples.
-inline constexpr uint32_t kMetricsEveryFrames = 100;
 
 // Parses the flags shared by every experiment binary. Unknown flags abort
 // so a typo does not silently run without its effect.
@@ -124,8 +116,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   constexpr const char kTraceOut[] = "--trace-out=";
   constexpr const char kTraceSample[] = "--trace-sample=";
   constexpr const char kFlightOut[] = "--flight-out=";
-  constexpr const char kSlowdumpOut[] = "--slowdump-out=";
-  constexpr const char kMetricsOut[] = "--metrics-out=";
   constexpr const char kDb[] = "--db=";
   constexpr const char kThreads[] = "--threads=";
   const auto path_flag = [](const char* arg, const char* flag, size_t len,
@@ -167,10 +157,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
                   &args.trace_out) ||
         path_flag(argv[i], kFlightOut, sizeof(kFlightOut) - 1,
                   &args.flight_out) ||
-        path_flag(argv[i], kSlowdumpOut, sizeof(kSlowdumpOut) - 1,
-                  &args.slowdump_out) ||
-        path_flag(argv[i], kMetricsOut, sizeof(kMetricsOut) - 1,
-                  &args.metrics_out) ||
         path_flag(argv[i], kDb, sizeof(kDb) - 1, &args.db_path) ||
         count_flag(argv[i], kTraceSample, sizeof(kTraceSample) - 1,
                    &args.trace_sample) ||
@@ -180,9 +166,9 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "unknown flag %s (supported: %s<path>, %s<path>, %s<path>,"
-                 " %sN, %s<path>, %s<path>, %s<path>, %s<path>, %sN)\n",
+                 " %sN, %s<path>, %s<path>, %sN)\n",
                  argv[i], kTelemetryOut, kJsonOut, kTraceOut, kTraceSample,
-                 kFlightOut, kSlowdumpOut, kMetricsOut, kDb, kThreads);
+                 kFlightOut, kDb, kThreads);
     std::exit(2);
   }
   BenchDbPath() = args.db_path;
@@ -206,38 +192,18 @@ class TelemetryScope {
       : telemetry_out_(args.telemetry_out),
         json_out_(args.json_out),
         trace_out_(args.trace_out),
-        flight_out_(args.flight_out),
-        slowdump_out_(args.slowdump_out) {
-    if (!slowdump_out_.empty()) {
+        flight_out_(args.flight_out) {
+    if (!flight_out_.empty()) {
       // Fresh capture window for this run, on the trailing-p99 trigger.
       telemetry::GlobalSlowFrameCapture().Configure(
           telemetry::SlowFrameOptions());
     }
     if (!telemetry_out_.empty() || !json_out_.empty() ||
-        !trace_out_.empty() || !args.metrics_out.empty()) {
+        !trace_out_.empty()) {
       telemetry_ = std::make_unique<telemetry::Telemetry>();
       if (!trace_out_.empty()) {
         telemetry_->tracer().set_enabled(true);
         telemetry_->tracer().set_sample_every(args.trace_sample);
-      }
-      if (!args.metrics_out.empty()) {
-        metrics_log_ =
-            std::make_unique<telemetry::ExpositionLog>(args.metrics_out);
-        // Sampling happens inside RecordFrame, so an exposition block
-        // lands every kMetricsEveryFrames frames regardless of which
-        // system emits them.
-        telemetry_->set_frame_callback(
-            [this](const telemetry::FrameRecord&) {
-              if (++frames_seen_ % kMetricsEveryFrames == 0) {
-                if (Status s = metrics_log_->Sample(
-                        telemetry_->metrics().Snapshot(),
-                        "frame " + std::to_string(frames_seen_));
-                    !s.ok()) {
-                  std::fprintf(stderr, "metrics: %s\n",
-                               s.ToString().c_str());
-                }
-              }
-            });
       }
     }
     report_.set_binary(binary);
@@ -312,35 +278,27 @@ class TelemetryScope {
                     trace_out_.c_str(), telemetry_->tracer().num_spans());
       }
     }
-    if (metrics_log_ != nullptr && telemetry_ != nullptr) {
-      // Final sample so short runs (and the tail of long ones) always
-      // land in the log, even when frames % N != 0.
-      if (Status s = metrics_log_->Sample(telemetry_->metrics().Snapshot(),
-                                          "final");
-          !s.ok()) {
-        std::fprintf(stderr, "metrics: %s\n", s.ToString().c_str());
-        ok = false;
-      } else {
-        std::printf("\nmetrics: wrote %s (%llu samples)\n",
-                    metrics_log_->path().c_str(),
-                    static_cast<unsigned long long>(
-                        metrics_log_->samples_written()));
-      }
-    }
     if (!flight_out_.empty()) {
       telemetry::FlightRecorder& recorder =
           telemetry::GlobalFlightRecorder();
-      if (Status s = recorder.WriteDump(flight_out_); !s.ok()) {
+      telemetry::SlowFrameCapture& capture =
+          telemetry::GlobalSlowFrameCapture();
+      const std::string dump = telemetry::EncodeFlightDump(
+          capture.RunDump(recorder.Drain()));
+      if (Status s = WriteStringToFile(flight_out_, dump, "flight dump");
+          !s.ok()) {
         std::fprintf(stderr, "flight: %s\n", s.ToString().c_str());
         ok = false;
       } else {
         std::printf("\nflight: wrote %s (%llu events recorded, %llu"
-                    " dropped)\n",
+                    " dropped; %zu slow-frame captures over %llu frames)\n",
                     flight_out_.c_str(),
                     static_cast<unsigned long long>(
                         recorder.events_recorded()),
                     static_cast<unsigned long long>(
-                        recorder.events_dropped()));
+                        recorder.events_dropped()),
+                    capture.captures(),
+                    static_cast<unsigned long long>(capture.frames_seen()));
         if (telemetry::FlightNamesDropped() > 0) {
           std::printf("flight: WARNING %llu intern calls degraded to \"?\""
                       " (name table full at %zu)\n",
@@ -348,19 +306,6 @@ class TelemetryScope {
                           telemetry::FlightNamesDropped()),
                       telemetry::kMaxFlightNames);
         }
-      }
-    }
-    if (!slowdump_out_.empty()) {
-      telemetry::SlowFrameCapture& capture =
-          telemetry::GlobalSlowFrameCapture();
-      if (Status s = capture.WriteDump(slowdump_out_); !s.ok()) {
-        std::fprintf(stderr, "slowdump: %s\n", s.ToString().c_str());
-        ok = false;
-      } else {
-        std::printf("\nslowdump: wrote %s (%zu captures over %llu frames;"
-                    " inspect with hdov_inspect --flight)\n",
-                    slowdump_out_.c_str(), capture.captures(),
-                    static_cast<unsigned long long>(capture.frames_seen()));
       }
     }
     return ok;
@@ -371,9 +316,6 @@ class TelemetryScope {
   std::string json_out_;
   std::string trace_out_;
   std::string flight_out_;
-  std::string slowdump_out_;
-  uint64_t frames_seen_ = 0;
-  std::unique_ptr<telemetry::ExpositionLog> metrics_log_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   telemetry::BenchReport report_;
   bool written_ = false;

@@ -40,7 +40,8 @@
 // The event is also the only span format and the only capture format: an
 // opt-in TraceRecorder (telemetry/trace.h) keeps its span tree as a
 // FlightDump of its own, a SlowFrameCapture (telemetry/slow_frame.h)
-// writes its captured frames as one, and one exporter
+// snapshots its captured frames as one and merges them with a drained
+// ring into the benches' --flight-out run dump, and one exporter
 // (telemetry/chrome_trace.h) turns any dump into Chrome trace events.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -82,8 +83,9 @@ enum class FlightEventType : uint8_t {
   // code = key, a = span id (| kSpanAttrString), b = the double's bits or
   // the name id of a string value.
   kSpanAttr = 12,
-  // One captured slow frame, in SlowFrameCapture dumps only (never in the
-  // ring): ts = dispatch, session, a = frame index, b = service ns.
+  // One captured slow frame, in SlowFrameCapture snapshots and run dumps
+  // only (never in the ring): ts = dispatch, session, a = frame index,
+  // b = service ns.
   kSlowFrame = 13,
   // One fact of a captured frame: code = key (a name in the dump's own
   // table), ts / session / a = its kSlowFrame's, stage = the stage of a

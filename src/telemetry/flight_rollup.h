@@ -5,7 +5,7 @@
 // billed page whether the ring holds it as a per-run kPageRead or inside
 // a kPageReadAgg.
 //
-// SlowFrameRows: a capture dump's slow frames (telemetry/slow_frame.h)
+// SlowFrameRows: the slow frames of a dump (telemetry/slow_frame.h)
 // grouped back into one row per captured frame, for `hdov_inspect
 // --flight` and the Chrome conversion. A dump read from a file may hold
 // anything, so facts without their kSlowFrame, unknown keys and stages

@@ -127,14 +127,28 @@ std::string MetricsSnapshot::ToJson() const {
   return w.TakeString();
 }
 
+MetricsSnapshot FilterSnapshot(const MetricsSnapshot& snapshot,
+                               std::string_view prefix) {
+  MetricsSnapshot out;
+  for (const MetricSample& s : snapshot.samples) {
+    if (std::string_view(s.name).substr(0, prefix.size()) == prefix) {
+      out.samples.push_back(s);
+    }
+  }
+  return out;
+}
+
+size_t NearestRank(size_t n, double q) {
+  q = std::min(1.0, std::max(0.0, q));
+  return std::min(n - 1,
+                  static_cast<size_t>(q * static_cast<double>(n - 1) + 0.5));
+}
+
 double WallPercentile(std::vector<double> values, double q) {
   if (values.empty()) {
     return 0.0;
   }
-  q = std::min(1.0, std::max(0.0, q));
-  const size_t k = std::min(
-      values.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5));
+  const size_t k = NearestRank(values.size(), q);
   std::nth_element(values.begin(), values.begin() + k, values.end());
   return values[k];
 }

@@ -129,12 +129,16 @@ struct MetricSample {
   double p99 = 0.0;
 };
 
-// Nearest-rank percentile (q in [0,1], clamped) of `values`, in the unit
-// the values came in: the element of rank min(n-1, floor(q*(n-1) + 0.5))
-// in sorted order. Not an interpolating estimator: it returns an observed
-// value, which is what latency reporting wants. Returns 0 for an empty
-// vector. The server's wall rollup, the fig12 latency tables and the
-// slow-frame percentile trigger all use it.
+// The nearest rank of percentile q (in [0,1], clamped) among n > 0
+// sorted values: min(n-1, floor(q*(n-1) + 0.5)).
+size_t NearestRank(size_t n, double q);
+
+// Nearest-rank percentile of `values`, in the unit the values came in:
+// the element of rank NearestRank(n, q) in sorted order. Not an
+// interpolating estimator: it returns an observed value, which is what
+// latency reporting wants. Returns 0 for an empty vector. The server's
+// wall rollup and the fig12 latency tables use it; the slow-frame
+// percentile trigger reads the same rank of its sorted window.
 double WallPercentile(std::vector<double> values, double q);
 
 struct MetricsSnapshot {
@@ -143,6 +147,11 @@ struct MetricsSnapshot {
   const MetricSample* Find(std::string_view name) const;
   std::string ToJson() const;  // A JSON array of metric objects.
 };
+
+// The subset of `snapshot` whose names start with `prefix` (sample order
+// preserved), without re-reading the registry.
+MetricsSnapshot FilterSnapshot(const MetricsSnapshot& snapshot,
+                               std::string_view prefix);
 
 class MetricsRegistry {
  public:

@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <iterator>
+#include <tuple>
 
-#include "common/file_util.h"
 #include "telemetry/metrics.h"
 
 namespace hdov::telemetry {
+
+namespace {
+
+// Orders events on the whole 32-byte record, so equal keys are equal
+// bytes.
+bool RecordLess(const FlightEvent& x, const FlightEvent& y) {
+  return std::tie(x.ts_ns, x.type, x.stage, x.code, x.thread, x.session,
+                  x.a, x.b) < std::tie(y.ts_ns, y.type, y.stage, y.code,
+                                       y.thread, y.session, y.a, y.b);
+}
+
+bool IsCaptureEvent(const FlightEvent& e) {
+  const auto type = static_cast<FlightEventType>(e.type);
+  return type == FlightEventType::kSlowFrame ||
+         type == FlightEventType::kSlowFrameFact;
+}
+
+bool TsLess(const FlightEvent& x, const FlightEvent& y) {
+  return x.ts_ns < y.ts_ns;
+}
+
+}  // namespace
 
 SlowFrameCapture::SlowFrameCapture(const SlowFrameOptions& options)
     : options_(options) {}
@@ -18,6 +40,7 @@ void SlowFrameCapture::Configure(const SlowFrameOptions& options) {
   captures_dropped_ = 0;
   ring_.clear();
   ring_next_ = 0;
+  sorted_walls_.clear();
   captures_.clear();
 }
 
@@ -27,19 +50,12 @@ double SlowFrameCapture::TripThresholdMs(uint64_t wall_ns) const {
     return options_.threshold_ms;
   }
   if (options_.percentile > 0.0 && frames_seen_ >= options_.warmup_frames &&
-      !ring_.empty()) {
+      !sorted_walls_.empty()) {
     // Trailing percentile of the ring's service times (the ring holds the
-    // previous frames; the candidate itself is not yet inserted).
-    // Service times below 2^53 ns (104 days) are exact as doubles, so
-    // the cut is an observed wall_ns.
-    std::vector<double> walls;
-    walls.reserve(ring_.size());
-    for (const FrameStageRecord& r : ring_) {
-      walls.push_back(static_cast<double>(r.wall_ns));
-    }
-    const uint64_t cut_ns =
-        static_cast<uint64_t>(WallPercentile(std::move(walls),
-                                             options_.percentile));
+    // previous frames; the candidate itself is not yet inserted), at
+    // WallPercentile's rank, so the cut is an observed wall_ns.
+    const uint64_t cut_ns = sorted_walls_[NearestRank(
+        sorted_walls_.size(), options_.percentile)];
     // Require strictly-above so a flat distribution does not capture
     // every frame.
     if (wall_ns > cut_ns) {
@@ -59,9 +75,15 @@ void SlowFrameCapture::OnFrame(const FrameStageRecord& record) {
   if (ring_.size() < options_.ring_frames) {
     ring_.push_back(record);
   } else {
+    sorted_walls_.erase(std::lower_bound(sorted_walls_.begin(),
+                                         sorted_walls_.end(),
+                                         ring_[ring_next_].wall_ns));
     ring_[ring_next_] = record;
     ring_next_ = (ring_next_ + 1) % options_.ring_frames;
   }
+  sorted_walls_.insert(std::lower_bound(sorted_walls_.begin(),
+                                        sorted_walls_.end(), record.wall_ns),
+                       record.wall_ns);
   if (trip_ms <= 0.0) {
     return;
   }
@@ -152,10 +174,7 @@ FlightDump SlowFrameCapture::Snapshot() const {
   // Timestamp order, stable so that events of one stamp keep their ring
   // order. A session plays its frames one after another, so its windows
   // do not overlap and no event is stored twice.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlightEvent& x, const FlightEvent& y) {
-                     return x.ts_ns < y.ts_ns;
-                   });
+  std::stable_sort(events.begin(), events.end(), TsLess);
   // The capture-wide facts close the dump, stamped with its last event.
   FlightEvent last;
   last.ts_ns = events.empty() ? 0 : events.back().ts_ns;
@@ -164,8 +183,37 @@ FlightDump SlowFrameCapture::Snapshot() const {
   return dump;
 }
 
-Status SlowFrameCapture::WriteDump(const std::string& path) const {
-  return WriteStringToFile(path, EncodeFlightDump(Snapshot()), "slow dump");
+FlightDump SlowFrameCapture::RunDump(FlightDump ring) const {
+  FlightDump dump = Snapshot();
+  // Snapshot's events are capture events (never in a ring) and window
+  // events; the window events the ring still holds are dropped here.
+  const auto first_window = std::stable_partition(
+      dump.events.begin(), dump.events.end(), IsCaptureEvent);
+  std::vector<FlightEvent> window(first_window, dump.events.end());
+  dump.events.erase(first_window, dump.events.end());
+  std::sort(window.begin(), window.end(), RecordLess);
+  std::vector<bool> held(window.size(), false);
+  for (const FlightEvent& e : ring.events) {
+    auto [it, end] =
+        std::equal_range(window.begin(), window.end(), e, RecordLess);
+    for (; it != end; ++it) {
+      const size_t i = static_cast<size_t>(it - window.begin());
+      if (!held[i]) {
+        held[i] = true;
+        break;
+      }
+    }
+  }
+  for (size_t i = 0; i < window.size(); ++i) {
+    if (!held[i]) {
+      dump.events.push_back(window[i]);
+    }
+  }
+  dump.events.insert(dump.events.end(), ring.events.begin(),
+                     ring.events.end());
+  std::stable_sort(dump.events.begin(), dump.events.end(), TsLess);
+  dump.dropped = ring.dropped;
+  return dump;
 }
 
 SlowFrameCapture& GlobalSlowFrameCapture() {

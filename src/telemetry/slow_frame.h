@@ -4,11 +4,11 @@
 // service time exceeds a threshold — absolute milliseconds, a trailing
 // percentile of the ring, or both — the capture atomically snapshots
 // that frame's record together with the flight-recorder events of its
-// session/time window. Captures are written as a flight dump
-// (--slowdump-out=, the "HDOVFREC" container): each frame is one
-// kSlowFrame event plus kSlowFrameFact events for the rest of its record,
-// next to the window's events. `hdov_inspect --flight` lists them, and
-// the Chrome conversion draws one track per session
+// session/time window. Captures ride in the benches' --flight-out dump
+// (the "HDOVFREC" container, see RunDump): each frame is one kSlowFrame
+// event plus kSlowFrameFact events for the rest of its record, next to
+// the window's events. `hdov_inspect --flight` lists them, and the
+// Chrome conversion draws one track per session
 // (telemetry/chrome_trace.h); RollUpSlowFrames (telemetry/flight_rollup.h)
 // reads them back.
 //
@@ -21,11 +21,9 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_context.h"
 
@@ -94,9 +92,13 @@ class SlowFrameCapture {
   // timestamp order, then the frames_seen and captures_dropped facts.
   FlightDump Snapshot() const;
 
-  // Encodes Snapshot() into the "HDOVFREC" container at `path`; read it
-  // back with FlightRecorder::ReadDump.
-  Status WriteDump(const std::string& path) const;
+  // The run dump behind --flight-out: `ring`, a Drain() of the global
+  // flight recorder, merged with Snapshot(), in timestamp order. Each
+  // recorded event appears once: a window event is a byte copy of a ring
+  // event, so one the ring still holds (matched on the whole record, as
+  // a multiset) is not written again, and one the ring has lapped is
+  // kept. `ring`'s dropped count carries over.
+  FlightDump RunDump(FlightDump ring) const;
 
  private:
   // Returns the trip threshold in ms if `wall_ns` should be captured.
@@ -108,11 +110,12 @@ class SlowFrameCapture {
   uint64_t captures_dropped_ = 0;
   std::vector<FrameStageRecord> ring_;  // Circular, ring_frames capacity.
   size_t ring_next_ = 0;
+  std::vector<uint64_t> sorted_walls_;  // ring_'s wall_ns, ascending.
   std::vector<SlowFrame> captures_;
 };
 
 // The process-wide capture SessionPlayer::PlayNext feeds. Always on with
-// default options; benches re-Configure() it when --slowdump-out is
+// default options; benches re-Configure() it when --flight-out is
 // requested.
 SlowFrameCapture& GlobalSlowFrameCapture();
 

@@ -12,15 +12,9 @@ void Telemetry::RecordFrame(FrameRecord record) {
   record.context = context_;
   if (frames_.size() >= max_frames_) {
     ++frames_dropped_;
-    if (frame_callback_) {
-      frame_callback_(record);
-    }
     return;
   }
   frames_.push_back(std::move(record));
-  if (frame_callback_) {
-    frame_callback_(frames_.back());
-  }
 }
 
 namespace {

@@ -16,7 +16,6 @@
 #define HDOV_TELEMETRY_TELEMETRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,15 +80,6 @@ class Telemetry {
   // beyond `max_frames` are counted but dropped.
   void RecordFrame(FrameRecord record);
 
-  // Invoked after every RecordFrame (kept or dropped) with the stamped
-  // record — the hook behind periodic exporters (--metrics-out). Runs
-  // on the recording thread; keep it owner-thread-only if it touches the
-  // registry. Empty function clears it.
-  using FrameCallback = std::function<void(const FrameRecord&)>;
-  void set_frame_callback(FrameCallback callback) {
-    frame_callback_ = std::move(callback);
-  }
-
   const std::vector<FrameRecord>& frames() const { return frames_; }
   // Last kept record, for post-hoc annotation (e.g. fidelity scores);
   // nullptr when none.
@@ -128,7 +118,6 @@ class Telemetry {
   size_t max_frames_ = 1 << 20;
   uint64_t frames_recorded_ = 0;
   uint64_t frames_dropped_ = 0;
-  FrameCallback frame_callback_;
 };
 
 }  // namespace hdov::telemetry

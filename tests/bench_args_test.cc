@@ -40,5 +40,15 @@ TEST(BenchArgsDeathTest, NumbersRejectSignsAndOverflow) {
   }
 }
 
+// The Prometheus exporter and the separate slow-frame dump are gone
+// (captures ride in --flight-out); their flags must not be accepted
+// silently.
+TEST(BenchArgsDeathTest, RemovedOutputFlagsAreUnknown) {
+  for (const char* flag : {"--metrics-out=x.prom", "--slowdump-out=x.slow"}) {
+    EXPECT_EXIT(Parse({flag}), ::testing::ExitedWithCode(2), "unknown flag")
+        << flag;
+  }
+}
+
 }  // namespace
 }  // namespace hdov::bench

@@ -4,13 +4,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <deque>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/file_util.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/flight_rollup.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace_context.h"
 #include "temp_path.h"
 
@@ -22,10 +29,13 @@ using telemetry::EncodeFlightDump;
 using telemetry::FlightDump;
 using telemetry::FlightEvent;
 using telemetry::FlightEventType;
+using telemetry::FlightFrameScope;
 using telemetry::FlightInternName;
 using telemetry::FlightNowNs;
 using telemetry::FlightRecorder;
+using telemetry::FlightTotals;
 using telemetry::FrameStageRecord;
+using telemetry::GlobalFlightRecorder;
 using telemetry::kNumTraceStages;
 using telemetry::RollUpSlowFrames;
 using telemetry::SessionTraceScope;
@@ -48,6 +58,26 @@ FrameStageRecord MakeRecord(uint16_t session, uint64_t frame,
   r.stages.ns[static_cast<size_t>(TraceStage::kSearch)] = r.wall_ns / 2;
   r.stages.ns[static_cast<size_t>(TraceStage::kFetch)] = r.wall_ns / 2;
   return r;
+}
+
+bool SameEvent(const FlightEvent& x, const FlightEvent& y) {
+  return std::memcmp(&x, &y, sizeof(FlightEvent)) == 0;
+}
+
+size_t CountOf(const std::vector<FlightEvent>& events,
+               const FlightEvent& ev) {
+  return static_cast<size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [&](const FlightEvent& e) { return SameEvent(e, ev); }));
+}
+
+// Flight totals per event type.
+std::map<uint8_t, FlightTotals> TotalsByType(const FlightDump& dump) {
+  std::map<uint8_t, FlightTotals> totals;
+  for (const FlightEvent& e : dump.events) {
+    totals[e.type].Add(e);
+  }
+  return totals;
 }
 
 TEST(SlowFrameTest, AbsoluteThresholdTriggers) {
@@ -209,8 +239,14 @@ TEST(SlowFrameTest, DumpFileRoundTrip) {
   cap.OnFrame(MakeRecord(2, 8, 4.0));  // Past max_captures: dropped.
   ASSERT_EQ(cap.captures(), 1u);
 
+  // The run dump a bench's --flight-out writes: the ring plus the
+  // captures.
   const std::string path = TempPath("slow_roundtrip.bin");
-  ASSERT_TRUE(cap.WriteDump(path).ok());
+  ASSERT_TRUE(WriteStringToFile(
+                  path,
+                  EncodeFlightDump(cap.RunDump(GlobalFlightRecorder().Drain())),
+                  "flight dump")
+                  .ok());
   Result<FlightDump> read = FlightRecorder::ReadDump(path);
   std::remove(path.c_str());
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -233,6 +269,178 @@ TEST(SlowFrameTest, DumpFileRoundTrip) {
     EXPECT_EQ(r.stages.ns[s], record.stages.ns[s]) << "stage " << s;
   }
   EXPECT_EQ(rows.captures[0].trip_threshold_ns, 1'000'000u);
+}
+
+TEST(SlowFrameTest, RunDumpAddsOnlyTheCapturesToTheRing) {
+  // Nothing is lapped: every window event is still in the ring, so the
+  // run dump holds the ring's events once each, plus the capture events.
+  const uint16_t session = FlightInternName("slowtest-run");
+  const uint16_t code = FlightInternName("slowtest-run-device");
+  SlowFrameOptions opt;
+  opt.threshold_ms = 0.0001;
+  opt.percentile = 0.0;
+  SlowFrameCapture cap(opt);
+  FlightRecorder& recorder = GlobalFlightRecorder();
+  for (uint64_t f = 0; f < 3; ++f) {
+    FrameStageRecord record;
+    record.session = session;
+    record.frame = f;
+    record.start_ns = FlightNowNs();
+    {
+      SessionTraceScope trace(session, f);
+      FlightFrameScope frame(code, f);
+      frame.set_io_pages(5 + f);
+      recorder.Record(FlightEventType::kPageRead, code, 100 + f, 2);
+      StageTraceScope stage(TraceStage::kFetch);
+      recorder.RecordRead(code, 10, 3, /*seek=*/true);
+    }
+    record.wall_ns = FlightNowNs() - record.start_ns;
+    record.io_pages = 5 + f;
+    cap.OnFrame(record);
+  }
+  ASSERT_EQ(cap.captures(), 3u);
+
+  const FlightDump ring = recorder.Drain();
+  const FlightDump run = cap.RunDump(ring);
+  EXPECT_EQ(run.dropped, ring.dropped);
+  const std::map<uint8_t, FlightTotals> want = TotalsByType(ring);
+  const std::map<uint8_t, FlightTotals> got = TotalsByType(run);
+  for (const auto& [type, t] : got) {
+    SCOPED_TRACE(static_cast<int>(type));
+    const auto kind = static_cast<FlightEventType>(type);
+    if (kind == FlightEventType::kSlowFrame ||
+        kind == FlightEventType::kSlowFrameFact) {
+      EXPECT_EQ(want.count(type), 0u);
+      EXPECT_EQ(t.pages_read, 0u);
+      EXPECT_EQ(t.frames, 0u);
+      EXPECT_EQ(t.io_pages, 0u);
+      continue;
+    }
+    ASSERT_EQ(want.count(type), 1u);
+    EXPECT_EQ(t.events, want.at(type).events);
+    EXPECT_EQ(t.pages_read, want.at(type).pages_read);
+    EXPECT_EQ(t.frames, want.at(type).frames);
+    EXPECT_EQ(t.io_pages, want.at(type).io_pages);
+  }
+  EXPECT_EQ(got.size(), want.size() + 2);
+  EXPECT_TRUE(std::is_sorted(run.events.begin(), run.events.end(),
+                             [](const FlightEvent& x, const FlightEvent& y) {
+                               return x.ts_ns < y.ts_ns;
+                             }));
+
+  // The rows read back from the run dump are the capture's own.
+  const SlowFrameRows from_run = RollUpSlowFrames(run);
+  const SlowFrameRows from_capture = RollUpSlowFrames(cap.Snapshot());
+  EXPECT_EQ(from_run.frames_seen, from_capture.frames_seen);
+  EXPECT_EQ(from_run.captures_dropped, from_capture.captures_dropped);
+  ASSERT_EQ(from_run.captures.size(), from_capture.captures.size());
+  for (size_t i = 0; i < from_run.captures.size(); ++i) {
+    SCOPED_TRACE(i);
+    const SlowFrame& x = from_run.captures[i];
+    const SlowFrame& y = from_capture.captures[i];
+    EXPECT_EQ(x.record.session, y.record.session);
+    EXPECT_EQ(x.record.frame, y.record.frame);
+    EXPECT_EQ(x.record.start_ns, y.record.start_ns);
+    EXPECT_EQ(x.record.wall_ns, y.record.wall_ns);
+    EXPECT_EQ(x.record.io_pages, y.record.io_pages);
+    EXPECT_EQ(x.trip_threshold_ns, y.trip_threshold_ns);
+    // Frame begin and end, the page read and the fetch aggregate.
+    EXPECT_EQ(y.events.size(), 4u);
+    ASSERT_EQ(x.events.size(), y.events.size());
+    for (size_t e = 0; e < x.events.size(); ++e) {
+      EXPECT_TRUE(SameEvent(x.events[e], y.events[e])) << e;
+    }
+  }
+}
+
+TEST(SlowFrameTest, RunDumpKeepsWindowEventsTheRingLapped) {
+  const uint16_t session = FlightInternName("slowtest-lapped");
+  const uint16_t code = FlightInternName("slowtest-lapped-pool");
+  SlowFrameOptions opt;
+  opt.threshold_ms = 0.0001;
+  opt.percentile = 0.0;
+  SlowFrameCapture cap(opt);
+  FlightRecorder& recorder = GlobalFlightRecorder();
+  // A fresh thread has a ring of its own: record the frame's window,
+  // capture it, then lap the ring so no window event survives there.
+  std::thread([&] {
+    FrameStageRecord record;
+    record.session = session;
+    record.start_ns = FlightNowNs();
+    {
+      SessionTraceScope trace(session, 0);
+      recorder.Record(FlightEventType::kPoolMiss, code, 1, 0);
+      recorder.Record(FlightEventType::kPoolHit, code, 2, 0);
+    }
+    record.wall_ns = FlightNowNs() - record.start_ns;
+    cap.OnFrame(record);
+    for (size_t i = 0; i < recorder.events_per_thread(); ++i) {
+      recorder.Record(FlightEventType::kPoolHit, code, 3, 0);
+    }
+  }).join();
+  ASSERT_EQ(cap.captures(), 1u);
+
+  const SlowFrameRows captured = RollUpSlowFrames(cap.Snapshot());
+  ASSERT_EQ(captured.captures.size(), 1u);
+  const std::vector<FlightEvent>& window = captured.captures[0].events;
+  ASSERT_EQ(window.size(), 2u);
+  const FlightDump ring = recorder.Drain();
+  const FlightDump run = cap.RunDump(ring);
+  for (const FlightEvent& ev : window) {
+    EXPECT_EQ(CountOf(ring.events, ev), 0u) << "lapped event " << ev.a;
+    EXPECT_EQ(CountOf(run.events, ev), 1u) << "kept event " << ev.a;
+  }
+  const SlowFrameRows from_run = RollUpSlowFrames(run);
+  ASSERT_EQ(from_run.captures.size(), 1u);
+  ASSERT_EQ(from_run.captures[0].events.size(), window.size());
+  for (size_t e = 0; e < window.size(); ++e) {
+    EXPECT_TRUE(SameEvent(from_run.captures[0].events[e], window[e]));
+  }
+}
+
+TEST(SlowFrameTest, PercentileCutMatchesBruteForce) {
+  // The sorted window against WallPercentile over a copy of the previous
+  // ring_frames service times: many ties, some outliers, and 25 laps of
+  // the ring.
+  SlowFrameOptions opt;
+  opt.threshold_ms = 0.0;
+  opt.percentile = 0.9;
+  opt.warmup_frames = 10;
+  opt.ring_frames = 97;
+  opt.max_captures = 1 << 20;
+  SlowFrameCapture cap(opt);
+  std::mt19937_64 rng(20261018);
+  std::deque<uint64_t> previous;
+  std::vector<std::pair<uint64_t, uint64_t>> expected;
+  for (uint64_t f = 0; f < 2500; ++f) {
+    FrameStageRecord r;
+    r.session = 1;
+    r.frame = f;
+    r.start_ns = (f + 1) * 1'000'000'000;
+    r.wall_ns = (1 + rng() % 16) * 1000;  // 16 distinct values.
+    if (rng() % 40 == 0) {
+      r.wall_ns *= 100;
+    }
+    if (f >= opt.warmup_frames) {
+      const auto cut = static_cast<uint64_t>(telemetry::WallPercentile(
+          std::vector<double>(previous.begin(), previous.end()),
+          opt.percentile));
+      if (r.wall_ns > cut) {
+        expected.emplace_back(f, cut);
+      }
+    }
+    cap.OnFrame(r);
+    previous.push_back(r.wall_ns);
+    if (previous.size() > opt.ring_frames) {
+      previous.pop_front();
+    }
+  }
+  ASSERT_GT(expected.size(), 100u);
+  std::vector<std::pair<uint64_t, uint64_t>> captured;
+  for (const SlowFrame& row : RollUpSlowFrames(cap.Snapshot()).captures) {
+    captured.emplace_back(row.record.frame, row.trip_threshold_ns);
+  }
+  EXPECT_EQ(captured, expected);
 }
 
 TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {

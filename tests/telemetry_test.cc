@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +19,7 @@ namespace {
 
 using telemetry::Counter;
 using telemetry::ExponentialBuckets;
+using telemetry::FilterSnapshot;
 using telemetry::Gauge;
 using telemetry::Histogram;
 using telemetry::JsonValue;
@@ -151,6 +153,21 @@ TEST(MetricsRegistryTest, SnapshotJsonParses) {
   EXPECT_DOUBLE_EQ(hist.Find("count")->number, 1.0);
   ASSERT_EQ(hist.Find("buckets")->items.size(), 3u);
   EXPECT_DOUBLE_EQ(hist.Find("buckets")->items[1].number, 1.0);
+}
+
+TEST(MetricsRegistryTest, FilterSnapshotKeepsPrefixOnly) {
+  MetricsRegistry registry;
+  registry.GetCounter("persist.bytes_written")->Add(100);
+  registry.GetCounter("persist.fsyncs")->Add(3);
+  registry.GetCounter("build.objects")->Add(7);
+
+  const MetricsSnapshot full = registry.Snapshot();
+  const MetricsSnapshot persist = FilterSnapshot(full, "persist");
+  ASSERT_EQ(persist.samples.size(), 2u);
+  EXPECT_EQ(persist.samples[0].name, "persist.bytes_written");
+  EXPECT_EQ(persist.samples[1].name, "persist.fsyncs");
+  // Filtering a captured snapshot never re-reads the registry.
+  EXPECT_EQ(full.samples.size(), 3u);
 }
 
 TEST(DeviceViewsTest, PageDeviceAndBufferPoolRegister) {
@@ -306,6 +323,53 @@ TEST(HistogramTest, ConcurrentObservesLoseNothing) {
     t.join();
   }
   EXPECT_EQ(hist.count(), static_cast<uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(MetricsRegistryTest, SnapshotUnderConcurrentMutation) {
+  // TSan exercise: snapshots run while worker threads hammer the same
+  // registry's counter and histogram. The values race forward between
+  // snapshots, but no snapshot may ever read one going backwards.
+  MetricsRegistry registry;
+  Counter* reads = registry.GetCounter("mut.reads");
+  Histogram* times = registry.GetHistogram("mut.time_ms", {1.0, 5.0});
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&] {
+      reads->Add(1);  // At least one mutation lands regardless of timing.
+      started.fetch_add(1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        reads->Add(1);
+        times->Observe(0.5);
+      }
+    });
+  }
+  // Snapshots only start once every writer is live, so the race between
+  // snapshot and mutators is real (and the final total cannot be zero).
+  while (started.load() < 3) {
+    std::this_thread::yield();
+  }
+  MetricsSnapshot earlier = registry.Snapshot();
+  for (int round = 0; round < 50; ++round) {
+    const MetricsSnapshot later = registry.Snapshot();
+    for (const MetricSample& now : later.samples) {
+      const MetricSample* then = earlier.Find(now.name);
+      ASSERT_NE(then, nullptr) << now.name;
+      // Counters and histogram counts are monotone.
+      EXPECT_GE(now.value, then->value) << now.name;
+      EXPECT_GE(now.count, then->count) << now.name;
+    }
+    earlier = later;
+  }
+  stop.store(true);
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  const MetricsSnapshot final_snap = registry.Snapshot();
+  const MetricSample* total = final_snap.Find("mut.reads");
+  ASSERT_NE(total, nullptr);
+  EXPECT_GT(total->value, 0.0);
 }
 
 TEST(TraceRecorderTest, JsonTreeShape) {

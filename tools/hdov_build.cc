@@ -25,7 +25,6 @@
 
 #include "persist/snapshot.h"
 #include "telemetry/bench_report.h"
-#include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "testbed/testbed_glue.h"

@@ -16,10 +16,10 @@
 // --flight prints per-type, per-source, per-session and per-stage event
 // rollups of a flight dump (pages_read adds the pages of per-run
 // page_read and aggregated page_read_agg events). When the dump holds
-// slow-frame captures (--slowdump-out), it then lists them: per capture
-// the session, frame, queue-wait vs service time, the threshold that
-// tripped, the per-stage breakdown and the flight events of the frame's
-// window. --chrome-out converts the dump to a Chrome trace-event file,
+// slow-frame captures (a bench's --flight-out dump does), it then lists
+// them: per capture the session, frame, queue-wait vs service time, the
+// threshold that tripped, the per-stage breakdown and the flight events
+// of the frame's window. --chrome-out converts the dump to a Chrome trace-event file,
 // with one track per session for the captured frames.
 //
 // --telemetry prints per-system frame rollups of a telemetry snapshot.
@@ -336,7 +336,7 @@ int WriteChromeOut(const std::string& path,
   return 0;
 }
 
-// The captured slow frames of a --slowdump-out dump.
+// The captured slow frames of a --flight-out dump.
 void PrintSlowFrames(const telemetry::FlightDump& dump,
                      const telemetry::SlowFrameRows& slow) {
   std::printf("slow frames: %zu captures over %llu frames seen"
