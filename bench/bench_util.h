@@ -9,18 +9,16 @@
 //   --json-out=<path>       write a telemetry::BenchReport document
 //                           (figure rows, counters, env fingerprint);
 //   --telemetry-out=<path>  write the full telemetry snapshot;
-//   --trace-out=<path>      enable span recording and write a Chrome
-//                           trace-event file (chrome://tracing): frames
-//                           on the simulated clock, the trace's spans as
-//                           B/E events on the flight recorder's wall
-//                           clock (the same spans, as a tree, are the
-//                           --telemetry-out "trace" section);
-//   --trace-sample=N        with --trace-out, give only 1-in-N queries a
-//                           full span tree (default 1 = every query);
 //   --flight-out=<path>     drain the always-on flight recorder, with
-//                           the run's slow-frame captures, into one
-//                           binary dump (see docs/telemetry.md; inspect
-//                           with hdov_inspect --flight);
+//                           the run's slow-frame captures and sampled
+//                           spans, into one binary dump (see
+//                           docs/telemetry.md; inspect with hdov_inspect
+//                           --flight, which also converts it to a Chrome
+//                           trace with --chrome-out);
+//   --trace-sample=N        record span trees for 1-in-N queries (0, the
+//                           default, records none); they ride in the
+//                           --flight-out dump and, as a tree, in the
+//                           --telemetry-out "trace" section;
 //   --threads=N             precompute/build workers (0 = hardware);
 //   --db=<path>             load the testbed and every VISUAL system from
 //                           a tools/hdov_build snapshot instead of
@@ -100,11 +98,10 @@ inline Testbed BuildTestbed(const TestbedOptions& opt,
 struct BenchArgs {
   std::string telemetry_out;  // Empty = full snapshot not written.
   std::string json_out;       // Empty = bench report not written.
-  std::string trace_out;      // Empty = span recording stays off.
   std::string flight_out;     // Empty = run dump not written.
   std::string db_path;        // Empty = build the world from scratch.
   uint32_t threads = 1;       // Precompute/build workers (0 = hardware).
-  uint32_t trace_sample = 1;  // Span tree for 1-in-N queries.
+  uint32_t trace_sample = 0;  // Span tree for 1-in-N queries; 0 = off.
 };
 
 // Parses the flags shared by every experiment binary. Unknown flags abort
@@ -113,7 +110,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   constexpr const char kTelemetryOut[] = "--telemetry-out=";
   constexpr const char kJsonOut[] = "--json-out=";
-  constexpr const char kTraceOut[] = "--trace-out=";
   constexpr const char kTraceSample[] = "--trace-sample=";
   constexpr const char kFlightOut[] = "--flight-out=";
   constexpr const char kDb[] = "--db=";
@@ -153,8 +149,6 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     if (path_flag(argv[i], kTelemetryOut, sizeof(kTelemetryOut) - 1,
                   &args.telemetry_out) ||
         path_flag(argv[i], kJsonOut, sizeof(kJsonOut) - 1, &args.json_out) ||
-        path_flag(argv[i], kTraceOut, sizeof(kTraceOut) - 1,
-                  &args.trace_out) ||
         path_flag(argv[i], kFlightOut, sizeof(kFlightOut) - 1,
                   &args.flight_out) ||
         path_flag(argv[i], kDb, sizeof(kDb) - 1, &args.db_path) ||
@@ -165,10 +159,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr,
-                 "unknown flag %s (supported: %s<path>, %s<path>, %s<path>,"
-                 " %sN, %s<path>, %s<path>, %sN)\n",
-                 argv[i], kTelemetryOut, kJsonOut, kTraceOut, kTraceSample,
-                 kFlightOut, kDb, kThreads);
+                 "unknown flag %s (supported: %s<path>, %s<path>, %sN,"
+                 " %s<path>, %s<path>, %sN)\n",
+                 argv[i], kTelemetryOut, kJsonOut, kTraceSample, kFlightOut,
+                 kDb, kThreads);
     std::exit(2);
   }
   BenchDbPath() = args.db_path;
@@ -178,9 +172,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
 
 // Owns the bench's Telemetry context and BenchReport, and writes the
 // requested output files at the end of the run. Telemetry is attached
-// when any of --telemetry-out / --json-out / --trace-out was given (the
-// report's counter digest and the trace come from it); with no flags the
-// instrumentation stays detached and the report is print-only.
+// when --telemetry-out or --json-out is given, or --trace-sample turns
+// span recording on (the report's counter digest and the trace come from
+// it); with no flags the instrumentation stays detached and the report is
+// print-only.
 //
 // Declare the scope BEFORE the systems it attaches: systems unregister
 // themselves from the context on destruction, so the context must be
@@ -191,7 +186,6 @@ class TelemetryScope {
   TelemetryScope(const BenchArgs& args, const char* binary)
       : telemetry_out_(args.telemetry_out),
         json_out_(args.json_out),
-        trace_out_(args.trace_out),
         flight_out_(args.flight_out) {
     if (!flight_out_.empty()) {
       // Fresh capture window for this run, on the trailing-p99 trigger.
@@ -199,9 +193,9 @@ class TelemetryScope {
           telemetry::SlowFrameOptions());
     }
     if (!telemetry_out_.empty() || !json_out_.empty() ||
-        !trace_out_.empty()) {
+        args.trace_sample > 0) {
       telemetry_ = std::make_unique<telemetry::Telemetry>();
-      if (!trace_out_.empty()) {
+      if (args.trace_sample > 0) {
         telemetry_->tracer().set_enabled(true);
         telemetry_->tracer().set_sample_every(args.trace_sample);
       }
@@ -268,37 +262,35 @@ class TelemetryScope {
                         telemetry_->frames_recorded()));
       }
     }
-    if (!trace_out_.empty() && telemetry_ != nullptr) {
-      if (Status s = telemetry_->WriteChromeTrace(trace_out_); !s.ok()) {
-        std::fprintf(stderr, "trace: %s\n", s.ToString().c_str());
-        ok = false;
-      } else {
-        std::printf("\ntrace: wrote %s (%zu spans; open in"
-                    " chrome://tracing)\n",
-                    trace_out_.c_str(), telemetry_->tracer().num_spans());
-      }
-    }
     if (!flight_out_.empty()) {
       telemetry::FlightRecorder& recorder =
           telemetry::GlobalFlightRecorder();
       telemetry::SlowFrameCapture& capture =
           telemetry::GlobalSlowFrameCapture();
-      const std::string dump = telemetry::EncodeFlightDump(
-          capture.RunDump(recorder.Drain()));
+      telemetry::FlightDump run = capture.RunDump(recorder.Drain());
+      const size_t spans =
+          telemetry_ != nullptr ? telemetry_->tracer().num_spans() : 0;
+      if (spans > 0) {
+        run = telemetry::MergeTraceDump(std::move(run),
+                                        telemetry_->tracer().dump());
+      }
+      const std::string dump = telemetry::EncodeFlightDump(run);
       if (Status s = WriteStringToFile(flight_out_, dump, "flight dump");
           !s.ok()) {
         std::fprintf(stderr, "flight: %s\n", s.ToString().c_str());
         ok = false;
       } else {
         std::printf("\nflight: wrote %s (%llu events recorded, %llu"
-                    " dropped; %zu slow-frame captures over %llu frames)\n",
+                    " dropped; %zu slow-frame captures over %llu frames;"
+                    " %zu spans)\n",
                     flight_out_.c_str(),
                     static_cast<unsigned long long>(
                         recorder.events_recorded()),
                     static_cast<unsigned long long>(
                         recorder.events_dropped()),
                     capture.captures(),
-                    static_cast<unsigned long long>(capture.frames_seen()));
+                    static_cast<unsigned long long>(capture.frames_seen()),
+                    spans);
         if (telemetry::FlightNamesDropped() > 0) {
           std::printf("flight: WARNING %llu intern calls degraded to \"?\""
                       " (name table full at %zu)\n",
@@ -314,7 +306,6 @@ class TelemetryScope {
  private:
   std::string telemetry_out_;
   std::string json_out_;
-  std::string trace_out_;
   std::string flight_out_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
   telemetry::BenchReport report_;

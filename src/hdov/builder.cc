@@ -103,19 +103,10 @@ Result<HdovTree> HdovBuilder::Build(const Scene& scene, ModelStore* models,
     return Status::InvalidArgument("hdov build: empty scene");
   }
 
-  // 1. Spatial backbone.
+  // 1. Spatial backbone, built by insertion as in the paper.
   RTree rtree(options.rtree);
-  if (options.bulk_load) {
-    std::vector<std::pair<Aabb, uint64_t>> entries;
-    entries.reserve(scene.size());
-    for (const Object& obj : scene.objects()) {
-      entries.emplace_back(obj.mbr, obj.id);
-    }
-    HDOV_ASSIGN_OR_RETURN(rtree, RTree::BulkLoad(entries, options.rtree));
-  } else {
-    for (const Object& obj : scene.objects()) {
-      HDOV_RETURN_IF_ERROR(rtree.Insert(obj.mbr, obj.id));
-    }
+  for (const Object& obj : scene.objects()) {
+    HDOV_RETURN_IF_ERROR(rtree.Insert(obj.mbr, obj.id));
   }
 
   HdovTree tree;

@@ -29,11 +29,6 @@ namespace hdov {
 struct HdovBuildOptions {
   RTreeOptions rtree;
 
-  // Build the backbone by STR bulk loading instead of repeated insertion
-  // (the paper inserts with the Ang–Tan split; bulk loading yields fuller,
-  // less overlapping nodes and is much faster for static scenes).
-  bool bulk_load = false;
-
   // s — the polygon ratio npoly(node) / sum npoly(children) targeted for
   // the finest internal LoD of each node (the paper's Eq. 4 parameter).
   // Internal LoDs replace branches whose entries have DoV <= eta — whose

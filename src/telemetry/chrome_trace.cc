@@ -18,14 +18,7 @@ namespace {
 // The pid table: every exported track lives under one of these.
 enum Pid : uint64_t {
   kFramePid = 1,
-  kTracePid = 2,
   kFlightPid = 3,
-};
-constexpr std::string_view kProcessNames[] = {
-    "",
-    "frames (simulated time)",
-    "search trace (wall time)",
-    "flight recorder (wall time)",
 };
 
 // Captured slow frames draw on one track per session, tid = this + the
@@ -134,14 +127,14 @@ Phase PhaseOf(FlightEventType type) {
 // One flight event on (pid, tid). Args: the type, the payload (runs,
 // seeks and pages of an aggregate; the span id of a span boundary; raw a
 // and b otherwise), the session / stage attribution, then `attrs`.
-void WriteFlightEvent(JsonWriter* w, Pid pid, uint64_t tid,
+void WriteFlightEvent(JsonWriter* w, uint64_t tid,
                       const std::vector<std::string>& names,
                       const FlightEvent& ev,
                       const std::vector<const FlightEvent*>* attrs) {
   const auto type = static_cast<FlightEventType>(ev.type);
   const Phase phase = PhaseOf(type);
-  OpenEvent(w, NameIn(names, ev.code), phase.cat, phase.ph, pid, tid,
-            static_cast<double>(ev.ts_ns) / 1000.0);
+  OpenEvent(w, NameIn(names, ev.code), phase.cat, phase.ph, kFlightPid,
+            tid, static_cast<double>(ev.ts_ns) / 1000.0);
   w->Key("args").BeginObject();
   w->Key("type").String(FlightEventTypeName(type));
   if (type == FlightEventType::kPageReadAgg) {
@@ -174,8 +167,7 @@ void WriteFlightEvent(JsonWriter* w, Pid pid, uint64_t tid,
   w->EndObject();
 }
 
-void WriteSlowFrames(JsonWriter* w, Pid pid,
-                     const std::vector<std::string>& names,
+void WriteSlowFrames(JsonWriter* w, const std::vector<std::string>& names,
                      const SlowFrameRows& rows) {
   // One track per session, labeled with the session name.
   std::set<uint16_t> sessions;
@@ -183,13 +175,13 @@ void WriteSlowFrames(JsonWriter* w, Pid pid,
     sessions.insert(row.record.session);
   }
   for (uint16_t session : sessions) {
-    WriteName(w, pid, static_cast<int64_t>(kSessionTidBase + session),
+    WriteName(w, kFlightPid, static_cast<int64_t>(kSessionTidBase + session),
               NameIn(names, session));
   }
-  const auto slice = [w, pid](uint16_t session, std::string_view name,
-                              std::string_view cat, uint64_t start_ns,
-                              uint64_t dur_ns, const SlowFrame* row) {
-    OpenEvent(w, name, cat, "X", pid, kSessionTidBase + session,
+  const auto slice = [w](uint16_t session, std::string_view name,
+                         std::string_view cat, uint64_t start_ns,
+                         uint64_t dur_ns, const SlowFrame* row) {
+    OpenEvent(w, name, cat, "X", kFlightPid, kSessionTidBase + session,
               static_cast<double>(start_ns) / 1000.0);
     w->Key("dur").Number(static_cast<double>(dur_ns) / 1000.0);
     if (row != nullptr) {
@@ -229,8 +221,8 @@ void WriteSlowFrames(JsonWriter* w, Pid pid,
   }
 }
 
-void WriteFlightDump(JsonWriter* w, Pid pid, const FlightDump& dump) {
-  // Attribute events (trace dumps only) ride on their span's "B" event.
+void WriteFlightDump(JsonWriter* w, const FlightDump& dump) {
+  // Attribute events (trace and run dumps) ride on their span's "B" event.
   std::unordered_map<uint64_t, std::vector<const FlightEvent*>> attrs;
   for (const FlightEvent& ev : dump.events) {
     if (static_cast<FlightEventType>(ev.type) == FlightEventType::kSpanAttr) {
@@ -244,10 +236,10 @@ void WriteFlightDump(JsonWriter* w, Pid pid, const FlightDump& dump) {
     }
     const auto it = type == FlightEventType::kSpanBegin ? attrs.find(ev.a)
                                                          : attrs.end();
-    WriteFlightEvent(w, pid, ev.thread, dump.names, ev,
+    WriteFlightEvent(w, ev.thread, dump.names, ev,
                      it == attrs.end() ? nullptr : &it->second);
   }
-  WriteSlowFrames(w, pid, dump.names, RollUpSlowFrames(dump));
+  WriteSlowFrames(w, dump.names, RollUpSlowFrames(dump));
 }
 
 }  // namespace
@@ -258,16 +250,12 @@ std::string ChromeTraceJson(const ChromeTraceSources& sources) {
   w.Key("displayTimeUnit").String("ms");
   w.Key("traceEvents").BeginArray();
   if (sources.frames != nullptr) {
-    WriteName(&w, kFramePid, -1, kProcessNames[kFramePid]);
+    WriteName(&w, kFramePid, -1, "frames (simulated time)");
     WriteFrames(&w, *sources.frames);
   }
-  if (sources.trace != nullptr) {
-    WriteName(&w, kTracePid, -1, kProcessNames[kTracePid]);
-    WriteFlightDump(&w, kTracePid, *sources.trace);
-  }
   if (sources.flight != nullptr) {
-    WriteName(&w, kFlightPid, -1, kProcessNames[kFlightPid]);
-    WriteFlightDump(&w, kFlightPid, *sources.flight);
+    WriteName(&w, kFlightPid, -1, "flight recorder (wall time)");
+    WriteFlightDump(&w, *sources.flight);
   }
   w.EndArray();
   w.EndObject();

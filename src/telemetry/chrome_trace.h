@@ -4,16 +4,16 @@
 //   pid 1  frames (simulated time)  FrameRecords: one track per emitting
 //          system, an "X" slice per frame/query whose length is its
 //          simulated time, and an io_pages counter track.
-//   pid 2  search trace (wall time)  a TraceRecorder's dump.
 //   pid 3  flight recorder (wall time)  a drained or loaded dump: a ring
-//          dump, or a SlowFrameCapture's.
+//          dump, a SlowFrameCapture's, or a bench's --flight-out run dump
+//          (the ring, the slow-frame captures and the sampled spans).
 //
-// Pids 2 and 3 share one conversion: span and frame boundaries pair into
-// "B"/"E" events per thread at their FlightNowNs stamps, a span's
-// attribute events become its "B" args, and page / pool / prefetch events
-// become instants. A dump's captured slow frames (RollUpSlowFrames) add
-// one track per session with queue-wait, frame and stage "X" slices. The
-// result loads in chrome://tracing or ui.perfetto.dev.
+// Span and frame boundaries pair into "B"/"E" events per thread at their
+// FlightNowNs stamps, a span's attribute events become its "B" args, and
+// page / pool / prefetch events become instants. A dump's captured slow
+// frames (RollUpSlowFrames) add one track per session with queue-wait,
+// frame and stage "X" slices. The result loads in chrome://tracing or
+// ui.perfetto.dev.
 
 #ifndef HDOV_TELEMETRY_CHROME_TRACE_H_
 #define HDOV_TELEMETRY_CHROME_TRACE_H_
@@ -29,7 +29,6 @@ namespace hdov::telemetry {
 // What to export; null sources are left out (and get no process name).
 struct ChromeTraceSources {
   const std::vector<FrameRecord>* frames = nullptr;  // pid 1.
-  const FlightDump* trace = nullptr;                 // pid 2.
   const FlightDump* flight = nullptr;                // pid 3.
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
@@ -372,20 +373,45 @@ void FlightRecorder::FlushThreadReads() {
   p.count = 0;
 }
 
+namespace {
+
+// An event's packed second word, in the ring and in the dump container:
+// type | stage<<8 | code<<16 | session<<32 | thread<<48.
+uint64_t PackMeta(const FlightEvent& ev) {
+  return static_cast<uint64_t>(ev.type) |
+         (static_cast<uint64_t>(ev.stage) << 8) |
+         (static_cast<uint64_t>(ev.code) << 16) |
+         (static_cast<uint64_t>(ev.session) << 32) |
+         (static_cast<uint64_t>(ev.thread) << 48);
+}
+
+void UnpackMeta(uint64_t meta, FlightEvent* ev) {
+  ev->type = static_cast<uint8_t>(meta & 0xff);
+  ev->stage = static_cast<uint8_t>((meta >> 8) & 0xff);
+  ev->code = static_cast<uint16_t>((meta >> 16) & 0xffff);
+  ev->session = static_cast<uint16_t>((meta >> 32) & 0xffff);
+  ev->thread = static_cast<uint16_t>(meta >> 48);
+}
+
+// Drain order: timestamp, then ring id (so one ring's events of one stamp
+// keep their ring order under a stable sort).
+bool DrainLess(const FlightEvent& x, const FlightEvent& y) {
+  return x.ts_ns != y.ts_ns ? x.ts_ns < y.ts_ns : x.thread < y.thread;
+}
+
+}  // namespace
+
 void FlightRecorder::Append(FlightEventType type, uint16_t code, uint64_t a,
                             uint64_t b, uint8_t stage, uint16_t session) {
   Buffer* buf = LocalBuffer();
+  const FlightEvent ev =
+      StampEvent(FlightNowNs(), *buf, type, code, a, b, stage, session);
   const uint64_t idx = buf->head.load(std::memory_order_relaxed);
   Slot& slot = buf->ring[idx & (capacity_ - 1)];
-  slot.w[0].store(FlightNowNs(), std::memory_order_relaxed);
-  slot.w[1].store(static_cast<uint64_t>(type) |
-                      (static_cast<uint64_t>(stage) << 8) |
-                      (static_cast<uint64_t>(code) << 16) |
-                      (static_cast<uint64_t>(session) << 32) |
-                      (static_cast<uint64_t>(buf->id & 0xffff) << 48),
-                  std::memory_order_relaxed);
-  slot.w[2].store(a, std::memory_order_relaxed);
-  slot.w[3].store(b, std::memory_order_relaxed);
+  slot.w[0].store(ev.ts_ns, std::memory_order_relaxed);
+  slot.w[1].store(PackMeta(ev), std::memory_order_relaxed);
+  slot.w[2].store(ev.a, std::memory_order_relaxed);
+  slot.w[3].store(ev.b, std::memory_order_relaxed);
   // Publishes the slot: Drain acquires `head` before touching the ring.
   buf->head.store(idx + 1, std::memory_order_release);
 }
@@ -419,6 +445,41 @@ uint64_t FlightRecorder::events_dropped() const {
   return total;
 }
 
+void FlightRecorder::CopyRing(const Buffer& buf, uint64_t from,
+                              uint64_t head, uint64_t min_ns,
+                              std::vector<FlightEvent>* out) const {
+  // Step back from the head to the first event stamped before min_ns. A
+  // slot a writer laps meanwhile only reads newer, so it cannot stop the
+  // walk early, and it is discarded below.
+  uint64_t begin = min_ns == 0 ? from : head;
+  while (begin > from &&
+         buf.ring[(begin - 1) & (capacity_ - 1)].w[0].load(
+             std::memory_order_relaxed) >= min_ns) {
+    --begin;
+  }
+  const size_t first = out->size();
+  for (uint64_t idx = begin; idx < head; ++idx) {
+    const Slot& slot = buf.ring[idx & (capacity_ - 1)];
+    FlightEvent& ev = out->emplace_back();
+    ev.ts_ns = slot.w[0].load(std::memory_order_relaxed);
+    UnpackMeta(slot.w[1].load(std::memory_order_relaxed), &ev);
+    ev.a = slot.w[2].load(std::memory_order_relaxed);
+    ev.b = slot.w[3].load(std::memory_order_relaxed);
+  }
+  // A writer may have lapped part of the copied range mid-copy; re-read
+  // the head and discard every index it could have overwritten (plus the
+  // slot the writer may currently be filling, hence the +1).
+  const uint64_t head_after = buf.head.load(std::memory_order_acquire);
+  const uint64_t valid_from =
+      head_after > capacity_ ? head_after - capacity_ + 1 : 0;
+  if (valid_from > begin) {
+    const auto lapped = static_cast<ptrdiff_t>(std::min(valid_from, head) -
+                                               begin);
+    out->erase(out->begin() + static_cast<ptrdiff_t>(first),
+               out->begin() + static_cast<ptrdiff_t>(first) + lapped);
+  }
+}
+
 FlightDump FlightRecorder::Drain(bool consume) {
   FlushThreadReads();
   FlightDump dump;
@@ -434,47 +495,13 @@ FlightDump FlightRecorder::Drain(bool consume) {
       buf->consumed.store(ring_begin, std::memory_order_relaxed);
       consumed = ring_begin;
     }
-    struct Pending {
-      uint64_t idx;
-      FlightEvent event;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(static_cast<size_t>(head - consumed));
-    for (uint64_t idx = consumed; idx < head; ++idx) {
-      const Slot& slot = buf->ring[idx & (capacity_ - 1)];
-      FlightEvent ev;
-      ev.ts_ns = slot.w[0].load(std::memory_order_relaxed);
-      const uint64_t meta = slot.w[1].load(std::memory_order_relaxed);
-      ev.type = static_cast<uint8_t>(meta & 0xff);
-      ev.stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-      ev.code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-      ev.session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-      ev.thread = static_cast<uint16_t>(meta >> 48);
-      ev.a = slot.w[2].load(std::memory_order_relaxed);
-      ev.b = slot.w[3].load(std::memory_order_relaxed);
-      pending.push_back(Pending{idx, ev});
-    }
-    // A writer may have lapped part of the copied range mid-copy; re-read
-    // the head and discard every index it could have overwritten (plus the
-    // slot the writer may currently be filling, hence the +1).
-    const uint64_t head_after = buf->head.load(std::memory_order_acquire);
-    const uint64_t valid_from =
-        head_after > capacity_ ? head_after - capacity_ + 1 : 0;
-    for (const Pending& p : pending) {
-      if (p.idx >= valid_from) {
-        dump.events.push_back(p.event);
-      }
-    }
+    CopyRing(*buf, consumed, head, 0, &dump.events);
     if (consume) {
       buf->consumed.store(head, std::memory_order_relaxed);
     }
     dump.dropped += buf->lost.load(std::memory_order_relaxed);
   }
-  std::stable_sort(dump.events.begin(), dump.events.end(),
-                   [](const FlightEvent& x, const FlightEvent& y) {
-                     return x.ts_ns != y.ts_ns ? x.ts_ns < y.ts_ns
-                                               : x.thread < y.thread;
-                   });
+  std::stable_sort(dump.events.begin(), dump.events.end(), DrainLess);
   // Snapshot the global name table so the dump is self-describing.
   const size_t names = FlightNameCount();
   dump.names.reserve(names);
@@ -483,6 +510,51 @@ FlightDump FlightRecorder::Drain(bool consume) {
   }
   dump.names_dropped = FlightNamesDropped();
   return dump;
+}
+
+std::vector<FlightEvent> FlightRecorder::EventsSince(uint64_t from_ns) {
+  FlushThreadReads();
+  std::vector<FlightEvent> events;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& buf : buffers_) {
+    const uint64_t head = buf->head.load(std::memory_order_acquire);
+    const uint64_t ring_begin = head > capacity_ ? head - capacity_ : 0;
+    CopyRing(*buf,
+             std::max(ring_begin,
+                      buf->consumed.load(std::memory_order_relaxed)),
+             head, from_ns, &events);
+  }
+  std::stable_sort(events.begin(), events.end(), DrainLess);
+  return events;
+}
+
+FlightDump MergeTraceDump(FlightDump run, const FlightDump& trace) {
+  const size_t base = run.names.size();
+  const auto rebase = [base](uint64_t id) {
+    return base + id <= UINT16_MAX ? static_cast<uint16_t>(base + id)
+                                   : uint16_t{0};
+  };
+  run.names.insert(run.names.end(), trace.names.begin(), trace.names.end());
+  run.names_dropped += trace.names_dropped;
+  std::vector<FlightEvent> spans = trace.events;
+  for (FlightEvent& ev : spans) {
+    ev.code = rebase(ev.code);
+    if (static_cast<FlightEventType>(ev.type) == FlightEventType::kSpanAttr &&
+        (ev.a & kSpanAttrString) != 0) {
+      ev.b = rebase(ev.b);
+    }
+  }
+  // Both are in timestamp order: a trace records on its owner thread,
+  // whose flight clock is monotone.
+  std::vector<FlightEvent> merged;
+  merged.reserve(run.events.size() + spans.size());
+  std::merge(run.events.begin(), run.events.end(), spans.begin(),
+             spans.end(), std::back_inserter(merged),
+             [](const FlightEvent& x, const FlightEvent& y) {
+               return x.ts_ns < y.ts_ns;
+             });
+  run.events = std::move(merged);
+  return run;
 }
 
 // ---------------------------------------------------------------------
@@ -504,14 +576,10 @@ constexpr char kFlightMagic[8] = {'H', 'D', 'O', 'V', 'F', 'R', 'E', 'C'};
 constexpr uint32_t kFlightVersion = 4;
 
 // One event's 32-byte container form (v2 and later): {u64 ts_ns,
-// u64 type | stage<<8 | code<<16 | session<<32 | thread<<48, u64 a, u64 b}.
+// u64 PackMeta, u64 a, u64 b}.
 void EncodeFlightEvent(std::string* out, const FlightEvent& ev) {
   EncodeFixed64(out, ev.ts_ns);
-  EncodeFixed64(out, static_cast<uint64_t>(ev.type) |
-                         (static_cast<uint64_t>(ev.stage) << 8) |
-                         (static_cast<uint64_t>(ev.code) << 16) |
-                         (static_cast<uint64_t>(ev.session) << 32) |
-                         (static_cast<uint64_t>(ev.thread) << 48));
+  EncodeFixed64(out, PackMeta(ev));
   EncodeFixed64(out, ev.a);
   EncodeFixed64(out, ev.b);
 }
@@ -522,11 +590,7 @@ Status DecodeFlightEvent(Decoder* dec, FlightEvent* ev) {
   HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&meta));
   HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev->a));
   HDOV_RETURN_IF_ERROR(dec->DecodeFixed64(&ev->b));
-  ev->type = static_cast<uint8_t>(meta & 0xff);
-  ev->stage = static_cast<uint8_t>((meta >> 8) & 0xff);
-  ev->code = static_cast<uint16_t>((meta >> 16) & 0xffff);
-  ev->session = static_cast<uint16_t>((meta >> 32) & 0xffff);
-  ev->thread = static_cast<uint16_t>(meta >> 48);
+  UnpackMeta(meta, ev);
   return Status::OK();
 }
 

@@ -1,7 +1,7 @@
 // FlightRecorder: the always-on, bounded-memory event log. Instrumented
-// code appends fixed-size 32-byte binary events — span begin/end, page
-// fetches, buffer-pool hits/misses, frame boundaries — into lock-free
-// per-thread ring buffers. Old events are overwritten, never flushed, so
+// code appends fixed-size 32-byte binary events — page fetches,
+// buffer-pool hits/misses, prefetch events, frame boundaries — into
+// lock-free per-thread ring buffers. Old events are overwritten, never flushed, so
 // a long-lived process pays a constant memory cost and a ~30 ns per-event
 // hot-path cost: one clock read (FlightNowNs, a scaled TSC read where the
 // kernel trusts the TSC), one TraceContext read and one cached ring
@@ -32,16 +32,17 @@
 // one kPageReadAgg per (stage, session, device) with its run, seek and
 // page totals, not one event per run with its page ids. That is the
 // trade that keeps a query to a few events: per-model detail now comes
-// from sampled trace spans (--trace-out) plus the ModelStore extents, and
-// slow-frame captures hold the aggregates of the frame's stages. Reads
-// outside any stage, prefetch-diverted reads and every other event type
-// stay one event each.
+// from sampled trace spans (--trace-sample) plus the ModelStore extents,
+// and slow-frame captures hold the aggregates of the frame's stages.
+// Reads outside any stage, prefetch-diverted reads and every other event
+// type stay one event each.
 //
 // The event is also the only span format and the only capture format: an
 // opt-in TraceRecorder (telemetry/trace.h) keeps its span tree as a
-// FlightDump of its own, a SlowFrameCapture (telemetry/slow_frame.h)
-// snapshots its captured frames as one and merges them with a drained
-// ring into the benches' --flight-out run dump, and one exporter
+// FlightDump of its own, stamped like ring events (Stamp), a
+// SlowFrameCapture (telemetry/slow_frame.h) snapshots its captured frames
+// as one, and the benches' --flight-out run dump is a drained ring merged
+// with both (SlowFrameCapture::RunDump, MergeTraceDump). One exporter
 // (telemetry/chrome_trace.h) turns any dump into Chrome trace events.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -58,6 +59,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "telemetry/trace_context.h"
 
 namespace hdov::telemetry {
 
@@ -79,9 +81,10 @@ enum class FlightEventType : uint8_t {
   // The billed reads of one device within one stage scope (RecordRead):
   // a = runs (low 32 bits) | seeks (high 32 bits), b = pages.
   kPageReadAgg = 11,
-  // One span attribute, in TraceRecorder dumps only (never in the ring):
-  // code = key, a = span id (| kSpanAttrString), b = the double's bits or
-  // the name id of a string value.
+  // One span attribute, in TraceRecorder dumps and the run dumps they
+  // merge into (never in the ring): code = key, a = span id
+  // (| kSpanAttrString), b = the double's bits or the name id of a string
+  // value.
   kSpanAttr = 12,
   // One captured slow frame, in SlowFrameCapture snapshots and run dumps
   // only (never in the ring): ts = dispatch, session, a = frame index,
@@ -95,6 +98,9 @@ enum class FlightEventType : uint8_t {
 };
 
 std::string_view FlightEventTypeName(FlightEventType type);
+
+// Set in a kSpanAttr event's `a` when `b` is a string value's name id.
+inline constexpr uint64_t kSpanAttrString = uint64_t{1} << 63;
 
 // One recorded event. `code` is an interned-name id (FlightInternName)
 // identifying the emitting device / pool / system / span; `thread` is the
@@ -195,6 +201,13 @@ class FlightRecorder {
   // call per thread.
   void Record(FlightEventType type, uint16_t code, uint64_t a, uint64_t b);
 
+  // The event Record would append, stamped but not recorded: now on the
+  // flight clock, the calling thread's ring id (registering the thread on
+  // first use) and its ambient session and stage. A TraceRecorder stamps
+  // its spans this way, so they land on the thread track they ran on.
+  FlightEvent Stamp(FlightEventType type, uint16_t code, uint64_t a,
+                    uint64_t b);
+
   // Like Record, but stamps `stage` (a TraceStage value) instead of the
   // thread's ambient stage; session attribution is still ambient. For
   // hooks that know an event's pipeline meaning regardless of what scope
@@ -233,6 +246,13 @@ class FlightRecorder {
   // may not be included).
   FlightDump Drain(bool consume = false);
 
+  // The events of Drain(false) stamped at or after `from_ns`, in the same
+  // order, without the name table. Each ring is read back from its head
+  // only to its first event stamped before `from_ns`: a ring has one
+  // writer and the flight clock is monotone on each thread, so every
+  // older event is older still.
+  std::vector<FlightEvent> EventsSince(uint64_t from_ns);
+
   // Binary dump round trip ("HDOVFREC" container, see docs/telemetry.md).
   Status WriteDump(const std::string& path, bool consume = false);
   static Result<FlightDump> ReadDump(const std::string& path);
@@ -256,6 +276,26 @@ class FlightRecorder {
   // the caller's already-read attribution.
   void Append(FlightEventType type, uint16_t code, uint64_t a, uint64_t b,
               uint8_t stage, uint16_t session);
+  // How Append and Stamp stamp an event: at `ts_ns` (FlightNowNs), on
+  // `buf`'s ring, with the given attribution.
+  static FlightEvent StampEvent(uint64_t ts_ns, const Buffer& buf,
+                                FlightEventType type, uint16_t code,
+                                uint64_t a, uint64_t b, uint8_t stage,
+                                uint16_t session) {
+    return FlightEvent{.ts_ns = ts_ns,
+                       .type = static_cast<uint8_t>(type),
+                       .stage = stage,
+                       .code = code,
+                       .thread = static_cast<uint16_t>(buf.id & 0xffff),
+                       .session = session,
+                       .a = a,
+                       .b = b};
+  }
+  // Appends `buf`'s events in [from, head) stamped at or after `min_ns`
+  // to `out`, in ring order, less any a writer lapped mid-copy. Requires
+  // mu_.
+  void CopyRing(const Buffer& buf, uint64_t from, uint64_t head,
+                uint64_t min_ns, std::vector<FlightEvent>* out) const;
 
   const size_t capacity_;  // Power of two.
   const uint64_t serial_;  // Process-unique; keys the thread-local cache.
@@ -265,10 +305,17 @@ class FlightRecorder {
 };
 
 // The process-wide recorder every built-in hook records into: device
-// reads/writes, pool hits/misses, frame boundaries and span begin/end all
-// land here. Enabled from the start (that is the point); disable it via
+// reads/writes, pool hits/misses, prefetch events and frame boundaries
+// all land here. Enabled from the start (that is the point); disable it via
 // GlobalFlightRecorder().set_enabled(false) to measure its absence.
 FlightRecorder& GlobalFlightRecorder();
+
+// `run` (a run dump: SlowFrameCapture::RunDump of a drain) with a
+// TraceRecorder's dump merged in, in timestamp order. The trace's names
+// go after `run`'s, and its span codes, attribute keys and string
+// attribute values are rebased onto them ("?" past the 16-bit id space);
+// span indices are unchanged, so a run dump holds one trace.
+FlightDump MergeTraceDump(FlightDump run, const FlightDump& trace);
 
 // Serializes / parses the dump container (also used by tools/hdov_inspect
 // on files produced by --flight-out).
@@ -284,6 +331,16 @@ Result<FlightDump> DecodeFlightDump(std::string_view data);
 // on first use; everywhere else it is steady_clock. The choice is made
 // once per process.
 uint64_t FlightNowNs();
+
+// Inline here, not in flight_recorder.cc, so that Append's clock read
+// stays the only FlightNowNs call there and keeps being inlined into the
+// record path.
+inline FlightEvent FlightRecorder::Stamp(FlightEventType type, uint16_t code,
+                                         uint64_t a, uint64_t b) {
+  const TraceContext& ctx = CurrentTraceContext();
+  return StampEvent(FlightNowNs(), *LocalBuffer(), type, code, a, b,
+                    static_cast<uint8_t>(ctx.stage), ctx.session);
+}
 
 namespace internal {
 // FlightNowNs's steady_clock fallback: `t` on the flight timeline (0 for

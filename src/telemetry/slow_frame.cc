@@ -96,11 +96,11 @@ void SlowFrameCapture::OnFrame(const FrameStageRecord& record) {
   entry.trip_threshold_ns = static_cast<uint64_t>(trip_ms * 1e6 + 0.5);
   // Snapshot the flight events of this session within the frame's time
   // window (non-consuming: other consumers keep their drain position).
+  // Only the rings' tails from the frame's start on are read.
   const uint64_t end_ns = record.start_ns + record.wall_ns;
-  FlightDump flight = GlobalFlightRecorder().Drain(/*consume=*/false);
-  for (const FlightEvent& ev : flight.events) {
-    if (ev.session == record.session && ev.ts_ns >= record.start_ns &&
-        ev.ts_ns <= end_ns) {
+  for (const FlightEvent& ev :
+       GlobalFlightRecorder().EventsSince(record.start_ns)) {
+    if (ev.session == record.session && ev.ts_ns <= end_ns) {
       entry.events.push_back(ev);
     }
   }

@@ -80,8 +80,9 @@ class SlowFrameCapture {
   // runs, not mid-run. ring_frames = 0 turns the capture off.
   void Configure(const SlowFrameOptions& options);
 
-  // Feeds one completed frame; decides the trigger and (on trip) drains
-  // the global flight recorder for the frame's window. Thread-safe.
+  // Feeds one completed frame; decides the trigger and (on trip) reads
+  // the global flight recorder's events since the frame's start
+  // (FlightRecorder::EventsSince) for its window. Thread-safe.
   void OnFrame(const FrameStageRecord& record);
 
   uint64_t frames_seen() const;

@@ -1,8 +1,6 @@
 #include "telemetry/telemetry.h"
 
 #include "common/file_util.h"
-#include "telemetry/chrome_trace.h"
-#include "telemetry/json.h"
 
 namespace hdov::telemetry {
 
@@ -19,32 +17,53 @@ void Telemetry::RecordFrame(FrameRecord record) {
 
 namespace {
 
+// A frame record's snapshot fields, in the order WriteFrame writes them;
+// FrameRecordsFromJson reads the same list. An optional field is written
+// only when set: a non-empty string, a non-negative number.
+struct FrameField {
+  std::string_view key;
+  std::string FrameRecord::*text = nullptr;
+  uint64_t FrameRecord::*count = nullptr;
+  double FrameRecord::*real = nullptr;
+  bool optional = false;
+};
+constexpr FrameField kFrameFields[] = {
+    {.key = "system", .text = &FrameRecord::system},
+    {.key = "kind", .text = &FrameRecord::kind},
+    {.key = "index", .count = &FrameRecord::index},
+    {.key = "context", .text = &FrameRecord::context, .optional = true},
+    {.key = "cell", .count = &FrameRecord::cell},
+    {.key = "frame_time_ms", .real = &FrameRecord::frame_time_ms},
+    {.key = "query_time_ms", .real = &FrameRecord::query_time_ms},
+    {.key = "io_pages", .count = &FrameRecord::io_pages},
+    {.key = "light_io_pages", .count = &FrameRecord::light_io_pages},
+    {.key = "index_bytes_read", .count = &FrameRecord::index_bytes_read},
+    {.key = "store_bytes_read", .count = &FrameRecord::store_bytes_read},
+    {.key = "model_bytes_read", .count = &FrameRecord::model_bytes_read},
+    {.key = "nodes_visited", .count = &FrameRecord::nodes_visited},
+    {.key = "vpages_fetched", .count = &FrameRecord::vpages_fetched},
+    {.key = "hidden_pruned", .count = &FrameRecord::hidden_pruned},
+    {.key = "internal_terminations",
+     .count = &FrameRecord::internal_terminations},
+    {.key = "cache_hit_rate", .real = &FrameRecord::cache_hit_rate},
+    {.key = "rendered_triangles", .count = &FrameRecord::rendered_triangles},
+    {.key = "models_fetched", .count = &FrameRecord::models_fetched},
+    {.key = "resident_bytes", .count = &FrameRecord::resident_bytes},
+    {.key = "fidelity", .real = &FrameRecord::fidelity, .optional = true},
+};
+
 void WriteFrame(const FrameRecord& f, JsonWriter* w) {
   w->BeginObject();
-  w->Key("system").String(f.system);
-  w->Key("kind").String(f.kind);
-  w->Key("index").Number(f.index);
-  if (!f.context.empty()) {
-    w->Key("context").String(f.context);
-  }
-  w->Key("cell").Number(f.cell);
-  w->Key("frame_time_ms").Number(f.frame_time_ms);
-  w->Key("query_time_ms").Number(f.query_time_ms);
-  w->Key("io_pages").Number(f.io_pages);
-  w->Key("light_io_pages").Number(f.light_io_pages);
-  w->Key("index_bytes_read").Number(f.index_bytes_read);
-  w->Key("store_bytes_read").Number(f.store_bytes_read);
-  w->Key("model_bytes_read").Number(f.model_bytes_read);
-  w->Key("nodes_visited").Number(f.nodes_visited);
-  w->Key("vpages_fetched").Number(f.vpages_fetched);
-  w->Key("hidden_pruned").Number(f.hidden_pruned);
-  w->Key("internal_terminations").Number(f.internal_terminations);
-  w->Key("cache_hit_rate").Number(f.cache_hit_rate);
-  w->Key("rendered_triangles").Number(f.rendered_triangles);
-  w->Key("models_fetched").Number(f.models_fetched);
-  w->Key("resident_bytes").Number(f.resident_bytes);
-  if (f.fidelity >= 0.0) {
-    w->Key("fidelity").Number(f.fidelity);
+  for (const FrameField& field : kFrameFields) {
+    if (field.text != nullptr) {
+      if (!field.optional || !(f.*field.text).empty()) {
+        w->Key(field.key).String(f.*field.text);
+      }
+    } else if (field.count != nullptr) {
+      w->Key(field.key).Number(f.*field.count);
+    } else if (!field.optional || f.*field.real >= 0.0) {
+      w->Key(field.key).Number(f.*field.real);
+    }
   }
   w->EndObject();
 }
@@ -81,15 +100,6 @@ Status Telemetry::WriteJsonFile(const std::string& path) const {
   return WriteStringToFile(path, SnapshotJson() + '\n', "telemetry");
 }
 
-std::string Telemetry::ChromeTraceJson() const {
-  return telemetry::ChromeTraceJson({.frames = &frames_,
-                                     .trace = &tracer_.dump()});
-}
-
-Status Telemetry::WriteChromeTrace(const std::string& path) const {
-  return WriteStringToFile(path, ChromeTraceJson() + '\n', "telemetry");
-}
-
 void Telemetry::Reset() {
   metrics_.ResetValues();
   tracer_.Clear();
@@ -97,6 +107,40 @@ void Telemetry::Reset() {
   frames_recorded_ = 0;
   frames_dropped_ = 0;
   context_.clear();
+}
+
+Result<std::vector<FrameRecord>> FrameRecordsFromJson(
+    const JsonValue& snapshot) {
+  const JsonValue* frames = snapshot.Find("frames");
+  if (frames == nullptr || !frames->is_array()) {
+    return Status::Corruption("telemetry snapshot: no frames array");
+  }
+  std::vector<FrameRecord> records;
+  records.reserve(frames->items.size());
+  for (const JsonValue& frame : frames->items) {
+    FrameRecord& r = records.emplace_back();
+    for (const FrameField& field : kFrameFields) {
+      const JsonValue* v = frame.Find(field.key);
+      if (v == nullptr) {
+        continue;
+      }
+      if (field.text != nullptr) {
+        if (v->is_string()) {
+          r.*field.text = v->string;
+        }
+      } else if (!v->is_number()) {
+        continue;
+      } else if (field.real != nullptr) {
+        r.*field.real = v->number;
+      } else if (v->number >= 0.0 && v->number < 18446744073709551616.0) {
+        r.*field.count = static_cast<uint64_t>(v->number);  // Below 2^64.
+      } else {
+        return Status::Corruption("telemetry snapshot: frame " +
+                                  std::string(field.key) + " out of range");
+      }
+    }
+  }
+  return records;
 }
 
 }  // namespace hdov::telemetry

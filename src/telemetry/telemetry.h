@@ -10,7 +10,9 @@
 //     systems (one structured record per RenderFrame / Query).
 //
 // Snapshots export as machine-readable JSON (the `--telemetry-out` format
-// documented in docs/telemetry.md).
+// documented in docs/telemetry.md); FrameRecordsFromJson reads the frame
+// records back, which is how `hdov_inspect --telemetry --chrome-out`
+// draws the frame timeline (telemetry/chrome_trace.h, pid 1).
 
 #ifndef HDOV_TELEMETRY_TELEMETRY_H_
 #define HDOV_TELEMETRY_TELEMETRY_H_
@@ -20,7 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
+#include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -98,12 +102,6 @@ class Telemetry {
 
   Status WriteJsonFile(const std::string& path) const;
 
-  // Chrome trace-event export (telemetry/chrome_trace.h) of the frame
-  // timeline (pid 1, simulated clock) and the trace's spans (pid 2, B/E
-  // events on the FlightNowNs wall timeline, attributes in their args).
-  std::string ChromeTraceJson() const;
-  Status WriteChromeTrace(const std::string& path) const;
-
   // Drops frame records and trace spans and zeroes owned metrics
   // (registered views keep reading their live sources).
   void Reset();
@@ -119,6 +117,13 @@ class Telemetry {
   uint64_t frames_recorded_ = 0;
   uint64_t frames_dropped_ = 0;
 };
+
+// The "frames" array of a parsed SnapshotJson document as FrameRecords.
+// Absent fields keep their defaults; numbers come back at the snapshot's
+// 12 significant digits. Corruption when there is no "frames" array or a
+// count is not a uint64_t.
+Result<std::vector<FrameRecord>> FrameRecordsFromJson(
+    const JsonValue& snapshot);
 
 }  // namespace hdov::telemetry
 

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "telemetry/json.h"
-#include "telemetry/trace_context.h"
 
 namespace hdov::telemetry {
 
@@ -161,14 +160,7 @@ uint16_t TraceRecorder::Intern(std::string_view name) {
 
 void TraceRecorder::Append(FlightEventType type, uint16_t code, uint64_t a,
                            uint64_t b) {
-  FlightEvent ev;
-  ev.ts_ns = FlightNowNs();
-  ev.type = static_cast<uint8_t>(type);
-  ev.stage = static_cast<uint8_t>(CurrentTraceContext().stage);
-  ev.code = code;
-  ev.a = a;
-  ev.b = b;
-  dump_.events.push_back(ev);
+  dump_.events.push_back(GlobalFlightRecorder().Stamp(type, code, a, b));
 }
 
 int32_t TraceRecorder::BeginSpan(std::string_view name) {
@@ -183,11 +175,6 @@ int32_t TraceRecorder::BeginSpan(std::string_view name) {
   Append(FlightEventType::kSpanBegin, Intern(name), static_cast<uint64_t>(id),
          open_);
   open_ = dump_.events.size();
-  FlightRecorder& flight = GlobalFlightRecorder();
-  if (flight.enabled()) {
-    flight.Record(FlightEventType::kSpanBegin, FlightInternName(name),
-                  static_cast<uint64_t>(id), 0);
-  }
   return id;
 }
 
@@ -202,11 +189,6 @@ void TraceRecorder::EndSpan(int32_t span) {
     Append(FlightEventType::kSpanEnd, begin.code, begin.a, 0);
     open_ = begin.b;
     if (begin.a == static_cast<uint64_t>(span)) {
-      FlightRecorder& flight = GlobalFlightRecorder();
-      if (flight.enabled()) {
-        flight.Record(FlightEventType::kSpanEnd,
-                      FlightInternName(dump_.names[begin.code]), begin.a, 0);
-      }
       return;
     }
   }

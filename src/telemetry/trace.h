@@ -14,10 +14,12 @@
 //               double's bits, or the name id of a string value
 //
 // Span indices count BeginSpan calls, so they are also the spans'
-// positions in begin order. DecodeSpanForest rebuilds the tree; the
-// TraceSpan it returns is only that decoded view. Alongside its own dump,
-// a recorder puts each span's begin and end (no attributes) into the
-// global flight recorder, as every other hook does.
+// positions in begin order. Every event is stamped like a ring event
+// (FlightRecorder::Stamp on the global recorder: wall time, the thread's
+// ring id, its session and stage), but only this dump holds it; a
+// bench's --flight-out run dump merges it in (MergeTraceDump).
+// DecodeSpanForest rebuilds the tree; the TraceSpan it returns is only
+// that decoded view.
 //
 // Recording is opt-in twice over: instrumented code only touches the
 // recorder when one is wired in, and a disabled recorder turns BeginSpan
@@ -35,9 +37,6 @@
 #include "telemetry/flight_recorder.h"
 
 namespace hdov::telemetry {
-
-// Set in a kSpanAttr event's `a` when `b` is a string value's name id.
-inline constexpr uint64_t kSpanAttrString = uint64_t{1} << 63;
 
 // One span of a decoded trace.
 struct TraceSpan {

@@ -50,5 +50,17 @@ TEST(BenchArgsDeathTest, RemovedOutputFlagsAreUnknown) {
   }
 }
 
+// Spans ride in the --flight-out run dump and --trace-sample turns them
+// on; the separate Chrome trace file and its flag are gone.
+TEST(BenchArgsDeathTest, TraceOutIsUnknown) {
+  EXPECT_EXIT(Parse({"--trace-out=x.json"}), ::testing::ExitedWithCode(2),
+              "unknown flag");
+}
+
+TEST(BenchArgsTest, TraceSampleDefaultsToOff) {
+  EXPECT_EQ(Parse({}).trace_sample, 0u);
+  EXPECT_EQ(Parse({"--trace-sample=64"}).trace_sample, 64u);
+}
+
 }  // namespace
 }  // namespace hdov::bench

@@ -721,40 +721,6 @@ TEST_F(HdovFixture, ManifestHugeLevelCountIsCorruption) {
   EXPECT_TRUE(tree.status().IsCorruption()) << tree.status().ToString();
 }
 
-TEST_F(HdovFixture, BulkLoadedTreeSearchesEquivalently) {
-  // The same scene built via STR bulk loading retrieves the same object
-  // set at eta = 0 (different topology, same semantics).
-  PageDevice model_device;
-  ModelStore models(&model_device);
-  HdovBuildOptions bopt;
-  bopt.rtree.max_entries = 8;
-  bopt.rtree.min_entries = 3;
-  bopt.bulk_load = true;
-  Result<HdovTree> bulk = HdovBuilder::Build(*scene_, &models, bopt);
-  ASSERT_TRUE(bulk.ok()) << bulk.status().ToString();
-  ASSERT_TRUE(bulk->CheckInvariants().ok());
-
-  PageDevice store_device;
-  auto store = BuildStore(StorageScheme::kIndexedVertical, *bulk, *table_,
-                          &store_device);
-  ASSERT_TRUE(store.ok());
-  HdovSearcher searcher(&*bulk, scene_, &models, nullptr);
-  SearchOptions opt;
-  opt.eta = 0.0;
-  for (CellId c = 0; c < table_->num_cells(); ++c) {
-    std::vector<RetrievedLod> result;
-    ASSERT_TRUE(searcher.Search(store->get(), c, opt, &result).ok());
-    std::set<uint64_t> retrieved;
-    for (const RetrievedLod& lod : result) {
-      retrieved.insert(lod.owner);
-    }
-    EXPECT_EQ(retrieved.size(), table_->cell(c).ids.size());
-    for (ObjectId id : table_->cell(c).ids) {
-      EXPECT_TRUE(retrieved.count(id));
-    }
-  }
-}
-
 TEST(HdovBuilderTest, FullGeometryBuildsInternalMeshes) {
   CityOptions copt;
   copt.mode = GeometryMode::kFull;

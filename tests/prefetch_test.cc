@@ -131,7 +131,6 @@ TEST_F(PrefetchFixture, VelocityBeatsLookWhenMoving) {
   VelocityPredictor predictor(grid_);
   const Vec3 pos = grid_->CellCenter(grid_->ClampedCellForPoint(
       scene_->bounds().Center()));
-  const CellId cell = grid_->ClampedCellForPoint(pos);
   const Vec3 look(1, 0, 0);  // Facing east...
   // ...while strafing north. After a few observations the velocity
   // average points north and overrides the look direction.

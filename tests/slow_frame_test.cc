@@ -443,6 +443,131 @@ TEST(SlowFrameTest, PercentileCutMatchesBruteForce) {
   EXPECT_EQ(captured, expected);
 }
 
+TEST(SlowFrameTest, WindowMatchesFilteredDrain) {
+  // A tripping frame reads only the rings' tails since its start
+  // (FlightRecorder::EventsSince). Its window must equal what a full
+  // Drain(false) filtered on session and time gives, event for event and
+  // in the same order: three threads record at once, one of them laps
+  // its ring, and the windows are drawn at random.
+  const uint16_t sessions[] = {FlightInternName("slowtest-window-0"),
+                               FlightInternName("slowtest-window-1"),
+                               FlightInternName("slowtest-window-2")};
+  const uint16_t code = FlightInternName("slowtest-window-pool");
+  FlightRecorder& recorder = GlobalFlightRecorder();
+  const size_t counts[] = {recorder.events_per_thread() + 5000, 3000, 3000};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < counts[t]; ++i) {
+        // Every fourth event is unattributed.
+        SessionTraceScope trace(i % 4 == 3 ? 0 : sessions[t], i);
+        recorder.Record(i % 2 == 0 ? FlightEventType::kPoolHit
+                                   : FlightEventType::kPoolMiss,
+                        code, i, t);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const FlightDump drained = recorder.Drain(/*consume=*/false);
+  ASSERT_GT(recorder.events_dropped(), 0u);  // The first ring lapped.
+  std::vector<uint64_t> stamps;
+  for (const FlightEvent& ev : drained.events) {
+    if (ev.code == code) {
+      stamps.push_back(ev.ts_ns);
+    }
+  }
+  ASSERT_FALSE(stamps.empty());
+
+  SlowFrameOptions opt;
+  opt.threshold_ms = 1e-9;  // Every frame trips.
+  opt.percentile = 0.0;
+  opt.max_captures = 1 << 20;
+  SlowFrameCapture cap(opt);
+  std::mt19937_64 rng(20261019);
+  size_t nonempty = 0;
+  for (int w = 0; w < 200; ++w) {
+    FrameStageRecord record;
+    record.session = sessions[rng() % 3];
+    record.frame = static_cast<uint64_t>(w);
+    // Windows open and close on recorded stamps (both ends inclusive)
+    // or at random points of the run.
+    const uint64_t first = stamps.front();
+    const uint64_t last = stamps.back();
+    record.start_ns = w % 2 == 0 ? stamps[rng() % stamps.size()]
+                                 : first + rng() % (last - first + 1);
+    const uint64_t end = std::max(
+        record.start_ns, w % 3 == 0 ? stamps[rng() % stamps.size()]
+                                    : record.start_ns + rng() % 200'000);
+    record.wall_ns = std::max<uint64_t>(1, end - record.start_ns);  // Trips.
+    if (w == 0) {
+      record.start_ns = 0;  // The whole ring.
+      record.wall_ns = UINT64_MAX / 2;
+    }
+
+    std::vector<FlightEvent> want;
+    for (const FlightEvent& ev : drained.events) {
+      if (ev.session == record.session && ev.ts_ns >= record.start_ns &&
+          ev.ts_ns <= record.start_ns + record.wall_ns) {
+        want.push_back(ev);
+      }
+    }
+    // One capture per window: random windows of a session may overlap,
+    // and a dump gives an event to one capture only.
+    cap.Configure(opt);
+    cap.OnFrame(record);
+    const SlowFrameRows rows = RollUpSlowFrames(cap.Snapshot());
+    ASSERT_EQ(rows.captures.size(), 1u);
+    const std::vector<FlightEvent>& got = rows.captures[0].events;
+    ASSERT_EQ(got.size(), want.size()) << "window " << w;
+    for (size_t e = 0; e < got.size(); ++e) {
+      ASSERT_TRUE(SameEvent(got[e], want[e]))
+          << "window " << w << " event " << e;
+    }
+    nonempty += got.empty() ? 0 : 1;
+
+    // Unfiltered, the tail read is the drain's suffix from the bound on.
+    std::vector<FlightEvent> suffix;
+    for (const FlightEvent& ev : drained.events) {
+      if (ev.ts_ns >= record.start_ns) {
+        suffix.push_back(ev);
+      }
+    }
+    const std::vector<FlightEvent> since =
+        recorder.EventsSince(record.start_ns);
+    ASSERT_EQ(since.size(), suffix.size()) << "window " << w;
+    for (size_t e = 0; e < since.size(); ++e) {
+      ASSERT_TRUE(SameEvent(since[e], suffix[e]))
+          << "window " << w << " event " << e;
+    }
+  }
+
+  EXPECT_GT(nonempty, 40u);  // Not a vacuous comparison.
+}
+
+TEST(SlowFrameTest, WindowReadRespectsConsumedDrains) {
+  // A consuming drain moves where both reads start; a small ring laps
+  // (a lapped ring gives up its oldest slot, the one a writer could be
+  // filling).
+  FlightRecorder recorder(64);
+  const uint16_t code = FlightInternName("slowtest-consumed");
+  for (uint64_t i = 0; i < 100; ++i) {
+    recorder.Record(FlightEventType::kPoolHit, code, i, 0);
+  }
+  ASSERT_EQ(recorder.Drain(/*consume=*/true).events.size(), 63u);
+  for (uint64_t i = 100; i < 150; ++i) {
+    recorder.Record(FlightEventType::kPoolHit, code, i, 0);
+  }
+  const FlightDump drained = recorder.Drain(/*consume=*/false);
+  const std::vector<FlightEvent> since = recorder.EventsSince(0);
+  ASSERT_EQ(drained.events.size(), 50u);
+  ASSERT_EQ(since.size(), drained.events.size());
+  for (size_t e = 0; e < since.size(); ++e) {
+    EXPECT_TRUE(SameEvent(since[e], drained.events[e])) << e;
+  }
+}
+
 TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
   const uint16_t walk = FlightInternName("u0.walk");
   const uint16_t turn = FlightInternName("u1.turn");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
@@ -8,9 +9,11 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
+#include "telemetry/slow_frame.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -594,9 +597,11 @@ TEST(TelemetryTest, SnapshotJsonRoundTrip) {
 TEST(TelemetryTest, ChromeTraceSchema) {
   // A traced search records the span shapes the searcher emits (one
   // "search" root, "node" children, decision leaves) plus per-query frame
-  // records; the Chrome-trace export of that state must be a valid
-  // trace-event document: frames as complete events, spans as balanced
-  // B/E pairs in wall-clock order with their attributes in the B args.
+  // records; the Chrome-trace export of the frames and the run dump must
+  // be a valid trace-event document: frames as complete events, spans as
+  // balanced B/E pairs in wall-clock order with their attributes in the B
+  // args.
+  telemetry::GlobalFlightRecorder().Drain(/*consume=*/true);
   Telemetry t;
   t.tracer().set_enabled(true);
   int32_t search = t.tracer().BeginSpan("search");
@@ -619,7 +624,15 @@ TEST(TelemetryTest, ChromeTraceSchema) {
   r.io_pages = 5;
   t.RecordFrame(r);
 
-  Result<JsonValue> parsed = ParseJson(t.ChromeTraceJson());
+  // What a bench's --flight-out writes: the ring drained since the
+  // consuming drain above (spans never enter it), its slow-frame captures
+  // (none) and the trace.
+  const telemetry::FlightDump run = telemetry::MergeTraceDump(
+      telemetry::SlowFrameCapture().RunDump(
+          telemetry::GlobalFlightRecorder().Drain()),
+      t.tracer().dump());
+  Result<JsonValue> parsed = ParseJson(
+      telemetry::ChromeTraceJson({.frames = &t.frames(), .flight = &run}));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Find("displayTimeUnit")->string, "ms");
   const JsonValue* events = parsed->Find("traceEvents");
@@ -649,7 +662,7 @@ TEST(TelemetryTest, ChromeTraceSchema) {
       EXPECT_GT(event.Find("dur")->number, 0.0);
     }
     if (ph == "B" || ph == "E") {
-      EXPECT_EQ(event.Find("pid")->number, 2.0);  // Search-trace process.
+      EXPECT_EQ(event.Find("pid")->number, 3.0);  // Flight process.
       EXPECT_GE(event.Find("ts")->number, last_span_ts);
       last_span_ts = event.Find("ts")->number;
       span_phases.push_back(ph + " " + event.Find("name")->string);
@@ -670,6 +683,124 @@ TEST(TelemetryTest, ChromeTraceSchema) {
             (std::vector<std::string>{"B search", "B node", "B prune",
                                       "E prune", "E node", "B node",
                                       "E node", "E search"}));
+}
+
+// Whether `a` and `b` are the same JSON document, numbers within `rel`
+// of each other; `where` names the first difference.
+bool SameJson(const JsonValue& a, const JsonValue& b, double rel,
+              std::string* where) {
+  if (a.type != b.type) {
+    *where = "type";
+    return false;
+  }
+  switch (a.type) {
+    case JsonValue::Type::kNumber:
+      if (std::abs(a.number - b.number) >
+          rel * std::max(std::abs(a.number), std::abs(b.number))) {
+        *where = std::to_string(a.number) + " vs " + std::to_string(b.number);
+        return false;
+      }
+      return true;
+    case JsonValue::Type::kString:
+      *where = a.string + " vs " + b.string;
+      return a.string == b.string;
+    case JsonValue::Type::kBool:
+      return a.boolean == b.boolean;
+    case JsonValue::Type::kArray:
+      if (a.items.size() != b.items.size()) {
+        *where = "array size";
+        return false;
+      }
+      for (size_t i = 0; i < a.items.size(); ++i) {
+        if (!SameJson(a.items[i], b.items[i], rel, where)) {
+          *where = "[" + std::to_string(i) + "]" + *where;
+          return false;
+        }
+      }
+      return true;
+    case JsonValue::Type::kObject:
+      if (a.members.size() != b.members.size()) {
+        *where = "object size";
+        return false;
+      }
+      for (size_t i = 0; i < a.members.size(); ++i) {
+        if (a.members[i].first != b.members[i].first ||
+            !SameJson(a.members[i].second, b.members[i].second, rel,
+                      where)) {
+          *where = "." + a.members[i].first + *where;
+          return false;
+        }
+      }
+      return true;
+    case JsonValue::Type::kNull:
+      return true;
+  }
+  return false;
+}
+
+TEST(TelemetryTest, FrameTimelineRebuildsFromSnapshotJson) {
+  // `hdov_inspect --telemetry --chrome-out` draws pid 1 from the frames of
+  // a --telemetry-out file. That timeline must match the one drawn from
+  // the live records, event for event; the snapshot keeps 12 significant
+  // digits, so numbers may differ in the last ones.
+  Telemetry t;
+  for (uint64_t i = 0; i < 40; ++i) {
+    telemetry::FrameRecord r;
+    r.system = i % 3 == 0 ? "visual" : "naive";
+    r.kind = i % 5 == 0 ? "query" : "frame";
+    r.cell = i * 7;
+    r.frame_time_ms = i % 5 == 0 ? 0.0 : 1.0 / static_cast<double>(i + 3);
+    r.query_time_ms = std::sqrt(static_cast<double>(i) + 0.5);
+    r.io_pages = i * 13;
+    r.nodes_visited = i + 1;
+    r.vpages_fetched = i / 2;
+    r.rendered_triangles = 123'456'789 + i;
+    r.models_fetched = i % 4;
+    r.cache_hit_rate = static_cast<double>(i) / 41.0;
+    if (i % 2 == 0) {
+      r.fidelity = 1.0 - 1.0 / static_cast<double>(i + 7);
+    }
+    t.set_context(i < 20 ? "u0.walk" : "");
+    t.RecordFrame(r);
+  }
+  Result<JsonValue> snapshot = ParseJson(t.SnapshotJson());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  Result<std::vector<telemetry::FrameRecord>> frames =
+      telemetry::FrameRecordsFromJson(*snapshot);
+  ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+  ASSERT_EQ(frames->size(), t.frames().size());
+
+  Result<JsonValue> live =
+      ParseJson(telemetry::ChromeTraceJson({.frames = &t.frames()}));
+  Result<JsonValue> rebuilt =
+      ParseJson(telemetry::ChromeTraceJson({.frames = &*frames}));
+  ASSERT_TRUE(live.ok() && rebuilt.ok());
+  const JsonValue* live_events = live->Find("traceEvents");
+  const JsonValue* rebuilt_events = rebuilt->Find("traceEvents");
+  ASSERT_NE(live_events, nullptr);
+  ASSERT_NE(rebuilt_events, nullptr);
+  // Two events per frame (slice and counter), plus the process and two
+  // track names.
+  ASSERT_EQ(live_events->items.size(), 2 * t.frames().size() + 3);
+  ASSERT_EQ(rebuilt_events->items.size(), live_events->items.size());
+  for (size_t i = 0; i < live_events->items.size(); ++i) {
+    std::string where;
+    EXPECT_TRUE(SameJson(live_events->items[i], rebuilt_events->items[i],
+                         1e-9, &where))
+        << "event " << i << where;
+  }
+
+  JsonValue no_frames;
+  no_frames.type = JsonValue::Type::kObject;
+  EXPECT_TRUE(
+      telemetry::FrameRecordsFromJson(no_frames).status().IsCorruption());
+  for (const char* bad : {"-1", "1e20", "18446744073709551616"}) {
+    Result<JsonValue> doc = ParseJson(
+        std::string("{\"frames\":[{\"io_pages\":") + bad + "}]}");
+    ASSERT_TRUE(doc.ok());
+    EXPECT_TRUE(telemetry::FrameRecordsFromJson(*doc).status().IsCorruption())
+        << bad;
+  }
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 #include <utility>
 
 #include "scene/city_generator.h"
+#include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/json.h"
+#include "telemetry/slow_frame.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "walkthrough/fidelity.h"
@@ -26,6 +28,16 @@ size_t CountSpans(const telemetry::SpanForest& forest, std::string_view name) {
   return static_cast<size_t>(std::count_if(
       forest.spans.begin(), forest.spans.end(),
       [name](const telemetry::TraceSpan& s) { return s.name == name; }));
+}
+
+// A bench's --flight-out run dump of what was recorded since the caller's
+// consuming drain: the ring, its slow-frame captures (none here) and the
+// trace merged in.
+telemetry::FlightDump RunDumpWithTrace(const telemetry::TraceRecorder& trace) {
+  return telemetry::MergeTraceDump(
+      telemetry::SlowFrameCapture().RunDump(
+          telemetry::GlobalFlightRecorder().Drain()),
+      trace.dump());
 }
 
 class WalkthroughFixture : public ::testing::Test {
@@ -676,20 +688,22 @@ TEST_F(WalkthroughFixture, TraceSamplingGatesSpanTrees) {
 }
 
 TEST_F(WalkthroughFixture, TracedQueryChromeSpansBalance) {
-  // A traced query's Chrome export: span B/E events balance on every
-  // (pid, tid) track, one B per recorded span, and the "search" span's B
-  // event carries the search's attributes in its args.
+  // A traced query's run-dump Chrome export: span B/E events balance on
+  // every (pid, tid) track, one B per recorded span, and the "search"
+  // span's B event carries the search's attributes in its args.
   telemetry::Telemetry tel;
   tel.tracer().set_enabled(true);
   auto visual = MakeVisual(0.001);
   visual->AttachTelemetry(&tel, "visual");
+  telemetry::GlobalFlightRecorder().Drain(/*consume=*/true);
   std::vector<RetrievedLod> result;
   ASSERT_TRUE(visual
                   ->Query(CenterViewpoint().position,
                           /*fetch_models=*/true, &result, nullptr)
                   .ok());
-  Result<telemetry::JsonValue> parsed =
-      telemetry::ParseJson(tel.ChromeTraceJson());
+  const telemetry::FlightDump run = RunDumpWithTrace(tel.tracer());
+  Result<telemetry::JsonValue> parsed = telemetry::ParseJson(
+      telemetry::ChromeTraceJson({.frames = &tel.frames(), .flight = &run}));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   std::map<std::pair<double, double>, int64_t> depth;  // (pid, tid) -> open.
   size_t begins = 0;
@@ -720,6 +734,91 @@ TEST_F(WalkthroughFixture, TracedQueryChromeSpansBalance) {
                           "internal_terminations"}) {
     EXPECT_NE(search_args->Find(key), nullptr) << key;
   }
+}
+
+TEST_F(WalkthroughFixture, TracedQueryLeavesNoSpansInTheRing) {
+  // Spans live in the trace only; the ring keeps its slots for page,
+  // pool and frame events.
+  telemetry::Telemetry tel;
+  tel.tracer().set_enabled(true);
+  auto visual = MakeVisual(0.001);
+  visual->AttachTelemetry(&tel, "visual");
+  telemetry::GlobalFlightRecorder().Drain(/*consume=*/true);
+  std::vector<RetrievedLod> result;
+  ASSERT_TRUE(visual
+                  ->Query(CenterViewpoint().position,
+                          /*fetch_models=*/true, &result, nullptr)
+                  .ok());
+  ASSERT_GT(tel.tracer().num_spans(), 0u);
+  const telemetry::FlightDump ring = telemetry::GlobalFlightRecorder().Drain();
+  EXPECT_FALSE(ring.events.empty());
+  for (const telemetry::FlightEvent& ev : ring.events) {
+    const auto type = static_cast<telemetry::FlightEventType>(ev.type);
+    EXPECT_NE(type, telemetry::FlightEventType::kSpanBegin);
+    EXPECT_NE(type, telemetry::FlightEventType::kSpanEnd);
+    EXPECT_NE(type, telemetry::FlightEventType::kSpanAttr);
+  }
+}
+
+TEST_F(WalkthroughFixture, TracedQueryRidesInTheRunDump) {
+  // The run dump (ring, captures, trace), written and read back as a
+  // file, decodes to the trace's span forest: names, parents and numeric
+  // and string attributes, through the rebased name table. The spans sit
+  // on the ring track of the thread that ran them.
+  telemetry::Telemetry tel;
+  tel.tracer().set_enabled(true);
+  auto visual = MakeVisual(0.001);
+  visual->AttachTelemetry(&tel, "visual");
+  telemetry::GlobalFlightRecorder().Drain(/*consume=*/true);
+  std::vector<RetrievedLod> result;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(visual
+                    ->Query(CenterViewpoint().position,
+                            /*fetch_models=*/true, &result, nullptr)
+                    .ok());
+  }
+  const telemetry::FlightDump run = RunDumpWithTrace(tel.tracer());
+  ASSERT_GT(run.names.size(), tel.tracer().dump().names.size());
+  Result<telemetry::FlightDump> back =
+      telemetry::DecodeFlightDump(telemetry::EncodeFlightDump(run));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(std::is_sorted(back->events.begin(), back->events.end(),
+                             [](const telemetry::FlightEvent& x,
+                                const telemetry::FlightEvent& y) {
+                               return x.ts_ns < y.ts_ns;
+                             }));
+
+  const telemetry::SpanForest want =
+      telemetry::DecodeSpanForest(tel.tracer().dump());
+  const telemetry::SpanForest got = telemetry::DecodeSpanForest(*back);
+  ASSERT_EQ(CountSpans(want, "search"), 2u);
+  ASSERT_EQ(got.spans.size(), want.spans.size());
+  size_t str_attrs = 0;
+  for (size_t i = 0; i < want.spans.size(); ++i) {
+    const telemetry::TraceSpan& w = want.spans[i];
+    const telemetry::TraceSpan& g = got.spans[i];
+    EXPECT_EQ(g.name, w.name) << i;
+    EXPECT_EQ(g.parent, w.parent) << i;
+    EXPECT_EQ(g.closed, w.closed) << i;
+    EXPECT_EQ(g.num_attrs, w.num_attrs) << i;
+    EXPECT_EQ(g.str_attrs, w.str_attrs) << i;
+    str_attrs += w.str_attrs.size();
+  }
+  EXPECT_GT(str_attrs, 0u);  // The search span's "store".
+  EXPECT_EQ(got.ToJson(), want.ToJson());
+
+  std::set<uint16_t> span_threads;
+  std::set<uint16_t> ring_threads;
+  for (const telemetry::FlightEvent& ev : back->events) {
+    const auto type = static_cast<telemetry::FlightEventType>(ev.type);
+    if (type == telemetry::FlightEventType::kSpanBegin) {
+      span_threads.insert(ev.thread);
+    } else if (type == telemetry::FlightEventType::kPageReadAgg) {
+      ring_threads.insert(ev.thread);
+    }
+  }
+  ASSERT_FALSE(ring_threads.empty());
+  EXPECT_EQ(span_threads, ring_threads);
 }
 
 TEST_F(WalkthroughFixture, FlightRecorderToggleKeepsCountersBitIdentical) {

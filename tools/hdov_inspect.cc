@@ -3,8 +3,8 @@
 // dumps (--flight-out) and telemetry JSON files (--telemetry-out):
 //
 //   hdov_inspect --db=<world.hdov> [--check]
-//   hdov_inspect --flight=<dump.bin> [--chrome-out=<trace.json>]
-//   hdov_inspect --telemetry=<telemetry.json>
+//   hdov_inspect [--flight=<dump.bin>] [--telemetry=<telemetry.json>]
+//                [--chrome-out=<trace.json>]
 //
 // --db prints the snapshot's section catalog, tree shape (depth, fanout
 // and entry-count histogram), per-cell DoV histogram and per-scheme
@@ -19,10 +19,14 @@
 // slow-frame captures (a bench's --flight-out dump does), it then lists
 // them: per capture the session, frame, queue-wait vs service time, the
 // threshold that tripped, the per-stage breakdown and the flight events
-// of the frame's window. --chrome-out converts the dump to a Chrome trace-event file,
-// with one track per session for the captured frames.
+// of the frame's window.
 //
 // --telemetry prints per-system frame rollups of a telemetry snapshot.
+//
+// --chrome-out writes one Chrome trace-event file of what was read: the
+// telemetry snapshot's frame records on the simulated clock (pid 1) and
+// the dump's events, sampled spans and slow-frame tracks on the wall
+// clock (pid 3).
 
 #include <algorithm>
 #include <cinttypes>
@@ -44,6 +48,7 @@
 #include "telemetry/flight_recorder.h"
 #include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace_context.h"
 #include "visibility/precompute.h"
 
@@ -97,6 +102,10 @@ InspectArgs Parse(int argc, char** argv) {
   }
   if (args.db.empty() && args.flight.empty() && args.telemetry.empty()) {
     Usage("(no input)");
+  }
+  if (!args.chrome_out.empty() && args.flight.empty() &&
+      args.telemetry.empty()) {
+    Usage("--chrome-out (needs --flight or --telemetry)");
   }
   return args;
 }
@@ -396,19 +405,21 @@ void PrintSlowFrames(const telemetry::FlightDump& dump,
   }
 }
 
-int InspectFlight(const InspectArgs& args) {
+// Reads and prints the flight dump at `path` into `*out`.
+int InspectFlight(const std::string& path, telemetry::FlightDump* out) {
   Result<telemetry::FlightDump> read =
-      telemetry::FlightRecorder::ReadDump(args.flight);
+      telemetry::FlightRecorder::ReadDump(path);
   if (!read.ok()) {
-    std::fprintf(stderr, "hdov_inspect: %s: %s\n", args.flight.c_str(),
+    std::fprintf(stderr, "hdov_inspect: %s: %s\n", path.c_str(),
                  read.status().ToString().c_str());
     return 1;
   }
-  const telemetry::FlightDump& dump = *read;
+  *out = std::move(*read);
+  const telemetry::FlightDump& dump = *out;
   const telemetry::FlightRollup rollup = telemetry::RollUpFlightDump(dump);
   std::printf("flight dump: %s — %zu events (%llu dropped), %zu names,"
               " %.2f ms span\n",
-              args.flight.c_str(), dump.events.size(),
+              path.c_str(), dump.events.size(),
               static_cast<unsigned long long>(dump.dropped),
               dump.names.size(),
               static_cast<double>(rollup.last_ns - rollup.first_ns) / 1e6);
@@ -519,42 +530,38 @@ int InspectFlight(const InspectArgs& args) {
   if (!slow.captures.empty() || slow.frames_seen != 0) {
     PrintSlowFrames(dump, slow);
   }
-  if (!args.chrome_out.empty()) {
-    return WriteChromeOut(args.chrome_out, {.flight = &dump});
-  }
   return 0;
 }
 
-int InspectTelemetry(const InspectArgs& args) {
-  std::ifstream in(args.telemetry, std::ios::binary);
+// Reads and prints the telemetry snapshot at `path`, its frame records
+// into `*out`.
+int InspectTelemetry(const std::string& path,
+                     std::vector<telemetry::FrameRecord>* out) {
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "hdov_inspect: cannot open %s\n",
-                 args.telemetry.c_str());
+    std::fprintf(stderr, "hdov_inspect: cannot open %s\n", path.c_str());
     return 1;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  Result<telemetry::JsonValue> parsed =
-      telemetry::ParseJson(buffer.str());
+  Result<telemetry::JsonValue> parsed = telemetry::ParseJson(buffer.str());
   if (!parsed.ok()) {
-    std::fprintf(stderr, "hdov_inspect: %s: %s\n", args.telemetry.c_str(),
+    std::fprintf(stderr, "hdov_inspect: %s: %s\n", path.c_str(),
                  parsed.status().ToString().c_str());
     return 1;
   }
-  const telemetry::JsonValue& doc = *parsed;
-  const telemetry::JsonValue* metrics = doc.Find("metrics");
-  const telemetry::JsonValue* frames = doc.Find("frames");
-  if (!doc.is_object() || metrics == nullptr || !metrics->is_array()) {
-    std::fprintf(stderr,
-                 "hdov_inspect: %s is not a telemetry snapshot\n",
-                 args.telemetry.c_str());
+  const telemetry::JsonValue* metrics = parsed->Find("metrics");
+  Result<std::vector<telemetry::FrameRecord>> frames =
+      telemetry::FrameRecordsFromJson(*parsed);
+  if (metrics == nullptr || !metrics->is_array() || !frames.ok()) {
+    std::fprintf(stderr, "hdov_inspect: %s is not a telemetry snapshot\n",
+                 path.c_str());
     return 1;
   }
+  *out = std::move(*frames);
   std::printf("telemetry: %s — %zu metrics, %zu frame records\n",
-              args.telemetry.c_str(), metrics->items.size(),
-              frames != nullptr && frames->is_array() ? frames->items.size()
-                                                      : 0);
-  if (frames == nullptr || !frames->is_array() || frames->items.empty()) {
+              path.c_str(), metrics->items.size(), out->size());
+  if (out->empty()) {
     return 0;
   }
   // Session rollup: one row per (system, kind) with frame counts and
@@ -566,22 +573,12 @@ int InspectTelemetry(const InspectArgs& args) {
     double triangles = 0.0;
   };
   std::map<std::string, FrameRollup> by_system;
-  for (const telemetry::JsonValue& frame : frames->items) {
-    const telemetry::JsonValue* system = frame.Find("system");
-    const telemetry::JsonValue* kind = frame.Find("kind");
-    std::string key = system != nullptr ? system->string : "?";
-    if (kind != nullptr && !kind->string.empty()) {
-      key += "/" + kind->string;
-    }
-    FrameRollup& roll = by_system[key];
+  for (const telemetry::FrameRecord& frame : *out) {
+    FrameRollup& roll = by_system[frame.system + "/" + frame.kind];
     roll.frames += 1;
-    const auto num = [&frame](const char* name) {
-      const telemetry::JsonValue* v = frame.Find(name);
-      return v != nullptr && v->is_number() ? v->number : 0.0;
-    };
-    roll.frame_time_ms += num("frame_time_ms");
-    roll.io_pages += num("io_pages");
-    roll.triangles += num("rendered_triangles");
+    roll.frame_time_ms += frame.frame_time_ms;
+    roll.io_pages += static_cast<double>(frame.io_pages);
+    roll.triangles += static_cast<double>(frame.rendered_triangles);
   }
   std::printf("  %-28s %8s %14s %12s %14s\n", "system/kind", "frames",
               "frame_ms_sum", "io_pages", "triangles");
@@ -599,15 +596,23 @@ int Run(const InspectArgs& args) {
       return rc;
     }
   }
+  telemetry::FlightDump dump;
   if (!args.flight.empty()) {
-    if (int rc = InspectFlight(args); rc != 0) {
+    if (int rc = InspectFlight(args.flight, &dump); rc != 0) {
       return rc;
     }
   }
+  std::vector<telemetry::FrameRecord> frames;
   if (!args.telemetry.empty()) {
-    if (int rc = InspectTelemetry(args); rc != 0) {
+    if (int rc = InspectTelemetry(args.telemetry, &frames); rc != 0) {
       return rc;
     }
+  }
+  if (!args.chrome_out.empty()) {
+    return WriteChromeOut(
+        args.chrome_out,
+        {.frames = args.telemetry.empty() ? nullptr : &frames,
+         .flight = args.flight.empty() ? nullptr : &dump});
   }
   return 0;
 }
