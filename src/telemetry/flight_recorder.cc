@@ -445,9 +445,9 @@ uint64_t FlightRecorder::events_dropped() const {
   return total;
 }
 
-void FlightRecorder::CopyRing(const Buffer& buf, uint64_t from,
-                              uint64_t head, uint64_t min_ns,
-                              std::vector<FlightEvent>* out) const {
+uint64_t FlightRecorder::CopyRing(const Buffer& buf, uint64_t from,
+                                  uint64_t head, uint64_t min_ns,
+                                  std::vector<FlightEvent>* out) const {
   // Step back from the head to the first event stamped before min_ns. A
   // slot a writer laps meanwhile only reads newer, so it cannot stop the
   // walk early, and it is discarded below.
@@ -472,12 +472,13 @@ void FlightRecorder::CopyRing(const Buffer& buf, uint64_t from,
   const uint64_t head_after = buf.head.load(std::memory_order_acquire);
   const uint64_t valid_from =
       head_after > capacity_ ? head_after - capacity_ + 1 : 0;
-  if (valid_from > begin) {
-    const auto lapped = static_cast<ptrdiff_t>(std::min(valid_from, head) -
-                                               begin);
-    out->erase(out->begin() + static_cast<ptrdiff_t>(first),
-               out->begin() + static_cast<ptrdiff_t>(first) + lapped);
+  if (valid_from <= begin) {
+    return 0;
   }
+  const uint64_t lapped = std::min(valid_from, head) - begin;
+  out->erase(out->begin() + static_cast<ptrdiff_t>(first),
+             out->begin() + static_cast<ptrdiff_t>(first + lapped));
+  return lapped;
 }
 
 FlightDump FlightRecorder::Drain(bool consume) {
@@ -495,11 +496,16 @@ FlightDump FlightRecorder::Drain(bool consume) {
       buf->consumed.store(ring_begin, std::memory_order_relaxed);
       consumed = ring_begin;
     }
-    CopyRing(*buf, consumed, head, 0, &dump.events);
+    const uint64_t discarded =
+        CopyRing(*buf, consumed, head, 0, &dump.events);
+    dump.dropped += buf->lost.load(std::memory_order_relaxed);
     if (consume) {
+      // Everything before `head` is consumed now, so the slots the copy
+      // gave up (lapped, or the one a writer could be filling) are lost:
+      // events_dropped() and the next dump count them.
+      buf->lost.fetch_add(discarded, std::memory_order_relaxed);
       buf->consumed.store(head, std::memory_order_relaxed);
     }
-    dump.dropped += buf->lost.load(std::memory_order_relaxed);
   }
   std::stable_sort(dump.events.begin(), dump.events.end(), DrainLess);
   // Snapshot the global name table so the dump is self-describing.

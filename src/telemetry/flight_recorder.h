@@ -169,7 +169,9 @@ uint64_t FlightNamesDropped();
 struct FlightDump {
   std::vector<std::string> names;   // Indexed by FlightEvent::code.
   std::vector<FlightEvent> events;  // Merged, timestamp order.
-  uint64_t dropped = 0;             // Ring overwrites of undrained events.
+  // Events lost before this drain: ring overwrites of undrained events
+  // and the slots earlier consuming drains gave up (see Drain).
+  uint64_t dropped = 0;
   uint64_t names_dropped = 0;       // Intern calls degraded to "?" (v2+).
 
   std::string_view NameOf(const FlightEvent& e) const {
@@ -233,7 +235,9 @@ class FlightRecorder {
 
   // Threads that ever recorded into this recorder.
   size_t num_threads() const;
-  // Total events ever recorded / overwritten before being consumed.
+  // Total events ever recorded / lost before being consumed (overwritten,
+  // or given up by a consuming drain), so after a consuming drain every
+  // recorded event is either drained or dropped, exactly once.
   uint64_t events_recorded() const;
   uint64_t events_dropped() const;
 
@@ -241,9 +245,11 @@ class FlightRecorder {
   // timestamp order, after flushing the calling thread's pending reads
   // (other threads' pending reads appear when their stage scopes close).
   // With `consume`, drained events are marked consumed: the next Drain
-  // starts after them and they can no longer count as dropped. Safe to
-  // call while other threads record (events published mid-drain may or
-  // may not be included).
+  // starts after them and they can no longer count as dropped. A lapped
+  // ring gives up its oldest slot (a writer could be filling it) and any
+  // slot a writer laps mid-copy; a consuming drain counts those dropped.
+  // Safe to call while other threads record (events published mid-drain
+  // may or may not be included).
   FlightDump Drain(bool consume = false);
 
   // The events of Drain(false) stamped at or after `from_ns`, in the same
@@ -292,10 +298,11 @@ class FlightRecorder {
                        .b = b};
   }
   // Appends `buf`'s events in [from, head) stamped at or after `min_ns`
-  // to `out`, in ring order, less any a writer lapped mid-copy. Requires
+  // to `out`, in ring order, less any a writer lapped mid-copy or could be
+  // filling; returns how many of [from, head) it discarded so. Requires
   // mu_.
-  void CopyRing(const Buffer& buf, uint64_t from, uint64_t head,
-                uint64_t min_ns, std::vector<FlightEvent>* out) const;
+  uint64_t CopyRing(const Buffer& buf, uint64_t from, uint64_t head,
+                    uint64_t min_ns, std::vector<FlightEvent>* out) const;
 
   const size_t capacity_;  // Power of two.
   const uint64_t serial_;  // Process-unique; keys the thread-local cache.

@@ -58,7 +58,10 @@ FlightRollup RollUpFlightDump(const FlightDump& dump) {
             ? dump.names[e.session]
             : std::string("<unattributed>");
     rollup.by_session[session].Add(e);
-    rollup.by_source[std::string(dump.NameOf(e))].Add(e);
+    // A span attribute's code is its key, not a source.
+    if (static_cast<FlightEventType>(e.type) != FlightEventType::kSpanAttr) {
+      rollup.by_source[std::string(dump.NameOf(e))].Add(e);
+    }
   }
   return rollup;
 }

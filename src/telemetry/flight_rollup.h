@@ -1,5 +1,6 @@
 // FlightRollup: the totals a drained flight dump adds up to, by event
-// type, ring thread, source (event code), session and stage. This is
+// type, ring thread, source (event code; a span attribute's code is its
+// key, so attributes count under no source), session and stage. This is
 // what `hdov_inspect --flight` prints, kept in the library so tests can
 // hold it to the simulated counters: a source's pages_read counts every
 // billed page whether the ring holds it as a per-run kPageRead or inside

@@ -47,6 +47,8 @@ Result<std::unique_ptr<NaiveSystem>> NaiveSystem::Create(
     HDOV_ASSIGN_OR_RETURN(Extent extent, system->lists_.Append(payload));
     system->cell_extents_.push_back(extent);
   }
+  system->resident_ = ResidentSet(system->models_.num_models());
+  system->next_resident_ = ResidentSet(system->models_.num_models());
   system->ResetIoStats();
   return system;
 }
@@ -115,33 +117,33 @@ Status NaiveSystem::RenderFrame(const Viewpoint& viewpoint,
   HDOV_RETURN_IF_ERROR(
       Query(viewpoint.position, /*fetch_models=*/false, &last_result_));
 
+  // Lookups read the last frame's set only; a model repeated in one
+  // result keeps its first entry.
   size_t fetched = 0;
   uint64_t triangles = 0;
-  std::unordered_map<ModelId, uint64_t> next_resident;
+  next_resident_.Clear();
   for (const RetrievedLod& lod : last_result_) {
     triangles += lod.triangle_count;
     const bool already_resident =
-        delta_enabled_ && resident_.find(lod.model) != resident_.end();
+        delta_enabled_ && resident_.Find(lod.model) != nullptr;
     if (!already_resident) {
       HDOV_RETURN_IF_ERROR(models_.Fetch(lod.model));
       ++fetched;
     }
-    next_resident.emplace(lod.model, lod.byte_size);
+    HDOV_RETURN_IF_ERROR(next_resident_.Emplace(
+        lod.model,
+        ResidentEntry{lod.lod_level, lod.byte_size, lod.triangle_count}));
   }
-  resident_ = std::move(next_resident);
+  resident_.swap(next_resident_);
 
-  uint64_t resident_bytes = 0;
-  for (const auto& [model, bytes] : resident_) {
-    resident_bytes += bytes;
-  }
-  meter.Finish(triangles, fetched, resident_bytes, options_.render,
+  meter.Finish(triangles, fetched, resident_.bytes(), options_.render,
                grid_->ClampedCellForPoint(viewpoint.position), &flight,
                result);
   return Status::OK();
 }
 
 void NaiveSystem::ResetRuntime() {
-  resident_.clear();
+  resident_.Clear();
   last_result_.clear();
   cached_list_.clear();
   current_cell_ = kInvalidCell;

@@ -7,7 +7,6 @@
 #define HDOV_WALKTHROUGH_NAIVE_SYSTEM_H_
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "scene/cell_grid.h"
@@ -15,6 +14,7 @@
 #include "storage/paged_file.h"
 #include "visibility/precompute.h"
 #include "walkthrough/render_model.h"
+#include "walkthrough/resident_set.h"
 #include "walkthrough/walkthrough_system.h"
 
 namespace hdov {
@@ -67,7 +67,10 @@ class NaiveSystem : public WalkthroughSystem {
 
   CellId current_cell_ = kInvalidCell;
   std::vector<std::pair<ObjectId, float>> cached_list_;  // Current cell.
-  std::unordered_map<ModelId, uint64_t> resident_;
+  // Models the last frame kept, one slot per ModelId; RenderFrame writes
+  // the next frame's set into next_resident_ and swaps the two.
+  ResidentSet resident_;
+  ResidentSet next_resident_;
   std::vector<RetrievedLod> last_result_;
 };
 

@@ -1,6 +1,7 @@
 #include "walkthrough/rtree_baseline.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "walkthrough/lodr_system.h"
 #include "walkthrough/review_system.h"
@@ -27,6 +28,7 @@ Status RTreeBaseline::Build() {
   HDOV_ASSIGN_OR_RETURN(PackedRTree packed,
                         PackedRTree::Pack(rtree, &index_device_));
   packed_.emplace(packed);
+  resident_ = ResidentSet(scene_->size());
   ResetIoStats();
   return Status::OK();
 }
@@ -57,14 +59,14 @@ Status RTreeBaseline::RenderFrame(const Viewpoint& viewpoint,
         std::min<size_t>(pick.level, obj.lods.num_levels() - 1));
     const ModelId model = object_models_[pick.id][level];
     const uint64_t bytes = obj.lods.level(level).byte_size;
-    auto it = resident_.find(pick.id);
-    if (!delta_enabled_ || it == resident_.end() ||
-        it->second.first > level) {
+    const uint32_t tris = obj.lods.level(level).triangle_count;
+    const ResidentEntry* held = resident_.Find(pick.id);
+    if (!delta_enabled_ || held == nullptr || held->lod_level > level) {
       HDOV_RETURN_IF_ERROR(models_.Fetch(model));
       ++fetched;
-      resident_[pick.id] = {level, bytes};
+      HDOV_RETURN_IF_ERROR(
+          resident_.Put(pick.id, ResidentEntry{level, bytes, tris}));
     }
-    const uint32_t tris = obj.lods.level(level).triangle_count;
     triangles += tris;
     last_result_.push_back(RetrievedLod{.kind = RetrievedLod::Kind::kObject,
                                         .owner = pick.id,
@@ -75,24 +77,18 @@ Status RTreeBaseline::RenderFrame(const Viewpoint& viewpoint,
   }
 
   // Semantic cache replacement: evict objects beyond the cache distance.
-  uint64_t resident_bytes = 0;
-  for (auto it = resident_.begin(); it != resident_.end();) {
-    if (scene_->object(it->first).mbr.DistanceTo(viewpoint.position) >
-        options_.cache_distance) {
-      it = resident_.erase(it);
-    } else {
-      resident_bytes += it->second.second;
-      ++it;
-    }
-  }
+  resident_.EraseIf([&](uint64_t id, const ResidentEntry&) {
+    return scene_->object(static_cast<ObjectId>(id))
+               .mbr.DistanceTo(viewpoint.position) > options_.cache_distance;
+  });
   // No viewing cells: the record's cell is 0.
-  meter.Finish(triangles, fetched, resident_bytes, options_.render, 0,
+  meter.Finish(triangles, fetched, resident_.bytes(), options_.render, 0,
                &flight, result);
   return Status::OK();
 }
 
 void RTreeBaseline::ResetRuntime() {
-  resident_.clear();
+  resident_.Clear();
   last_result_.clear();
 }
 

@@ -10,13 +10,12 @@
 #define HDOV_WALKTHROUGH_RTREE_BASELINE_H_
 
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "rtree/rtree.h"
 #include "storage/model_store.h"
 #include "walkthrough/render_model.h"
+#include "walkthrough/resident_set.h"
 #include "walkthrough/walkthrough_system.h"
 
 namespace hdov {
@@ -81,8 +80,8 @@ class RTreeBaseline : public WalkthroughSystem {
   std::optional<PackedRTree> packed_;
   std::vector<std::vector<ModelId>> object_models_;
 
-  // object -> (lod level resident, bytes).
-  std::unordered_map<ObjectId, std::pair<uint32_t, uint64_t>> resident_;
+  // One slot per ObjectId: the LoD level resident and its bytes.
+  ResidentSet resident_;
   std::vector<RetrievedLod> last_result_;
 };
 

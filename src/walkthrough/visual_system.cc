@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "persist/world_codec.h"
 #include "telemetry/trace_context.h"
@@ -55,11 +54,15 @@ Status VisualSystem::FinishConstruction(
     }
     wiring.warm_pool = std::move(warm_pool);
     wiring.is_resident = [this](const RetrievedLod& lod) {
-      auto it = resident_.find(ResidentKey(lod));
-      return it != resident_.end() && it->second.lod_level <= lod.lod_level;
+      const ResidentEntry* held = resident_.Find(ResidentSlot(lod));
+      return held != nullptr && held->lod_level <= lod.lod_level;
     };
     HDOV_ASSIGN_OR_RETURN(prefetcher_, prefetch::Prefetcher::Create(wiring));
   }
+  const size_t slots = scene_->size() + tree_->num_nodes();
+  resident_ = ResidentSet(slots);
+  next_resident_ = ResidentSet(slots);
+  prefetch_loaded_ = ResidentSet(slots);
   tree_device_->ResetAccessTracker();
   store_device_->ResetAccessTracker();
   model_device_->ResetAccessTracker();
@@ -306,31 +309,31 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   // Delta search: a representation whose owner is already resident at the
   // required (or a finer) LoD is reused; otherwise the requested level is
   // fetched. Afterwards only the current working set stays resident
-  // (semantic replacement).
+  // (semantic replacement). Lookups read the last frame's set only, and
+  // an owner repeated in one result keeps its last entry.
   size_t fetched = 0;
-  std::unordered_map<uint64_t, ResidentEntry> next_resident;
-  next_resident.reserve(last_result_.size());
   uint64_t triangles = 0;
   {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
+    next_resident_.Clear();
     for (const RetrievedLod& lod : last_result_) {
-      const uint64_t key = ResidentKey(lod);
+      const uint64_t slot = ResidentSlot(lod);
       ResidentEntry entry{lod.lod_level, lod.byte_size, lod.triangle_count};
-      auto it = resident_.find(key);
+      const ResidentEntry* held = resident_.Find(slot);
       const bool reusable =
-          delta_enabled_ && it != resident_.end() &&
-          it->second.lod_level <= lod.lod_level;  // Finer or equal resident.
+          delta_enabled_ && held != nullptr &&
+          held->lod_level <= lod.lod_level;  // Finer or equal resident.
       if (reusable) {
-        entry = it->second;  // Render the (possibly finer) resident copy.
+        entry = *held;  // Render the (possibly finer) resident copy.
       } else {
         HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
         ++fetched;
       }
       triangles += entry.triangle_count;
-      next_resident[key] = entry;
+      HDOV_RETURN_IF_ERROR(next_resident_.Put(slot, entry));
     }
   }
-  resident_ = std::move(next_resident);
+  resident_.swap(next_resident_);
 
   // Sync mode: on a frame that fetched nothing, load the next few
   // representations of the cell the walker looks into, on this frame's
@@ -349,7 +352,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
       if (prediction.cell != sync_plan_cell_) {
         sync_plan_cell_ = kInvalidCell;
         sync_next_ = 0;
-        prefetch_loaded_.clear();
+        prefetch_loaded_.Clear();
         SearchOptions search = options_.search;
         search.eta = options_.eta;
         HDOV_RETURN_IF_ERROR(searcher_->Search(
@@ -359,26 +362,27 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
       size_t budget = options_.prefetch_models_per_frame;
       while (budget > 0 && sync_next_ < sync_plan_.size()) {
         const RetrievedLod& lod = sync_plan_[sync_next_++];
-        const uint64_t key = ResidentKey(lod);
-        auto it = resident_.find(key);
-        if (it != resident_.end() && it->second.lod_level <= lod.lod_level) {
+        const uint64_t slot = ResidentSlot(lod);
+        const ResidentEntry* held = resident_.Find(slot);
+        if (held != nullptr && held->lod_level <= lod.lod_level) {
           continue;  // Already resident at sufficient detail.
         }
-        auto pf = prefetch_loaded_.find(key);
-        if (pf != prefetch_loaded_.end() &&
-            pf->second.lod_level <= lod.lod_level) {
+        held = prefetch_loaded_.Find(slot);
+        if (held != nullptr && held->lod_level <= lod.lod_level) {
           continue;  // Already prefetched at sufficient detail.
         }
         HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
-        prefetch_loaded_[key] =
-            ResidentEntry{lod.lod_level, lod.byte_size, lod.triangle_count};
+        HDOV_RETURN_IF_ERROR(prefetch_loaded_.Put(
+            slot,
+            ResidentEntry{lod.lod_level, lod.byte_size, lod.triangle_count}));
         ++fetched;
         --budget;
       }
     }
   }
-  for (const auto& [key, entry] : prefetch_loaded_) {
-    resident_.emplace(key, entry);  // Keep current-result entries as-is.
+  for (const ResidentSet::Item& item : prefetch_loaded_) {
+    // Keep current-result entries as-is.
+    HDOV_RETURN_IF_ERROR(resident_.Emplace(item.owner, item.entry));
   }
 
   // Async pipeline: end-of-frame speculation toward the predicted next
@@ -404,20 +408,16 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
-  uint64_t resident_bytes = 0;
-  for (const auto& [key, entry] : resident_) {
-    resident_bytes += entry.byte_size;
-  }
-  meter.Finish(triangles, fetched, resident_bytes, options_.render,
+  meter.Finish(triangles, fetched, resident_.bytes(), options_.render,
                frame_cell, &flight, result);
   return Status::OK();
 }
 
 void VisualSystem::ResetRuntime() {
-  resident_.clear();
+  resident_.Clear();
   last_result_.clear();
   sync_plan_cell_ = kInvalidCell;  // The next plan resets list and cursor.
-  prefetch_loaded_.clear();
+  prefetch_loaded_.Clear();
   if (prefetcher_ != nullptr) {
     prefetcher_->Reset();
   }

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "hdov/builder.h"
@@ -18,6 +17,7 @@
 #include "prefetch/prefetcher.h"
 #include "scene/cell_grid.h"
 #include "walkthrough/render_model.h"
+#include "walkthrough/resident_set.h"
 #include "walkthrough/walkthrough_system.h"
 
 namespace hdov {
@@ -221,18 +221,20 @@ class VisualSystem : public WalkthroughSystem {
   // the query asks for is reused rather than refetched — the paper's
   // "does not retrieve objects that have been retrieved in earlier
   // operations", robust against LoD-level flicker across cell borders.
-  struct ResidentEntry {
-    uint32_t lod_level = 0;  // Level currently in memory (lower = finer).
-    uint64_t byte_size = 0;
-    uint32_t triangle_count = 0;
-  };
-  // Key: owner id with the representation kind in the top bit.
-  static uint64_t ResidentKey(const RetrievedLod& lod) {
-    return lod.owner |
-           (lod.kind == RetrievedLod::Kind::kInternal ? (1ull << 63) : 0);
+  // Objects take slot `owner`, internal nodes num_objects + node index;
+  // an owner outside the scene or the tree maps past the slots.
+  uint64_t ResidentSlot(const RetrievedLod& lod) const {
+    if (lod.kind == RetrievedLod::Kind::kInternal) {
+      return lod.owner < tree_->num_nodes() ? scene_->size() + lod.owner
+                                            : UINT64_MAX;
+    }
+    return lod.owner < scene_->size() ? lod.owner : UINT64_MAX;
   }
 
-  std::unordered_map<uint64_t, ResidentEntry> resident_;
+  // What the last frame kept; RenderFrame writes the next frame's set
+  // into next_resident_ and swaps the two.
+  ResidentSet resident_;
+  ResidentSet next_resident_;
   std::vector<RetrievedLod> last_result_;
   // Sync-mode prefetch plan: the cell being warmed (kInvalidCell until
   // its search succeeds), that cell's retrieval list, the budget cursor
@@ -241,7 +243,7 @@ class VisualSystem : public WalkthroughSystem {
   CellId sync_plan_cell_ = kInvalidCell;
   std::vector<RetrievedLod> sync_plan_;
   size_t sync_next_ = 0;
-  std::unordered_map<uint64_t, ResidentEntry> prefetch_loaded_;
+  ResidentSet prefetch_loaded_;
   // Async mode only. Declared after the devices and the queue on purpose:
   // the prefetcher's destructor uninstalls the device residency gates and
   // drains its warms out of the queue, so it must go first.

@@ -460,12 +460,38 @@ TEST(FlightRecorderTest, ConcurrentDrainWhileRecording) {
   pool.Wait();
   drained += recorder.Drain(/*consume=*/true).events.size();
   const uint64_t dropped = recorder.events_dropped();
-  // No event is lost AND kept: drained + dropped covers every record.
-  // (Conservatively discarded drain slots are the only slack, and they
-  // are re-drained on the next pass or counted dropped at the end.)
+  // No event is lost AND kept, and none goes missing: a consuming drain
+  // counts the slots it discards (lapped mid-copy, or the one a writer
+  // could be filling) as dropped.
   EXPECT_EQ(recorder.events_recorded(), kWriters * kPerWriter);
-  EXPECT_LE(drained + dropped, kWriters * kPerWriter);
+  EXPECT_EQ(drained + dropped, kWriters * kPerWriter);
   EXPECT_GT(drained, 0u);
+}
+
+TEST(FlightRecorderTest, ConsumingDrainsOfALappedRingAccountEveryEvent) {
+  // Each consuming drain of a lapped ring gives up the oldest slot even
+  // with no writer running; it must still count as dropped, so drained
+  // plus dropped is every recorded event after each drain.
+  FlightRecorder recorder(16);
+  uint64_t recorded = 0;
+  uint64_t drained = 0;
+  for (const uint64_t burst : {40u, 16u, 3u, 17u, 64u, 15u}) {
+    for (uint64_t i = 0; i < burst; ++i) {
+      recorder.Record(FlightEventType::kPoolHit, 0, recorded++, 0);
+    }
+    const FlightDump dump = recorder.Drain(/*consume=*/true);
+    drained += dump.events.size();
+    SCOPED_TRACE(recorded);
+    EXPECT_EQ(recorder.events_recorded(), recorded);
+    EXPECT_EQ(drained + recorder.events_dropped(), recorded);
+    EXPECT_LE(dump.dropped, recorder.events_dropped());
+    if (!dump.events.empty()) {
+      EXPECT_EQ(dump.events.back().a, recorded - 1);
+    }
+  }
+  // A drain with nothing new changes nothing.
+  EXPECT_TRUE(recorder.Drain(/*consume=*/true).events.empty());
+  EXPECT_EQ(drained + recorder.events_dropped(), recorded);
 }
 
 TEST(FlightRecorderTest, InternTableDeduplicatesAndDegrades) {

@@ -556,6 +556,8 @@ TEST(SlowFrameTest, WindowReadRespectsConsumedDrains) {
     recorder.Record(FlightEventType::kPoolHit, code, i, 0);
   }
   ASSERT_EQ(recorder.Drain(/*consume=*/true).events.size(), 63u);
+  // The 36 overwritten events and the given-up slot are dropped, once.
+  EXPECT_EQ(recorder.events_dropped(), 37u);
   for (uint64_t i = 100; i < 150; ++i) {
     recorder.Record(FlightEventType::kPoolHit, code, i, 0);
   }
@@ -566,6 +568,12 @@ TEST(SlowFrameTest, WindowReadRespectsConsumedDrains) {
   for (size_t e = 0; e < since.size(); ++e) {
     EXPECT_TRUE(SameEvent(since[e], drained.events[e])) << e;
   }
+  EXPECT_EQ(drained.dropped, 37u);
+  // Consuming the 50 unlapped events accounts all 150: 63 + 50 drained,
+  // 37 dropped.
+  EXPECT_EQ(recorder.Drain(/*consume=*/true).events.size(), 50u);
+  EXPECT_EQ(recorder.events_recorded(), 150u);
+  EXPECT_EQ(recorder.events_dropped(), 37u);
 }
 
 TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {

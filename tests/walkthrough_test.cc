@@ -4,12 +4,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <string_view>
 #include <utility>
 
 #include "scene/city_generator.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
 #include "telemetry/slow_frame.h"
 #include "telemetry/telemetry.h"
@@ -819,6 +821,57 @@ TEST_F(WalkthroughFixture, TracedQueryRidesInTheRunDump) {
   }
   ASSERT_FALSE(ring_threads.empty());
   EXPECT_EQ(span_threads, ring_threads);
+}
+
+TEST_F(WalkthroughFixture, RunDumpRollupKeepsSpanAttributesOutOfSources) {
+  // A span attribute's code is its key ("child", "dov", ...), not a
+  // source. Rolled up, the merged run dump lists no attribute key as a
+  // source, and every source of the ring alone keeps its totals.
+  telemetry::Telemetry tel;
+  tel.tracer().set_enabled(true);
+  auto visual = MakeVisual(0.001);
+  visual->AttachTelemetry(&tel, "visual");
+  telemetry::GlobalFlightRecorder().Drain(/*consume=*/true);
+  std::vector<RetrievedLod> result;
+  ASSERT_TRUE(visual
+                  ->Query(CenterViewpoint().position,
+                          /*fetch_models=*/true, &result, nullptr)
+                  .ok());
+  const telemetry::FlightDump ring = telemetry::SlowFrameCapture().RunDump(
+      telemetry::GlobalFlightRecorder().Drain());
+  const telemetry::FlightDump run =
+      telemetry::MergeTraceDump(ring, tel.tracer().dump());
+
+  std::set<std::string> keys;
+  std::set<std::string> sources;
+  for (const telemetry::FlightEvent& ev : run.events) {
+    (static_cast<telemetry::FlightEventType>(ev.type) ==
+             telemetry::FlightEventType::kSpanAttr
+         ? keys
+         : sources)
+        .insert(std::string(run.NameOf(ev)));
+  }
+  for (const std::string& source : sources) {
+    keys.erase(source);
+  }
+  ASSERT_TRUE(keys.count("child") == 1 || keys.count("dov") == 1);
+  const telemetry::FlightRollup merged = telemetry::RollUpFlightDump(run);
+  for (const std::string& key : keys) {
+    EXPECT_EQ(merged.by_source.count(key), 0u) << key;
+  }
+  const telemetry::FlightRollup alone = telemetry::RollUpFlightDump(ring);
+  ASSERT_FALSE(alone.by_source.empty());
+  for (const auto& [name, want] : alone.by_source) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(merged.by_source.count(name), 1u);
+    const telemetry::FlightTotals& got = merged.by_source.at(name);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.pages_read, want.pages_read);
+    EXPECT_EQ(got.runs, want.runs);
+    EXPECT_EQ(got.seeks, want.seeks);
+    EXPECT_EQ(got.pool_hits, want.pool_hits);
+    EXPECT_EQ(got.pool_misses, want.pool_misses);
+  }
 }
 
 TEST_F(WalkthroughFixture, FlightRecorderToggleKeepsCountersBitIdentical) {
