@@ -10,12 +10,17 @@
 // how much of the city a cell sees — without giving up determinism, as
 // long as item `i`'s result depends only on `i`.
 //
+// An idle worker polls the queue briefly before it sleeps, so back-to-back
+// ParallelFor calls (a server's frame rounds) reach workers that are still
+// awake instead of waking sleeping ones.
+//
 // With num_threads <= 1 no threads are spawned and everything runs inline
 // on the calling thread, preserving single-threaded behavior exactly.
 
 #ifndef HDOV_COMMON_THREAD_POOL_H_
 #define HDOV_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -46,7 +51,8 @@ class ThreadPool {
   void Wait();
 
   // Runs fn(slot, i) for every i in [0, n), spread over the workers plus
-  // the calling thread; returns when all n calls have finished. `fn` is
+  // the calling thread; returns when all n calls have finished, without
+  // waiting for workers that have not picked up their share yet. `fn` is
   // invoked concurrently from different threads (never twice for the same
   // i), so it must only touch state disjoint per index, per slot, or
   // thread-safe. `slot` identifies the executing participant — a stable
@@ -65,13 +71,17 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  // Polls `queued_` for a short while; true once a task is queued.
+  bool SpinForWork() const;
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;  // Signals workers: task or shutdown.
   std::condition_variable idle_cv_;  // Signals Wait(): pool went idle.
   std::deque<std::function<void()>> queue_;
-  size_t active_ = 0;  // Tasks currently executing.
+  std::atomic<size_t> queued_{0};  // queue_.size(), readable without mu_.
+  size_t active_ = 0;    // Tasks currently executing.
+  size_t sleepers_ = 0;  // Workers blocked on work_cv_.
   bool shutdown_ = false;
 };
 

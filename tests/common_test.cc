@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -303,6 +305,59 @@ TEST(ThreadPoolTest, ParallelForHandlesFewerItemsThanWorkers) {
   pool.ParallelFor(3, [&ran](size_t, size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 3);
   pool.ParallelFor(0, [](size_t, size_t) { FAIL() << "n = 0 must not run"; });
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForBusyWorkers) {
+  // Both workers are held by tasks that only finish after ParallelFor
+  // returns. The call's own tasks queue behind them, so the caller runs
+  // every item and must return without waiting for those tasks to start.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> held{0};
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([&] {
+      held.fetch_add(1);
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  while (held.load() < 2) {
+    std::this_thread::yield();
+  }
+  std::vector<size_t> slots;
+  pool.ParallelFor(5, [&](size_t slot, size_t /*i*/) { slots.push_back(slot); });
+  EXPECT_EQ(slots, std::vector<size_t>(5, pool.num_threads()));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool.Wait();  // The late tasks find every index claimed and do nothing.
+}
+
+TEST(ThreadPoolTest, BackToBackParallelForsKeepSlotsExclusive) {
+  // Tasks of an earlier call may still be queued when the next call
+  // starts; they must never run an item, so slots stay exclusive.
+  ThreadPool pool(3);
+  std::vector<uint64_t> per_slot(pool.num_slots(), 0);
+  std::atomic<uint64_t> items{0};
+  for (size_t call = 0; call < 2000; ++call) {
+    const size_t n = 1 + call % 5;
+    pool.ParallelFor(n, [&](size_t slot, size_t /*i*/) {
+      ++per_slot[slot];
+      items.fetch_add(1);
+    });
+  }
+  pool.Wait();
+  uint64_t expected = 0;
+  for (size_t call = 0; call < 2000; ++call) {
+    expected += 1 + call % 5;
+  }
+  EXPECT_EQ(items.load(), expected);
+  EXPECT_EQ(std::accumulate(per_slot.begin(), per_slot.end(), uint64_t{0}),
+            expected);
 }
 
 TEST(ThreadPoolTest, ResolveThreadsMapsZeroToHardware) {
