@@ -5,15 +5,21 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "hdov/builder.h"
 #include "hdov/search.h"
+#include "hdov/visibility_store.h"
+#include "hdov/vpage.h"
 #include "mesh/primitives.h"
 #include "rtree/linear_split.h"
 #include "rtree/rtree.h"
@@ -21,6 +27,7 @@
 #include "scene/city_generator.h"
 #include "simplify/simplifier.h"
 #include "storage/buffer_pool.h"
+#include "storage/file_device.h"
 #include "storage/page_device.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/trace_context.h"
@@ -274,6 +281,71 @@ void BM_BufferPoolGet(benchmark::State& state) {
   state.counters["hit_rate"] = pool.stats().HitRate();
 }
 BENCHMARK(BM_BufferPoolGet)->Arg(64)->Arg(512)->Arg(1024);
+
+// The checksum every FilePageDevice page read pays: one 4 KiB page.
+void BM_Crc32cPage(benchmark::State& state) {
+  Rng rng(6);
+  std::string page(4096, '\0');
+  for (char& c : page) {
+    c = static_cast<char>(rng.NextUint64(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(page));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_Crc32cPage);
+
+// One V-page record read where every read misses VPageFile's one-page
+// cache: a billed device page read plus the record decode. Arg 0 reads the
+// in-memory device (a view of its page), arg 1 a file device (pread +
+// CRC32C into the file's scratch page).
+void BM_VPageFileReadRecord(benchmark::State& state) {
+  const bool file_backed = state.range(0) == 1;
+  const size_t kFanout = 16;
+  const uint64_t kPages = 64;
+  std::unique_ptr<PageDevice> device;
+  if (file_backed) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bm_vpage_file." + std::to_string(::getpid()) + ".bin"))
+            .string();
+    auto created = FilePageDevice::Create(path);
+    if (!created.ok()) {
+      state.SkipWithError(created.status().ToString().c_str());
+      return;
+    }
+    device = std::move(*created);
+    std::filesystem::remove(path);  // The open descriptor keeps the data.
+  } else {
+    device = std::make_unique<PageDevice>();
+  }
+  VPageFile file(device.get(), VPageRecordSize(kFanout));
+  const uint64_t records = kPages * file.records_per_page();
+  VPage page(kFanout, VdEntry{0.25f, 3});
+  const std::string record = SerializeVPage(page, kFanout);
+  for (uint64_t i = 0; i < records; ++i) {
+    if (!file.AppendRecord(record).ok()) {
+      state.SkipWithError("append failed");
+      return;
+    }
+  }
+  if (!file.FinishBuild().ok()) {
+    state.SkipWithError("finish failed");
+    return;
+  }
+  uint64_t next_page = 0;
+  for (auto _ : state) {
+    // Next page, a record inside it: always a cache miss.
+    next_page = (next_page + 1) % kPages;
+    const uint64_t slot = next_page * file.records_per_page() +
+                          next_page % file.records_per_page();
+    benchmark::DoNotOptimize(file.ReadRecord(slot, &page));
+  }
+  state.SetLabel(file_backed ? "file" : "memory");
+}
+BENCHMARK(BM_VPageFileReadRecord)->Arg(0)->Arg(1);
 
 // Thread scaling of the per-cell DoV precompute (the parallel build
 // path). Per-cell work is independent, so real time should drop

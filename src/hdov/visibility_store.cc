@@ -100,12 +100,14 @@ Status VPageFile::ReadRecord(uint64_t slot, VPage* page) {
   }
   const PageId device_page = pages_[page_index];
   if (device_page != cached_page_) {
-    HDOV_RETURN_IF_ERROR(device_->Read(device_page, &cache_));
+    // A failed read may leave `scratch_` half-written: drop the view first
+    // so no later read decodes it.
+    InvalidateCache();
+    HDOV_RETURN_IF_ERROR(device_->ReadView(device_page, &scratch_, &cached_));
     cached_page_ = device_page;
   }
   const size_t offset = (slot % records_per_page_) * record_size_;
-  return ParseVPage(std::string_view(cache_).substr(offset, record_size_),
-                    page);
+  return ParseVPage(cached_.substr(offset, record_size_), page);
 }
 
 }  // namespace hdov

@@ -80,10 +80,16 @@ class VisibilityStore {
 // VPageFile: shared helper managing fixed-size V-page records packed into
 // device pages (records never span pages). Reads go through a one-page
 // cache so a DFS-ordered scan of a cell's V-pages reads each page once.
+// The cache is the device's ReadView of that page, not a copy: the store
+// must not write or restore its device while the file is in use.
 class VPageFile {
  public:
   // `record_size` = VPageRecordSize(tree fanout).
   VPageFile(PageDevice* device, size_t record_size);
+
+  // The cached view may point into this object's own scratch buffer.
+  VPageFile(const VPageFile&) = delete;
+  VPageFile& operator=(const VPageFile&) = delete;
 
   size_t records_per_page() const { return records_per_page_; }
 
@@ -97,7 +103,10 @@ class VPageFile {
   // Reads the record at `slot` (billed unless served by the page cache).
   Status ReadRecord(uint64_t slot, VPage* page);
 
-  void InvalidateCache() { cached_page_ = kInvalidPage; }
+  void InvalidateCache() {
+    cached_page_ = kInvalidPage;
+    cached_ = {};
+  }
 
   uint64_t num_records() const { return next_slot_; }
 
@@ -116,9 +125,11 @@ class VPageFile {
   uint64_t next_slot_ = 0;
   std::vector<PageId> pages_;  // Device page of each full record page.
   std::string pending_;        // Partially filled build page.
-  // One-page read cache.
+  // One-page read cache: `cached_` views page `cached_page_`, in the
+  // device's storage or in `scratch_`.
   PageId cached_page_ = kInvalidPage;
-  std::string cache_;
+  std::string_view cached_;
+  std::string scratch_;
 };
 
 }  // namespace hdov

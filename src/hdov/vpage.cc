@@ -1,5 +1,9 @@
 #include "hdov/vpage.h"
 
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
+
 #include "common/coding.h"
 
 namespace hdov {
@@ -16,22 +20,24 @@ std::string SerializeVPage(const VPage& page, size_t capacity) {
   return out;
 }
 
+// The record's entries are VdEntry's in-memory layout (little-endian, as
+// everything in common/coding.h), so they decode with one copy.
+static_assert(sizeof(VdEntry) == sizeof(float) + sizeof(uint32_t));
+static_assert(offsetof(VdEntry, nvo) == sizeof(float));
+static_assert(std::is_trivially_copyable_v<VdEntry>);
+
 Status ParseVPage(std::string_view data, VPage* page) {
   Decoder decoder(data);
   uint32_t count = 0;
   HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&count));
-  // Each entry is 8 bytes; check before reserving so a corrupt count
-  // cannot drive the allocation.
-  if (decoder.remaining() < uint64_t{count} * 8) {
+  // Check before resizing so a corrupt count cannot drive the allocation.
+  if (decoder.remaining() < uint64_t{count} * sizeof(VdEntry)) {
     return Status::Corruption("vpage: entry count exceeds record");
   }
-  page->clear();
-  page->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    VdEntry e;
-    HDOV_RETURN_IF_ERROR(decoder.DecodeFloat(&e.dov));
-    HDOV_RETURN_IF_ERROR(decoder.DecodeFixed32(&e.nvo));
-    page->push_back(e);
+  page->resize(count);
+  if (count > 0) {
+    std::memcpy(page->data(), data.data() + decoder.position(),
+                count * sizeof(VdEntry));
   }
   return Status::OK();
 }

@@ -12,15 +12,18 @@ Status SessionDevice::FetchThrough(PageId page, std::string* out) {
   return base_->ReadRaw(page, out);
 }
 
-Status SessionDevice::Read(PageId page, std::string* out) {
+Status SessionDevice::ReadView(PageId page, std::string* scratch,
+                               std::string_view* bytes) {
   if (page >= base_->page_count()) {
     return Status::OutOfRange("session device: read past end");
   }
   BillRead(page, 1);
-  if (out == nullptr) {
+  if (bytes == nullptr) {
     return Status::OK();
   }
-  return FetchThrough(page, out);
+  HDOV_RETURN_IF_ERROR(FetchThrough(page, scratch));
+  *bytes = *scratch;
+  return Status::OK();
 }
 
 Status SessionDevice::ReadRun(PageId first, uint64_t count,

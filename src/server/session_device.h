@@ -31,11 +31,13 @@ class SessionDevice : public PageDevice {
 
   uint64_t page_count() const override { return base_->page_count(); }
 
-  // Billed reads. A null `out` bills the simulated cost without touching
-  // the file or the cache at all — the searcher's tree-page billing and
-  // the model store's fetches use this, since their data is already in
-  // memory (shared tree) or never needed (unmaterialized models).
-  Status Read(PageId page, std::string* out) override;
+  // Billed reads; ReadView fills `scratch`. A null `bytes` (or `out` of
+  // ReadRun) bills the simulated cost without touching the file or the
+  // cache at all — the searcher's tree-page billing and the model store's
+  // fetches use this, since their data is already in memory (shared tree)
+  // or never needed (unmaterialized models).
+  Status ReadView(PageId page, std::string* scratch,
+                  std::string_view* bytes) override;
   Status ReadRun(PageId first, uint64_t count,
                  std::vector<std::string>* out) override;
 

@@ -332,43 +332,45 @@ Status FilePageDevice::Write(PageId page, std::string_view data) {
   return Status::OK();
 }
 
-Status FilePageDevice::FetchPage(PageId page, std::string* out) const {
+Status FilePageDevice::FetchPage(PageId page, std::string* buffer) const {
   const PageEntry& entry = table_[page];
-  // Per-call buffer: this path must stay safe for concurrent readers, so
-  // there is deliberately no shared scratch space. `out` is only assigned
-  // after the checksum verifies, preserving untouched-output-on-error.
-  std::string buffer(page_size(), '\0');
+  buffer->resize(page_size());
   HDOV_RETURN_IF_ERROR(file_->PreadExact(SlotFileOffset(entry.slot),
-                                         buffer.data(), buffer.size()));
+                                         buffer->data(), buffer->size()));
   if (persist_ != nullptr) {
-    persist_->bytes_read += buffer.size();
+    persist_->bytes_read += buffer->size();
     ++persist_->checksum_verifications;
   }
-  if (Crc32c(buffer) != entry.crc) {
+  if (Crc32c(*buffer) != entry.crc) {
     if (persist_ != nullptr) {
       ++persist_->checksum_failures;
     }
     return Status::Corruption("file device: page checksum mismatch in " +
                               file_->path());
   }
-  if (out != nullptr) {
-    *out = std::move(buffer);
-  }
   return Status::OK();
 }
 
-Status FilePageDevice::Read(PageId page, std::string* out) {
+Status FilePageDevice::ReadView(PageId page, std::string* scratch,
+                                std::string_view* bytes) {
   if (page >= table_.size()) {
     return Status::OutOfRange("file device: read past end");
   }
   BillRead(page, 1);
   if (table_[page].materialized == 0) {
-    if (out != nullptr) {
-      out->assign(page_size(), '\0');
+    if (bytes != nullptr) {
+      scratch->assign(page_size(), '\0');
+      *bytes = *scratch;
     }
     return Status::OK();
   }
-  return FetchPage(page, out);
+  std::string local;
+  std::string* buffer = scratch != nullptr ? scratch : &local;
+  HDOV_RETURN_IF_ERROR(FetchPage(page, buffer));
+  if (bytes != nullptr) {
+    *bytes = *buffer;
+  }
+  return Status::OK();
 }
 
 Status FilePageDevice::ReadRun(PageId first, uint64_t count,
@@ -404,7 +406,13 @@ Status FilePageDevice::ReadRaw(PageId page, std::string* out) const {
     out->assign(page_size(), '\0');
     return Status::OK();
   }
-  return FetchPage(page, out);
+  // Per-call buffer: this path must stay safe for concurrent readers, so
+  // there is deliberately no shared scratch space. `out` is only assigned
+  // after the checksum verifies.
+  std::string buffer;
+  HDOV_RETURN_IF_ERROR(FetchPage(page, &buffer));
+  *out = std::move(buffer);
+  return Status::OK();
 }
 
 bool FilePageDevice::IsMaterialized(PageId page) const {

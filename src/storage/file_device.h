@@ -122,7 +122,10 @@ class FilePageDevice : public PageDevice {
   PageId Allocate() override;
   PageId AllocateUnmaterialized(uint64_t count) override;
   Status Write(PageId page, std::string_view data) override;
-  Status Read(PageId page, std::string* out) override;
+  // Fills `scratch` with the page and publishes the view only after its
+  // CRC32C matches. A null `bytes` still reads and checks the page.
+  Status ReadView(PageId page, std::string* scratch,
+                  std::string_view* bytes) override;
   Status ReadRun(PageId first, uint64_t count,
                  std::vector<std::string>* out) override;
   Status ReadRaw(PageId page, std::string* out) const override;
@@ -155,8 +158,9 @@ class FilePageDevice : public PageDevice {
   }
   // pwrite of one page of payload (pads to page_size), CRC bookkeeping.
   Status WriteSlot(PageId page, std::string_view data);
-  // pread + CRC verification of a materialized page.
-  Status FetchPage(PageId page, std::string* out) const;
+  // pread of a materialized page into `buffer` (resized to page_size) +
+  // CRC verification. On a mismatch `buffer` holds the bad bytes.
+  Status FetchPage(PageId page, std::string* buffer) const;
 
   Status LoadExisting();
 
@@ -167,7 +171,7 @@ class FilePageDevice : public PageDevice {
   // only mutated by the writer-side calls (Allocate/Write/Restore/Sync);
   // the const read path (ReadRaw/FetchPage/IsMaterialized) takes no locks
   // and is safe for concurrent readers as long as no writer is active —
-  // pread is positional and each call owns its buffer on the stack.
+  // pread is positional and each ReadRaw call owns its buffer.
   std::vector<PageEntry> table_;
   uint64_t materialized_count_ = 0;
   uint64_t region_length_ = 0;

@@ -37,18 +37,32 @@ Status PageDevice::Write(PageId page, std::string_view data) {
   return Status::OK();
 }
 
-Status PageDevice::Read(PageId page, std::string* out) {
+Status PageDevice::ReadView(PageId page, std::string* scratch,
+                            std::string_view* bytes) {
   if (page >= pages_.size()) {
     return Status::OutOfRange("page device: read past end");
   }
   BillRead(page, 1);
-  if (out != nullptr) {
+  if (bytes != nullptr) {
     const std::string& slot = pages_[page];
     if (slot.empty()) {
-      out->assign(model_.page_size, '\0');  // Unmaterialized page.
+      scratch->assign(model_.page_size, '\0');  // Unmaterialized page.
+      *bytes = *scratch;
     } else {
-      *out = slot;
+      *bytes = slot;
     }
+  }
+  return Status::OK();
+}
+
+Status PageDevice::Read(PageId page, std::string* out) {
+  if (out == nullptr) {
+    return ReadView(page, nullptr, nullptr);
+  }
+  std::string_view bytes;
+  HDOV_RETURN_IF_ERROR(ReadView(page, out, &bytes));
+  if (bytes.data() != out->data()) {
+    out->assign(bytes);
   }
   return Status::OK();
 }

@@ -104,8 +104,22 @@ class PageDevice {
   // Writes `data` (at most page_size bytes) to `page`.
   virtual Status Write(PageId page, std::string_view data);
 
-  // Reads one page into `out` (resized to page_size).
-  virtual Status Read(PageId page, std::string* out);
+  // Reads one page, billed: the one virtual single-page read, so a
+  // subclass that watches or reroutes billed reads overrides only this
+  // (Read goes through it). On success `*bytes` views the page's
+  // page_size bytes, either in the device's own storage (the in-memory
+  // device: no copy) or in `*scratch`, which the device fills. The view
+  // is valid until the next read into the same `scratch`, or until a
+  // write, allocation or restore of this device. On error `*bytes` is left
+  // as it was and `*scratch` holds unspecified bytes. A null `bytes` bills
+  // the read only; `scratch` may then be null too.
+  virtual Status ReadView(PageId page, std::string* scratch,
+                          std::string_view* bytes);
+
+  // Reads one page into `out` (resized to page_size) through ReadView; a
+  // null `out` bills the read only. On error `out` holds unspecified
+  // bytes.
+  Status Read(PageId page, std::string* out);
 
   // Reads `count` consecutive pages starting at `first`. Billed as one
   // seek + `count` transfers. `out` may be null when only the cost and the

@@ -53,9 +53,10 @@ class CountingDevice : public PageDevice {
   CountingDevice(const DiskModel& model, SimClock* clock)
       : PageDevice(model, clock) {}
 
-  Status Read(PageId page, std::string* out) override {
+  Status ReadView(PageId page, std::string* scratch,
+                  std::string_view* bytes) override {
     ++reads;
-    return PageDevice::Read(page, out);
+    return PageDevice::ReadView(page, scratch, bytes);
   }
   Status ReadRun(PageId first, uint64_t count,
                  std::vector<std::string>* out) override {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -9,10 +12,13 @@
 #include "common/coding.h"
 #include "hdov/builder.h"
 #include "hdov/hdov_tree.h"
+#include "hdov/horizontal_store.h"
 #include "hdov/search.h"
 #include "hdov/visibility_store.h"
 #include "hdov/vpage.h"
 #include "scene/city_generator.h"
+#include "storage/file_device.h"
+#include "temp_path.h"
 
 namespace hdov {
 namespace {
@@ -50,6 +56,10 @@ TEST(VPageTest, TruncatedRecordIsCorruption) {
   VPage back;
   EXPECT_TRUE(ParseVPage(std::string_view(record).substr(0, 5), &back)
                   .IsCorruption());
+  // Too short for the count itself.
+  EXPECT_TRUE(ParseVPage(std::string_view(record).substr(0, 3), &back)
+                  .IsCorruption());
+  EXPECT_TRUE(ParseVPage(std::string_view(), &back).IsCorruption());
 }
 
 TEST(VPageTest, HugeCountIsCorruption) {
@@ -59,6 +69,37 @@ TEST(VPageTest, HugeCountIsCorruption) {
   EncodeFixed32(&record, 0xFFFFFFFFu);
   VPage back;
   EXPECT_TRUE(ParseVPage(record, &back).IsCorruption());
+  // One entry more than a capacity-4 record holds; the page is untouched.
+  std::string full = SerializeVPage({{0.5f, 1}, {0.25f, 2}}, 4);
+  full.replace(0, 4, std::string("\x05\0\0\0", 4));
+  back = {{1.0f, 7}};
+  EXPECT_TRUE(ParseVPage(full, &back).IsCorruption());
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].nvo, 7u);
+}
+
+TEST(VPageTest, ParseKeepsEveryBit) {
+  // Negative zero, a NaN payload, a denormal and the extremes come back
+  // with the bits they were written with.
+  const uint32_t dov_bits[] = {0x80000000u, 0x7FC00123u, 0x00000001u,
+                               0x7F7FFFFFu, 0x3E800000u};
+  VPage page;
+  for (uint32_t bits : dov_bits) {
+    VdEntry e;
+    std::memcpy(&e.dov, &bits, sizeof(bits));
+    e.nvo = ~bits;
+    page.push_back(e);
+  }
+  const std::string record = SerializeVPage(page, 8);
+  VPage back;
+  ASSERT_TRUE(ParseVPage(record, &back).ok());
+  ASSERT_EQ(back.size(), page.size());
+  for (size_t i = 0; i < page.size(); ++i) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &back[i].dov, sizeof(bits));
+    EXPECT_EQ(bits, dov_bits[i]) << "entry " << i;
+    EXPECT_EQ(back[i].nvo, ~dov_bits[i]) << "entry " << i;
+  }
 }
 
 TEST(HdovManifestTest, HugeNodeCountIsCorruption) {
@@ -288,6 +329,77 @@ TEST_P(StoreSchemes, RequiresBeginCell) {
   EXPECT_EQ((*store)->GetVPage(0, &page, &visible).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_FALSE((*store)->BeginCell(table_->num_cells() + 5).ok());
+}
+
+// A V-page page with one flipped byte on a file-backed store: every read
+// of it is Corruption, and the failed read leaves nothing behind that a
+// later lookup on another page could decode.
+TEST_F(HdovFixture, FlippedVPageByteIsCorruptionOnEveryRead) {
+  std::vector<CellVPageSet> cells;
+  for (CellId c = 0; c < table_->num_cells(); ++c) {
+    cells.push_back(ComputeCellVPages(*tree_, table_->cell(c)));
+  }
+  PageDevice memory;
+  auto built = HorizontalStore::Build(*tree_, cells, &memory);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::string meta;
+  (*built)->EncodeMeta(&meta);
+
+  const std::string path = TempPath("vpages.bin");
+  {
+    auto file = FilePageDevice::Create(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    std::vector<std::string> pages;
+    ASSERT_TRUE(memory.ExportContents(&pages).ok());
+    ASSERT_TRUE((*file)->RestoreContents(std::move(pages)).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  {
+    // Every page is materialized, so device page 0 (slot 0: node 0 in
+    // cell 0) is the first data slot, one page into the file.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    f.seekp(DiskModel().page_size + 3);
+    f.put('X');
+  }
+  auto device = FilePageDevice::Open(path);
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  auto store = HorizontalStore::Load(*tree_, meta, device->get());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->BeginCell(0).ok());
+
+  // A node whose cell-0 record lies on a later, intact page.
+  const uint64_t per_page =
+      DiskModel().page_size / VPageRecordSize(tree_->fanout());
+  uint32_t intact = 1;
+  while (uint64_t{intact} * table_->num_cells() < per_page) {
+    ++intact;
+  }
+  ASSERT_LT(intact, tree_->num_nodes());
+  const VPage& truth = cells[0].pages[intact];
+  const auto expect_intact = [&] {
+    VPage page;
+    bool visible = false;
+    ASSERT_TRUE((*store)->GetVPage(intact, &page, &visible).ok());
+    ASSERT_EQ(visible, !truth.empty());
+    ASSERT_EQ(page.size(), truth.size());
+    for (size_t i = 0; i < truth.size(); ++i) {
+      EXPECT_EQ(page[i].dov, truth[i].dov);
+      EXPECT_EQ(page[i].nvo, truth[i].nvo);
+    }
+  };
+
+  expect_intact();
+  VPage page;
+  bool visible = false;
+  EXPECT_TRUE((*store)->GetVPage(0, &page, &visible).IsCorruption());
+  EXPECT_TRUE((*store)->GetVPage(0, &page, &visible).IsCorruption());
+  // The failed reads dropped the cached page: the intact one is read (and
+  // billed) again and decodes to its own records.
+  const uint64_t reads = (*device)->stats().page_reads;
+  expect_intact();
+  EXPECT_EQ((*device)->stats().page_reads, reads + 1);
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StoreSchemes,

@@ -5,10 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "persist/snapshot.h"
 #include "persist/world_codec.h"
 #include "storage/buffer_pool.h"
@@ -26,11 +29,50 @@ namespace fs = std::filesystem;
 // ---------------------------------------------------------------- crc32c
 
 TEST(Crc32cTest, KnownVectors) {
-  // RFC 3720 CRC32C check value.
-  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
-  EXPECT_EQ(Crc32c(""), 0u);
-  const std::string zeros(32, '\0');
-  EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu);
+  // RFC 3720 (iSCSI) B.4 check values, through both paths: the dispatched
+  // one (the SSE4.2 instruction on x86-64 CPUs that have it) and the table
+  // fallback.
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const std::pair<std::string, uint32_t> cases[] = {
+      {"", 0u},
+      {std::string(32, '\0'), 0x8A9136AAu},
+      {std::string(32, '\xFF'), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+      {"123456789", 0xE3069283u},
+  };
+  for (const auto& [bytes, crc] : cases) {
+    EXPECT_EQ(Crc32c(bytes), crc);
+    EXPECT_EQ(Crc32cExtendPortable(0, bytes.data(), bytes.size()), crc);
+  }
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortable) {
+  Rng rng(31);
+  std::string buffer(5000 + 16, '\0');
+  for (char& c : buffer) {
+    c = static_cast<char>(rng.NextUint64(256));
+  }
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t start = rng.NextUint64(16);  // Unaligned starts.
+    const size_t length = rng.NextUint64(5001);
+    const uint32_t seed = static_cast<uint32_t>(rng.NextUint64());
+    const char* data = buffer.data() + start;
+    const uint32_t expected = Crc32cExtendPortable(seed, data, length);
+    ASSERT_EQ(Crc32cExtend(seed, data, length), expected)
+        << "start " << start << " length " << length << " seed " << seed;
+    // The same bytes chained in two pieces from a non-zero seed.
+    const size_t split = rng.NextUint64(length + 1);
+    ASSERT_EQ(Crc32cExtend(Crc32cExtend(seed, data, split), data + split,
+                           length - split),
+              expected)
+        << "start " << start << " length " << length << " split " << split;
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesOneShot) {
@@ -179,6 +221,50 @@ TEST(FilePageDeviceTest, CorruptedPageFailsChecksum) {
   Status read = (*device)->Read(0, &data);
   EXPECT_TRUE(read.IsCorruption()) << read.ToString();
   EXPECT_GT(stats.checksum_failures, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(FilePageDeviceTest, ViewIsPublishedOnlyAfterChecksumMatches) {
+  const std::string path = TempPath("hdov_file_device_view.bin");
+  PersistStats stats;
+  {
+    auto device = FilePageDevice::Create(path, DiskModel(), nullptr, &stats);
+    ASSERT_TRUE(device.ok());
+    for (const char* payload : {"page zero", "page one"}) {
+      PageId p = (*device)->Allocate();
+      ASSERT_TRUE((*device)->Write(p, payload).ok());
+    }
+    ASSERT_TRUE((*device)->Sync().ok());
+  }
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    f.seekp(DiskModel().page_size + 3);  // Inside page 0's data slot.
+    f.put('X');
+  }
+  auto device = FilePageDevice::Open(path, DiskModel(), nullptr, &stats);
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  const uint64_t verified = stats.checksum_verifications;
+  const uint64_t failed = stats.checksum_failures;
+
+  const std::string sentinel = "not a page";
+  std::string scratch;
+  std::string_view bytes = sentinel;
+  EXPECT_TRUE((*device)->ReadView(0, &scratch, &bytes).IsCorruption());
+  EXPECT_EQ(bytes.data(), sentinel.data());
+  EXPECT_EQ(bytes.size(), sentinel.size());
+
+  ASSERT_TRUE((*device)->ReadView(1, &scratch, &bytes).ok());
+  EXPECT_EQ(bytes.data(), scratch.data());
+  ASSERT_EQ(bytes.size(), DiskModel().page_size);
+  EXPECT_EQ(bytes.substr(0, 8), "page one");
+
+  // A read that asks for no bytes still checks the page.
+  EXPECT_TRUE((*device)->ReadView(0, nullptr, nullptr).IsCorruption());
+  EXPECT_TRUE((*device)->ReadView(1, nullptr, nullptr).ok());
+  EXPECT_EQ(stats.checksum_verifications - verified, 4u);
+  EXPECT_EQ(stats.checksum_failures - failed, 2u);
+  EXPECT_EQ((*device)->stats().page_reads, 4u);
   std::remove(path.c_str());
 }
 

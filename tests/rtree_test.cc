@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -407,6 +408,14 @@ struct FuzzConfig {
   size_t min_entries;
   SplitAlgorithm split;
 };
+
+// "AngTanLinear_8_3": split, max and min entries. CTest names each case
+// by this; gtest's default byte dump would include the struct's padding.
+void PrintTo(const FuzzConfig& config, std::ostream* os) {
+  *os << (config.split == SplitAlgorithm::kQuadratic ? "Quadratic"
+                                                      : "AngTanLinear")
+      << "_" << config.max_entries << "_" << config.min_entries;
+}
 
 class RTreeFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 

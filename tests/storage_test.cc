@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include <atomic>
 #include <thread>
@@ -419,6 +420,61 @@ TEST(PageDeviceTest, OutOfRangeAccessesLeaveCountersUntouched) {
   EXPECT_DOUBLE_EQ(device.clock().NowMillis(), 0.0);
   // A zero-length run is a no-op, not an error, wherever it starts.
   EXPECT_TRUE(device.ReadRun(p + 5, 0, nullptr).ok());
+}
+
+TEST(PageDeviceTest, ReadViewPointsIntoTheMemoryPage) {
+  PageDevice device;
+  const PageId written = device.Allocate();
+  ASSERT_TRUE(device.Write(written, "resident bytes").ok());
+  const PageId sparse = device.AllocateUnmaterialized(1);
+  device.ResetStats();
+
+  std::string scratch;
+  std::string_view bytes;
+  ASSERT_TRUE(device.ReadView(written, &scratch, &bytes).ok());
+  EXPECT_TRUE(scratch.empty());  // No copy: the view is the device's page.
+  ASSERT_EQ(bytes.size(), device.page_size());
+  EXPECT_EQ(bytes.substr(0, 14), "resident bytes");
+  std::string_view again;
+  ASSERT_TRUE(device.ReadView(written, &scratch, &again).ok());
+  EXPECT_EQ(again.data(), bytes.data());
+
+  // An unmaterialized page has no storage to view: zeros in `scratch`.
+  ASSERT_TRUE(device.ReadView(sparse, &scratch, &bytes).ok());
+  EXPECT_EQ(bytes.data(), scratch.data());
+  EXPECT_EQ(bytes, std::string(device.page_size(), '\0'));
+
+  // A failed read leaves the view where it was.
+  const std::string_view before = bytes;
+  EXPECT_EQ(device.ReadView(sparse + 1, &scratch, &bytes).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(bytes.data(), before.data());
+  EXPECT_EQ(device.stats().page_reads, 3u);
+}
+
+// Read goes through the one virtual single-page read, so a subclass that
+// overrides ReadView sees every billed page read, copied or not.
+class ViewCountingDevice : public PageDevice {
+ public:
+  Status ReadView(PageId page, std::string* scratch,
+                  std::string_view* bytes) override {
+    ++views;
+    return PageDevice::ReadView(page, scratch, bytes);
+  }
+  uint64_t views = 0;
+};
+
+TEST(PageDeviceTest, ReadGoesThroughReadView) {
+  ViewCountingDevice device;
+  const PageId page = device.Allocate();
+  ASSERT_TRUE(device.Write(page, "payload").ok());
+  std::string out;
+  ASSERT_TRUE(device.Read(page, &out).ok());
+  EXPECT_EQ(out.size(), device.page_size());
+  EXPECT_EQ(out.substr(0, 7), "payload");
+  ASSERT_TRUE(device.Read(page, nullptr).ok());
+  EXPECT_EQ(device.views, 2u);
+  EXPECT_EQ(device.stats().page_reads, 2u);
 }
 
 // ----------------------- buffer-pool telemetry lifetime (regressions)
