@@ -1,8 +1,9 @@
 // Ablation experiments for the design choices DESIGN.md calls out, beyond
 // the paper's own figures:
 //  A. R-tree construction: Ang–Tan linear split (the paper's choice) vs
-//     Guttman quadratic split vs STR bulk loading — node counts, build
-//     cost and disk-query I/O on the same data.
+//     Guttman quadratic split vs STR bulk loading — node counts and
+//     disk-query I/O on the same data (their build time is wall-clock:
+//     BM_RTreeBuild in bench_micro_components).
 //  B. Termination heuristic: the paper's Eq. 4 vs eta-only vs the
 //     LoD-aware cost model — retrieved triangles and I/O per query.
 //  C. Delta search & prefetching: frame-time average/variance/worst with
@@ -29,7 +30,6 @@ void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
   SeriesTable table(telemetry->report(), "ablation.rtree_construction",
                     "strategy", 22,
                     {SeriesTable::Col{"nodes", 8, 0},
-                     SeriesTable::Col{"build (ms)", 12, 2, /*wall=*/true},
                      SeriesTable::Col{"query I/O pages", 16, 2}});
 
   std::vector<std::pair<Aabb, uint64_t>> entries;
@@ -38,8 +38,7 @@ void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
   }
   std::vector<Vec3> probes = RandomViewpoints(bed.scene.bounds(), 200, 5);
 
-  auto evaluate = [&](const char* name, RTree tree, double build_ms) {
-    telemetry->report()->RecordTiming("rtree.build", build_ms);
+  auto evaluate = [&](const char* name, const RTree& tree) {
     PageDevice device;
     Result<PackedRTree> packed = PackedRTree::Pack(tree, &device);
     if (!packed.ok()) {
@@ -52,7 +51,7 @@ void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
                   Vec3(p.x + 200, p.y + 200, bed.scene.bounds().max.z));
       (void)packed->WindowQuery(window, &ids);
     }
-    table.Row(name, {static_cast<double>(tree.num_nodes()), build_ms,
+    table.Row(name, {static_cast<double>(tree.num_nodes()),
                      static_cast<double>(device.stats().page_reads) /
                          probes.size()});
   };
@@ -63,11 +62,10 @@ void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
     opt.min_entries = 6;
     opt.split = split;
     RTree tree(opt);
-    WallTimer timer;
     for (const auto& [mbr, id] : entries) {
       (void)tree.Insert(mbr, id);
     }
-    evaluate(name, std::move(tree), timer.ElapsedMs());
+    evaluate(name, tree);
   };
   insert_build("insert + Ang-Tan", SplitAlgorithm::kAngTanLinear);
   insert_build("insert + quadratic", SplitAlgorithm::kQuadratic);
@@ -75,11 +73,9 @@ void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
     RTreeOptions opt;
     opt.max_entries = 16;
     opt.min_entries = 6;
-    WallTimer timer;
     Result<RTree> tree = RTree::BulkLoad(entries, opt);
-    const double ms = timer.ElapsedMs();
     if (tree.ok()) {
-      evaluate("STR bulk load", std::move(*tree), ms);
+      evaluate("STR bulk load", *tree);
     }
   }
   std::printf("\n");
@@ -172,13 +168,11 @@ void AblationDeltaAndPrefetch(const Testbed& bed,
     (*visual)->set_delta_enabled(config.delta);
     PlayOptions popt;
     popt.keep_frames = true;
-    WallTimer playback;
     Result<SessionSummary> summary =
         PlaySession(visual->get(), session, popt);
     if (!summary.ok()) {
       return;
     }
-    telemetry->report()->RecordTiming("session.play", playback.ElapsedMs());
     double worst = 0.0;
     for (size_t i = 1; i < summary->frames.size(); ++i) {
       worst = std::max(worst, summary->frames[i].frame_time_ms);
@@ -296,7 +290,7 @@ int Run(const BenchArgs& args) {
   TelemetryScope telemetry(args, "bench_ablations");
   telemetry.Header("Ablations: construction, termination, delta/prefetch",
                    "design-choice ablations (beyond the paper's figures)");
-  Testbed bed = BuildTestbed(DefaultTestbedOptions(), telemetry.report());
+  Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
   AblationSplitStrategies(bed, &telemetry);
   AblationTerminationHeuristics(bed, &telemetry);

@@ -44,7 +44,7 @@ int Run(const BenchArgs& args) {
   TelemetryScope telemetry(args, "bench_fig10_frame_time");
   telemetry.Header("Figure 10: frame time during an interactive walkthrough",
                    "Figures 10(a,b)");
-  Testbed bed = BuildTestbed(DefaultTestbedOptions(), telemetry.report());
+  Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
 
   SessionOptions sopt;
@@ -73,15 +73,9 @@ int Run(const BenchArgs& args) {
   telemetry.Attach(visual_2->get(), "visual.eta_0.0003");
   telemetry.Attach(review->get(), "review");
 
-  WallTimer playback;
   Result<SessionSummary> s_visual_1 = Play(visual_1->get(), session);
-  telemetry.report()->RecordTiming("session.play", playback.ElapsedMs());
-  playback.Restart();
   Result<SessionSummary> s_visual_2 = Play(visual_2->get(), session);
-  telemetry.report()->RecordTiming("session.play", playback.ElapsedMs());
-  playback.Restart();
   Result<SessionSummary> s_review = Play(review->get(), session);
-  telemetry.report()->RecordTiming("session.play", playback.ElapsedMs());
   if (!s_visual_1.ok() || !s_visual_2.ok() || !s_review.ok()) {
     std::fprintf(stderr, "playback failed\n");
     return 1;

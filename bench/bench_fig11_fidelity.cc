@@ -20,7 +20,7 @@ namespace {
 int Run(const BenchArgs& args) {
   TelemetryScope telemetry(args, "bench_fig11_fidelity");
   telemetry.Header("Figure 11: visual fidelity comparison", "Figure 11");
-  Testbed bed = BuildTestbed(DefaultTestbedOptions(), telemetry.report());
+  Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
 
   VisualOptions vopt = DefaultVisualOptions();

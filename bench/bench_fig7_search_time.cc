@@ -20,7 +20,7 @@ int Run(const BenchArgs& args) {
   TelemetryScope telemetry(args, "bench_fig7_search_time");
   telemetry.Header("Figure 7: search time vs DoV threshold (eta)",
                    "Figure 7");
-  Testbed bed = BuildTestbed(DefaultTestbedOptions(), telemetry.report());
+  Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
 
   const size_t kQueries = LargeScale() ? 10000 : 2000;
@@ -80,7 +80,6 @@ int Run(const BenchArgs& args) {
   char label[32];
   for (double eta : etas) {
     double ms[3] = {0, 0, 0};
-    WallTimer sweep;
     for (int s = 0; s < 3; ++s) {
       systems[s]->set_eta(eta);
       systems[s]->ResetIoStats();
@@ -95,7 +94,6 @@ int Run(const BenchArgs& args) {
       }
       ms[s] = systems[s]->clock().NowMillis() / viewpoints.size();
     }
-    telemetry.report()->RecordTiming("sweep.eta", sweep.ElapsedMs());
     std::snprintf(label, sizeof(label), "%.4f", eta);
     table.Row(label, {ms[0], ms[1], ms[2], naive_ms});
   }

@@ -18,7 +18,7 @@ int Run(const BenchArgs& args) {
   TelemetryScope telemetry(args, "bench_fig8_io");
   telemetry.Header("Figure 8: disk I/O vs DoV threshold (eta)",
                    "Figures 8(a,b)");
-  Testbed bed = BuildTestbed(DefaultTestbedOptions(), telemetry.report());
+  Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
 
   const size_t kQueries = LargeScale() ? 10000 : 2000;
@@ -66,7 +66,6 @@ int Run(const BenchArgs& args) {
                      SeriesTable::Col{"light(naive)", 12, 2}});
   char label[32];
   for (double eta : etas) {
-    WallTimer sweep;
     (*visual)->set_eta(eta);
     (*visual)->ResetIoStats();
     std::vector<RetrievedLod> result;
@@ -85,7 +84,6 @@ int Run(const BenchArgs& args) {
     const double total =
         static_cast<double>((*visual)->TotalIoStats().page_reads) /
         viewpoints.size();
-    telemetry.report()->RecordTiming("sweep.eta", sweep.ElapsedMs());
     std::snprintf(label, sizeof(label), "%.4f", eta);
     table.Row(label, {total, naive_total, light, naive_light});
   }

@@ -28,7 +28,6 @@ int Run(const BenchArgs& args) {
                    SeriesTable::Col{"search(ms)", 14, 3},
                    SeriesTable::Col{"I/Os", 12, 2}});
   for (uint64_t target : targets) {
-    WallTimer step;
     CityOptions copt = CityOptionsForTargetBytes(target);
     Result<Scene> scene = GenerateCity(copt);
     if (!scene.ok()) {
@@ -85,7 +84,6 @@ int Run(const BenchArgs& args) {
     out.Row(label, {static_cast<double>(scene->size()),
                     static_cast<double>((*visual)->tree().num_nodes()), ms,
                     ios});
-    telemetry.report()->RecordTiming("dataset.step", step.ElapsedMs());
   }
   std::printf("\nshape check: search time and I/Os grow only marginally\n"
               "while the dataset quadruples (the traversal touches visible\n"

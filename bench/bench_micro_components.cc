@@ -49,19 +49,42 @@ Aabb RandomBox(Rng* rng, double world, double extent) {
                             rng->Uniform(0.1, extent)));
 }
 
-void BM_RTreeInsert(benchmark::State& state) {
+// R-tree construction: the wall-clock half of bench_ablations' ablation A
+// (which reports node counts and query I/O), at the ablation's fanout.
+// `strategy` 0 inserts with the Ang-Tan linear split, 1 inserts with the
+// quadratic split, 2 bulk-loads with STR.
+void BM_RTreeBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const int64_t strategy = state.range(1);
+  Rng rng(1);
+  std::vector<std::pair<Aabb, uint64_t>> entries;
+  entries.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    entries.emplace_back(RandomBox(&rng, 1000, 20), static_cast<uint64_t>(i));
+  }
+  RTreeOptions opt;
+  opt.max_entries = 16;
+  opt.min_entries = 6;
+  opt.split = strategy == 1 ? SplitAlgorithm::kQuadratic
+                            : SplitAlgorithm::kAngTanLinear;
+  state.SetLabel(strategy == 0   ? "Ang-Tan insert"
+                 : strategy == 1 ? "quadratic insert"
+                                 : "STR bulk load");
   for (auto _ : state) {
-    Rng rng(1);
-    RTree tree;
-    for (int i = 0; i < n; ++i) {
-      benchmark::DoNotOptimize(tree.Insert(RandomBox(&rng, 1000, 20),
-                                           static_cast<uint64_t>(i)));
+    if (strategy == 2) {
+      benchmark::DoNotOptimize(RTree::BulkLoad(entries, opt).ok());
+      continue;
+    }
+    RTree tree(opt);
+    for (const auto& [mbr, id] : entries) {
+      benchmark::DoNotOptimize(tree.Insert(mbr, id));
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_RTreeInsert)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_RTreeBuild)
+    ->ArgNames({"n", "strategy"})
+    ->ArgsProduct({{1000, 4000}, {0, 1, 2}});
 
 void BM_RTreeWindowQuery(benchmark::State& state) {
   Rng rng(2);

@@ -24,7 +24,7 @@ int Run(const BenchArgs& args) {
   // with 4000+ cells.
   opt.blocks = LargeScale() ? 28 : 20;
   opt.cells = LargeScale() ? 48 : 32;
-  Testbed bed = BuildTestbed(opt, telemetry.report());
+  Testbed bed = BuildTestbedOrDie(opt);
   PrintTestbedSummary(bed);
 
   PageDevice model_device;

@@ -18,7 +18,7 @@ namespace {
 int Run(const BenchArgs& args) {
   TelemetryScope telemetry(args, "bench_table3_frame_stats");
   telemetry.Header("Table 3: frame time statistics vs eta", "Table 3");
-  Testbed bed = BuildTestbed(DefaultTestbedOptions(), telemetry.report());
+  Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
 
   SessionOptions sopt;
@@ -44,13 +44,11 @@ int Run(const BenchArgs& args) {
   double last_avg = 0.0;
   for (double eta : etas) {
     (*visual)->set_eta(eta);
-    WallTimer playback;
     Result<SessionSummary> summary = PlaySession(visual->get(), session);
     if (!summary.ok()) {
       std::fprintf(stderr, "%s\n", summary.status().ToString().c_str());
       return 1;
     }
-    telemetry.report()->RecordTiming("session.play", playback.ElapsedMs());
     char label[32];
     std::snprintf(label, sizeof(label), "%.5f", eta);
     table.Row(label, {summary->avg_frame_time_ms, summary->var_frame_time,

@@ -66,11 +66,10 @@
 
 namespace hdov::bench {
 
-using telemetry::WallTimer;
-
 // The world-construction glue itself lives in testbed/testbed_glue.h (a
 // non-bench target, so tools and the serving layer can share it); these
 // aliases keep the historical bench spellings working.
+using testbed::BuildTestbedOrDie;
 using testbed::LargeScale;
 using testbed::DefaultTestbedOptions;
 using testbed::DefaultVisualOptions;
@@ -84,16 +83,10 @@ using testbed::MB;
 // plumbing.
 inline uint32_t& BenchThreads() { return testbed::DefaultThreads(); }
 
-// The parsed --db value; when non-empty, BuildTestbed and MakeVisualSystem
-// load the world from that snapshot instead of rebuilding it.
+// The parsed --db value; when non-empty, BuildTestbedOrDie and
+// MakeVisualSystem load the world from that snapshot instead of
+// rebuilding it.
 inline std::string& BenchDbPath() { return testbed::DefaultDbPath(); }
-
-// Builds the default experiment environment — or, with --db, loads it
-// from the snapshot — aborting on error.
-inline Testbed BuildTestbed(const TestbedOptions& opt,
-                            telemetry::BenchReport* report = nullptr) {
-  return testbed::BuildTestbedOrDie(opt, report);
-}
 
 struct BenchArgs {
   std::string telemetry_out;  // Empty = full snapshot not written.
@@ -314,17 +307,15 @@ class TelemetryScope {
 
 // The shared figure/table emitter: prints an aligned stdout table AND
 // appends each row to the named report series, so the human-readable and
-// machine-readable outputs cannot drift apart. Columns default to
-// simulated (deterministic, compared at zero tolerance by
-// bench_compare); mark wall-clock columns `wall` so the comparison
-// applies a noise tolerance instead.
+// machine-readable outputs cannot drift apart. Every column is a
+// simulated value that bench_compare compares exactly, so a value that
+// depends on wall time or thread scheduling has no place in a table.
 class SeriesTable {
  public:
   struct Col {
     std::string header;
     int width = 12;
     int precision = 2;
-    bool wall = false;
   };
 
   SeriesTable(telemetry::BenchReport* report, const std::string& name,
@@ -335,7 +326,7 @@ class SeriesTable {
       std::vector<telemetry::SeriesColumn> columns;
       columns.reserve(cols_.size());
       for (const Col& c : cols_) {
-        columns.push_back(telemetry::SeriesColumn{c.header, c.wall});
+        columns.push_back(telemetry::SeriesColumn{c.header});
       }
       series_ = report->AddSeries(name, std::move(columns));
     }

@@ -275,49 +275,4 @@ void WalkthroughServer::RollupInto(const ServerRunStats& stats,
       ->Set(static_cast<double>(stats.batched_frames));
 }
 
-namespace {
-
-void SetLatencyGauges(telemetry::MetricsRegistry* registry,
-                      const std::string& base,
-                      std::vector<double> values) {
-  registry->GetGauge(base + ".p50")
-      ->Set(telemetry::WallPercentile(values, 0.50));
-  registry->GetGauge(base + ".p95")
-      ->Set(telemetry::WallPercentile(values, 0.95));
-  registry->GetGauge(base + ".p99")
-      ->Set(telemetry::WallPercentile(std::move(values), 0.99));
-}
-
-}  // namespace
-
-void WalkthroughServer::RollupWallLatencyInto(
-    const ServerRunStats& stats, telemetry::MetricsRegistry* registry,
-    const std::string& prefix) {
-  std::vector<double> all_queue;
-  std::vector<double> all_service;
-  for (const ServerSessionRecord& record : stats.sessions) {
-    const std::string base =
-        prefix + ".wall.session." + record.summary.session_name;
-    SetLatencyGauges(registry, base + ".queue_ms",
-                     record.frame_queue_wait_ms);
-    SetLatencyGauges(registry, base + ".service_ms", record.frame_wall_ms);
-    for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
-      registry
-          ->GetGauge(base + ".stage." +
-                     std::string(telemetry::TraceStageName(
-                         static_cast<telemetry::TraceStage>(s))) +
-                     "_ms")
-          ->Set(record.stage_totals.ns[s] / 1e6);
-    }
-    all_queue.insert(all_queue.end(), record.frame_queue_wait_ms.begin(),
-                     record.frame_queue_wait_ms.end());
-    all_service.insert(all_service.end(), record.frame_wall_ms.begin(),
-                       record.frame_wall_ms.end());
-  }
-  SetLatencyGauges(registry, prefix + ".wall.queue_ms",
-                   std::move(all_queue));
-  SetLatencyGauges(registry, prefix + ".wall.service_ms",
-                   std::move(all_service));
-}
-
 }  // namespace hdov

@@ -80,7 +80,8 @@ struct ServerRunStats {
   uint64_t rounds = 0;
   uint64_t batch_groups = 0;    // Round-groups holding >= 2 frames.
   uint64_t batched_frames = 0;  // Frames that rode in such groups.
-  // Real-time measurements (nondeterministic).
+  // Real-time measurements (nondeterministic; perfbench's serve workload
+  // reads them, no bench report does).
   double wall_ms = 0.0;
   BufferPoolStats store_cache;  // Shared-cache traffic during the run.
   BufferPoolStats tree_cache;
@@ -125,15 +126,6 @@ class WalkthroughServer {
   static void RollupInto(const ServerRunStats& stats,
                          telemetry::MetricsRegistry* registry,
                          const std::string& prefix);
-
-  // Writes the wall-clock latency aggregates into `registry` as gauges
-  // under `<prefix>.wall.`: per-session and fleet-wide p50/p95/p99 of
-  // queue wait and service time, plus per-session stage totals. Every
-  // name contains ".wall.", whose numeric values the bench comparator
-  // never compares — keep that marker if you add gauges here.
-  static void RollupWallLatencyInto(const ServerRunStats& stats,
-                                    telemetry::MetricsRegistry* registry,
-                                    const std::string& prefix);
 
  private:
   explicit WalkthroughServer(const ServerOptions& options)

@@ -1,46 +1,11 @@
 #include "telemetry/bench_report.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "common/file_util.h"
 #include "telemetry/telemetry.h"
 
 namespace hdov::telemetry {
-
-TimingStats TimingStats::From(std::vector<double> samples) {
-  TimingStats stats;
-  if (samples.empty()) {
-    return stats;
-  }
-  std::sort(samples.begin(), samples.end());
-  stats.count = samples.size();
-  stats.min = samples.front();
-  double sum = 0.0;
-  for (double s : samples) {
-    sum += s;
-  }
-  stats.mean = sum / static_cast<double>(samples.size());
-  if (samples.size() < 2) {
-    // One repeat: every order statistic IS the sample; the interpolation
-    // below would degenerate (pos = 0 for all q) but make that explicit
-    // rather than incidental.
-    stats.median = samples.front();
-    stats.p95 = samples.front();
-    return stats;
-  }
-  const auto percentile = [&samples](double q) {
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double fraction = pos - static_cast<double>(lo);
-    return samples[lo] + fraction * (samples[hi] - samples[lo]);
-  };
-  stats.median = percentile(0.5);
-  stats.p95 = percentile(0.95);
-  return stats;
-}
 
 ReportSeries* BenchReport::AddSeries(const std::string& name,
                                      std::vector<SeriesColumn> columns) {
@@ -52,16 +17,6 @@ ReportSeries* BenchReport::AddSeries(const std::string& name,
   series_.push_back(std::make_unique<ReportSeries>(
       ReportSeries{name, std::move(columns), {}}));
   return series_.back().get();
-}
-
-void BenchReport::RecordTiming(const std::string& name, double ms) {
-  for (Timing& t : timings_) {
-    if (t.name == name) {
-      t.samples.push_back(ms);
-      return;
-    }
-  }
-  timings_.push_back(Timing{name, {ms}});
 }
 
 void BenchReport::CaptureFrom(const Telemetry& t) {
@@ -120,7 +75,6 @@ std::string BenchReport::ToJson() const {
     for (const SeriesColumn& c : s.columns) {
       w.BeginObject();
       w.Key("name").String(c.name);
-      w.Key("wall").Bool(c.wall);
       w.EndObject();
     }
     w.EndArray();
@@ -136,20 +90,6 @@ std::string BenchReport::ToJson() const {
       w.EndObject();
     }
     w.EndArray();
-    w.EndObject();
-  }
-  w.EndArray();
-
-  w.Key("timings").BeginArray();
-  for (const Timing& t : timings_) {
-    const TimingStats stats = TimingStats::From(t.samples);
-    w.BeginObject();
-    w.Key("name").String(t.name);
-    w.Key("count").Number(static_cast<uint64_t>(stats.count));
-    w.Key("min_ms").Number(stats.min);
-    w.Key("mean_ms").Number(stats.mean);
-    w.Key("median_ms").Number(stats.median);
-    w.Key("p95_ms").Number(stats.p95);
     w.EndObject();
   }
   w.EndArray();
@@ -193,10 +133,12 @@ namespace {
 
 using Severity = CompareFinding::Severity;
 
+// The report's own spelling of `v`, so two values that differ in the last
+// bit print differently.
 std::string Num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  JsonWriter w;
+  w.Number(v);
+  return w.TakeString();
 }
 
 const std::string* FindString(const JsonValue& doc, std::string_view key) {
@@ -204,8 +146,8 @@ const std::string* FindString(const JsonValue& doc, std::string_view key) {
   return v != nullptr && v->is_string() ? &v->string : nullptr;
 }
 
-// Exact structural equality: numbers bit-compare after the shared %.12g
-// round-trip, strings/bools literal, arrays elementwise.
+// Exact structural equality: numbers bit-compare (the writer's text
+// round-trips every bit), strings/bools literal, arrays elementwise.
 bool ExactlyEqual(const JsonValue& a, const JsonValue& b) {
   if (a.type != b.type) {
     return false;
@@ -353,10 +295,6 @@ class Comparator {
                     *name + ": present in baseline, missing in new run");
         continue;
       }
-      // Metrics whose name carries the ".wall." marker hold wall-clock
-      // values (e.g. the server's queue/service latency gauges): numeric
-      // members are not compared, everything else stays exact.
-      const bool is_wall = name->find(".wall.") != std::string::npos;
       for (const auto& [key, old_value] : old_m.members) {
         if (key == "name") {
           continue;
@@ -367,9 +305,7 @@ class Comparator {
                       *name + "." + key + ": field missing in new run");
           continue;
         }
-        if (!(is_wall && old_value.is_number() && new_value->is_number())) {
-          CheckExact("metrics", *name + "." + key, old_value, *new_value);
-        }
+        CheckExact("metrics", *name + "." + key, old_value, *new_value);
       }
     }
     for (const JsonValue& new_m : new_metrics->items) {
@@ -525,12 +461,8 @@ class Comparator {
         continue;
       }
       for (size_t c = 0; c < old_values->items.size(); ++c) {
-        const JsonValue& column = old_columns->items[c];
-        const JsonValue* wall = column.Find("wall");
-        if (wall != nullptr && wall->boolean) {
-          continue;  // Wall-clock column: information only.
-        }
-        const std::string* column_name = FindString(column, "name");
+        const std::string* column_name =
+            FindString(old_columns->items[c], "name");
         CheckExact(name,
                    label + "." +
                        (column_name != nullptr ? *column_name

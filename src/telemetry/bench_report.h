@@ -3,19 +3,20 @@
 // JSON document carrying
 //
 //   - provenance: binary name, scale, git revision, an environment
-//     fingerprint (CPU count, HDOV_BENCH_SCALE, --threads);
+//     fingerprint (CPU count, --threads);
 //   - every figure/table row the binary printed, as structured *series*
 //     (the stdout tables and the JSON rows come from the same emit call,
 //     so they cannot drift apart);
-//   - repeated wall-clock timings summarized as min/mean/median/p95;
-//   - the full metric snapshot and per-system frame-record totals —
-//     simulated counters (page reads, seeks, V-page fetches, cache hits)
-//     that are deterministic and therefore diffable at zero tolerance.
+//   - the full metric snapshot and per-system frame-record totals.
+//
+// A report holds simulated values only: page reads, seeks, V-page
+// fetches, simulated milliseconds. They are deterministic, so every one
+// of them is compared exactly. Wall-clock time has its own contract,
+// perfbench/, and never enters a report.
 //
 // CompareReports() is the other half: it diffs two parsed report
-// documents, hard-failing on any simulated-counter drift and flagging
-// wall-clock regressions beyond a noise threshold. `tools/bench_compare`
-// is a thin CLI over it; CI runs it against the checked-in
+// documents and fails on any drift. `tools/bench_compare` is a thin CLI
+// over it; the `baseline` ctests run it against the checked-in
 // `bench/baselines/BENCH_*.json` files (see EXPERIMENTS.md).
 
 #ifndef HDOV_TELEMETRY_BENCH_REPORT_H_
@@ -37,18 +38,16 @@ namespace hdov::telemetry {
 
 class Telemetry;
 
-// Wall-clock stopwatch — the shared replacement for the copy-pasted
-// steady_clock blocks the benches used to carry.
+// Wall-clock stopwatch (tools/hdov_build times its phases with it; no
+// bench report holds its readings).
 class WallTimer {
  public:
-  // Every wall-clock number in a report assumes a monotonic source; a
-  // system clock would go backwards under NTP steps and produce negative
-  // intervals.
+  // A system clock would go backwards under NTP steps and produce
+  // negative intervals.
   static_assert(std::chrono::steady_clock::is_steady,
                 "WallTimer requires a monotonic clock source");
 
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void Restart() { start_ = std::chrono::steady_clock::now(); }
   double ElapsedMs() const {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start_)
@@ -59,23 +58,10 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Summary of repeated wall-clock samples. Median/p95 interpolate between
-// order statistics (linear, as numpy's default percentile does).
-struct TimingStats {
-  size_t count = 0;
-  double min = 0.0;
-  double mean = 0.0;
-  double median = 0.0;
-  double p95 = 0.0;
-
-  static TimingStats From(std::vector<double> samples);
-};
-
+// A series column is a name; its values are simulated and compared
+// exactly, like everything else in a report.
 struct SeriesColumn {
   std::string name;
-  // Wall-clock columns are noisy: CompareReports checks them against a
-  // relative tolerance instead of the exact match simulated columns get.
-  bool wall = false;
 };
 
 struct SeriesRow {
@@ -136,10 +122,6 @@ class BenchReport {
   size_t num_series() const { return series_.size(); }
   const ReportSeries& series(size_t i) const { return *series_[i]; }
 
-  // Appends one wall-clock sample to the named timing; stats are computed
-  // at serialization time from all samples recorded under that name.
-  void RecordTiming(const std::string& name, double ms);
-
   // Captures the metric snapshot and the frame-record totals of `t`.
   // Call once, after the run, while attached systems still live.
   void CaptureFrom(const Telemetry& t);
@@ -152,11 +134,6 @@ class BenchReport {
   Status WriteFile(const std::string& path) const;
 
  private:
-  struct Timing {
-    std::string name;
-    std::vector<double> samples;
-  };
-
   std::string binary_;
   std::string title_;
   std::string scale_ = "default";
@@ -164,18 +141,17 @@ class BenchReport {
   // unique_ptr for pointer stability: benches hold AddSeries' result
   // across further AddSeries calls.
   std::vector<std::unique_ptr<ReportSeries>> series_;
-  std::vector<Timing> timings_;
   MetricsSnapshot metrics_;
   std::vector<FrameTotals> frame_totals_;
 };
 
 // ---------------------------------------------------------------------
-// Report diffing (the bench_compare tool and the CI perf gate).
+// Report diffing (the bench_compare tool and the `baseline` ctests).
 
 struct CompareFinding {
   enum class Severity { kInfo, kWarn, kFail };
   Severity severity = Severity::kInfo;
-  std::string where;    // "metrics", series name, "timings", ...
+  std::string where;    // "metrics", series name, "frame_totals", ...
   std::string message;
 };
 
@@ -189,10 +165,9 @@ struct CompareResult {
 };
 
 // Diffs two parsed BenchReport documents (`old_report` is the baseline).
-// Simulated values must match exactly. Wall-clock values (series columns
-// marked `wall`, numeric members of `.wall.` metrics, and the timings)
-// are information only and never compared: perfbench is the wall-clock
-// contract. Returns a finding list; HasFailure() decides the exit code.
+// Every metric, frame total and series value must match exactly; nothing
+// is exempt by name or column. Returns a finding list; HasFailure()
+// decides the exit code.
 // Invalid/mismatched documents report kFail findings rather than
 // erroring out.
 CompareResult CompareReports(const JsonValue& old_report,

@@ -1,6 +1,7 @@
 #include "telemetry/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -104,9 +105,12 @@ JsonWriter& JsonWriter::Number(double value) {
     out_.append("null");  // JSON has no Inf/NaN.
     return *this;
   }
+  // The shortest text that parses back to the same double: a report
+  // compared after a round trip keeps every bit of every value.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  out_.append(buf);
+  const std::to_chars_result written =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out_.append(buf, written.ptr);
   return *this;
 }
 

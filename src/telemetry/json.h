@@ -33,6 +33,8 @@ class JsonWriter {
   JsonWriter& EndArray();
   JsonWriter& Key(std::string_view key);
   JsonWriter& String(std::string_view value);
+  // Writes the shortest decimal that parses back to `value` bit for bit;
+  // Inf and NaN become null.
   JsonWriter& Number(double value);
   JsonWriter& Number(uint64_t value);
   JsonWriter& Bool(bool value);

@@ -136,9 +136,9 @@ size_t NearestRank(size_t n, double q);
 // Nearest-rank percentile of `values`, in the unit the values came in:
 // the element of rank NearestRank(n, q) in sorted order. Not an
 // interpolating estimator: it returns an observed value, which is what
-// latency reporting wants. Returns 0 for an empty vector. The server's
-// wall rollup and the fig12 latency tables use it; the slow-frame
-// percentile trigger reads the same rank of its sorted window.
+// latency reporting wants. Returns 0 for an empty vector. The slow-frame
+// percentile trigger reads the same rank of its sorted window, and
+// slow_frame_test holds the trigger to this function.
 double WallPercentile(std::vector<double> values, double q);
 
 struct MetricsSnapshot {

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "persist/snapshot.h"
-#include "telemetry/bench_report.h"
 
 namespace hdov::testbed {
 
@@ -40,9 +39,7 @@ TestbedOptions DefaultTestbedOptions() {
   return opt;
 }
 
-Testbed BuildTestbedOrDie(const TestbedOptions& opt,
-                          telemetry::BenchReport* report) {
-  telemetry::WallTimer timer;
+Testbed BuildTestbedOrDie(const TestbedOptions& opt) {
   Result<Testbed> bed = [&]() -> Result<Testbed> {
     if (DefaultDbPath().empty()) {
       return hdov::BuildTestbed(opt);
@@ -54,11 +51,6 @@ Testbed BuildTestbedOrDie(const TestbedOptions& opt,
   if (!bed.ok()) {
     std::fprintf(stderr, "testbed: %s\n", bed.status().ToString().c_str());
     std::abort();
-  }
-  if (report != nullptr) {
-    report->RecordTiming(
-        DefaultDbPath().empty() ? "testbed.build" : "testbed.load",
-        timer.ElapsedMs());
   }
   return std::move(*bed);
 }

@@ -19,10 +19,6 @@
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/visual_system.h"
 
-namespace hdov::telemetry {
-class BenchReport;
-}  // namespace hdov::telemetry
-
 namespace hdov::testbed {
 
 // True when HDOV_BENCH_SCALE=large: run closer to the paper's dataset
@@ -50,11 +46,8 @@ void ApplyLargeScalePreset(TestbedOptions* opt);
 TestbedOptions DefaultTestbedOptions();
 
 // Builds the experiment environment — or, with DefaultDbPath() set, loads
-// it from the snapshot — aborting on error. When `report` is given, the
-// wall-clock is recorded under the "testbed.build" (or "testbed.load")
-// timing.
-Testbed BuildTestbedOrDie(const TestbedOptions& opt,
-                          telemetry::BenchReport* report = nullptr);
+// it from the snapshot — aborting on error.
+Testbed BuildTestbedOrDie(const TestbedOptions& opt);
 
 // hdov::DefaultVisualOptions over DefaultThreads().
 VisualOptions DefaultVisualOptions();

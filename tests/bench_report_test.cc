@@ -21,28 +21,12 @@ using telemetry::ParseJson;
 using telemetry::ReportSeries;
 using telemetry::SeriesColumn;
 using telemetry::Telemetry;
-using telemetry::TimingStats;
-
-TEST(TimingStatsTest, PercentilesInterpolate) {
-  TimingStats empty = TimingStats::From({});
-  EXPECT_EQ(empty.count, 0u);
-  TimingStats one = TimingStats::From({4.0});
-  EXPECT_EQ(one.count, 1u);
-  EXPECT_DOUBLE_EQ(one.min, 4.0);
-  EXPECT_DOUBLE_EQ(one.median, 4.0);
-  EXPECT_DOUBLE_EQ(one.p95, 4.0);
-  // Unsorted input; 1..5 -> min 1, mean 3, median 3, p95 = 4.8.
-  TimingStats five = TimingStats::From({5.0, 3.0, 1.0, 4.0, 2.0});
-  EXPECT_EQ(five.count, 5u);
-  EXPECT_DOUBLE_EQ(five.min, 1.0);
-  EXPECT_DOUBLE_EQ(five.mean, 3.0);
-  EXPECT_DOUBLE_EQ(five.median, 3.0);
-  EXPECT_NEAR(five.p95, 4.8, 1e-9);
-}
 
 // A small but fully populated report, used by the build/round-trip and
-// compare tests below.
-BenchReport MakeReport(double io_pages, double wall_ms) {
+// compare tests below. `latency_ms` fills the second series column and
+// `lag_ms` a gauge named the way wall-clock gauges once were (".wall.").
+BenchReport MakeReport(double io_pages, double latency_ms = 10.0,
+                       double lag_ms = 10.0) {
   BenchReport report;
   report.set_binary("bench_demo");
   report.set_title("Demo figure");
@@ -55,17 +39,14 @@ BenchReport MakeReport(double io_pages, double wall_ms) {
 
   ReportSeries* series = report.AddSeries(
       "demo.series",
-      {SeriesColumn{"io_pages", false}, SeriesColumn{"build_ms", true}});
-  series->rows.push_back({"row0", {io_pages, wall_ms}});
-  series->rows.push_back({"row1", {io_pages * 2, wall_ms * 2}});
-
-  report.RecordTiming("phase", wall_ms);
-  report.RecordTiming("phase", wall_ms * 3);
+      {SeriesColumn{"io_pages"}, SeriesColumn{"latency_ms"}});
+  series->rows.push_back({"row0", {io_pages, latency_ms}});
+  series->rows.push_back({"row1", {io_pages * 2, latency_ms * 2}});
 
   Telemetry t;
   t.metrics().GetCounter("demo.reads")->Add(
       static_cast<uint64_t>(io_pages));
-  t.metrics().GetGauge("demo.wall.latency_ms")->Set(wall_ms);
+  t.metrics().GetGauge("demo.wall.lag_ms")->Set(lag_ms);
   telemetry::FrameRecord frame;
   frame.system = "demo";
   frame.kind = "query";
@@ -84,7 +65,7 @@ JsonValue ParseReport(const BenchReport& report) {
 }
 
 TEST(BenchReportTest, ToJsonRoundTrips) {
-  BenchReport report = MakeReport(100.0, 10.0);
+  BenchReport report = MakeReport(100.0);
   JsonValue doc = ParseReport(report);
   ASSERT_TRUE(doc.is_object());
   EXPECT_DOUBLE_EQ(doc.Find("version")->number, 1.0);
@@ -103,20 +84,12 @@ TEST(BenchReportTest, ToJsonRoundTrips) {
   const JsonValue& s = series->items[0];
   EXPECT_EQ(s.Find("name")->string, "demo.series");
   ASSERT_EQ(s.Find("columns")->items.size(), 2u);
-  EXPECT_EQ(s.Find("columns")->items[1].Find("name")->string, "build_ms");
-  EXPECT_TRUE(s.Find("columns")->items[1].Find("wall")->boolean);
+  EXPECT_EQ(s.Find("columns")->items[1].Find("name")->string, "latency_ms");
+  EXPECT_EQ(s.Find("columns")->items[1].members.size(), 1u);  // Name only.
   ASSERT_EQ(s.Find("rows")->items.size(), 2u);
   EXPECT_EQ(s.Find("rows")->items[0].Find("label")->string, "row0");
   EXPECT_DOUBLE_EQ(s.Find("rows")->items[0].Find("values")->items[0].number,
                    100.0);
-
-  const JsonValue* timings = doc.Find("timings");
-  ASSERT_TRUE(timings != nullptr && timings->is_array());
-  ASSERT_EQ(timings->items.size(), 1u);
-  EXPECT_EQ(timings->items[0].Find("name")->string, "phase");
-  EXPECT_DOUBLE_EQ(timings->items[0].Find("count")->number, 2.0);
-  EXPECT_DOUBLE_EQ(timings->items[0].Find("min_ms")->number, 10.0);
-  EXPECT_DOUBLE_EQ(timings->items[0].Find("median_ms")->number, 20.0);
 
   const JsonValue* metrics = doc.Find("metrics");
   ASSERT_TRUE(metrics != nullptr && metrics->is_array());
@@ -134,9 +107,9 @@ TEST(BenchReportTest, ToJsonRoundTrips) {
 
 TEST(BenchReportTest, AddSeriesReturnsStablePointers) {
   BenchReport report;
-  ReportSeries* first = report.AddSeries("a", {SeriesColumn{"x", false}});
+  ReportSeries* first = report.AddSeries("a", {SeriesColumn{"x"}});
   for (int i = 0; i < 64; ++i) {
-    report.AddSeries("s" + std::to_string(i), {SeriesColumn{"x", false}});
+    report.AddSeries("s" + std::to_string(i), {SeriesColumn{"x"}});
   }
   first->rows.push_back({"row", {1.0}});  // Pointer must still be valid.
   EXPECT_EQ(report.AddSeries("a", {}), first);  // Find-or-create.
@@ -156,8 +129,8 @@ size_t CountSeverity(const CompareResult& result,
 }
 
 TEST(CompareReportsTest, IdenticalReportsPass) {
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
-  JsonValue new_doc = ParseReport(MakeReport(100.0, 10.0));
+  JsonValue old_doc = ParseReport(MakeReport(100.0));
+  JsonValue new_doc = ParseReport(MakeReport(100.0));
   CompareResult result = CompareReports(old_doc, new_doc);
   EXPECT_FALSE(result.HasFailure());
   EXPECT_EQ(CountSeverity(result, CompareFinding::Severity::kFail), 0u);
@@ -165,39 +138,38 @@ TEST(CompareReportsTest, IdenticalReportsPass) {
 }
 
 TEST(CompareReportsTest, CounterDriftFails) {
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
-  JsonValue new_doc = ParseReport(MakeReport(101.0, 10.0));
+  JsonValue old_doc = ParseReport(MakeReport(100.0));
+  JsonValue new_doc = ParseReport(MakeReport(101.0));
   CompareResult result = CompareReports(old_doc, new_doc);
   EXPECT_TRUE(result.HasFailure());
 }
 
-TEST(CompareReportsTest, WallValuesAreNeverCompared) {
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
-  // 10x on the wall column, the `.wall.` gauge and the timings: passes,
-  // and none of them counts as a compared value.
-  JsonValue slower = ParseReport(MakeReport(100.0, 100.0));
-  CompareResult result = CompareReports(old_doc, slower);
-  EXPECT_FALSE(result.HasFailure());
-  EXPECT_EQ(result.values_compared,
-            CompareReports(old_doc, old_doc).values_compared);
-  // A counter that drifts by its last unit (100 -> 101 pages) still
-  // fails next to the same wall-clock change.
-  JsonValue drifted = ParseReport(MakeReport(101.0, 100.0));
-  EXPECT_TRUE(CompareReports(old_doc, drifted).HasFailure());
+TEST(CompareReportsTest, NothingIsExempt) {
+  // No name or column escapes the exact comparison: a gauge whose name
+  // contains ".wall." fails on its own, and so does any series column.
+  const JsonValue old_doc = ParseReport(MakeReport(100.0));
+  const CompareResult lag =
+      CompareReports(old_doc, ParseReport(MakeReport(100.0, 10.0, 10.5)));
+  EXPECT_TRUE(lag.HasFailure());
+  EXPECT_EQ(CountSeverity(lag, CompareFinding::Severity::kFail), 1u);
+  const CompareResult column =
+      CompareReports(old_doc, ParseReport(MakeReport(100.0, 10.5)));
+  EXPECT_TRUE(column.HasFailure());
+  EXPECT_EQ(CountSeverity(column, CompareFinding::Severity::kFail), 2u);
 }
 
 TEST(CompareReportsTest, BinaryMismatchFailsEarly) {
-  BenchReport other = MakeReport(100.0, 10.0);
+  BenchReport other = MakeReport(100.0);
   other.set_binary("bench_other");
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
+  JsonValue old_doc = ParseReport(MakeReport(100.0));
   JsonValue new_doc = ParseReport(other);
   CompareResult result = CompareReports(old_doc, new_doc);
   EXPECT_TRUE(result.HasFailure());
 }
 
 TEST(CompareReportsTest, MissingMetricFailsNewMetricWarns) {
-  JsonValue old_doc = ParseReport(MakeReport(100.0, 10.0));
-  BenchReport renamed = MakeReport(100.0, 10.0);
+  JsonValue old_doc = ParseReport(MakeReport(100.0));
+  BenchReport renamed = MakeReport(100.0);
   // Rebuild with an extra metric only in the new report.
   Telemetry t;
   t.metrics().GetCounter("demo.reads")->Add(100);

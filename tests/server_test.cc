@@ -426,51 +426,6 @@ TEST_F(ServerTest, SchedulerAccountsQueueWaitAndStageTime) {
   }
 }
 
-TEST_F(ServerTest, WallRollupPublishesMarkedPercentileGauges) {
-  ServerOptions opt = BaseOptions();
-  auto server = WalkthroughServer::Open(opt);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  const std::vector<Session> sessions = MakeSessions(2, 15);
-  for (const Session& s : sessions) {
-    ASSERT_TRUE((*server)->AddSession(s).ok());
-  }
-  auto stats = (*server)->Play();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-
-  telemetry::MetricsRegistry registry;
-  WalkthroughServer::RollupWallLatencyInto(*stats, &registry, "server");
-  const telemetry::MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_FALSE(snapshot.samples.empty());
-  // Every gauge the wall rollup publishes must carry the ".wall." marker
-  // — that is what routes it onto the tolerant comparison path.
-  for (const telemetry::MetricSample& sample : snapshot.samples) {
-    EXPECT_NE(sample.name.find(".wall."), std::string::npos)
-        << sample.name;
-  }
-  // Fleet-wide and per-session queue/service percentiles, plus the
-  // per-stage service-time split.
-  for (const char* suffix : {".p50", ".p95", ".p99"}) {
-    EXPECT_TRUE(registry.Contains("server.wall.queue_ms" +
-                                  std::string(suffix)));
-    EXPECT_TRUE(registry.Contains("server.wall.service_ms" +
-                                  std::string(suffix)));
-  }
-  const std::string base = "server.wall.session." + sessions[0].name;
-  EXPECT_TRUE(registry.Contains(base + ".queue_ms.p95"));
-  EXPECT_TRUE(registry.Contains(base + ".service_ms.p99"));
-  EXPECT_TRUE(registry.Contains(base + ".stage.search_ms"));
-  EXPECT_TRUE(registry.Contains(base + ".stage.render_ms"));
-  // Percentiles are monotone by construction.
-  const auto gauge = [&](const std::string& name) {
-    const telemetry::MetricSample* s = snapshot.Find(name);
-    return s != nullptr ? s->value : -1.0;
-  };
-  EXPECT_LE(gauge("server.wall.service_ms.p50"),
-            gauge("server.wall.service_ms.p95"));
-  EXPECT_LE(gauge("server.wall.service_ms.p95"),
-            gauge("server.wall.service_ms.p99"));
-}
-
 TEST_F(ServerTest, TracingDoesNotMoveSimulatedCounters) {
   // The attribution plane (trace scopes, slow-frame feed, latency
   // accounting) must not move one simulated number: serving with the

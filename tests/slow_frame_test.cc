@@ -473,12 +473,21 @@ TEST(SlowFrameTest, WindowMatchesFilteredDrain) {
   const FlightDump drained = recorder.Drain(/*consume=*/false);
   ASSERT_GT(recorder.events_dropped(), 0u);  // The first ring lapped.
   std::vector<uint64_t> stamps;
+  std::vector<uint64_t> session_stamps[3];
   for (const FlightEvent& ev : drained.events) {
     if (ev.code == code) {
       stamps.push_back(ev.ts_ns);
+      for (size_t t = 0; t < 3; ++t) {
+        if (ev.session == sessions[t]) {
+          session_stamps[t].push_back(ev.ts_ns);
+        }
+      }
     }
   }
   ASSERT_FALSE(stamps.empty());
+  for (const std::vector<uint64_t>& own : session_stamps) {
+    ASSERT_FALSE(own.empty());
+  }
 
   SlowFrameOptions opt;
   opt.threshold_ms = 1e-9;  // Every frame trips.
@@ -489,13 +498,17 @@ TEST(SlowFrameTest, WindowMatchesFilteredDrain) {
   size_t nonempty = 0;
   for (int w = 0; w < 200; ++w) {
     FrameStageRecord record;
-    record.session = sessions[rng() % 3];
+    const size_t owner = rng() % 3;
+    record.session = sessions[owner];
     record.frame = static_cast<uint64_t>(w);
     // Windows open and close on recorded stamps (both ends inclusive)
-    // or at random points of the run.
+    // or at random points of the run. A stamp-anchored window opens on
+    // one of its own session's events, so it holds at least that event
+    // however the threads interleaved.
     const uint64_t first = stamps.front();
     const uint64_t last = stamps.back();
-    record.start_ns = w % 2 == 0 ? stamps[rng() % stamps.size()]
+    const std::vector<uint64_t>& own = session_stamps[owner];
+    record.start_ns = w % 2 == 0 ? own[rng() % own.size()]
                                  : first + rng() % (last - first + 1);
     const uint64_t end = std::max(
         record.start_ns, w % 3 == 0 ? stamps[rng() % stamps.size()]

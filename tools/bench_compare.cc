@@ -3,15 +3,14 @@
 //
 //   bench_compare old.json new.json
 //
-// Simulated counters, per-figure series values and frame-total digests
-// are deterministic, so they are compared at zero tolerance — any drift
-// is a behavior change and fails the comparison (exit 1). Wall-clock
-// values (columns the report marks `wall`, `.wall.` metrics and the
-// repeated-timing stats) stay in reports as information and are never
-// compared: perfbench/ is the wall-clock contract.
+// A report holds simulated values only: counters, per-figure series
+// values and frame-total digests. They are deterministic, so every one is
+// compared at zero tolerance — any drift is a behavior change and fails
+// the comparison (exit 1). Wall-clock time is not in reports; perfbench/
+// is its contract. The `baseline` ctests run this tool against
+// bench/baselines/.
 //
-// Exit codes: 0 = match, 1 = drift/regression found, 2 = usage or I/O
-// error.
+// Exit codes: 0 = match, 1 = drift found, 2 = usage or I/O error.
 
 #include <cstdio>
 #include <fstream>

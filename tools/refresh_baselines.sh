@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Regenerates the committed CI drift-gate baselines (bench/baselines/) by
-# running every report-producing bench at default scale with --json-out.
+# Regenerates the committed drift baselines (bench/baselines/) by running
+# every report-producing bench at default scale with --json-out. It is
+# the only writer of those files; the `baseline` ctests only read them.
 # One command, from the repo root:
 #
 #   tools/refresh_baselines.sh [build-dir]
 #
 # Run it after any change that intentionally shifts simulated counters or
 # figure values, eyeball `git diff bench/baselines/` to confirm the shift
-# is the one you meant to make, and commit the result. Wall-clock fields
-# in the baselines are informational; bench_compare never compares them.
+# is the one you meant to make, and commit the result. A report holds
+# simulated values only, and bench_compare compares every one of them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,8 +34,8 @@ BENCHES=(
 )
 
 # Verify every binary exists before writing anything: a partial refresh
-# (some baselines from this build, some stale) would slip through CI's
-# drift gate looking like an intentional shift.
+# (some baselines from this build, some stale) would slip through the
+# baseline tests looking like an intentional shift.
 missing=0
 for bench in "${BENCHES[@]}"; do
   if [[ ! -x "${BUILD_DIR}/bench/${bench}" ]]; then
@@ -52,6 +53,7 @@ mkdir -p bench/baselines
 for bench in "${BENCHES[@]}"; do
   out="bench/baselines/BENCH_${bench#bench_}.json"
   echo "== ${bench} -> ${out}"
-  "${BUILD_DIR}/bench/${bench}" --json-out="${out}" >/dev/null
+  HDOV_BENCH_SCALE=default "${BUILD_DIR}/bench/${bench}" --json-out="${out}" \
+    >/dev/null
 done
 echo "done; review with: git diff bench/baselines/"
