@@ -494,6 +494,26 @@ BENCHMARK(BM_HdovSearch)
     ->Args({800, 0})    // eta = 0.008, Eq. 4.
     ->Args({800, 2});   // eta = 0.008, cost model.
 
+// The same search repeated on one cell, as a walkthrough frame that stays
+// in its cell: after the first iteration each search replays the
+// remembered page accesses and copies the result (HdovSearcher's memo),
+// next to BM_HdovSearch's full searches over rotating cells.
+void BM_HdovSearchSameCell(benchmark::State& state) {
+  SearchFixture& fx = SearchFixture::Get();
+  SearchOptions opt;
+  opt.eta = static_cast<double>(state.range(0)) / 100000.0;
+  const CellId cell = fx.grid->num_cells() / 2;
+  std::vector<RetrievedLod> result;
+  for (auto _ : state) {
+    (void)fx.searcher->Search(fx.store.get(), cell, opt, &result);
+    benchmark::DoNotOptimize(result.data());
+  }
+  state.counters["avg_result_items"] = static_cast<double>(result.size());
+}
+BENCHMARK(BM_HdovSearchSameCell)
+    ->Arg(0)     // eta = 0.
+    ->Arg(100);  // eta = 0.001, Eq. 4.
+
 }  // namespace
 }  // namespace hdov
 

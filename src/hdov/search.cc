@@ -72,11 +72,27 @@ size_t Eq5Level(const HdovNode& child, float dov, double eta) {
 
 }  // namespace
 
+bool HdovSearcher::MemoMatches(const VisibilityStore& store, CellId cell,
+                               const SearchOptions& options) const {
+  return memo_.valid && memo_.store_serial == store.serial() &&
+         memo_.cell == cell && memo_.eta == options.eta &&
+         memo_.heuristic == options.heuristic &&
+         memo_.assumed_coarsest_ratio == options.assumed_coarsest_ratio;
+}
+
 Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
                             const SearchOptions& options,
                             std::vector<RetrievedLod>* result,
                             SearchStats* stats) {
   result->clear();
+  const bool memoize = options.trace == nullptr;
+  if (memoize) {
+    if (MemoMatches(*store, cell, options)) {
+      return Replay(store, result, stats);
+    }
+    memo_.valid = false;
+    memo_.visited.clear();
+  }
   SearchStats local_stats;
   last_node_page_ = kInvalidPage;  // The buffer does not persist queries.
   // Every page read / pool hit below this point is attributed to the
@@ -99,7 +115,58 @@ Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
   if (stats != nullptr) {
     *stats = local_stats;
   }
+  if (memoize && status.ok()) {
+    memo_.store_serial = store->serial();
+    memo_.cell = cell;
+    memo_.eta = options.eta;
+    memo_.heuristic = options.heuristic;
+    memo_.assumed_coarsest_ratio = options.assumed_coarsest_ratio;
+    memo_.result = *result;
+    memo_.stats = local_stats;
+    memo_.valid = true;
+  }
   return status;
+}
+
+Status HdovSearcher::Replay(VisibilityStore* store,
+                            std::vector<RetrievedLod>* result,
+                            SearchStats* stats) {
+  memo_.valid = false;  // Kept only if every access succeeds again.
+  last_node_page_ = kInvalidPage;
+  telemetry::StageTraceScope stage(telemetry::TraceStage::kSearch);
+  HDOV_RETURN_IF_ERROR(store->BeginCell(memo_.cell));
+  if (vpages_.empty()) {
+    vpages_.emplace_back();
+  }
+  VPage& vpage = vpages_.front();
+  for (size_t node_index : memo_.visited) {
+    const HdovNode& node = tree_->node(node_index);
+    HDOV_RETURN_IF_ERROR(ReadNodePage(node));
+    bool visible = false;
+    HDOV_RETURN_IF_ERROR(store->GetVPage(node.node_id, &vpage, &visible));
+  }
+  *result = memo_.result;
+  if (stats != nullptr) {
+    *stats = memo_.stats;
+  }
+  memo_.valid = true;
+  return Status::OK();
+}
+
+Status HdovSearcher::ReadNodePage(const HdovNode& node) {
+  if (tree_device_ == nullptr || node.page == kInvalidPage ||
+      node.page == last_node_page_) {
+    return Status::OK();
+  }
+  bool hit = false;
+  if (tree_cache_ != nullptr) {
+    HDOV_RETURN_IF_ERROR(tree_cache_->Get(node.page, &hit).status());
+  }
+  if (!hit) {
+    HDOV_RETURN_IF_ERROR(tree_device_->Read(node.page, nullptr));
+  }
+  last_node_page_ = node.page;
+  return Status::OK();
 }
 
 Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
@@ -113,17 +180,10 @@ Status HdovSearcher::SearchNode(VisibilityStore* store, size_t node_index,
   node_span.Attr("node", static_cast<double>(node.node_id));
   node_span.Attr("fanout", static_cast<double>(node.entries.size()));
   node_span.Attr("leaf", node.is_leaf ? 1.0 : 0.0);
-  if (tree_device_ != nullptr && node.page != kInvalidPage &&
-      node.page != last_node_page_) {
-    bool hit = false;
-    if (tree_cache_ != nullptr) {
-      HDOV_RETURN_IF_ERROR(tree_cache_->Get(node.page, &hit).status());
-    }
-    if (!hit) {
-      HDOV_RETURN_IF_ERROR(tree_device_->Read(node.page, nullptr));
-    }
-    last_node_page_ = node.page;
+  if (trace == nullptr) {
+    memo_.visited.push_back(node_index);
   }
+  HDOV_RETURN_IF_ERROR(ReadNodePage(node));
 
   if (depth == vpages_.size()) {
     vpages_.emplace_back();

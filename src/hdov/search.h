@@ -7,6 +7,14 @@
 //    polygons than the entry's visible descendants;
 //  - internal LoD resolution follows Eq. 5 (blend factor DoV/eta), object
 //    LoD resolution follows Eq. 6 (blend factor DoV/MAXDOV, MAXDOV = 0.5).
+//
+// A searcher remembers its last search: the delta-search idea ("do not
+// retrieve again what earlier operations retrieved") applied to the
+// search's own CPU work. A walkthrough stays in one cell for many frames,
+// and the tree and a cell's V-pages never change, so a repeated search
+// decides exactly as before. It then re-issues only the page accesses,
+// in their original order, and copies the remembered result (see
+// HdovSearcher).
 
 #ifndef HDOV_HDOV_SEARCH_H_
 #define HDOV_HDOV_SEARCH_H_
@@ -95,6 +103,26 @@ void PrioritizeRetrieval(const Frustum& frustum, const HdovTree& tree,
                          const Scene& scene,
                          std::vector<RetrievedLod>* result);
 
+// One searcher is the single-threaded search state of one view: its V-page
+// buffers, its node-page transfer buffer and its memo. Concurrent sessions
+// each own one.
+//
+// The memo holds the result, the SearchStats and the visit order of the
+// nodes of the last untraced search that succeeded. Its key is the
+// store's serial (VisibilityStore::serial, never its address), the cell,
+// eta, the heuristic and assumed_coarsest_ratio. A search with the same
+// key replays the original's side effects in order: BeginCell, then per
+// visited node its node-page access (tree cache Get, or a tree-device
+// read on a miss or without a cache, with the same one-page dedupe) and
+// its GetVPage. Those are all of a search's side effects, and each
+// depends only on the key and on the state it meets, so every billed
+// page, seek, simulated microsecond, pool hit, store counter and flight
+// event is what a full search would produce. The decision loop, the LoD
+// picks and the result construction are skipped.
+//
+// A traced search (options.trace set) always runs in full and leaves the
+// memo as it was. A failed search or replay leaves no memo, and
+// set_tree_cache drops it.
 class HdovSearcher {
  public:
   // `tree_device` is billed one page read per visited node (pass nullptr
@@ -113,9 +141,37 @@ class HdovSearcher {
   // the pool cost no simulated I/O, a miss bills one tree-device page read.
   // Null (the default) bills every node read. The pool must wrap the same
   // device; without a tree device it is never consulted.
-  void set_tree_cache(BufferPool* cache) { tree_cache_ = cache; }
+  void set_tree_cache(BufferPool* cache) {
+    tree_cache_ = cache;
+    ForgetLastSearch();
+  }
+
+  // Drops the memo, so the next search runs in full.
+  void ForgetLastSearch() { memo_.valid = false; }
 
  private:
+  // The key and outcome of the last untraced, successful search.
+  struct Memo {
+    bool valid = false;
+    uint64_t store_serial = 0;
+    CellId cell = 0;
+    double eta = 0.0;
+    TerminationHeuristic heuristic = TerminationHeuristic::kEq4;
+    double assumed_coarsest_ratio = 0.0;
+    std::vector<RetrievedLod> result;
+    SearchStats stats;
+    std::vector<size_t> visited;  // Node indices in visit order.
+  };
+
+  bool MemoMatches(const VisibilityStore& store, CellId cell,
+                   const SearchOptions& options) const;
+  // Re-issues the memoized search's page accesses on `store` and copies
+  // its result and stats.
+  Status Replay(VisibilityStore* store, std::vector<RetrievedLod>* result,
+                SearchStats* stats);
+  // The node's page access: a tree-cache Get, and a billed tree-device
+  // read on a miss or without a cache, unless the page was the last read.
+  Status ReadNodePage(const HdovNode& node);
   Status SearchNode(VisibilityStore* store, size_t node_index, size_t depth,
                     const SearchOptions& options,
                     std::vector<RetrievedLod>* result, SearchStats* stats);
@@ -134,6 +190,7 @@ class HdovSearcher {
   // Several nodes share a page; re-reading the page just read is free
   // (it is still in the transfer buffer).
   PageId last_node_page_ = kInvalidPage;
+  Memo memo_;
 };
 
 }  // namespace hdov

@@ -1,9 +1,17 @@
 #include "hdov/visibility_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace hdov {
+
+namespace {
+std::atomic<uint64_t> g_store_serial{1};
+}  // namespace
+
+VisibilityStore::VisibilityStore()
+    : serial_(g_store_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 void VisibilityStore::RegisterTelemetry(telemetry::MetricsRegistry* registry,
                                         const std::string& prefix) const {

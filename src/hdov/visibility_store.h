@@ -42,7 +42,19 @@ struct VisibilityStoreStats {
 
 class VisibilityStore {
  public:
+  VisibilityStore();
   virtual ~VisibilityStore() = default;
+
+  // A store is its device layout plus query state; copying one would
+  // also copy its serial.
+  VisibilityStore(const VisibilityStore&) = delete;
+  VisibilityStore& operator=(const VisibilityStore&) = delete;
+
+  // Process-unique: no two stores ever share one, even when a store is
+  // built where a destroyed one lived. A store's V-pages never change, so
+  // (serial, cell, node) names the same V-page for the life of the
+  // process; HdovSearcher keys its memo on it.
+  uint64_t serial() const { return serial_; }
 
   virtual std::string_view name() const = 0;
 
@@ -75,6 +87,9 @@ class VisibilityStore {
 
  protected:
   VisibilityStoreStats tstats_;
+
+ private:
+  const uint64_t serial_;
 };
 
 // VPageFile: shared helper managing fixed-size V-page records packed into

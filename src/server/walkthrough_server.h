@@ -3,7 +3,7 @@
 //
 // What is shared (immutable or internally synchronized):
 //   - the snapshot file handle and the three base FilePageDevices
-//     (const read path only: pread + CRC, per-call buffers),
+//     (const read path only: pread + CRC, per-thread buffers),
 //   - the decoded scene, cell grid, and packed HDoV-tree,
 //   - the sharded page caches deduplicating real I/O (store + tree).
 // What is per-session (no synchronization, no sharing):

@@ -406,12 +406,13 @@ Status FilePageDevice::ReadRaw(PageId page, std::string* out) const {
     out->assign(page_size(), '\0');
     return Status::OK();
   }
-  // Per-call buffer: this path must stay safe for concurrent readers, so
-  // there is deliberately no shared scratch space. `out` is only assigned
-  // after the checksum verifies.
-  std::string buffer;
+  // Concurrent readers must not share scratch space, so the page lands in
+  // a per-thread buffer first: `out` is assigned only after the checksum
+  // verifies, and the copy reuses its storage, so a caller passing the
+  // same string page after page allocates nothing.
+  thread_local std::string buffer;
   HDOV_RETURN_IF_ERROR(FetchPage(page, &buffer));
-  *out = std::move(buffer);
+  out->assign(buffer);
   return Status::OK();
 }
 

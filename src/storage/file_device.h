@@ -171,7 +171,7 @@ class FilePageDevice : public PageDevice {
   // only mutated by the writer-side calls (Allocate/Write/Restore/Sync);
   // the const read path (ReadRaw/FetchPage/IsMaterialized) takes no locks
   // and is safe for concurrent readers as long as no writer is active —
-  // pread is positional and each ReadRaw call owns its buffer.
+  // pread is positional and each thread reads into a buffer of its own.
   std::vector<PageEntry> table_;
   uint64_t materialized_count_ = 0;
   uint64_t region_length_ = 0;

@@ -150,6 +150,12 @@ uint64_t FlightNsFromSteady(std::chrono::steady_clock::time_point t) {
 
 }  // namespace internal
 
+namespace {
+// The calling thread's TSC-timeline floor (see FlightNowNs). A thread that
+// takes over a dead thread's ring raises it to the ring's last stamp.
+thread_local uint64_t t_flight_floor_ns = 0;
+}  // namespace
+
 uint64_t FlightNowNs() {
   const FlightClock& clock = GetFlightClock();
 #if defined(__x86_64__)
@@ -157,12 +163,11 @@ uint64_t FlightNowNs() {
     // Synchronized TSCs may still differ by a few ticks between cores, and
     // the read is not ordered against earlier instructions; the per-thread
     // floor keeps the timeline monotone on each thread regardless.
-    thread_local uint64_t last_ns = 0;
     const uint64_t ns = TscToFlightNs(clock, __rdtsc());
-    if (ns > last_ns) {
-      last_ns = ns;
+    if (ns > t_flight_floor_ns) {
+      t_flight_floor_ns = ns;
     }
-    return last_ns;
+    return t_flight_floor_ns;
   }
 #endif
   return SteadyToFlightNs(clock, std::chrono::steady_clock::now());
@@ -181,7 +186,9 @@ struct NameTable {
   // paths cache their id, so a steady rate here means live code is
   // repeatedly degrading to "?".
   std::atomic<uint64_t> dropped{0};
-  NameTable() { names[0] = "?"; }
+  // push_back, not `= "?"`: g++ 12 at -O3 warns a false -Wrestrict on
+  // the assignment.
+  NameTable() { names[0].push_back('?'); }
 };
 
 NameTable& GlobalNames() {
@@ -265,42 +272,122 @@ struct PendingReads {
 
 thread_local PendingReads t_pending{};
 
+// The live recorders by serial. A thread-exit hook looks its recorders up
+// here, so it never touches one that is gone, even if another now lives
+// at the same address. Leaked, like the name table: threads may exit
+// during static teardown.
+struct RecorderRegistry {
+  std::mutex mu;  // Taken before any recorder's mu_, never after.
+  std::vector<std::pair<uint64_t, FlightRecorder*>> live;
+};
+
+RecorderRegistry& Recorders() {
+  static RecorderRegistry* registry = new RecorderRegistry();
+  return *registry;
+}
+
 }  // namespace
+
+// Every ring the calling thread writes. Its destructor runs at thread exit
+// and hands each ring whose recorder still lives back to that recorder.
+struct ThreadRings {
+  // Keyed by the recorder's process-unique serial, never by address, so
+  // a recorder reusing a destroyed one's storage cannot match stale
+  // entries.
+  struct Entry {
+    uint64_t serial;
+    FlightRecorder::Buffer* buffer;
+  };
+  std::vector<Entry> rings;
+  // Set once the destructor ran: a flight event recorded later in the
+  // thread's teardown gets a ring of its own that is never handed back.
+  static thread_local bool gone;
+
+  ~ThreadRings();
+};
+
+thread_local bool ThreadRings::gone = false;
+
+namespace {
+
+// The ring this thread used last. Trivially initialized, so the hit path
+// is one compare with no thread-local construction guard; serials start
+// at 1, so the zero entry never matches.
+thread_local ThreadRings::Entry t_last_ring{0, nullptr};
+thread_local ThreadRings t_rings;
+
+}  // namespace
+
+ThreadRings::~ThreadRings() {
+  gone = true;
+  t_last_ring = Entry{0, nullptr};
+  RecorderRegistry& registry = Recorders();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  for (const Entry& ring : rings) {
+    for (const auto& [serial, recorder] : registry.live) {
+      if (serial == ring.serial) {
+        std::lock_guard<std::mutex> ring_lock(recorder->mu_);
+        recorder->free_rings_.push_back(ring.buffer);
+        break;
+      }
+    }
+  }
+}
 
 FlightRecorder::FlightRecorder(size_t events_per_thread)
     : capacity_(static_cast<size_t>(
           RoundUpPow2(std::max<uint64_t>(2, events_per_thread)))),
-      serial_(g_recorder_serial.fetch_add(1, std::memory_order_relaxed)) {}
+      serial_(g_recorder_serial.fetch_add(1, std::memory_order_relaxed)) {
+  RecorderRegistry& registry = Recorders();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  registry.live.emplace_back(serial_, this);
+}
 
-FlightRecorder::~FlightRecorder() = default;
+FlightRecorder::~FlightRecorder() {
+  RecorderRegistry& registry = Recorders();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  std::erase_if(registry.live,
+                [this](const auto& entry) { return entry.first == serial_; });
+}
+
+FlightRecorder::Buffer* FlightRecorder::AttachRing() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_rings_.empty()) {
+    buffers_.push_back(std::make_unique<Buffer>(
+        capacity_, static_cast<uint32_t>(buffers_.size())));
+    return buffers_.back().get();
+  }
+  Buffer* buf = free_rings_.back();
+  free_rings_.pop_back();
+  // Keep the ring's stamps monotone across its writers (EventsSince reads
+  // a ring back only to its first older stamp): this thread's clock
+  // starts no earlier than the ring's last event.
+  const uint64_t head = buf->head.load(std::memory_order_relaxed);
+  if (head > 0) {
+    t_flight_floor_ns = std::max(
+        t_flight_floor_ns, buf->ring[(head - 1) & (capacity_ - 1)].w[0].load(
+                               std::memory_order_relaxed));
+  }
+  return buf;
+}
 
 FlightRecorder::Buffer* FlightRecorder::LocalBuffer() {
-  // Keyed by the recorder's process-unique serial, never by address, so a
-  // recorder reusing a destroyed one's storage cannot match stale entries.
-  struct CacheEntry {
-    uint64_t serial;
-    Buffer* buffer;
-  };
-  // The ring this thread used last. Trivially initialized, so the hit
-  // path is one compare with no thread-local construction guard; serials
-  // start at 1, so the zero entry never matches.
-  thread_local CacheEntry last{0, nullptr};
-  if (last.serial == serial_) {
-    return last.buffer;
+  if (t_last_ring.serial == serial_) {
+    return t_last_ring.buffer;
   }
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& entry : cache) {
-    if (entry.serial == serial_) {
-      last = entry;
-      return entry.buffer;
+  if (ThreadRings::gone) {
+    t_last_ring = ThreadRings::Entry{serial_, AttachRing()};
+    return t_last_ring.buffer;
+  }
+  for (const ThreadRings::Entry& ring : t_rings.rings) {
+    if (ring.serial == serial_) {
+      t_last_ring = ring;
+      return ring.buffer;
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  buffers_.push_back(std::make_unique<Buffer>(
-      capacity_, static_cast<uint32_t>(buffers_.size())));
-  last = CacheEntry{serial_, buffers_.back().get()};
-  cache.push_back(last);
-  return last.buffer;
+  t_last_ring = ThreadRings::Entry{serial_, AttachRing()};
+  t_rings.rings.push_back(t_last_ring);
+  return t_last_ring.buffer;
 }
 
 void FlightRecorder::Record(FlightEventType type, uint16_t code, uint64_t a,

@@ -13,7 +13,11 @@
 // first use); every slot is a quartet of relaxed atomics published by a
 // release store of the ring head, so a concurrent Drain reads a
 // consistent prefix and discards the (rare) region a writer may have
-// lapped mid-copy. No lock is ever taken on the record path.
+// lapped mid-copy. No lock is ever taken on the record path. When a
+// thread exits, its rings are handed back, and the next thread to
+// register takes one over where it left off: a recorder holds at most as
+// many rings as threads ever recorded into it at once, and the dead
+// thread's events stay in the ring until drained or counted lost.
 //
 // Determinism: events carry real wall timestamps (FlightNowNs) but the
 // recorder never touches the SimClock, IoStats, or any registry metric —
@@ -233,7 +237,8 @@ class FlightRecorder {
   // interval; Drain calls it for the draining thread.
   static void FlushThreadReads();
 
-  // Threads that ever recorded into this recorder.
+  // Rings this recorder holds: the peak number of threads that recorded
+  // into it at once (a ring outlives its thread and serves the next).
   size_t num_threads() const;
   // Total events ever recorded / lost before being consumed (overwritten,
   // or given up by a consuming drain), so after a consuming drain every
@@ -255,8 +260,9 @@ class FlightRecorder {
   // The events of Drain(false) stamped at or after `from_ns`, in the same
   // order, without the name table. Each ring is read back from its head
   // only to its first event stamped before `from_ns`: a ring has one
-  // writer and the flight clock is monotone on each thread, so every
-  // older event is older still.
+  // writer at a time, the flight clock is monotone on each thread, and a
+  // thread taking a ring over starts no earlier than its last stamp, so
+  // every older event is older still.
   std::vector<FlightEvent> EventsSince(uint64_t from_ns);
 
   // Binary dump round trip ("HDOVFREC" container, see docs/telemetry.md).
@@ -277,7 +283,13 @@ class FlightRecorder {
     uint32_t id = 0;
   };
 
+  // The rings of one thread, handed back at its exit (flight_recorder.cc).
+  friend struct ThreadRings;
+
   Buffer* LocalBuffer();
+  // A ring for a newly registering thread: one a dead thread handed back,
+  // else a new one.
+  Buffer* AttachRing();
   // The record path behind Record / RecordWithStage: one ring write with
   // the caller's already-read attribution.
   void Append(FlightEventType type, uint16_t code, uint64_t a, uint64_t b,
@@ -307,8 +319,10 @@ class FlightRecorder {
   const size_t capacity_;  // Power of two.
   const uint64_t serial_;  // Process-unique; keys the thread-local cache.
   std::atomic<bool> enabled_{true};
-  mutable std::mutex mu_;  // Guards buffers_ growth; never on record path.
+  // Guards buffers_ growth and free_rings_; never on the record path.
+  mutable std::mutex mu_;
   std::vector<std::unique_ptr<Buffer>> buffers_;
+  std::vector<Buffer*> free_rings_;  // Rings whose thread has exited.
 };
 
 // The process-wide recorder every built-in hook records into: device

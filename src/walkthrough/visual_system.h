@@ -156,6 +156,12 @@ class VisualSystem : public WalkthroughSystem {
   PageDevice& tree_device() { return *tree_device_; }
   PageDevice& store_device() { return *store_device_; }
   PageDevice& model_device() { return *model_device_; }
+  // The tree-page pool (null unless tree_cache_pages > 0).
+  const BufferPool* tree_cache() const { return tree_cache_.get(); }
+
+  // Drops the searcher's memo of its last search (HdovSearcher), so the
+  // next search runs in full; results and billing are the same either way.
+  void ForgetLastSearch() { searcher_->ForgetLastSearch(); }
 
   // Runs a single visibility query (search only; optionally fetching the
   // models). Exposed for the query benchmarks (Figs. 7-9).

@@ -109,7 +109,11 @@ TEST(BenchReportTest, AddSeriesReturnsStablePointers) {
   BenchReport report;
   ReportSeries* first = report.AddSeries("a", {SeriesColumn{"x"}});
   for (int i = 0; i < 64; ++i) {
-    report.AddSeries("s" + std::to_string(i), {SeriesColumn{"x"}});
+    // Appended, not `"s" + std::to_string(i)`: g++ 12 at -O3 warns a false
+    // -Wrestrict on that operator+.
+    std::string name = "s";
+    name += std::to_string(i);
+    report.AddSeries(name, {SeriesColumn{"x"}});
   }
   first->rows.push_back({"row", {1.0}});  // Pointer must still be valid.
   EXPECT_EQ(report.AddSeries("a", {}), first);  // Find-or-create.

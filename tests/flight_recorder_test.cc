@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -434,6 +435,135 @@ TEST(FlightRecorderTest, ConcurrentWritersFromThreadPool) {
     ++next_b[ev.thread];
     last_ts[ev.thread] = ev.ts_ns;
   }
+}
+
+// Runs `batches` batches of `threads` short-lived threads, each recording
+// `events` events (a = batch, b = index) into `recorder`. A batch's threads
+// all start before any records and all record before any exits, so they
+// hold `threads` rings at once. `between` runs after each batch exited.
+template <typename Between>
+void RecordInThreadBatches(telemetry::FlightRecorder& recorder,
+                           size_t batches, size_t threads, uint64_t events,
+                           Between between) {
+  for (size_t batch = 0; batch < batches; ++batch) {
+    std::atomic<size_t> started{0};
+    std::atomic<size_t> recorded{0};
+    std::vector<std::thread> group;
+    for (size_t t = 0; t < threads; ++t) {
+      group.emplace_back([&, batch] {
+        started.fetch_add(1);
+        while (started.load() < threads) {
+          std::this_thread::yield();
+        }
+        for (uint64_t n = 0; n < events; ++n) {
+          recorder.Record(FlightEventType::kPoolHit, 0, batch, n);
+        }
+        recorded.fetch_add(1);
+        while (recorded.load() < threads) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    for (std::thread& thread : group) {
+      thread.join();
+    }
+    between(batch);
+  }
+}
+
+TEST(FlightRecorderTest, ExitedThreadsHandTheirRingsOn) {
+  // A ring outlives its thread: the next thread to register takes it over
+  // where it left off, so the recorder holds as many rings as threads were
+  // live at once, and every event a dead thread recorded still drains.
+  constexpr size_t kBatches = 6;
+  constexpr size_t kThreads = 3;
+  constexpr uint64_t kEvents = 100;
+  telemetry::FlightRecorder recorder(1024);  // Roomy: no ring wraps.
+  RecordInThreadBatches(recorder, kBatches, kThreads, kEvents,
+                        [&](size_t) {
+                          EXPECT_EQ(recorder.num_threads(), kThreads);
+                        });
+  EXPECT_EQ(recorder.events_recorded(), kBatches * kThreads * kEvents);
+  EXPECT_EQ(recorder.events_dropped(), 0u);
+
+  const FlightDump dump = recorder.Drain();
+  ASSERT_EQ(dump.events.size(), kBatches * kThreads * kEvents);
+  std::vector<std::vector<uint64_t>> seen(kBatches,
+                                          std::vector<uint64_t>(kEvents));
+  std::vector<uint64_t> last_ts(kThreads, 0);
+  for (const FlightEvent& ev : dump.events) {
+    ASSERT_LT(ev.a, kBatches);
+    ASSERT_LT(ev.b, kEvents);
+    ++seen[ev.a][ev.b];
+    // Each ring's stamps stay monotone across the threads that wrote it.
+    ASSERT_LT(ev.thread, kThreads);
+    EXPECT_GE(ev.ts_ns, last_ts[ev.thread]);
+    last_ts[ev.thread] = ev.ts_ns;
+  }
+  for (const std::vector<uint64_t>& batch : seen) {
+    EXPECT_EQ(batch, std::vector<uint64_t>(kEvents, kThreads));
+  }
+  // EventsSince reads each ring back to its first older stamp, across
+  // the ring's writers too.
+  const uint64_t mid = dump.events[dump.events.size() / 2].ts_ns;
+  size_t since = 0;
+  for (const FlightEvent& ev : dump.events) {
+    since += ev.ts_ns >= mid ? 1 : 0;
+  }
+  EXPECT_EQ(recorder.EventsSince(mid).size(), since);
+}
+
+TEST(FlightRecorderTest, TakenOverRingsKeepDrainAccountingExact) {
+  // Tiny rings that every thread laps, drained (consuming) after every
+  // other batch: each recorded event is drained or dropped, exactly once,
+  // whichever thread wrote it.
+  constexpr size_t kBatches = 8;
+  constexpr size_t kThreads = 3;
+  constexpr uint64_t kEvents = 150;
+  telemetry::FlightRecorder recorder(64);
+  uint64_t drained = 0;
+  RecordInThreadBatches(recorder, kBatches, kThreads, kEvents,
+                        [&](size_t batch) {
+                          EXPECT_EQ(recorder.num_threads(), kThreads);
+                          if (batch % 2 == 1) {
+                            drained +=
+                                recorder.Drain(/*consume=*/true).events.size();
+                          }
+                        });
+  drained += recorder.Drain(/*consume=*/true).events.size();
+  EXPECT_EQ(recorder.events_recorded(), kBatches * kThreads * kEvents);
+  EXPECT_EQ(drained + recorder.events_dropped(), recorder.events_recorded());
+  EXPECT_EQ(recorder.Drain(/*consume=*/true).events.size(), 0u);
+}
+
+TEST(FlightRecorderTest, ThreadExitSkipsADestroyedRecorder) {
+  // A thread outlives the recorder it recorded into, and a new recorder
+  // is built (often at the same address) before the thread exits. The
+  // exit hook must not hand the dead recorder's ring to the new one.
+  std::atomic<int> step{0};
+  auto first = std::make_unique<telemetry::FlightRecorder>(64);
+  std::thread thread([&] {
+    first->Record(FlightEventType::kPoolHit, 0, 1, 1);
+    step.store(1);
+    while (step.load() < 2) {
+      std::this_thread::yield();
+    }
+  });
+  while (step.load() < 1) {
+    std::this_thread::yield();
+  }
+  first.reset();
+  telemetry::FlightRecorder second(64);
+  step.store(2);
+  thread.join();
+  EXPECT_EQ(second.num_threads(), 0u);
+  std::thread([&] {
+    second.Record(FlightEventType::kPoolHit, 0, 2, 2);
+  }).join();
+  EXPECT_EQ(second.num_threads(), 1u);
+  const FlightDump dump = second.Drain();
+  ASSERT_EQ(dump.events.size(), 1u);
+  EXPECT_EQ(dump.events[0].a, 2u);
 }
 
 TEST(FlightRecorderTest, ConcurrentDrainWhileRecording) {

@@ -268,6 +268,51 @@ TEST(FilePageDeviceTest, ViewIsPublishedOnlyAfterChecksumMatches) {
   std::remove(path.c_str());
 }
 
+TEST(FilePageDeviceTest, RawReadsReuseTheCallersBuffer) {
+  // The prefetch queue warms page after page through one string: a raw
+  // read must land in that string's storage, not a fresh allocation, and
+  // a page that fails its checksum must still leave the string alone.
+  const std::string path = TempPath("hdov_file_device_raw_reuse.bin");
+  constexpr int kPages = 8;
+  {
+    auto device = FilePageDevice::Create(path);
+    ASSERT_TRUE(device.ok()) << device.status().ToString();
+    for (int i = 0; i < kPages; ++i) {
+      PageId p = (*device)->Allocate();
+      ASSERT_TRUE(
+          (*device)->Write(p, "raw page " + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE((*device)->Sync().ok());
+  }
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    f.seekp(DiskModel().page_size + 3);  // Inside page 0's data slot.
+    f.put('X');
+  }
+  auto device = FilePageDevice::Open(path);
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+
+  std::string data;
+  ASSERT_TRUE((*device)->ReadRaw(1, &data).ok());
+  const char* storage = data.data();
+  for (int round = 0; round < 3; ++round) {
+    for (int page = 1; page < kPages; ++page) {
+      ASSERT_TRUE((*device)->ReadRaw(page, &data).ok());
+      EXPECT_EQ(data.data(), storage) << page;
+      ASSERT_EQ(data.size(), DiskModel().page_size);
+      const std::string expected = "raw page " + std::to_string(page);
+      EXPECT_EQ(data.substr(0, expected.size()), expected);
+      EXPECT_EQ(data[expected.size()], '\0');
+    }
+  }
+  const std::string before = data;
+  EXPECT_TRUE((*device)->ReadRaw(0, &data).IsCorruption());
+  EXPECT_EQ(data, before);
+  EXPECT_EQ(data.data(), storage);
+  std::remove(path.c_str());
+}
+
 // Little-endian field access for forging headers in place.
 uint64_t GetFixed(const std::string& bytes, size_t at, int width) {
   uint64_t value = 0;

@@ -16,15 +16,22 @@ namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(size_t bytes) {
+// Each operator is out of line: inlined into a caller, `malloc` or `free`
+// would meet the other operator's call, and an optimized g++ build warns
+// -Wmismatched-new-delete.
+__attribute__((noinline)) void* operator new(size_t bytes) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace hdov {
 namespace {

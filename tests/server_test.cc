@@ -299,10 +299,9 @@ TEST_F(ServerTest, SchedulingKnobsDoNotChangeBilling) {
 }
 
 TEST_F(ServerTest, RepeatedPlaysReuseTheWorkerThreads) {
-  // The flight recorder keeps a ring for every thread that ever records,
-  // for the life of the process. Play() must therefore run on the workers
-  // Open started, not on fresh threads per call: across five Plays the
-  // recorder may meet at most the pool's workers plus this thread.
+  // Play() runs on the workers Open started, not on fresh threads per
+  // call: across five Plays the recorder needs rings for at most the
+  // pool's workers plus this thread.
   ServerOptions opt = BaseOptions();
   auto server = WalkthroughServer::Open(opt);
   ASSERT_TRUE(server.ok()) << server.status().ToString();

@@ -17,10 +17,12 @@ set -euo pipefail
 # covers its concurrent-Get and flight-retarget races), the atomic and
 # mutexed telemetry primitives and a registry snapshot under mutation, the
 # thread-local trace context and the slow-frame capture, the concurrent
-# file-device reads, the server's multi-session scheduler, the prefetch
-# pipeline and its queue, and the walkthrough systems whose resident sets
-# the async prefetcher's predicate reads on the frame thread.
-readonly TSAN_TESTS="ThreadPool|Precompute|PushOutOfObjects|BufferPool|Counter|Gauge|Histogram|TraceRecorder|MetricsRegistry|FlightRecorder|TraceContext|SlowFrame|ServerTest|Prefetch|FetchQueue|FilePageDeviceTest.ConcurrentRawReads|Walkthrough|SearchPin|ResidentSet"
+# file-device reads and their per-thread buffer, the server's
+# multi-session scheduler, the prefetch pipeline and its queue, the
+# walkthrough systems whose resident sets the async prefetcher's
+# predicate reads on the frame thread, and the searcher's memo of its last
+# search, which the walks replay.
+readonly TSAN_TESTS="ThreadPool|Precompute|PushOutOfObjects|BufferPool|Counter|Gauge|Histogram|TraceRecorder|MetricsRegistry|FlightRecorder|TraceContext|SlowFrame|ServerTest|Prefetch|FetchQueue|FilePageDeviceTest.ConcurrentRawReads|FilePageDeviceTest.RawReads|Walkthrough|SearchPin|SearchMemo|ResidentSet"
 
 mode="${1:-}"
 case "${mode}" in
