@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -33,6 +34,8 @@
 #include "telemetry/trace_context.h"
 #include "visibility/cubemap_buffer.h"
 #include "visibility/precompute.h"
+#include "walkthrough/experiment_testbed.h"
+#include "walkthrough/visual_system.h"
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
@@ -511,6 +514,42 @@ void BM_HdovSearchSameCell(benchmark::State& state) {
   state.counters["avg_result_items"] = static_cast<double>(result.size());
 }
 BENCHMARK(BM_HdovSearchSameCell)
+    ->Arg(0)     // eta = 0.
+    ->Arg(100);  // eta = 0.001, Eq. 4.
+
+// A whole VISUAL frame repeated at one viewpoint: after the first frame the
+// search replays its memo and the frame is settled (VisualSystem keeps the
+// resident set instead of rerunning the delta loop), so this is the frame
+// cost a walkthrough pays while it stays in its cell.
+void BM_RenderFrameSameCell(benchmark::State& state) {
+  SearchFixture& fx = SearchFixture::Get();
+  VisualOptions opt = DefaultVisualOptions();
+  opt.eta = static_cast<double>(state.range(0)) / 100000.0;
+  opt.prefetch = prefetch::PrefetchMode::kOff;
+  opt.tree_cache_pages = 1024;
+  auto system =
+      VisualSystem::Create(&fx.scene, fx.grid.get(), fx.table.get(), opt);
+  if (!system.ok()) {
+    state.SkipWithError(system.status().ToString().c_str());
+    return;
+  }
+  const Vec3 center = fx.scene.bounds().Center();
+  const Viewpoint view{Vec3(center.x, center.y, 1.7), Vec3(1, 0, 0)};
+  FrameResult frame;
+  for (auto _ : state) {
+    if (!(*system)->RenderFrame(view, &frame).ok()) {
+      state.SkipWithError("render frame failed");
+      return;
+    }
+    benchmark::DoNotOptimize(frame.rendered_triangles);
+  }
+  state.counters["avg_result_items"] =
+      static_cast<double>((*system)->last_result().size());
+  state.counters["settled_ratio"] =
+      static_cast<double>((*system)->settled_frames()) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_RenderFrameSameCell)
     ->Arg(0)     // eta = 0.
     ->Arg(100);  // eta = 0.001, Eq. 4.
 

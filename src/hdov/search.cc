@@ -85,6 +85,7 @@ Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
                             std::vector<RetrievedLod>* result,
                             SearchStats* stats) {
   result->clear();
+  last_generation_ = 0;
   const bool memoize = options.trace == nullptr;
   if (memoize) {
     if (MemoMatches(*store, cell, options)) {
@@ -124,6 +125,7 @@ Status HdovSearcher::Search(VisibilityStore* store, CellId cell,
     memo_.result = *result;
     memo_.stats = local_stats;
     memo_.valid = true;
+    last_generation_ = ++generations_;
   }
   return status;
 }
@@ -150,6 +152,7 @@ Status HdovSearcher::Replay(VisibilityStore* store,
     *stats = memo_.stats;
   }
   memo_.valid = true;
+  last_generation_ = generations_;
   return Status::OK();
 }
 

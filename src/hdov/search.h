@@ -123,6 +123,12 @@ void PrioritizeRetrieval(const Frustum& frustum, const HdovTree& tree,
 // A traced search (options.trace set) always runs in full and leaves the
 // memo as it was. A failed search or replay leaves no memo, and
 // set_tree_cache drops it.
+//
+// Each stored memo gets a new generation (never 0, never reused by this
+// searcher). last_generation() names the memo the last Search stored or
+// replayed, so two searches that report the same generation returned the
+// same result. A caller that derived state from one result may keep it
+// while the generation holds; VisualSystem's settled frames do.
 class HdovSearcher {
  public:
   // `tree_device` is billed one page read per visited node (pass nullptr
@@ -148,6 +154,10 @@ class HdovSearcher {
 
   // Drops the memo, so the next search runs in full.
   void ForgetLastSearch() { memo_.valid = false; }
+
+  // The generation of the memo the last Search stored or replayed; 0
+  // after a traced or failed search (and before the first).
+  uint64_t last_generation() const { return last_generation_; }
 
  private:
   // The key and outcome of the last untraced, successful search.
@@ -191,6 +201,9 @@ class HdovSearcher {
   // (it is still in the transfer buffer).
   PageId last_node_page_ = kInvalidPage;
   Memo memo_;
+  // Memos stored so far; the valid memo is always the latest of them.
+  uint64_t generations_ = 0;
+  uint64_t last_generation_ = 0;
 };
 
 }  // namespace hdov

@@ -28,6 +28,14 @@ std::string Errno(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
 }
 
+// Where a page lands when the caller gives no buffer of its own.
+// Concurrent readers must not share scratch space, so it is per thread;
+// once it has grown to a page, reads through it allocate nothing.
+std::string& ThreadPageBuffer() {
+  thread_local std::string buffer;
+  return buffer;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -364,8 +372,8 @@ Status FilePageDevice::ReadView(PageId page, std::string* scratch,
     }
     return Status::OK();
   }
-  std::string local;
-  std::string* buffer = scratch != nullptr ? scratch : &local;
+  // A bill-only read still reads and checks the page.
+  std::string* buffer = scratch != nullptr ? scratch : &ThreadPageBuffer();
   HDOV_RETURN_IF_ERROR(FetchPage(page, buffer));
   if (bytes != nullptr) {
     *bytes = *buffer;
@@ -406,11 +414,10 @@ Status FilePageDevice::ReadRaw(PageId page, std::string* out) const {
     out->assign(page_size(), '\0');
     return Status::OK();
   }
-  // Concurrent readers must not share scratch space, so the page lands in
-  // a per-thread buffer first: `out` is assigned only after the checksum
-  // verifies, and the copy reuses its storage, so a caller passing the
-  // same string page after page allocates nothing.
-  thread_local std::string buffer;
+  // The page lands in the per-thread buffer first: `out` is assigned only
+  // after the checksum verifies, and the copy reuses its storage, so a
+  // caller passing the same string page after page allocates nothing.
+  std::string& buffer = ThreadPageBuffer();
   HDOV_RETURN_IF_ERROR(FetchPage(page, &buffer));
   out->assign(buffer);
   return Status::OK();

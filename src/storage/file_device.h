@@ -123,7 +123,8 @@ class FilePageDevice : public PageDevice {
   PageId AllocateUnmaterialized(uint64_t count) override;
   Status Write(PageId page, std::string_view data) override;
   // Fills `scratch` with the page and publishes the view only after its
-  // CRC32C matches. A null `bytes` still reads and checks the page.
+  // CRC32C matches. A null `bytes` still reads and checks the page (into
+  // a per-thread buffer when `scratch` is null too).
   Status ReadView(PageId page, std::string* scratch,
                   std::string_view* bytes) override;
   Status ReadRun(PageId first, uint64_t count,

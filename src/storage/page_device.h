@@ -111,8 +111,11 @@ class PageDevice {
   // device: no copy) or in `*scratch`, which the device fills. The view
   // is valid until the next read into the same `scratch`, or until a
   // write, allocation or restore of this device. On error `*bytes` is left
-  // as it was and `*scratch` holds unspecified bytes. A null `bytes` bills
-  // the read only; `scratch` may then be null too.
+  // as it was and `*scratch` holds unspecified bytes. A null `bytes` asks
+  // for no data, and `scratch` may then be null too. What such a read
+  // does besides billing is the backend's: the in-memory device bills
+  // only, FilePageDevice still preads the page and checks its CRC32C, and
+  // SessionDevice touches neither the file nor the cache.
   virtual Status ReadView(PageId page, std::string* scratch,
                           std::string_view* bytes);
 

@@ -315,25 +315,40 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   uint64_t triangles = 0;
   {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
-    next_resident_.Clear();
-    for (const RetrievedLod& lod : last_result_) {
-      const uint64_t slot = ResidentSlot(lod);
-      ResidentEntry entry{lod.lod_level, lod.byte_size, lod.triangle_count};
-      const ResidentEntry* held = resident_.Find(slot);
-      const bool reusable =
-          delta_enabled_ && held != nullptr &&
-          held->lod_level <= lod.lod_level;  // Finer or equal resident.
-      if (reusable) {
-        entry = *held;  // Render the (possibly finer) resident copy.
-      } else {
-        HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
-        ++fetched;
+    const uint64_t generation = searcher_->last_generation();
+    if (delta_enabled_ && generation != 0 &&
+        generation == settled_generation_) {
+      // A settled frame: the loop would rerun on the very result whose
+      // last pass fetched nothing, against the set that pass left.
+      triangles = settled_triangles_;
+      ++settled_frames_;
+    } else {
+      settled_generation_ = 0;
+      next_resident_.Clear();
+      for (const RetrievedLod& lod : last_result_) {
+        const uint64_t slot = ResidentSlot(lod);
+        ResidentEntry entry{lod.lod_level, lod.byte_size,
+                            lod.triangle_count};
+        const ResidentEntry* held = resident_.Find(slot);
+        const bool reusable =
+            delta_enabled_ && held != nullptr &&
+            held->lod_level <= lod.lod_level;  // Finer or equal resident.
+        if (reusable) {
+          entry = *held;  // Render the (possibly finer) resident copy.
+        } else {
+          HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
+          ++fetched;
+        }
+        triangles += entry.triangle_count;
+        HDOV_RETURN_IF_ERROR(next_resident_.Put(slot, entry));
       }
-      triangles += entry.triangle_count;
-      HDOV_RETURN_IF_ERROR(next_resident_.Put(slot, entry));
+      resident_.swap(next_resident_);
+      if (delta_enabled_ && fetched == 0) {
+        settled_generation_ = generation;
+        settled_triangles_ = triangles;
+      }
     }
   }
-  resident_.swap(next_resident_);
 
   // Sync mode: on a frame that fetched nothing, load the next few
   // representations of the cell the walker looks into, on this frame's
@@ -380,9 +395,13 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
       }
     }
   }
+  const size_t result_owners = resident_.size();
   for (const ResidentSet::Item& item : prefetch_loaded_) {
     // Keep current-result entries as-is.
     HDOV_RETURN_IF_ERROR(resident_.Emplace(item.owner, item.entry));
+  }
+  if (resident_.size() != result_owners) {
+    settled_generation_ = 0;  // A pin joined: the set is not the loop's.
   }
 
   // Async pipeline: end-of-frame speculation toward the predicted next
@@ -415,6 +434,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
 
 void VisualSystem::ResetRuntime() {
   resident_.Clear();
+  settled_generation_ = 0;
   last_result_.clear();
   sync_plan_cell_ = kInvalidCell;  // The next plan resets list and cursor.
   prefetch_loaded_.Clear();

@@ -1,6 +1,16 @@
 // VisualSystem: the paper's VISUAL prototype — an HDoV-tree walkthrough
 // with threshold-tunable LoD retrieval and a delta search that skips
 // representations already resident from previous frames.
+//
+// Settled frames: inside one cell the searcher replays its memo (see
+// HdovSearcher), and the delta loop of such a frame would rerun on the
+// same result. When the loop last ran on that memo generation and fetched
+// nothing, every entry it wrote was the one already held, so a rerun
+// would fetch nothing, write the same set and sum the same triangles. The
+// frame then keeps the resident set and the triangle count as they are.
+// Results and billing are identical to running the loop; ResetRuntime, a
+// frame with delta search off, a traced or failed search, and a sync
+// prefetch pin that joins the set all end the settled state.
 
 #ifndef HDOV_WALKTHROUGH_VISUAL_SYSTEM_H_
 #define HDOV_WALKTHROUGH_VISUAL_SYSTEM_H_
@@ -163,6 +173,11 @@ class VisualSystem : public WalkthroughSystem {
   // next search runs in full; results and billing are the same either way.
   void ForgetLastSearch() { searcher_->ForgetLastSearch(); }
 
+  // The representations the last frame kept, and how many frames so far
+  // skipped the delta loop as settled (tests and benches read these).
+  const ResidentSet& resident_set() const { return resident_; }
+  uint64_t settled_frames() const { return settled_frames_; }
+
   // Runs a single visibility query (search only; optionally fetching the
   // models). Exposed for the query benchmarks (Figs. 7-9).
   Status Query(const Vec3& position, bool fetch_models,
@@ -242,6 +257,11 @@ class VisualSystem : public WalkthroughSystem {
   ResidentSet resident_;
   ResidentSet next_resident_;
   std::vector<RetrievedLod> last_result_;
+  // The memo generation whose delta loop last fetched nothing and left
+  // resident_ as it is now (0: none), and the triangles that loop summed.
+  uint64_t settled_generation_ = 0;
+  uint64_t settled_triangles_ = 0;
+  uint64_t settled_frames_ = 0;
   // Sync-mode prefetch plan: the cell being warmed (kInvalidCell until
   // its search succeeds), that cell's retrieval list, the budget cursor
   // into it, and the representations loaded ahead of the cell flip

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "hdov/search.h"
 #include "storage/buffer_pool.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "walkthrough/experiment_testbed.h"
 #include "walkthrough/visual_system.h"
@@ -135,11 +137,10 @@ TestbedOptions MemoWorld() {
 
 // A slow diagonal walk that stays several frames in each cell while its
 // gaze turns, so the sync plan's predicted cell changes now and then.
-std::vector<Viewpoint> MemoWalk(const Aabb& bounds) {
-  constexpr int kFrames = 40;
+std::vector<Viewpoint> MemoWalk(const Aabb& bounds, int frames = 40) {
   std::vector<Viewpoint> walk;
-  for (int f = 0; f < kFrames; ++f) {
-    const double t = 0.1 + 0.8 * static_cast<double>(f) / (kFrames - 1);
+  for (int f = 0; f < frames; ++f) {
+    const double t = 0.1 + 0.8 * static_cast<double>(f) / (frames - 1);
     const double angle = 0.2 * f;
     walk.push_back(
         Viewpoint{Vec3(bounds.min.x + t * (bounds.max.x - bounds.min.x),
@@ -250,6 +251,112 @@ TEST(SearchMemoTest, ReplayedWalksMatchFullSearches) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// The kept resident set, item by item in owner order.
+void AddResidentSet(Facts* facts, const ResidentSet& set) {
+  std::vector<ResidentSet::Item> items(set.begin(), set.end());
+  std::sort(items.begin(), items.end(),
+            [](const ResidentSet::Item& a, const ResidentSet::Item& b) {
+              return a.owner < b.owner;
+            });
+  facts->emplace_back("resident.size", items.size());
+  facts->emplace_back("resident.bytes", set.bytes());
+  for (const ResidentSet::Item& item : items) {
+    const std::string at = "resident[" + std::to_string(item.owner) + "].";
+    facts->emplace_back(at + "lod_level", item.entry.lod_level);
+    facts->emplace_back(at + "byte_size", item.entry.byte_size);
+    facts->emplace_back(at + "triangle_count", item.entry.triangle_count);
+  }
+}
+
+TEST(SearchMemoTest, SettledFramesMatchFullFrames) {
+  // A frame whose search replays the memo its last delta loop ran on, and
+  // fetched nothing with, keeps the resident set instead of rerunning the
+  // loop. One system settles; the other forgets its memo before every
+  // frame, so it never does. Mid-walk both reset their runtime, turn delta
+  // search off and on again, and trace a few frames; every frame must
+  // leave the same facts and the same resident set, item by item.
+  Result<Testbed> bed = BuildTestbed(MemoWorld());
+  ASSERT_TRUE(bed.ok()) << bed.status().ToString();
+  const std::vector<Viewpoint> walk = MemoWalk(bed->scene.bounds(), 120);
+  const StorageScheme schemes[] = {StorageScheme::kHorizontal,
+                                   StorageScheme::kIndexedVertical};
+  const prefetch::PrefetchMode prefetches[] = {prefetch::PrefetchMode::kOff,
+                                               prefetch::PrefetchMode::kSync,
+                                               prefetch::PrefetchMode::kAsync};
+  for (StorageScheme scheme : schemes) {
+    for (double eta : {0.0, 0.001}) {
+      for (prefetch::PrefetchMode mode : prefetches) {
+        SCOPED_TRACE(testing::Message()
+                     << StorageSchemeName(scheme) << " eta " << eta
+                     << " prefetch " << static_cast<int>(mode));
+        VisualOptions opt = DefaultVisualOptions();
+        opt.scheme = scheme;
+        opt.eta = eta;
+        opt.prefetch = mode;
+        opt.prefetch_workers = 1;
+        opt.tree_cache_pages = 2;
+        // Declared first: a system detaches from its telemetry when it
+        // is destroyed.
+        telemetry::Telemetry settled_tel;
+        telemetry::Telemetry full_tel;
+        auto settled =
+            VisualSystem::Create(&bed->scene, &bed->grid, &bed->table, opt);
+        ASSERT_TRUE(settled.ok()) << settled.status().ToString();
+        auto full =
+            VisualSystem::Create(&bed->scene, &bed->grid, &bed->table, opt);
+        ASSERT_TRUE(full.ok()) << full.status().ToString();
+        (*settled)->AttachTelemetry(&settled_tel, "settled");
+        (*full)->AttachTelemetry(&full_tel, "full");
+        // Background warms record on their own threads, at their own
+        // pace, so an async walk compares everything but the events.
+        const bool compare_events = mode != prefetch::PrefetchMode::kAsync;
+        for (size_t f = 0; f < walk.size(); ++f) {
+          SCOPED_TRACE(testing::Message() << "frame " << f);
+          if (f == 30) {
+            (*settled)->ResetRuntime();
+            (*full)->ResetRuntime();
+          }
+          if (f == 50 || f == 54) {
+            (*settled)->set_delta_enabled(f == 54);
+            (*full)->set_delta_enabled(f == 54);
+          }
+          // Traced: frames that enter a new cell, and a few that stay.
+          const bool traced =
+              (f >= 60 && f < 100 &&
+               bed->grid.ClampedCellForPoint(walk[f].position) !=
+                   bed->grid.ClampedCellForPoint(walk[f - 1].position)) ||
+              f == 70 || f == 71 || f == 90;
+          settled_tel.tracer().set_enabled(traced);
+          full_tel.tracer().set_enabled(traced);
+          TakeFlightEvents();
+          FrameResult settled_frame;
+          ASSERT_TRUE((*settled)->RenderFrame(walk[f], &settled_frame).ok());
+          std::vector<FlightEvent> events = TakeFlightEvents();
+          Facts got = FrameFacts(**settled, settled_frame,
+                                 compare_events ? events : decltype(events){});
+          AddResidentSet(&got, (*settled)->resident_set());
+          (*full)->ForgetLastSearch();
+          FrameResult full_frame;
+          ASSERT_TRUE((*full)->RenderFrame(walk[f], &full_frame).ok());
+          events = TakeFlightEvents();
+          Facts want = FrameFacts(**full, full_frame,
+                                  compare_events ? events : decltype(events){});
+          AddResidentSet(&want, (*full)->resident_set());
+          ExpectSameFacts(got, want);
+          if (HasFailure()) {
+            return;
+          }
+        }
+        EXPECT_EQ((*full)->settled_frames(), 0u);
+        // A sync pin outside the frame's result ends the settled state, so
+        // a sync walk settles only where its pins are all in the result.
+        EXPECT_GE((*settled)->settled_frames(),
+                  mode == prefetch::PrefetchMode::kSync ? 1 : walk.size() / 2);
       }
     }
   }
