@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/coding.h"
+#include "common/crc32c.h"
 #include "hdov/builder.h"
 #include "hdov/hdov_tree.h"
 #include "hdov/horizontal_store.h"
@@ -400,6 +401,80 @@ TEST_F(HdovFixture, FlippedVPageByteIsCorruptionOnEveryRead) {
   expect_intact();
   EXPECT_EQ((*device)->stats().page_reads, reads + 1);
   std::remove(path.c_str());
+}
+
+// Pins each scheme's bytes and billing: the CRC32C of its EncodeMeta bytes
+// and of its device image, its size, its device IoStats and its counters
+// after a fixed sweep that rotates over the cells (each flipped twice in a
+// row, the second free) and reads every node's V-page. Any change to how a
+// store lays out, loads or reads its V-pages must keep these values.
+TEST_P(StoreSchemes, LayoutAndBillingArePinned) {
+  struct Pin {
+    uint32_t meta_crc;
+    uint32_t image_crc;
+    uint64_t size_bytes;
+    uint64_t page_reads, page_writes, seeks, bytes_read, bytes_written;
+    uint64_t vpage_fetches, invisible_lookups, cell_flips;
+  };
+  static const std::map<StorageScheme, Pin> kPins = {
+      {StorageScheme::kHorizontal,
+       {3300884268u, 1822610413u, 16384, 120, 4, 33, 491520, 16384,
+        384, 168, 32}},
+      {StorageScheme::kVertical,
+       {2996013201u, 966149040u, 12288, 66, 3, 50, 270336, 12288,
+        216, 168, 32}},
+      {StorageScheme::kIndexedVertical,
+       {3658151891u, 3223687596u, 12288, 66, 3, 50, 270336, 12288,
+        216, 168, 32}},
+      {StorageScheme::kBitmapVertical,
+       {4278653534u, 383044681u, 12288, 66, 3, 50, 270336, 12288,
+        216, 168, 32}},
+  };
+  PageDevice device;
+  auto store = BuildStore(GetParam(), *tree_, *table_, &device);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::string meta;
+  (*store)->EncodeMeta(&meta);
+  std::vector<std::string> pages;
+  ASSERT_TRUE(device.ExportContents(&pages).ok());
+  uint32_t image_crc = 0;
+  for (const std::string& page : pages) {
+    image_crc = Crc32cExtend(image_crc, page.data(), page.size());
+  }
+
+  const uint32_t cells = table_->num_cells();
+  for (uint32_t i = 0; i < 2 * cells; ++i) {
+    const CellId cell = (i * 5 + 1) % cells;
+    ASSERT_TRUE((*store)->BeginCell(cell).ok());
+    ASSERT_TRUE((*store)->BeginCell(cell).ok());
+    for (uint32_t n = 0; n < tree_->num_nodes(); ++n) {
+      VPage page;
+      bool visible = false;
+      ASSERT_TRUE((*store)->GetVPage(n, &page, &visible).ok());
+    }
+  }
+  const IoStats& io = device.stats();
+  const VisibilityStoreStats& st = (*store)->telemetry_stats();
+  const Pin got = {Crc32c(meta),       image_crc,
+                   (*store)->SizeBytes(), io.page_reads,
+                   io.page_writes,     io.seeks,
+                   io.bytes_read,      io.bytes_written,
+                   st.vpage_fetches,   st.invisible_lookups,
+                   st.cell_flips};
+  const Pin& want = kPins.at(GetParam());
+  const auto fields = [](const Pin& p) {
+    return std::vector<uint64_t>{p.meta_crc,      p.image_crc,
+                                 p.size_bytes,    p.page_reads,
+                                 p.page_writes,   p.seeks,
+                                 p.bytes_read,    p.bytes_written,
+                                 p.vpage_fetches, p.invisible_lookups,
+                                 p.cell_flips};
+  };
+  std::string line;
+  for (uint64_t v : fields(got)) {
+    line += (line.empty() ? "" : ", ") + std::to_string(v);
+  }
+  EXPECT_EQ(fields(got), fields(want)) << "got {" << line << "}";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StoreSchemes,
