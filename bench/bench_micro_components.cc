@@ -517,6 +517,39 @@ BENCHMARK(BM_HdovSearchSameCell)
     ->Arg(0)     // eta = 0.
     ->Arg(100);  // eta = 0.001, Eq. 4.
 
+// A query's store work over rotating cells, per storage scheme (arg =
+// StorageScheme): BeginCell flips to the next cell, which for the
+// clustered schemes reads its V-page-index segment and decodes it into the
+// node -> slot table, then every node's V-page is looked up (one table
+// read, plus a record read when the node is visible).
+void BM_StoreCellSweep(benchmark::State& state) {
+  SearchFixture& fx = SearchFixture::Get();
+  PageDevice device;
+  auto store = BuildStore(static_cast<StorageScheme>(state.range(0)),
+                          *fx.tree, *fx.table, &device);
+  if (!store.ok()) {
+    state.SkipWithError(store.status().ToString().c_str());
+    return;
+  }
+  const auto nodes = static_cast<uint32_t>(fx.tree->num_nodes());
+  CellId cell = 0;
+  VPage page;
+  bool visible = false;
+  for (auto _ : state) {
+    cell = (cell + 1) % fx.grid->num_cells();
+    if (!(*store)->BeginCell(cell).ok()) {
+      state.SkipWithError("begin cell failed");
+      return;
+    }
+    for (uint32_t node = 0; node < nodes; ++node) {
+      benchmark::DoNotOptimize((*store)->GetVPage(node, &page, &visible));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+  state.SetLabel(std::string((*store)->name()));
+}
+BENCHMARK(BM_StoreCellSweep)->DenseRange(0, 3);
+
 // A whole VISUAL frame repeated at one viewpoint: after the first frame the
 // search replays its memo and the frame is settled (VisualSystem keeps the
 // resident set instead of rerunning the delta loop), so this is the frame

@@ -4,9 +4,7 @@
 #include <cmath>
 
 #include "common/thread_pool.h"
-#include "hdov/bitmap_vertical_store.h"
 #include "hdov/horizontal_store.h"
-#include "hdov/indexed_vertical_store.h"
 #include "hdov/vertical_store.h"
 
 namespace hdov {
@@ -246,62 +244,55 @@ std::string StorageSchemeName(StorageScheme scheme) {
   return "unknown";
 }
 
+namespace {
+
+// The clustered schemes are one store that differs in its index segment.
+Result<VerticalStore::Segment> ClusteredSegment(StorageScheme scheme) {
+  switch (scheme) {
+    case StorageScheme::kVertical:
+      return VerticalStore::Segment::kPointers;
+    case StorageScheme::kIndexedVertical:
+      return VerticalStore::Segment::kPairs;
+    case StorageScheme::kBitmapVertical:
+      return VerticalStore::Segment::kBitmap;
+    case StorageScheme::kHorizontal:
+      break;
+  }
+  return Status::InvalidArgument("unknown storage scheme");
+}
+
+}  // namespace
+
 Result<std::unique_ptr<VisibilityStore>> BuildStore(
     StorageScheme scheme, const HdovTree& tree, const VisibilityTable& table,
     PageDevice* device, uint32_t threads) {
   std::vector<CellVPageSet> cells = ComputeAllCellVPages(tree, table, threads);
-  switch (scheme) {
-    case StorageScheme::kHorizontal: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            HorizontalStore::Build(tree, cells, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
-    case StorageScheme::kVertical: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            VerticalStore::Build(tree, cells, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
-    case StorageScheme::kIndexedVertical: {
-      HDOV_ASSIGN_OR_RETURN(
-          auto store, IndexedVerticalStore::Build(tree, cells, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
-    case StorageScheme::kBitmapVertical: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            BitmapVerticalStore::Build(tree, cells, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
+  if (scheme == StorageScheme::kHorizontal) {
+    HDOV_ASSIGN_OR_RETURN(auto store,
+                          HorizontalStore::Build(tree, cells, device));
+    return std::unique_ptr<VisibilityStore>(std::move(store));
   }
-  return Status::InvalidArgument("unknown storage scheme");
+  HDOV_ASSIGN_OR_RETURN(VerticalStore::Segment segment,
+                        ClusteredSegment(scheme));
+  HDOV_ASSIGN_OR_RETURN(auto store,
+                        VerticalStore::Build(segment, tree, cells, device));
+  return std::unique_ptr<VisibilityStore>(std::move(store));
 }
 
 Result<std::unique_ptr<VisibilityStore>> LoadStore(StorageScheme scheme,
                                                    const HdovTree& tree,
                                                    std::string_view meta,
                                                    PageDevice* device) {
-  switch (scheme) {
-    case StorageScheme::kHorizontal: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            HorizontalStore::Load(tree, meta, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
-    case StorageScheme::kVertical: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            VerticalStore::Load(tree, meta, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
-    case StorageScheme::kIndexedVertical: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            IndexedVerticalStore::Load(tree, meta, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
-    case StorageScheme::kBitmapVertical: {
-      HDOV_ASSIGN_OR_RETURN(auto store,
-                            BitmapVerticalStore::Load(tree, meta, device));
-      return std::unique_ptr<VisibilityStore>(std::move(store));
-    }
+  if (scheme == StorageScheme::kHorizontal) {
+    HDOV_ASSIGN_OR_RETURN(auto store,
+                          HorizontalStore::Load(tree, meta, device));
+    return std::unique_ptr<VisibilityStore>(std::move(store));
   }
-  return Status::InvalidArgument("unknown storage scheme");
+  HDOV_ASSIGN_OR_RETURN(VerticalStore::Segment segment,
+                        ClusteredSegment(scheme));
+  HDOV_ASSIGN_OR_RETURN(auto store,
+                        VerticalStore::Load(segment, tree, meta, device));
+  return std::unique_ptr<VisibilityStore>(std::move(store));
 }
 
 }  // namespace hdov

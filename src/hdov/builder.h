@@ -84,7 +84,7 @@ enum class StorageScheme : uint8_t {
   kVertical = 1,
   kIndexedVertical = 2,
   // Extension (not in the paper): per-cell visibility bitmaps with rank
-  // addressing instead of explicit pointers; see bitmap_vertical_store.h.
+  // addressing instead of explicit pointers; see vertical_store.h.
   kBitmapVertical = 3,
 };
 

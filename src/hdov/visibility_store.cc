@@ -78,6 +78,11 @@ Status VPageFile::RestoreMeta(Decoder* decoder) {
   uint64_t page_count = 0;
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&records));
   HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&page_count));
+  // Each page id is 8 bytes: check the count against what is left before
+  // sizing anything from it.
+  if (page_count > decoder->remaining() / sizeof(PageId)) {
+    return Status::Corruption("vpage file: page count past meta end");
+  }
   std::vector<PageId> pages(page_count);
   for (PageId& page : pages) {
     HDOV_RETURN_IF_ERROR(decoder->DecodeFixed64(&page));
@@ -85,8 +90,9 @@ Status VPageFile::RestoreMeta(Decoder* decoder) {
       return Status::Corruption("vpage file: page id past device end");
     }
   }
-  const uint64_t needed =
-      (records + records_per_page_ - 1) / records_per_page_;
+  // Rounded up without `records + records_per_page_ - 1`, which wraps.
+  const uint64_t needed = records / records_per_page_ +
+                          (records % records_per_page_ != 0 ? 1 : 0);
   if (needed != page_count) {
     return Status::Corruption("vpage file: record/page count mismatch");
   }

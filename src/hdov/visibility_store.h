@@ -1,5 +1,8 @@
-// VisibilityStore: the interface behind the paper's three storage schemes
-// for view-variant V-pages (§4): horizontal, vertical, indexed-vertical.
+// VisibilityStore: the interface behind the storage schemes for
+// view-variant V-pages (§4). There are four schemes in two classes:
+// HorizontalStore (horizontal_store.h) and the clustered VerticalStore
+// (vertical_store.h), whose vertical, indexed-vertical and (our extension)
+// bitmap-vertical schemes differ only in their V-page-index segment.
 //
 // Usage at query time:
 //   store->BeginCell(cell);             // "flips" the cell context

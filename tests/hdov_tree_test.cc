@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -330,6 +331,74 @@ TEST_P(StoreSchemes, RequiresBeginCell) {
   EXPECT_EQ((*store)->GetVPage(0, &page, &visible).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_FALSE((*store)->BeginCell(table_->num_cells() + 5).ok());
+  // A node past the tree is out of range in every scheme, not invisible.
+  ASSERT_TRUE((*store)->BeginCell(0).ok());
+  for (uint32_t node : {static_cast<uint32_t>(tree_->num_nodes()),
+                        std::numeric_limits<uint32_t>::max()}) {
+    EXPECT_EQ((*store)->GetVPage(node, &page, &visible).code(),
+              StatusCode::kOutOfRange)
+        << "node " << node;
+  }
+}
+
+// Store metadata is untrusted input: a count claiming more entries than
+// the meta holds, or a meta cut short anywhere, is Corruption before
+// anything is sized from it.
+TEST_P(StoreSchemes, CorruptMetaIsCorruption) {
+  PageDevice device;
+  auto store = BuildStore(GetParam(), *tree_, *table_, &device);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::string meta;
+  (*store)->EncodeMeta(&meta);
+  ASSERT_TRUE(LoadStore(GetParam(), *tree_, meta, &device).ok());
+  const auto expect_corruption = [&](std::string_view bad,
+                                     const std::string& what) {
+    Status status;
+    EXPECT_NO_THROW(
+        status = LoadStore(GetParam(), *tree_, bad, &device).status())
+        << what;
+    EXPECT_TRUE(status.IsCorruption()) << what << ": " << status.ToString();
+  };
+  const auto fixed64_at = [&](size_t offset) {
+    uint64_t value = 0;
+    Decoder decoder(std::string_view(meta).substr(offset));
+    EXPECT_TRUE(decoder.DecodeFixed64(&value).ok());
+    return value;
+  };
+
+  // The V-page file's meta ends the store's: its page count, then one id
+  // per page. Its pages are the device's, less the index extent's (whose
+  // page count follows its first page at the meta's start).
+  const bool horizontal = GetParam() == StorageScheme::kHorizontal;
+  const uint64_t vpage_pages =
+      device.page_count() - (horizontal ? 0 : fixed64_at(8));
+  std::vector<size_t> count_offsets = {meta.size() - 8 * vpage_pages - 8};
+  ASSERT_EQ(fixed64_at(count_offsets[0]), vpage_pages);
+  if (GetParam() == StorageScheme::kIndexedVertical ||
+      GetParam() == StorageScheme::kBitmapVertical) {
+    // The per-cell directory or base-slot count follows the index extent.
+    count_offsets.push_back(24);
+    ASSERT_EQ(fixed64_at(24), table_->num_cells());
+  }
+  for (size_t offset : count_offsets) {
+    std::string inflated = meta;
+    std::string count;
+    EncodeFixed64(&count, uint64_t{1} << 62);
+    inflated.replace(offset, count.size(), count);
+    expect_corruption(inflated, "count at " + std::to_string(offset));
+  }
+  {
+    // A record count whose page count wraps to zero: the V-page file's
+    // meta claims 2^64 - 1 records in no pages.
+    std::string wrapped = meta.substr(0, count_offsets[0] - 8);
+    EncodeFixed64(&wrapped, ~uint64_t{0});
+    EncodeFixed64(&wrapped, 0);
+    expect_corruption(wrapped, "record count 2^64 - 1 in no pages");
+  }
+  for (size_t length = 0; length < meta.size(); ++length) {
+    expect_corruption(std::string_view(meta).substr(0, length),
+                      "truncated to " + std::to_string(length));
+  }
 }
 
 // A V-page page with one flipped byte on a file-backed store: every read

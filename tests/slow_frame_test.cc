@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <latch>
 #include <map>
 #include <random>
 #include <string>
@@ -455,6 +456,10 @@ TEST(SlowFrameTest, WindowMatchesFilteredDrain) {
   const uint16_t code = FlightInternName("slowtest-window-pool");
   FlightRecorder& recorder = GlobalFlightRecorder();
   const size_t counts[] = {recorder.events_per_thread() + 5000, 3000, 3000};
+  // Each thread attaches its ring (first event) before any records on.
+  // Otherwise a short thread can exit before the lapping one starts and
+  // hand it its ring, whose events the lapping thread then overwrites.
+  std::latch attached(3);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
@@ -464,6 +469,9 @@ TEST(SlowFrameTest, WindowMatchesFilteredDrain) {
         recorder.Record(i % 2 == 0 ? FlightEventType::kPoolHit
                                    : FlightEventType::kPoolMiss,
                         code, i, t);
+        if (i == 0) {
+          attached.arrive_and_wait();
+        }
       }
     });
   }
