@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.h"
 #include "rtree/rtree.h"
@@ -25,7 +26,8 @@
 namespace hdov::bench {
 namespace {
 
-void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
+Status AblationSplitStrategies(const Testbed& bed,
+                               TelemetryScope* telemetry) {
   std::printf("--- A. R-tree construction strategies ---\n");
   SeriesTable table(telemetry->report(), "ablation.rtree_construction",
                     "strategy", 22,
@@ -38,51 +40,49 @@ void AblationSplitStrategies(const Testbed& bed, TelemetryScope* telemetry) {
   }
   std::vector<Vec3> probes = RandomViewpoints(bed.scene.bounds(), 200, 5);
 
-  auto evaluate = [&](const char* name, const RTree& tree) {
+  auto evaluate = [&](const char* name, const RTree& tree) -> Status {
     PageDevice device;
-    Result<PackedRTree> packed = PackedRTree::Pack(tree, &device);
-    if (!packed.ok()) {
-      return;
-    }
+    HDOV_ASSIGN_OR_RETURN(PackedRTree packed,
+                          PackedRTree::Pack(tree, &device));
     device.ResetStats();
     std::vector<uint64_t> ids;
     for (const Vec3& p : probes) {
       Aabb window(Vec3(p.x - 200, p.y - 200, bed.scene.bounds().min.z),
                   Vec3(p.x + 200, p.y + 200, bed.scene.bounds().max.z));
-      (void)packed->WindowQuery(window, &ids);
+      HDOV_RETURN_IF_ERROR(packed.WindowQuery(window, &ids));
     }
     table.Row(name, {static_cast<double>(tree.num_nodes()),
                      static_cast<double>(device.stats().page_reads) /
                          probes.size()});
+    return Status::OK();
   };
 
-  auto insert_build = [&](const char* name, SplitAlgorithm split) {
+  auto insert_build = [&](const char* name, SplitAlgorithm split) -> Status {
     RTreeOptions opt;
     opt.max_entries = 16;
     opt.min_entries = 6;
     opt.split = split;
     RTree tree(opt);
     for (const auto& [mbr, id] : entries) {
-      (void)tree.Insert(mbr, id);
+      HDOV_RETURN_IF_ERROR(tree.Insert(mbr, id));
     }
-    evaluate(name, tree);
+    return evaluate(name, tree);
   };
-  insert_build("insert + Ang-Tan", SplitAlgorithm::kAngTanLinear);
-  insert_build("insert + quadratic", SplitAlgorithm::kQuadratic);
-  {
-    RTreeOptions opt;
-    opt.max_entries = 16;
-    opt.min_entries = 6;
-    Result<RTree> tree = RTree::BulkLoad(entries, opt);
-    if (tree.ok()) {
-      evaluate("STR bulk load", *tree);
-    }
-  }
+  HDOV_RETURN_IF_ERROR(
+      insert_build("insert + Ang-Tan", SplitAlgorithm::kAngTanLinear));
+  HDOV_RETURN_IF_ERROR(
+      insert_build("insert + quadratic", SplitAlgorithm::kQuadratic));
+  RTreeOptions opt;
+  opt.max_entries = 16;
+  opt.min_entries = 6;
+  HDOV_ASSIGN_OR_RETURN(RTree tree, RTree::BulkLoad(entries, opt));
+  HDOV_RETURN_IF_ERROR(evaluate("STR bulk load", tree));
   std::printf("\n");
+  return Status::OK();
 }
 
-void AblationTerminationHeuristics(const Testbed& bed,
-                                   TelemetryScope* telemetry) {
+Status AblationTerminationHeuristics(const Testbed& bed,
+                                     TelemetryScope* telemetry) {
   std::printf("--- B. termination heuristics (per query, eta sweep) ---\n");
   SeriesTable table(telemetry->report(), "ablation.termination", "eta", 8,
                     {SeriesTable::Col{"Eq.4 tris", 12, 0},
@@ -95,30 +95,27 @@ void AblationTerminationHeuristics(const Testbed& bed,
   std::vector<Vec3> probes = RandomViewpoints(bed.scene.bounds(), 500, 11);
   VisualOptions vopt = DefaultVisualOptions();
   vopt.prefetch = prefetch::PrefetchMode::kOff;
-  Result<std::unique_ptr<VisualSystem>> visual =
-      MakeVisualSystem(bed, vopt);
-  if (!visual.ok()) {
-    return;
-  }
-  telemetry->Attach(visual->get(), "ablation.termination");
+  HDOV_ASSIGN_OR_RETURN(std::unique_ptr<VisualSystem> visual,
+                        MakeVisualSystem(bed, vopt));
+  telemetry->Attach(visual.get(), "ablation.termination");
   for (double eta : {0.001, 0.004, 0.016}) {
     std::vector<double> values;
     for (TerminationHeuristic heuristic :
          {TerminationHeuristic::kEq4, TerminationHeuristic::kNone,
           TerminationHeuristic::kCostModel}) {
-      (*visual)->set_eta(eta);
-      (*visual)->ResetIoStats();
+      visual->set_eta(eta);
+      visual->ResetIoStats();
       uint64_t triangles = 0;
       std::vector<RetrievedLod> result;
       for (const Vec3& p : probes) {
-        (void)(*visual)->QueryWithHeuristic(p, heuristic, &result);
+        HDOV_RETURN_IF_ERROR(visual->QueryWithHeuristic(p, heuristic, &result));
         for (const RetrievedLod& lod : result) {
           triangles += lod.triangle_count;
         }
       }
       values.push_back(static_cast<double>(triangles) / probes.size());
       values.push_back(
-          static_cast<double>((*visual)->TotalIoStats().page_reads) /
+          static_cast<double>(visual->TotalIoStats().page_reads) /
           probes.size());
     }
     char label[32];
@@ -127,10 +124,11 @@ void AblationTerminationHeuristics(const Testbed& bed,
                       values[5]});
   }
   std::printf("\n");
+  return Status::OK();
 }
 
-void AblationDeltaAndPrefetch(const Testbed& bed,
-                              TelemetryScope* telemetry) {
+Status AblationDeltaAndPrefetch(const Testbed& bed,
+                                TelemetryScope* telemetry) {
   std::printf("--- C. delta search and prefetching ---\n");
   SeriesTable table(telemetry->report(), "ablation.delta_prefetch",
                     "configuration", 24,
@@ -154,36 +152,32 @@ void AblationDeltaAndPrefetch(const Testbed& bed,
     vopt.prefetch = config.prefetch > 0 ? prefetch::PrefetchMode::kSync
                                         : prefetch::PrefetchMode::kOff;
     vopt.prefetch_models_per_frame = config.prefetch;
-    Result<std::unique_ptr<VisualSystem>> visual =
-        MakeVisualSystem(bed, vopt);
-    if (!visual.ok()) {
-      return;
-    }
+    HDOV_ASSIGN_OR_RETURN(std::unique_ptr<VisualSystem> visual,
+                          MakeVisualSystem(bed, vopt));
     // Loop-scoped system: its registry views vanish with it, but the frame
-    // records it emits stay in the snapshot.
-    telemetry->Attach(visual->get(),
+    // records it emits stay in the run's Telemetry.
+    telemetry->Attach(visual.get(),
                       std::string("ablation.prefetch_") +
                           std::to_string(config.prefetch) +
                           (config.delta ? ".delta" : ".nodelta"));
-    (*visual)->set_delta_enabled(config.delta);
+    visual->set_delta_enabled(config.delta);
     PlayOptions popt;
     popt.keep_frames = true;
-    Result<SessionSummary> summary =
-        PlaySession(visual->get(), session, popt);
-    if (!summary.ok()) {
-      return;
-    }
+    HDOV_ASSIGN_OR_RETURN(SessionSummary summary,
+                          PlaySession(visual.get(), session, popt));
     double worst = 0.0;
-    for (size_t i = 1; i < summary->frames.size(); ++i) {
-      worst = std::max(worst, summary->frames[i].frame_time_ms);
+    for (size_t i = 1; i < summary.frames.size(); ++i) {
+      worst = std::max(worst, summary.frames[i].frame_time_ms);
     }
     table.Row(config.name,
-              {summary->avg_frame_time_ms, summary->var_frame_time, worst});
+              {summary.avg_frame_time_ms, summary.var_frame_time, worst});
   }
   std::printf("\n");
+  return Status::OK();
 }
 
-void AblationPrefetchPipeline(const Testbed& bed, TelemetryScope* telemetry) {
+Status AblationPrefetchPipeline(const Testbed& bed,
+                                TelemetryScope* telemetry) {
   std::printf("--- E. async prefetch pipeline (per frame, by scheme) ---\n");
   std::printf("Frames consume pages the end-of-frame speculation already"
               " staged; 'stall pages'\nis what the frame still bills"
@@ -207,35 +201,31 @@ void AblationPrefetchPipeline(const Testbed& bed, TelemetryScope* telemetry) {
       VisualOptions vopt = DefaultVisualOptions();
       vopt.scheme = scheme;
       vopt.prefetch = mode;
-      Result<std::unique_ptr<VisualSystem>> visual =
-          MakeVisualSystem(bed, vopt);
-      if (!visual.ok()) {
-        return;
-      }
-      telemetry->Attach(visual->get(),
+      HDOV_ASSIGN_OR_RETURN(std::unique_ptr<VisualSystem> visual,
+                            MakeVisualSystem(bed, vopt));
+      telemetry->Attach(visual.get(),
                         std::string("ablation.pipeline.") +
                             StorageSchemeName(scheme) + "." +
                             prefetch::PrefetchModeName(mode));
-      Result<SessionSummary> summary = PlaySession(visual->get(), session);
-      if (!summary.ok()) {
-        return;
-      }
+      HDOV_ASSIGN_OR_RETURN(SessionSummary summary,
+                            PlaySession(visual.get(), session));
       prefetch::PrefetcherStats pstats;
-      if ((*visual)->prefetcher() != nullptr) {
-        pstats = (*visual)->prefetcher()->stats();
+      if (visual->prefetcher() != nullptr) {
+        pstats = visual->prefetcher()->stats();
       }
       table.Row(std::string(StorageSchemeName(scheme)) + "/" +
                     prefetch::PrefetchModeName(mode),
-                {summary->avg_io_pages, summary->avg_frame_time_ms,
+                {summary.avg_io_pages, summary.avg_frame_time_ms,
                  static_cast<double>(pstats.issued_pages),
                  static_cast<double>(pstats.used_pages),
                  pstats.WastedRatio()});
     }
   }
   std::printf("\n");
+  return Status::OK();
 }
 
-void AblationBaselinePanel(const Testbed& bed, TelemetryScope* telemetry) {
+Status AblationBaselinePanel(const Testbed& bed, TelemetryScope* telemetry) {
   std::printf("--- D. three-baseline panel (per session) ---\n");
   std::printf("LoD-R-tree is the related-work baseline the paper critiques"
               " in section 2:\nfast while the view holds steady, degrading"
@@ -247,25 +237,22 @@ void AblationBaselinePanel(const Testbed& bed, TelemetryScope* telemetry) {
 
   VisualOptions vopt = DefaultVisualOptions();
   vopt.eta = 0.001;
-  Result<std::unique_ptr<VisualSystem>> visual =
-      MakeVisualSystem(bed, vopt);
+  HDOV_ASSIGN_OR_RETURN(std::unique_ptr<VisualSystem> visual,
+                        MakeVisualSystem(bed, vopt));
   ReviewOptions ropt;
   ropt.query_box_size = 400.0;
   ropt.cache_distance = 600.0;
-  Result<std::unique_ptr<ReviewSystem>> review =
-      ReviewSystem::Create(&bed.scene, ropt);
+  HDOV_ASSIGN_OR_RETURN(std::unique_ptr<ReviewSystem> review,
+                        ReviewSystem::Create(&bed.scene, ropt));
   LodRTreeOptions lopt;
   lopt.frustum.far_dist = 400.0;
   lopt.rtree.max_entries = 16;
   lopt.rtree.min_entries = 6;
-  Result<std::unique_ptr<LodRTreeSystem>> lodr =
-      LodRTreeSystem::Create(&bed.scene, lopt);
-  if (!visual.ok() || !review.ok() || !lodr.ok()) {
-    return;
-  }
-  telemetry->Attach(visual->get(), "ablation.panel.visual");
-  telemetry->Attach(review->get(), "ablation.panel.review");
-  telemetry->Attach(lodr->get(), "ablation.panel.lodr");
+  HDOV_ASSIGN_OR_RETURN(std::unique_ptr<LodRTreeSystem> lodr,
+                        LodRTreeSystem::Create(&bed.scene, lopt));
+  telemetry->Attach(visual.get(), "ablation.panel.visual");
+  telemetry->Attach(review.get(), "ablation.panel.review");
+  telemetry->Attach(lodr.get(), "ablation.panel.lodr");
 
   SessionOptions sopt;
   sopt.num_frames = 300;
@@ -273,17 +260,16 @@ void AblationBaselinePanel(const Testbed& bed, TelemetryScope* telemetry) {
        {MotionPattern::kNormalWalk, MotionPattern::kTurnLeftRight}) {
     Session session = RecordSession(pattern, bed.scene.bounds(), sopt);
     for (WalkthroughSystem* system :
-         {static_cast<WalkthroughSystem*>(visual->get()),
-          static_cast<WalkthroughSystem*>(review->get()),
-          static_cast<WalkthroughSystem*>(lodr->get())}) {
-      Result<SessionSummary> summary = PlaySession(system, session);
-      if (!summary.ok()) {
-        return;
-      }
+         {static_cast<WalkthroughSystem*>(visual.get()),
+          static_cast<WalkthroughSystem*>(review.get()),
+          static_cast<WalkthroughSystem*>(lodr.get())}) {
+      HDOV_ASSIGN_OR_RETURN(SessionSummary summary,
+                            PlaySession(system, session));
       table.Row(session.name + "/" + system->name(),
-                {summary->avg_frame_time_ms, summary->avg_io_pages});
+                {summary.avg_frame_time_ms, summary.avg_io_pages});
     }
   }
+  return Status::OK();
 }
 
 int Run(const BenchArgs& args) {
@@ -292,12 +278,21 @@ int Run(const BenchArgs& args) {
                    "design-choice ablations (beyond the paper's figures)");
   Testbed bed = BuildTestbedOrDie(DefaultTestbedOptions());
   PrintTestbedSummary(bed);
-  AblationSplitStrategies(bed, &telemetry);
-  AblationTerminationHeuristics(bed, &telemetry);
-  AblationDeltaAndPrefetch(bed, &telemetry);
-  AblationPrefetchPipeline(bed, &telemetry);
-  AblationBaselinePanel(bed, &telemetry);
-  return telemetry.Write() ? 0 : 1;
+  // A failed section leaves its table short; the rest still run, and the
+  // bench exits 1.
+  bool ok = true;
+  for (const auto& [name, section] :
+       {std::pair{"A", &AblationSplitStrategies},
+        std::pair{"B", &AblationTerminationHeuristics},
+        std::pair{"C", &AblationDeltaAndPrefetch},
+        std::pair{"E", &AblationPrefetchPipeline},
+        std::pair{"D", &AblationBaselinePanel}}) {
+    if (Status s = section(bed, &telemetry); !s.ok()) {
+      std::fprintf(stderr, "ablation %s: %s\n", name, s.ToString().c_str());
+      ok = false;
+    }
+  }
+  return telemetry.Write() && ok ? 0 : 1;
 }
 
 }  // namespace

@@ -8,17 +8,15 @@
 // Flags every bench accepts (see ParseBenchArgs):
 //   --json-out=<path>       write a telemetry::BenchReport document
 //                           (figure rows, counters, env fingerprint);
-//   --telemetry-out=<path>  write the full telemetry snapshot;
 //   --flight-out=<path>     drain the always-on flight recorder, with
-//                           the run's slow-frame captures and sampled
-//                           spans, into one binary dump (see
+//                           the run's slow-frame captures, sampled spans
+//                           and frame records, into one binary dump (see
 //                           docs/telemetry.md; inspect with hdov_inspect
 //                           --flight, which also converts it to a Chrome
 //                           trace with --chrome-out);
 //   --trace-sample=N        record span trees for 1-in-N queries (0, the
 //                           default, records none); they ride in the
-//                           --flight-out dump and, as a tree, in the
-//                           --telemetry-out "trace" section;
+//                           --flight-out dump;
 //   --threads=N             precompute/build workers (0 = hardware);
 //   --db=<path>             load the testbed and every VISUAL system from
 //                           a tools/hdov_build snapshot instead of
@@ -89,7 +87,6 @@ inline uint32_t& BenchThreads() { return testbed::DefaultThreads(); }
 inline std::string& BenchDbPath() { return testbed::DefaultDbPath(); }
 
 struct BenchArgs {
-  std::string telemetry_out;  // Empty = full snapshot not written.
   std::string json_out;       // Empty = bench report not written.
   std::string flight_out;     // Empty = run dump not written.
   std::string db_path;        // Empty = build the world from scratch.
@@ -101,7 +98,6 @@ struct BenchArgs {
 // so a typo does not silently run without its effect.
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
-  constexpr const char kTelemetryOut[] = "--telemetry-out=";
   constexpr const char kJsonOut[] = "--json-out=";
   constexpr const char kTraceSample[] = "--trace-sample=";
   constexpr const char kFlightOut[] = "--flight-out=";
@@ -139,9 +135,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     return true;
   };
   for (int i = 1; i < argc; ++i) {
-    if (path_flag(argv[i], kTelemetryOut, sizeof(kTelemetryOut) - 1,
-                  &args.telemetry_out) ||
-        path_flag(argv[i], kJsonOut, sizeof(kJsonOut) - 1, &args.json_out) ||
+    if (path_flag(argv[i], kJsonOut, sizeof(kJsonOut) - 1, &args.json_out) ||
         path_flag(argv[i], kFlightOut, sizeof(kFlightOut) - 1,
                   &args.flight_out) ||
         path_flag(argv[i], kDb, sizeof(kDb) - 1, &args.db_path) ||
@@ -152,10 +146,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
       continue;
     }
     std::fprintf(stderr,
-                 "unknown flag %s (supported: %s<path>, %s<path>, %sN,"
-                 " %s<path>, %s<path>, %sN)\n",
-                 argv[i], kTelemetryOut, kJsonOut, kTraceSample, kFlightOut,
-                 kDb, kThreads);
+                 "unknown flag %s (supported: %s<path>, %sN, %s<path>,"
+                 " %s<path>, %sN)\n",
+                 argv[i], kJsonOut, kTraceSample, kFlightOut, kDb,
+                 kThreads);
     std::exit(2);
   }
   BenchDbPath() = args.db_path;
@@ -165,10 +159,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
 
 // Owns the bench's Telemetry context and BenchReport, and writes the
 // requested output files at the end of the run. Telemetry is attached
-// when --telemetry-out or --json-out is given, or --trace-sample turns
-// span recording on (the report's counter digest and the trace come from
-// it); with no flags the instrumentation stays detached and the report is
-// print-only.
+// when --json-out or --flight-out is given, or --trace-sample turns span
+// recording on (the report's counter digest, the run dump's frame records
+// and the trace come from it); with no flags the instrumentation stays
+// detached and the report is print-only.
 //
 // Declare the scope BEFORE the systems it attaches: systems unregister
 // themselves from the context on destruction, so the context must be
@@ -177,15 +171,13 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
 class TelemetryScope {
  public:
   TelemetryScope(const BenchArgs& args, const char* binary)
-      : telemetry_out_(args.telemetry_out),
-        json_out_(args.json_out),
-        flight_out_(args.flight_out) {
+      : json_out_(args.json_out), flight_out_(args.flight_out) {
     if (!flight_out_.empty()) {
       // Fresh capture window for this run, on the trailing-p99 trigger.
       telemetry::GlobalSlowFrameCapture().Configure(
           telemetry::SlowFrameOptions());
     }
-    if (!telemetry_out_.empty() || !json_out_.empty() ||
+    if (!json_out_.empty() || !flight_out_.empty() ||
         args.trace_sample > 0) {
       telemetry_ = std::make_unique<telemetry::Telemetry>();
       if (args.trace_sample > 0) {
@@ -244,29 +236,18 @@ class TelemetryScope {
         std::printf("\nbench report: wrote %s\n", json_out_.c_str());
       }
     }
-    if (!telemetry_out_.empty() && telemetry_ != nullptr) {
-      if (Status s = telemetry_->WriteJsonFile(telemetry_out_); !s.ok()) {
-        std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
-        ok = false;
-      } else {
-        std::printf("\ntelemetry: wrote %s (%llu frame records)\n",
-                    telemetry_out_.c_str(),
-                    static_cast<unsigned long long>(
-                        telemetry_->frames_recorded()));
-      }
-    }
     if (!flight_out_.empty()) {
       telemetry::FlightRecorder& recorder =
           telemetry::GlobalFlightRecorder();
       telemetry::SlowFrameCapture& capture =
           telemetry::GlobalSlowFrameCapture();
       telemetry::FlightDump run = capture.RunDump(recorder.Drain());
-      const size_t spans =
-          telemetry_ != nullptr ? telemetry_->tracer().num_spans() : 0;
+      const size_t spans = telemetry_->tracer().num_spans();
       if (spans > 0) {
         run = telemetry::MergeTraceDump(std::move(run),
                                         telemetry_->tracer().dump());
       }
+      telemetry::AppendFrameRecords(*telemetry_, &run);
       const std::string dump = telemetry::EncodeFlightDump(run);
       if (Status s = WriteStringToFile(flight_out_, dump, "flight dump");
           !s.ok()) {
@@ -275,7 +256,7 @@ class TelemetryScope {
       } else {
         std::printf("\nflight: wrote %s (%llu events recorded, %llu"
                     " dropped; %zu slow-frame captures over %llu frames;"
-                    " %zu spans)\n",
+                    " %zu spans; %zu frame records)\n",
                     flight_out_.c_str(),
                     static_cast<unsigned long long>(
                         recorder.events_recorded()),
@@ -283,7 +264,7 @@ class TelemetryScope {
                         recorder.events_dropped()),
                     capture.captures(),
                     static_cast<unsigned long long>(capture.frames_seen()),
-                    spans);
+                    spans, telemetry_->frames().size());
         if (telemetry::FlightNamesDropped() > 0) {
           std::printf("flight: WARNING %llu intern calls degraded to \"?\""
                       " (name table full at %zu)\n",
@@ -297,7 +278,6 @@ class TelemetryScope {
   }
 
  private:
-  std::string telemetry_out_;
   std::string json_out_;
   std::string flight_out_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;

@@ -8,6 +8,7 @@
 
 #include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
+#include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
 
@@ -110,8 +111,9 @@ struct Phase {
   std::string_view cat;
 };
 
-// Indexed by FlightEventType. The capture types past the end (kSlowFrame,
-// kSlowFrameFact) are drawn as slices instead (WriteSlowFrames).
+// Indexed by FlightEventType. The types past the end are drawn otherwise:
+// the capture types (kSlowFrame, kSlowFrameFact) as slices
+// (WriteSlowFrames), the frame records under pid 1 (WriteFrames).
 constexpr Phase kPhases[] = {
     {},               {"B", "span"},     {"E", "span"},  {"i", "io"},
     {"i", "io"},      {"i", "pool"},     {"i", "pool"},  {"B", "frame"},
@@ -244,19 +246,18 @@ void WriteFlightDump(JsonWriter* w, const FlightDump& dump) {
 
 }  // namespace
 
-std::string ChromeTraceJson(const ChromeTraceSources& sources) {
+std::string ChromeTraceJson(const FlightDump& dump) {
   JsonWriter w;
   w.BeginObject();
   w.Key("displayTimeUnit").String("ms");
   w.Key("traceEvents").BeginArray();
-  if (sources.frames != nullptr) {
+  const std::vector<FrameRecord> frames = FrameRecordsFromDump(dump).records;
+  if (!frames.empty()) {
     WriteName(&w, kFramePid, -1, "frames (simulated time)");
-    WriteFrames(&w, *sources.frames);
+    WriteFrames(&w, frames);
   }
-  if (sources.flight != nullptr) {
-    WriteName(&w, kFlightPid, -1, "flight recorder (wall time)");
-    WriteFlightDump(&w, *sources.flight);
-  }
+  WriteName(&w, kFlightPid, -1, "flight recorder (wall time)");
+  WriteFlightDump(&w, dump);
   w.EndArray();
   w.EndObject();
   return w.TakeString();

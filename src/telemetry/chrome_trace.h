@@ -1,12 +1,14 @@
 // ChromeTraceJson: the one Chrome trace-event (catapult) exporter. Every
-// track the repo can show goes through it, under one pid table:
+// track the repo can show goes through it, from one run dump, under one
+// pid table:
 //
-//   pid 1  frames (simulated time)  FrameRecords: one track per emitting
-//          system, an "X" slice per frame/query whose length is its
-//          simulated time, and an io_pages counter track.
-//   pid 3  flight recorder (wall time)  a drained or loaded dump: a ring
-//          dump, a SlowFrameCapture's, or a bench's --flight-out run dump
-//          (the ring, the slow-frame captures and the sampled spans).
+//   pid 1  frames (simulated time)  the dump's FrameRecords
+//          (FrameRecordsFromDump): one track per emitting system, an "X"
+//          slice per frame/query whose length is its simulated time, and
+//          an io_pages counter track. Left out when the dump holds none.
+//   pid 3  flight recorder (wall time)  the dump's events: a ring dump, a
+//          SlowFrameCapture's, or a bench's --flight-out run dump (the
+//          ring, the slow-frame captures and the sampled spans).
 //
 // Span and frame boundaries pair into "B"/"E" events per thread at their
 // FlightNowNs stamps, a span's attribute events become its "B" args, and
@@ -19,20 +21,12 @@
 #define HDOV_TELEMETRY_CHROME_TRACE_H_
 
 #include <string>
-#include <vector>
 
 #include "telemetry/flight_recorder.h"
-#include "telemetry/telemetry.h"
 
 namespace hdov::telemetry {
 
-// What to export; null sources are left out (and get no process name).
-struct ChromeTraceSources {
-  const std::vector<FrameRecord>* frames = nullptr;  // pid 1.
-  const FlightDump* flight = nullptr;                // pid 3.
-};
-
-std::string ChromeTraceJson(const ChromeTraceSources& sources);
+std::string ChromeTraceJson(const FlightDump& dump);
 
 }  // namespace hdov::telemetry
 

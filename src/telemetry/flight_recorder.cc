@@ -22,6 +22,7 @@ std::string_view FlightEventTypeName(FlightEventType type) {
       "page_write",    "pool_hit",        "pool_miss",     "frame_begin",
       "frame_end",     "prefetch_used",   "prefetch_cancel",
       "page_read_agg", "span_attr",     "slow_frame",    "slow_frame_fact",
+      "frame_record",  "frame_fact",
   };
   const auto index = static_cast<size_t>(type);
   return index < std::size(kNames) ? kNames[index] : "unknown";
@@ -661,12 +662,14 @@ FlightDump MergeTraceDump(FlightDump run, const FlightDump& trace) {
 // v4: the v3 layout plus the slow-frame capture events (kSlowFrame,
 //     kSlowFrameFact), whose keys may take a capture dump's name table
 //     past the 256 process-wide names.
-// The reader accepts all four; v1 events decode with session/stage zero
+// v5: the v4 layout plus the frame-record events (kFrameRecord,
+//     kFrameFact) of a run dump.
+// The reader accepts all five; v1 events decode with session/stage zero
 // (old dumps predate attribution).
 
 namespace {
 constexpr char kFlightMagic[8] = {'H', 'D', 'O', 'V', 'F', 'R', 'E', 'C'};
-constexpr uint32_t kFlightVersion = 4;
+constexpr uint32_t kFlightVersion = 5;
 
 // One event's 32-byte container form (v2 and later): {u64 ts_ns,
 // u64 PackMeta, u64 a, u64 b}.

@@ -28,9 +28,9 @@
 // TraceContext (telemetry/trace_context.h) — the session it serves and
 // the pipeline stage it is in — so a drained dump can answer "which
 // session's fetch stage caused this pool miss" without any hook changing
-// its signature. Dumps are versioned ("HDOVFREC" v4 adds the slow-frame
-// capture events, v3 the page-read aggregate; v3, v2 and v1 dumps still
-// decode, v1 with session/stage zero).
+// its signature. Dumps are versioned ("HDOVFREC" v5 adds the frame-record
+// events, v4 the slow-frame capture events, v3 the page-read aggregate;
+// v4 to v1 dumps still decode, v1 with session/stage zero).
 //
 // Page reads inside a stage are aggregated (RecordRead): the ring holds
 // one kPageReadAgg per (stage, session, device) with its run, seek and
@@ -46,7 +46,8 @@
 // FlightDump of its own, stamped like ring events (Stamp), a
 // SlowFrameCapture (telemetry/slow_frame.h) snapshots its captured frames
 // as one, and the benches' --flight-out run dump is a drained ring merged
-// with both (SlowFrameCapture::RunDump, MergeTraceDump). One exporter
+// with both (SlowFrameCapture::RunDump, MergeTraceDump) and the run's
+// frame records (AppendFrameRecords). One exporter
 // (telemetry/chrome_trace.h) turns any dump into Chrome trace events.
 
 #ifndef HDOV_TELEMETRY_FLIGHT_RECORDER_H_
@@ -99,6 +100,15 @@ enum class FlightEventType : uint8_t {
   // "stage_ns" fact, b = the value. The "frames_seen" and
   // "captures_dropped" facts describe the whole capture (session 0).
   kSlowFrameFact = 14,
+  // One Telemetry FrameRecord, in run dumps only (never in the ring):
+  // code = the emitting system (a name in the dump's own table), a = the
+  // record's index (AppendFrameRecords in telemetry/telemetry.h).
+  kFrameRecord = 15,
+  // One field of a frame record that differs from its default: code =
+  // key, a = its kFrameRecord's index, b = the count, the double's bits
+  // or the name id of a text value. The "frames_recorded" and
+  // "frames_dropped" facts describe the whole run.
+  kFrameFact = 16,
 };
 
 std::string_view FlightEventTypeName(FlightEventType type);

@@ -7,6 +7,18 @@
 
 namespace hdov::telemetry {
 
+namespace {
+
+// A run dump's frame records (kFrameRecord, kFrameFact): simulated-time
+// records appended after the run, with no thread, session or stage.
+bool IsFrameRecordEvent(const FlightEvent& e) {
+  const auto type = static_cast<FlightEventType>(e.type);
+  return type == FlightEventType::kFrameRecord ||
+         type == FlightEventType::kFrameFact;
+}
+
+}  // namespace
+
 void FlightTotals::Add(const FlightEvent& e) {
   ++events;
   pages_read += FlightReadPages(e);
@@ -49,6 +61,9 @@ FlightRollup RollUpFlightDump(const FlightDump& dump) {
     rollup.first_ns = std::min(rollup.first_ns, e.ts_ns);
     rollup.last_ns = std::max(rollup.last_ns, e.ts_ns);
     ++rollup.by_type[e.type];
+    if (IsFrameRecordEvent(e)) {
+      continue;  // Counted by type only.
+    }
     ++rollup.by_thread[e.thread];
     if (e.stage < kNumTraceStages) {
       rollup.by_stage[e.stage].Add(e);
@@ -84,7 +99,7 @@ SlowFrameRows RollUpSlowFrames(const FlightDump& dump) {
   }
   for (const FlightEvent& e : dump.events) {
     const auto type = static_cast<FlightEventType>(e.type);
-    if (type == FlightEventType::kSlowFrame) {
+    if (type == FlightEventType::kSlowFrame || IsFrameRecordEvent(e)) {
       continue;
     }
     if (type != FlightEventType::kSlowFrameFact) {

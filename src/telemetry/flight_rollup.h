@@ -4,7 +4,9 @@
 // what `hdov_inspect --flight` prints, kept in the library so tests can
 // hold it to the simulated counters: a source's pages_read counts every
 // billed page whether the ring holds it as a per-run kPageRead or inside
-// a kPageReadAgg.
+// a kPageReadAgg. A run dump's frame records (FrameRecordsFromDump in
+// telemetry/telemetry.h) count by type only: they belong to no thread,
+// source, session or stage.
 //
 // SlowFrameRows: the slow frames of a dump (telemetry/slow_frame.h)
 // grouped back into one row per captured frame, for `hdov_inspect

@@ -120,18 +120,6 @@ JsonWriter& JsonWriter::Number(uint64_t value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Bool(bool value) {
-  BeforeValue();
-  out_.append(value ? "true" : "false");
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_.append("null");
-  return *this;
-}
-
 JsonWriter& JsonWriter::Raw(std::string_view json) {
   BeforeValue();
   out_.append(json);

@@ -1,8 +1,8 @@
 // Minimal zero-dependency JSON support for the telemetry exporters: a
-// streaming writer (used to dump metric snapshots, frame records and
-// search traces) and a small recursive-descent parser (used by tests for
-// round-trip checks and by tooling that consumes `--telemetry-out`
-// files). Not a general-purpose JSON library: numbers are doubles,
+// streaming writer (used for bench reports, metric snapshots and Chrome
+// trace files) and a small recursive-descent parser (used by tests for
+// round-trip checks and by bench_compare, which reads `--json-out`
+// reports). Not a general-purpose JSON library: numbers are doubles,
 // objects preserve insertion order, and inputs larger than a snapshot
 // file were never a design goal.
 
@@ -37,13 +37,10 @@ class JsonWriter {
   // Inf and NaN become null.
   JsonWriter& Number(double value);
   JsonWriter& Number(uint64_t value);
-  JsonWriter& Bool(bool value);
-  JsonWriter& Null();
   // Splices pre-serialized JSON in as one value; the caller guarantees
   // `json` is a complete well-formed document fragment.
   JsonWriter& Raw(std::string_view json);
 
-  const std::string& str() const { return out_; }
   std::string TakeString() { return std::move(out_); }
 
  private:
@@ -76,7 +73,6 @@ struct JsonValue {
 
   bool is_object() const { return type == Type::kObject; }
   bool is_array() const { return type == Type::kArray; }
-  bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }
 
   // Object member lookup; nullptr when absent or not an object.

@@ -127,17 +127,6 @@ std::string MetricsSnapshot::ToJson() const {
   return w.TakeString();
 }
 
-MetricsSnapshot FilterSnapshot(const MetricsSnapshot& snapshot,
-                               std::string_view prefix) {
-  MetricsSnapshot out;
-  for (const MetricSample& s : snapshot.samples) {
-    if (std::string_view(s.name).substr(0, prefix.size()) == prefix) {
-      out.samples.push_back(s);
-    }
-  }
-  return out;
-}
-
 size_t NearestRank(size_t n, double q) {
   q = std::min(1.0, std::max(0.0, q));
   return std::min(n - 1,

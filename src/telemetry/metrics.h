@@ -148,11 +148,6 @@ struct MetricsSnapshot {
   std::string ToJson() const;  // A JSON array of metric objects.
 };
 
-// The subset of `snapshot` whose names start with `prefix` (sample order
-// preserved), without re-reading the registry.
-MetricsSnapshot FilterSnapshot(const MetricsSnapshot& snapshot,
-                               std::string_view prefix);
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

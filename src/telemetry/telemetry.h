@@ -9,10 +9,12 @@
 //   - the stream of per-frame FrameRecords emitted by instrumented
 //     systems (one structured record per RenderFrame / Query).
 //
-// Snapshots export as machine-readable JSON (the `--telemetry-out` format
-// documented in docs/telemetry.md); FrameRecordsFromJson reads the frame
-// records back, which is how `hdov_inspect --telemetry --chrome-out`
-// draws the frame timeline (telemetry/chrome_trace.h, pid 1).
+// The metrics and the frame totals go into the bench report
+// (telemetry/bench_report.h). The frame records ride in the benches'
+// --flight-out run dump (AppendFrameRecords, one kFrameRecord event plus
+// kFrameFact events each); FrameRecordsFromDump reads them back, which is
+// how `hdov_inspect --flight` rolls them up and `--chrome-out` draws the
+// frame timeline (telemetry/chrome_trace.h, pid 1).
 
 #ifndef HDOV_TELEMETRY_TELEMETRY_H_
 #define HDOV_TELEMETRY_TELEMETRY_H_
@@ -22,9 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
-#include "telemetry/json.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -96,12 +96,6 @@ class Telemetry {
   uint64_t frames_dropped() const { return frames_dropped_; }
   uint64_t frames_recorded() const { return frames_recorded_; }
 
-  // Full snapshot: {"version":1, "metrics":[...], "frames":[...],
-  // "trace":[...]} (trace only when the recorder holds spans).
-  std::string SnapshotJson() const;
-
-  Status WriteJsonFile(const std::string& path) const;
-
   // Drops frame records and trace spans and zeroes owned metrics
   // (registered views keep reading their live sources).
   void Reset();
@@ -118,12 +112,25 @@ class Telemetry {
   uint64_t frames_dropped_ = 0;
 };
 
-// The "frames" array of a parsed SnapshotJson document as FrameRecords.
-// Absent fields keep their defaults; numbers come back at the snapshot's
-// 12 significant digits. Corruption when there is no "frames" array or a
-// count is not a uint64_t.
-Result<std::vector<FrameRecord>> FrameRecordsFromJson(
-    const JsonValue& snapshot);
+// Appends `telemetry`'s frame records to `dump` (a run dump), stamped
+// with its last event's time so that it stays in timestamp order: per
+// record one kFrameRecord event, then one kFrameFact per field that
+// differs from FrameRecord{}; then the frames_recorded and frames_dropped
+// facts (each when non-zero). Text values and keys are names in the
+// dump's own table, an existing name reused; a system past the 16-bit id
+// space degrades to code 0.
+void AppendFrameRecords(const Telemetry& telemetry, FlightDump* dump);
+
+// The frame records of a dump, bit for bit as appended. A file may hold
+// anything: a fact without its kFrameRecord, an unknown key and a name id
+// out of range are skipped, and a second kFrameRecord with an index
+// already seen adds no record.
+struct DumpFrames {
+  std::vector<FrameRecord> records;  // In dump order.
+  uint64_t recorded = 0;             // Telemetry::frames_recorded().
+  uint64_t dropped = 0;              // Telemetry::frames_dropped().
+};
+DumpFrames FrameRecordsFromDump(const FlightDump& dump);
 
 }  // namespace hdov::telemetry
 

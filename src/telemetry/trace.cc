@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "telemetry/json.h"
-
 namespace hdov::telemetry {
 
 double TraceSpan::NumAttrOr(std::string_view key, double fallback) const {
@@ -69,56 +67,6 @@ SpanForest DecodeSpanForest(const FlightDump& dump) {
     }
   }
   return forest;
-}
-
-namespace {
-
-void WriteSpan(const std::vector<TraceSpan>& spans,
-               const std::vector<std::vector<size_t>>& children, size_t index,
-               JsonWriter* w) {
-  const TraceSpan& span = spans[index];
-  w->BeginObject();
-  w->Key("name").String(span.name);
-  if (!span.num_attrs.empty() || !span.str_attrs.empty()) {
-    w->Key("attrs").BeginObject();
-    for (const auto& [key, value] : span.num_attrs) {
-      w->Key(key).Number(value);
-    }
-    for (const auto& [key, value] : span.str_attrs) {
-      w->Key(key).String(value);
-    }
-    w->EndObject();
-  }
-  if (!children[index].empty()) {
-    w->Key("children").BeginArray();
-    for (size_t child : children[index]) {
-      WriteSpan(spans, children, child, w);
-    }
-    w->EndArray();
-  }
-  w->EndObject();
-}
-
-}  // namespace
-
-std::string SpanForest::ToJson() const {
-  // Children lists in one pass (every child follows its parent).
-  std::vector<std::vector<size_t>> children(spans.size());
-  std::vector<size_t> roots;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].parent < 0) {
-      roots.push_back(i);
-    } else {
-      children[static_cast<size_t>(spans[i].parent)].push_back(i);
-    }
-  }
-  JsonWriter w;
-  w.BeginArray();
-  for (size_t root : roots) {
-    WriteSpan(spans, children, root, &w);
-  }
-  w.EndArray();
-  return w.TakeString();
 }
 
 void TraceRecorder::Clear() {

@@ -54,10 +54,6 @@ struct TraceSpan {
 // children, and spans[i] is the span with index i.
 struct SpanForest {
   std::vector<TraceSpan> spans;
-
-  // The forest as nested JSON (the --telemetry-out "trace" section):
-  //   [{"name":..., "attrs":{...}, "children":[...]}, ...]
-  std::string ToJson() const;
 };
 
 // Rebuilds the span tree of one recorder's dump. Nesting comes from the

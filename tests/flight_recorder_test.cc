@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -324,6 +325,94 @@ TEST_F(FlightRecorderExactnessTest, InspectRollupMatchesFig7StyleRun) {
   EXPECT_EQ(stage(TraceStage::kFetch), total_pages - search_pages);
   EXPECT_EQ(rollup.by_session.at("<unattributed>").pages_read, total_pages);
   EXPECT_GT(total_pages, 0u);
+}
+
+// Every total of two rollups, field by field.
+void ExpectSameTotals(const telemetry::FlightTotals& want,
+                      const telemetry::FlightTotals& got) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.pages_read, want.pages_read);
+  EXPECT_EQ(got.runs, want.runs);
+  EXPECT_EQ(got.seeks, want.seeks);
+  EXPECT_EQ(got.pool_hits, want.pool_hits);
+  EXPECT_EQ(got.pool_misses, want.pool_misses);
+  EXPECT_EQ(got.frames, want.frames);
+  EXPECT_EQ(got.io_pages, want.io_pages);
+  EXPECT_EQ(got.spans, want.spans);
+  EXPECT_EQ(got.prefetch_issued, want.prefetch_issued);
+  EXPECT_EQ(got.prefetch_used, want.prefetch_used);
+  EXPECT_EQ(got.prefetch_cancelled, want.prefetch_cancelled);
+}
+
+// A run dump's frame records (one kFrameRecord plus kFrameFacts each)
+// count under their two types and nowhere else: every total `hdov_inspect
+// --flight` prints for an async-prefetch walk with queries stays as it
+// was, and the records read back.
+TEST_F(FlightRecorderExactnessTest, FrameRecordsLeaveRollupTotalsUnchanged) {
+  telemetry::Telemetry tel;
+  CountedSystem system;
+  ASSERT_NO_FATAL_FAILURE(Make(StorageScheme::kIndexedVertical,
+                               prefetch::PrefetchMode::kAsync, &system));
+  system.view->AttachTelemetry(&tel, "walk");
+  FlightRecorder& global = telemetry::GlobalFlightRecorder();
+  global.Drain(/*consume=*/true);
+  QueryEveryCell(system.view.get());
+  const Aabb& b = scene_->bounds();
+  const double y = (b.min.y + b.max.y) / 2.0;
+  for (int i = 0; i < 12; ++i) {
+    const double x = b.min.x + 1.0 + i * (b.max.x - b.min.x - 2.0) / 11.0;
+    FrameResult frame;
+    ASSERT_TRUE(system.view
+                    ->RenderFrame(Viewpoint{Vec3(x, y, 1.7), Vec3(1, 0, 0)},
+                                  &frame)
+                    .ok());
+  }
+  FlightDump run = global.Drain(/*consume=*/true);
+  const telemetry::FlightRollup want = telemetry::RollUpFlightDump(run);
+  telemetry::AppendFrameRecords(tel, &run);
+  Result<FlightDump> back = DecodeFlightDump(EncodeFlightDump(run));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const telemetry::FlightRollup got = telemetry::RollUpFlightDump(*back);
+
+  uint64_t facts = 0;
+  for (const FlightEvent& e : back->events) {
+    facts += e.type == static_cast<uint8_t>(FlightEventType::kFrameFact);
+  }
+  std::map<uint8_t, uint64_t> by_type = want.by_type;
+  by_type[static_cast<uint8_t>(FlightEventType::kFrameRecord)] =
+      tel.frames().size();
+  by_type[static_cast<uint8_t>(FlightEventType::kFrameFact)] = facts;
+  EXPECT_EQ(got.by_type, by_type);
+  EXPECT_EQ(got.by_thread, want.by_thread);
+  EXPECT_EQ(got.first_ns, want.first_ns);
+  EXPECT_EQ(got.last_ns, want.last_ns);
+  for (size_t s = 0; s < telemetry::kNumTraceStages; ++s) {
+    SCOPED_TRACE(s);
+    ExpectSameTotals(want.by_stage[s], got.by_stage[s]);
+  }
+  const auto same_rows =
+      [](const std::map<std::string, telemetry::FlightTotals>& want_rows,
+         const std::map<std::string, telemetry::FlightTotals>& got_rows) {
+        ASSERT_EQ(got_rows.size(), want_rows.size());
+        for (const auto& [name, totals] : want_rows) {
+          SCOPED_TRACE(name);
+          ASSERT_EQ(got_rows.count(name), 1u);
+          ExpectSameTotals(totals, got_rows.at(name));
+        }
+      };
+  same_rows(want.by_source, got.by_source);
+  same_rows(want.by_session, got.by_session);
+  // The walk billed pages, played frames and prefetched, so the totals
+  // held are not zeros; its records come back whole.
+  EXPECT_GT(want.by_stage[static_cast<size_t>(TraceStage::kSearch)].pages_read,
+            0u);
+  EXPECT_GT(want.by_session.at("<unattributed>").frames, 0u);
+  EXPECT_GT(want.by_stage[static_cast<size_t>(TraceStage::kPrefetch)]
+                .prefetch_issued,
+            0u);
+  EXPECT_EQ(telemetry::FrameRecordsFromDump(*back).records.size(),
+            tel.frames().size());
+  EXPECT_EQ(tel.frames().size(), grid_->num_cells() + 12);
 }
 
 TEST(FlightRecorderTest, RecordAndDrainInOrder) {
@@ -692,7 +781,7 @@ TEST(FlightRecorderTest, ChromeTraceConversion) {
   end.b = 4;
   dump.events = {begin, io, end};
 
-  const std::string json = telemetry::ChromeTraceJson({.flight = &dump});
+  const std::string json = telemetry::ChromeTraceJson(dump);
   // Frame boundaries pair as B/E duration events under pid 3; the page
   // read becomes an instant.
   EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
@@ -999,8 +1088,8 @@ TEST(FlightRecorderTest, V3DumpRoundTripsPageReadAggregates) {
   Decoder header(std::string_view(encoded).substr(8));
   uint32_t version = 0;
   ASSERT_TRUE(header.DecodeFixed32(&version).ok());
-  // The encoder writes the current version; v4 keeps v3's aggregates.
-  EXPECT_EQ(version, 4u);
+  // The encoder writes the current version; v5 keeps v3's aggregates.
+  EXPECT_EQ(version, 5u);
   Result<FlightDump> back = DecodeFlightDump(encoded);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->events.size(), 1u);
@@ -1054,7 +1143,7 @@ TEST(FlightRecorderTest, ChromeTraceShowsAggregateTotals) {
   ev.a = 3u | (2ull << 32);
   ev.b = 9;
   dump.events = {ev};
-  const std::string json = telemetry::ChromeTraceJson({.flight = &dump});
+  const std::string json = telemetry::ChromeTraceJson(dump);
   EXPECT_NE(json.find("\"cat\":\"io\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"page_read_agg\""), std::string::npos);

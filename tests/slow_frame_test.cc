@@ -623,7 +623,7 @@ TEST(SlowFrameTest, ChromeTraceHasOneTrackPerSession) {
                      return x.ts_ns < y.ts_ns;
                    });
 
-  const std::string json = telemetry::ChromeTraceJson({.flight = &dump});
+  const std::string json = telemetry::ChromeTraceJson(dump);
   // Captured frames render under the flight pid with one named track per
   // session (tid = 65536 + session id, clear of the ring threads).
   EXPECT_NE(json.find("\"pid\":3"), std::string::npos);
@@ -750,7 +750,7 @@ TEST(SlowFrameTest, UntrustedCaptureEventsStayInBounds) {
   EXPECT_EQ(rollup.first_ns, 50u);
   EXPECT_EQ(rollup.last_ns, 500u);
 
-  const std::string json = telemetry::ChromeTraceJson({.flight = &*back});
+  const std::string json = telemetry::ChromeTraceJson(*back);
   EXPECT_NE(json.find("frame 7 (slow)"), std::string::npos);
   EXPECT_NE(json.find("frame 9 (slow)"), std::string::npos);
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -11,6 +14,7 @@
 #include "storage/page_device.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/flight_rollup.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/slow_frame.h"
@@ -22,7 +26,9 @@ namespace {
 
 using telemetry::Counter;
 using telemetry::ExponentialBuckets;
-using telemetry::FilterSnapshot;
+using telemetry::FlightDump;
+using telemetry::FlightEvent;
+using telemetry::FlightEventType;
 using telemetry::Gauge;
 using telemetry::Histogram;
 using telemetry::JsonValue;
@@ -156,21 +162,6 @@ TEST(MetricsRegistryTest, SnapshotJsonParses) {
   EXPECT_DOUBLE_EQ(hist.Find("count")->number, 1.0);
   ASSERT_EQ(hist.Find("buckets")->items.size(), 3u);
   EXPECT_DOUBLE_EQ(hist.Find("buckets")->items[1].number, 1.0);
-}
-
-TEST(MetricsRegistryTest, FilterSnapshotKeepsPrefixOnly) {
-  MetricsRegistry registry;
-  registry.GetCounter("persist.bytes_written")->Add(100);
-  registry.GetCounter("persist.fsyncs")->Add(3);
-  registry.GetCounter("build.objects")->Add(7);
-
-  const MetricsSnapshot full = registry.Snapshot();
-  const MetricsSnapshot persist = FilterSnapshot(full, "persist");
-  ASSERT_EQ(persist.samples.size(), 2u);
-  EXPECT_EQ(persist.samples[0].name, "persist.bytes_written");
-  EXPECT_EQ(persist.samples[1].name, "persist.fsyncs");
-  // Filtering a captured snapshot never re-reads the registry.
-  EXPECT_EQ(full.samples.size(), 3u);
 }
 
 TEST(DeviceViewsTest, PageDeviceAndBufferPoolRegister) {
@@ -375,24 +366,6 @@ TEST(MetricsRegistryTest, SnapshotUnderConcurrentMutation) {
   EXPECT_GT(total->value, 0.0);
 }
 
-TEST(TraceRecorderTest, JsonTreeShape) {
-  TraceRecorder rec;
-  int32_t root = rec.BeginSpan("search");
-  rec.AddAttr(root, "eta", 0.001);
-  int32_t node = rec.BeginSpan("node");
-  rec.EndSpan(node);
-  rec.EndSpan(root);
-  Result<JsonValue> parsed =
-      ParseJson(DecodeSpanForest(rec.dump()).ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->items.size(), 1u);
-  const JsonValue& tree = parsed->items[0];
-  EXPECT_EQ(tree.Find("name")->string, "search");
-  EXPECT_DOUBLE_EQ(tree.Find("attrs")->Find("eta")->number, 0.001);
-  ASSERT_TRUE(tree.Find("children")->is_array());
-  EXPECT_EQ(tree.Find("children")->items[0].Find("name")->string, "node");
-}
-
 TEST(JsonTest, StringEscaping) {
   std::string out;
   telemetry::AppendJsonString(&out, "a\"b\\c\n\t\x01");
@@ -540,65 +513,36 @@ TEST(TelemetryTest, MaxFramesDropsButCounts) {
   EXPECT_EQ(t.frames_dropped(), 3u);
 }
 
-TEST(TelemetryTest, SnapshotJsonRoundTrip) {
+TEST(TelemetryTest, ResetClearsFramesTraceAndMetrics) {
   Telemetry t;
   t.metrics().GetCounter("visual.search.queries")->Add(2);
   t.tracer().set_enabled(true);
   int32_t span = t.tracer().BeginSpan("search");
   t.tracer().EndSpan(span);
-
+  t.set_context("u0.walk");
   telemetry::FrameRecord r;
   r.system = "visual";
-  r.kind = "query";
-  r.cell = 7;
-  r.frame_time_ms = 3.5;
   r.io_pages = 11;
-  r.nodes_visited = 4;
-  r.vpages_fetched = 2;
-  r.hidden_pruned = 6;
-  r.internal_terminations = 1;
-  r.cache_hit_rate = 0.75;
-  r.fidelity = 0.9;
   t.RecordFrame(r);
-
-  Result<JsonValue> parsed = ParseJson(t.SnapshotJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_DOUBLE_EQ(parsed->Find("version")->number, 1.0);
-  EXPECT_DOUBLE_EQ(parsed->Find("frames_recorded")->number, 1.0);
-  const JsonValue* metrics = parsed->Find("metrics");
-  ASSERT_TRUE(metrics != nullptr && metrics->is_array());
-  EXPECT_EQ(metrics->items[0].Find("name")->string,
-            "visual.search.queries");
-  const JsonValue* frames = parsed->Find("frames");
-  ASSERT_TRUE(frames != nullptr && frames->is_array());
-  ASSERT_EQ(frames->items.size(), 1u);
-  const JsonValue& frame = frames->items[0];
-  EXPECT_EQ(frame.Find("system")->string, "visual");
-  EXPECT_EQ(frame.Find("kind")->string, "query");
-  EXPECT_DOUBLE_EQ(frame.Find("cell")->number, 7.0);
-  EXPECT_DOUBLE_EQ(frame.Find("io_pages")->number, 11.0);
-  EXPECT_DOUBLE_EQ(frame.Find("nodes_visited")->number, 4.0);
-  EXPECT_DOUBLE_EQ(frame.Find("vpages_fetched")->number, 2.0);
-  EXPECT_DOUBLE_EQ(frame.Find("hidden_pruned")->number, 6.0);
-  EXPECT_DOUBLE_EQ(frame.Find("internal_terminations")->number, 1.0);
-  EXPECT_DOUBLE_EQ(frame.Find("cache_hit_rate")->number, 0.75);
-  EXPECT_DOUBLE_EQ(frame.Find("fidelity")->number, 0.9);
-  const JsonValue* trace = parsed->Find("trace");
-  ASSERT_TRUE(trace != nullptr && trace->is_array());
-  EXPECT_EQ(trace->items[0].Find("name")->string, "search");
 
   t.Reset();
   EXPECT_EQ(t.frames().size(), 0u);
   EXPECT_EQ(t.frames_recorded(), 0u);
+  EXPECT_EQ(t.frames_dropped(), 0u);
+  EXPECT_EQ(t.context(), "");
   EXPECT_EQ(t.metrics().GetCounter("visual.search.queries")->value(), 0u);
   EXPECT_EQ(t.tracer().num_spans(), 0u);
+  // Nothing of the first run reaches a run dump.
+  FlightDump dump;
+  telemetry::AppendFrameRecords(t, &dump);
+  EXPECT_TRUE(dump.events.empty());
 }
 
 TEST(TelemetryTest, ChromeTraceSchema) {
   // A traced search records the span shapes the searcher emits (one
   // "search" root, "node" children, decision leaves) plus per-query frame
-  // records; the Chrome-trace export of the frames and the run dump must
-  // be a valid trace-event document: frames as complete events, spans as
+  // records; the Chrome-trace export of the run dump that carries both
+  // must be a valid trace-event document: frames as complete events, spans as
   // balanced B/E pairs in wall-clock order with their attributes in the B
   // args.
   telemetry::GlobalFlightRecorder().Drain(/*consume=*/true);
@@ -627,12 +571,12 @@ TEST(TelemetryTest, ChromeTraceSchema) {
   // What a bench's --flight-out writes: the ring drained since the
   // consuming drain above (spans never enter it), its slow-frame captures
   // (none) and the trace.
-  const telemetry::FlightDump run = telemetry::MergeTraceDump(
+  telemetry::FlightDump run = telemetry::MergeTraceDump(
       telemetry::SlowFrameCapture().RunDump(
           telemetry::GlobalFlightRecorder().Drain()),
       t.tracer().dump());
-  Result<JsonValue> parsed = ParseJson(
-      telemetry::ChromeTraceJson({.frames = &t.frames(), .flight = &run}));
+  telemetry::AppendFrameRecords(t, &run);
+  Result<JsonValue> parsed = ParseJson(telemetry::ChromeTraceJson(run));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Find("displayTimeUnit")->string, "ms");
   const JsonValue* events = parsed->Find("traceEvents");
@@ -685,65 +629,36 @@ TEST(TelemetryTest, ChromeTraceSchema) {
                                       "E node", "E search"}));
 }
 
-// Whether `a` and `b` are the same JSON document, numbers within `rel`
-// of each other; `where` names the first difference.
-bool SameJson(const JsonValue& a, const JsonValue& b, double rel,
-              std::string* where) {
-  if (a.type != b.type) {
-    *where = "type";
-    return false;
-  }
-  switch (a.type) {
-    case JsonValue::Type::kNumber:
-      if (std::abs(a.number - b.number) >
-          rel * std::max(std::abs(a.number), std::abs(b.number))) {
-        *where = std::to_string(a.number) + " vs " + std::to_string(b.number);
-        return false;
-      }
-      return true;
-    case JsonValue::Type::kString:
-      *where = a.string + " vs " + b.string;
-      return a.string == b.string;
-    case JsonValue::Type::kBool:
-      return a.boolean == b.boolean;
-    case JsonValue::Type::kArray:
-      if (a.items.size() != b.items.size()) {
-        *where = "array size";
-        return false;
-      }
-      for (size_t i = 0; i < a.items.size(); ++i) {
-        if (!SameJson(a.items[i], b.items[i], rel, where)) {
-          *where = "[" + std::to_string(i) + "]" + *where;
-          return false;
-        }
-      }
-      return true;
-    case JsonValue::Type::kObject:
-      if (a.members.size() != b.members.size()) {
-        *where = "object size";
-        return false;
-      }
-      for (size_t i = 0; i < a.members.size(); ++i) {
-        if (a.members[i].first != b.members[i].first ||
-            !SameJson(a.members[i].second, b.members[i].second, rel,
-                      where)) {
-          *where = "." + a.members[i].first + *where;
-          return false;
-        }
-      }
-      return true;
-    case JsonValue::Type::kNull:
-      return true;
-  }
-  return false;
+// Every field of `got` equals `want`'s, doubles bit for bit.
+void ExpectSameRecord(const telemetry::FrameRecord& want,
+                      const telemetry::FrameRecord& got) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(got.system, want.system);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.index, want.index);
+  EXPECT_EQ(got.context, want.context);
+  EXPECT_EQ(got.cell, want.cell);
+  EXPECT_EQ(bits(got.frame_time_ms), bits(want.frame_time_ms));
+  EXPECT_EQ(bits(got.query_time_ms), bits(want.query_time_ms));
+  EXPECT_EQ(got.io_pages, want.io_pages);
+  EXPECT_EQ(got.light_io_pages, want.light_io_pages);
+  EXPECT_EQ(got.index_bytes_read, want.index_bytes_read);
+  EXPECT_EQ(got.store_bytes_read, want.store_bytes_read);
+  EXPECT_EQ(got.model_bytes_read, want.model_bytes_read);
+  EXPECT_EQ(got.nodes_visited, want.nodes_visited);
+  EXPECT_EQ(got.vpages_fetched, want.vpages_fetched);
+  EXPECT_EQ(got.hidden_pruned, want.hidden_pruned);
+  EXPECT_EQ(got.internal_terminations, want.internal_terminations);
+  EXPECT_EQ(bits(got.cache_hit_rate), bits(want.cache_hit_rate));
+  EXPECT_EQ(got.rendered_triangles, want.rendered_triangles);
+  EXPECT_EQ(got.models_fetched, want.models_fetched);
+  EXPECT_EQ(got.resident_bytes, want.resident_bytes);
+  EXPECT_EQ(bits(got.fidelity), bits(want.fidelity));
 }
 
-TEST(TelemetryTest, FrameTimelineRebuildsFromSnapshotJson) {
-  // `hdov_inspect --telemetry --chrome-out` draws pid 1 from the frames of
-  // a --telemetry-out file. That timeline must match the one drawn from
-  // the live records, event for event; the snapshot keeps 12 significant
-  // digits, so numbers may differ in the last ones.
-  Telemetry t;
+// 40 records over two systems and both kinds, every field set on some
+// and left at its default on others.
+void RecordFortyFrames(Telemetry* t) {
   for (uint64_t i = 0; i < 40; ++i) {
     telemetry::FrameRecord r;
     r.system = i % 3 == 0 ? "visual" : "naive";
@@ -752,55 +667,213 @@ TEST(TelemetryTest, FrameTimelineRebuildsFromSnapshotJson) {
     r.frame_time_ms = i % 5 == 0 ? 0.0 : 1.0 / static_cast<double>(i + 3);
     r.query_time_ms = std::sqrt(static_cast<double>(i) + 0.5);
     r.io_pages = i * 13;
+    r.light_io_pages = i % 4 == 1 ? i : 0;
+    r.index_bytes_read = i * 4096;
+    r.store_bytes_read = i % 2 == 0 ? 0 : UINT64_MAX - i;
+    r.model_bytes_read = i * 65536 + 1;
     r.nodes_visited = i + 1;
     r.vpages_fetched = i / 2;
+    r.hidden_pruned = i % 3;
+    r.internal_terminations = i % 7;
     r.rendered_triangles = 123'456'789 + i;
     r.models_fetched = i % 4;
-    r.cache_hit_rate = static_cast<double>(i) / 41.0;
+    r.resident_bytes = i << 40;
+    // -0.0 differs from the default 0.0 only in its bits.
+    r.cache_hit_rate = i == 1 ? -0.0 : static_cast<double>(i) / 41.0;
     if (i % 2 == 0) {
       r.fidelity = 1.0 - 1.0 / static_cast<double>(i + 7);
     }
-    t.set_context(i < 20 ? "u0.walk" : "");
+    t->set_context(i < 20 ? "u0.walk" : "");
+    t->RecordFrame(r);
+  }
+}
+
+TEST(TelemetryTest, FrameTimelineRebuildsFromRunDump) {
+  // A bench's --flight-out dump carries the run's frame records, and
+  // `hdov_inspect --chrome-out` draws pid 1 from them: they come back from
+  // the encoded dump bit for bit, and so does the timeline.
+  Telemetry t;
+  RecordFortyFrames(&t);
+  // A run dump already holds names and events; equal names are reused.
+  FlightDump live;
+  live.names = {"?", "visual", "io_pages", "dev"};
+  FlightEvent read;
+  read.ts_ns = 5'000;
+  read.type = static_cast<uint8_t>(FlightEventType::kPageRead);
+  read.code = 3;
+  read.b = 2;
+  live.events.push_back(read);
+  telemetry::AppendFrameRecords(t, &live);
+  EXPECT_EQ(live.names[1], "visual");
+  EXPECT_EQ(std::count(live.names.begin(), live.names.end(), "visual"), 1);
+  EXPECT_EQ(std::count(live.names.begin(), live.names.end(), "io_pages"), 1);
+  for (const FlightEvent& e : live.events) {
+    EXPECT_EQ(e.ts_ns, 5'000u);  // The dump stays in timestamp order.
+  }
+
+  const std::string encoded = telemetry::EncodeFlightDump(live);
+  Result<FlightDump> back = telemetry::DecodeFlightDump(encoded);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const telemetry::DumpFrames frames = telemetry::FrameRecordsFromDump(*back);
+  ASSERT_EQ(frames.records.size(), t.frames().size());
+  EXPECT_EQ(frames.recorded, 40u);
+  EXPECT_EQ(frames.dropped, 0u);
+  for (size_t i = 0; i < frames.records.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectSameRecord(t.frames()[i], frames.records[i]);
+  }
+
+  // The same document from the dump in memory and from the file bytes.
+  const std::string chrome = telemetry::ChromeTraceJson(*back);
+  EXPECT_EQ(chrome, telemetry::ChromeTraceJson(live));
+  // Pid 1 is the live records: per frame a slice whose length is its
+  // simulated time, laid end to end on its system's track, and a counter.
+  Result<JsonValue> parsed = ParseJson(chrome);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::vector<const JsonValue*> slices;
+  size_t pid1_events = 0;
+  for (const JsonValue& ev : parsed->Find("traceEvents")->items) {
+    if (ev.Find("pid")->number != 1.0) {
+      continue;
+    }
+    ++pid1_events;
+    if (ev.Find("ph")->string == "X") {
+      slices.push_back(&ev);
+    }
+  }
+  // Two events per frame, plus the process and two track names.
+  EXPECT_EQ(pid1_events, 2 * t.frames().size() + 3);
+  ASSERT_EQ(slices.size(), t.frames().size());
+  double cursor_us[2] = {0.0, 0.0};
+  for (size_t i = 0; i < slices.size(); ++i) {
+    SCOPED_TRACE(i);
+    const telemetry::FrameRecord& f = t.frames()[i];
+    const JsonValue& ev = *slices[i];
+    const JsonValue& args = *ev.Find("args");
+    const size_t track = f.system == "visual" ? 0 : 1;  // First seen: 0.
+    const double dur_us =
+        (f.frame_time_ms > 0.0 ? f.frame_time_ms : f.query_time_ms) * 1000.0;
+    EXPECT_EQ(ev.Find("name")->string, f.kind);
+    EXPECT_EQ(ev.Find("tid")->number, static_cast<double>(track + 1));
+    EXPECT_EQ(ev.Find("ts")->number, cursor_us[track]);
+    EXPECT_EQ(ev.Find("dur")->number, dur_us);
+    cursor_us[track] += dur_us;
+    EXPECT_EQ(args.Find("cell")->number, static_cast<double>(f.cell));
+    EXPECT_EQ(args.Find("io_pages")->number, static_cast<double>(f.io_pages));
+    EXPECT_EQ(args.Find("rendered_triangles")->number,
+              static_cast<double>(f.rendered_triangles));
+    EXPECT_EQ(args.Find("cache_hit_rate")->number, f.cache_hit_rate);
+    EXPECT_EQ(args.Find("context") != nullptr, !f.context.empty());
+    ASSERT_EQ(args.Find("fidelity") != nullptr, f.fidelity >= 0.0);
+    if (f.fidelity >= 0.0) {
+      EXPECT_EQ(args.Find("fidelity")->number, f.fidelity);
+    }
+  }
+
+  // A v4 reader's dump (no frame events) still decodes.
+  std::string v4 = telemetry::EncodeFlightDump(FlightDump{});
+  v4[8] = 4;
+  EXPECT_TRUE(telemetry::DecodeFlightDump(v4).ok());
+}
+
+TEST(TelemetryTest, FrameReaderSkipsWhatItCannotPlace) {
+  Telemetry t;
+  t.set_max_frames(2);
+  telemetry::FrameRecord r;
+  r.system = "visual";
+  r.io_pages = 9;
+  r.kind = "query";
+  for (int i = 0; i < 3; ++i) {
     t.RecordFrame(r);
   }
-  Result<JsonValue> snapshot = ParseJson(t.SnapshotJson());
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  Result<std::vector<telemetry::FrameRecord>> frames =
-      telemetry::FrameRecordsFromJson(*snapshot);
-  ASSERT_TRUE(frames.ok()) << frames.status().ToString();
-  ASSERT_EQ(frames->size(), t.frames().size());
+  FlightDump dump;
+  telemetry::AppendFrameRecords(t, &dump);
+  const auto id_of = [&dump](std::string_view name) {
+    return static_cast<uint16_t>(
+        std::find(dump.names.begin(), dump.names.end(), name) -
+        dump.names.begin());
+  };
+  const uint16_t io_pages = id_of("io_pages");
+  const uint16_t kind = id_of("kind");
+  ASSERT_LT(io_pages, dump.names.size());
+  ASSERT_LT(kind, dump.names.size());
+  dump.names.push_back("no_such_field");
+  const auto fact = [&dump](uint16_t key, uint64_t index, uint64_t value) {
+    FlightEvent ev;
+    ev.type = static_cast<uint8_t>(FlightEventType::kFrameFact);
+    ev.code = key;
+    ev.a = index;
+    ev.b = value;
+    dump.events.push_back(ev);
+  };
+  fact(io_pages, 77, 1);  // An orphan: no frame 77.
+  fact(static_cast<uint16_t>(dump.names.size() - 1), 0, 5);  // Unknown key.
+  fact(static_cast<uint16_t>(dump.names.size()), 0, 5);  // Key out of range.
+  fact(kind, 1, dump.names.size());  // Text value out of range.
+  FlightEvent again;  // A second record with index 0 adds none.
+  again.type = static_cast<uint8_t>(FlightEventType::kFrameRecord);
+  again.code = static_cast<uint16_t>(dump.names.size() + 3);
+  dump.events.push_back(again);
 
-  Result<JsonValue> live =
-      ParseJson(telemetry::ChromeTraceJson({.frames = &t.frames()}));
-  Result<JsonValue> rebuilt =
-      ParseJson(telemetry::ChromeTraceJson({.frames = &*frames}));
-  ASSERT_TRUE(live.ok() && rebuilt.ok());
-  const JsonValue* live_events = live->Find("traceEvents");
-  const JsonValue* rebuilt_events = rebuilt->Find("traceEvents");
-  ASSERT_NE(live_events, nullptr);
-  ASSERT_NE(rebuilt_events, nullptr);
-  // Two events per frame (slice and counter), plus the process and two
-  // track names.
-  ASSERT_EQ(live_events->items.size(), 2 * t.frames().size() + 3);
-  ASSERT_EQ(rebuilt_events->items.size(), live_events->items.size());
-  for (size_t i = 0; i < live_events->items.size(); ++i) {
-    std::string where;
-    EXPECT_TRUE(SameJson(live_events->items[i], rebuilt_events->items[i],
-                         1e-9, &where))
-        << "event " << i << where;
+  const telemetry::DumpFrames frames = telemetry::FrameRecordsFromDump(dump);
+  EXPECT_EQ(frames.recorded, 3u);
+  EXPECT_EQ(frames.dropped, 1u);
+  ASSERT_EQ(frames.records.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    ExpectSameRecord(t.frames()[i], frames.records[i]);
   }
+}
 
-  JsonValue no_frames;
-  no_frames.type = JsonValue::Type::kObject;
-  EXPECT_TRUE(
-      telemetry::FrameRecordsFromJson(no_frames).status().IsCorruption());
-  for (const char* bad : {"-1", "1e20", "18446744073709551616"}) {
-    Result<JsonValue> doc = ParseJson(
-        std::string("{\"frames\":[{\"io_pages\":") + bad + "}]}");
-    ASSERT_TRUE(doc.ok());
-    EXPECT_TRUE(telemetry::FrameRecordsFromJson(*doc).status().IsCorruption())
-        << bad;
+TEST(TelemetryTest, DumpWithFramesDecodesOrFailsCleanly) {
+  // Every truncation and a fixed-seed sweep of single-bit flips of a run
+  // dump that carries frames: the decoder returns a Status or a dump, and
+  // whatever it returns reads back (frames, rollups, Chrome) without a
+  // crash. ASan/UBSan builds run this too.
+  Telemetry t;
+  RecordFortyFrames(&t);
+  FlightDump dump;
+  dump.names = {"?", "dev", "u0.walk"};
+  FlightEvent ev;
+  ev.ts_ns = 100;
+  ev.type = static_cast<uint8_t>(FlightEventType::kFrameBegin);
+  ev.code = 1;
+  ev.session = 2;
+  dump.events.push_back(ev);
+  ev.ts_ns = 900;
+  ev.type = static_cast<uint8_t>(FlightEventType::kFrameEnd);
+  ev.b = 3;
+  dump.events.push_back(ev);
+  telemetry::AppendFrameRecords(t, &dump);
+  const std::string encoded = telemetry::EncodeFlightDump(dump);
+
+  size_t decoded = 0;
+  const auto read_back = [&decoded](std::string_view bytes) {
+    Result<FlightDump> back = telemetry::DecodeFlightDump(bytes);
+    if (!back.ok()) {
+      return;
+    }
+    ++decoded;
+    const telemetry::DumpFrames frames =
+        telemetry::FrameRecordsFromDump(*back);
+    EXPECT_LE(frames.records.size(), back->events.size());
+    (void)telemetry::RollUpFlightDump(*back);
+    (void)telemetry::RollUpSlowFrames(*back);
+    (void)telemetry::ChromeTraceJson(*back);
+  };
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    Result<FlightDump> back =
+        telemetry::DecodeFlightDump(std::string_view(encoded).substr(0, len));
+    EXPECT_FALSE(back.ok()) << len;  // A prefix always ends short.
   }
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 4000; ++i) {
+    std::string flipped = encoded;
+    const uint64_t bit = rng() % (8 * flipped.size());
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    read_back(flipped);
+  }
+  EXPECT_GT(decoded, 0u);  // Most flips land in event payloads.
 }
 
 }  // namespace

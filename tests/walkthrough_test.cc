@@ -657,11 +657,18 @@ TEST_F(WalkthroughFixture, TelemetryQueryTraceHasSearchSpans) {
   ASSERT_EQ(tel.frames().size(), 1u);
   EXPECT_EQ(tel.frames()[0].kind, "query");
   EXPECT_EQ(tel.frames()[0].nodes_visited, stats.nodes_visited);
-  // The snapshot (with trace) is valid JSON.
-  Result<telemetry::JsonValue> parsed =
-      telemetry::ParseJson(tel.SnapshotJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_NE(parsed->Find("trace"), nullptr);
+  // The run dump carries the trace and the query's record; both read back
+  // from its bytes.
+  telemetry::FlightDump run = RunDumpWithTrace(tel.tracer());
+  telemetry::AppendFrameRecords(tel, &run);
+  Result<telemetry::FlightDump> back =
+      telemetry::DecodeFlightDump(telemetry::EncodeFlightDump(run));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(CountSpans(telemetry::DecodeSpanForest(*back), "search"), 1u);
+  const telemetry::DumpFrames frames = telemetry::FrameRecordsFromDump(*back);
+  ASSERT_EQ(frames.records.size(), 1u);
+  EXPECT_EQ(frames.records[0].kind, "query");
+  EXPECT_EQ(frames.records[0].nodes_visited, stats.nodes_visited);
 }
 
 TEST_F(WalkthroughFixture, TraceSamplingGatesSpanTrees) {
@@ -703,9 +710,10 @@ TEST_F(WalkthroughFixture, TracedQueryChromeSpansBalance) {
                   ->Query(CenterViewpoint().position,
                           /*fetch_models=*/true, &result, nullptr)
                   .ok());
-  const telemetry::FlightDump run = RunDumpWithTrace(tel.tracer());
-  Result<telemetry::JsonValue> parsed = telemetry::ParseJson(
-      telemetry::ChromeTraceJson({.frames = &tel.frames(), .flight = &run}));
+  telemetry::FlightDump run = RunDumpWithTrace(tel.tracer());
+  telemetry::AppendFrameRecords(tel, &run);
+  Result<telemetry::JsonValue> parsed =
+      telemetry::ParseJson(telemetry::ChromeTraceJson(run));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   std::map<std::pair<double, double>, int64_t> depth;  // (pid, tid) -> open.
   size_t begins = 0;
@@ -807,7 +815,6 @@ TEST_F(WalkthroughFixture, TracedQueryRidesInTheRunDump) {
     str_attrs += w.str_attrs.size();
   }
   EXPECT_GT(str_attrs, 0u);  // The search span's "store".
-  EXPECT_EQ(got.ToJson(), want.ToJson());
 
   std::set<uint16_t> span_threads;
   std::set<uint16_t> ring_threads;

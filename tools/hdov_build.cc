@@ -7,26 +7,23 @@
 //   hdov_build --out=world.hdov [--blocks=16] [--cells=16] [--seed=N]
 //              [--samples-per-cell=1] [--face-resolution=64] [--threads=1]
 //              [--scale=default|large] [--stats-out=<path>]
-//              [--telemetry-out=<path>]
 //
 // --scale presets the paper's bench sizes (same values as the
 // HDOV_BENCH_SCALE environment knob); the explicit flags override it.
-// --telemetry-out writes the full build metric snapshot (persist.* plus
-// build.* world-shape gauges and the wall time of each phase: world,
-// snapshot, verify and the total) as JSON; --stats-out writes the persist.*
-// subset of the SAME snapshot through the same emitter, so the persist
-// view can never drift from the full one.
+// --stats-out writes the build metric snapshot as JSON,
+// {"version":1,"metrics":[...]}: persist.* plus build.* world-shape
+// gauges and the wall time of each phase (world, snapshot, verify and
+// the total).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "common/file_util.h"
 #include "persist/snapshot.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/metrics.h"
-#include "telemetry/telemetry.h"
 #include "testbed/testbed_glue.h"
 #include "walkthrough/experiment_testbed.h"
 
@@ -36,7 +33,6 @@ namespace {
 struct BuildArgs {
   std::string out;
   std::string stats_out;
-  std::string telemetry_out;
   TestbedOptions testbed;
 };
 
@@ -46,8 +42,7 @@ struct BuildArgs {
                "usage: hdov_build --out=<path> [--blocks=N] [--cells=N]\n"
                "  [--seed=N] [--samples-per-cell=N] [--face-resolution=N]\n"
                "  [--threads=N] [--scale=default|large]"
-               " [--stats-out=<path>]\n"
-               "  [--telemetry-out=<path>]\n",
+               " [--stats-out=<path>]\n",
                flag);
   std::exit(2);
 }
@@ -66,27 +61,6 @@ bool IntFlag(const char* arg, const char* name, int* out) {
   return true;
 }
 
-// The single emitter behind --telemetry-out and --stats-out: both write a
-// view of the SAME captured snapshot in the standard telemetry JSON shape
-// (a frame-less telemetry document), so the persist-only subset can never
-// drift from the full export.
-Status EmitMetricsJson(const telemetry::MetricsSnapshot& view,
-                       const std::string& path) {
-  std::string doc = "{\"version\":1,\"metrics\":";
-  doc.append(view.ToJson());
-  doc.append(",\"frames_recorded\":0,\"frames_dropped\":0,\"frames\":[]}");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot open " + path);
-  }
-  out << doc;
-  out.flush();
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
-}
-
 BuildArgs Parse(int argc, char** argv) {
   BuildArgs args;
   int threads = 1;
@@ -97,8 +71,6 @@ BuildArgs Parse(int argc, char** argv) {
       args.out = arg + 6;
     } else if (std::strncmp(arg, "--stats-out=", 12) == 0) {
       args.stats_out = arg + 12;
-    } else if (std::strncmp(arg, "--telemetry-out=", 16) == 0) {
-      args.telemetry_out = arg + 16;
     } else if (std::strncmp(arg, "--scale=", 8) == 0) {
       if (std::strcmp(arg + 8, "large") == 0) {
         // Same preset as the benches' HDOV_BENCH_SCALE=large knob, from
@@ -201,7 +173,7 @@ int Run(const BuildArgs& args) {
               static_cast<unsigned long long>(stats.checksum_verifications),
               verify_ms / 1000.0);
 
-  if (!args.stats_out.empty() || !args.telemetry_out.empty()) {
+  if (!args.stats_out.empty()) {
     telemetry::MetricsRegistry registry;
     stats.RegisterWith(&registry, "persist");
     const double blocks = static_cast<double>(args.testbed.blocks);
@@ -221,23 +193,14 @@ int Run(const BuildArgs& args) {
     registry.RegisterView("build.verify_ms",
                           [verify_ms] { return verify_ms; });
     registry.RegisterView("build.wall_ms", [wall_ms] { return wall_ms; });
-    const telemetry::MetricsSnapshot metrics = registry.Snapshot();
-    if (!args.telemetry_out.empty()) {
-      if (Status s = EmitMetricsJson(metrics, args.telemetry_out); !s.ok()) {
-        std::fprintf(stderr, "hdov_build: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("telemetry: wrote %s\n", args.telemetry_out.c_str());
+    const std::string stats =
+        "{\"version\":1,\"metrics\":" + registry.Snapshot().ToJson() + "}";
+    if (Status s = WriteStringToFile(args.stats_out, stats, "stats");
+        !s.ok()) {
+      std::fprintf(stderr, "hdov_build: %s\n", s.ToString().c_str());
+      return 1;
     }
-    if (!args.stats_out.empty()) {
-      if (Status s = EmitMetricsJson(
-              telemetry::FilterSnapshot(metrics, "persist"), args.stats_out);
-          !s.ok()) {
-        std::fprintf(stderr, "hdov_build: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("stats: wrote %s\n", args.stats_out.c_str());
-    }
+    std::printf("stats: wrote %s\n", args.stats_out.c_str());
   }
   std::printf("done in %.1f s\n", total.ElapsedMs() / 1000.0);
   return 0;

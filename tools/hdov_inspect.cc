@@ -1,10 +1,9 @@
-// hdov_inspect: read-only inspector over the observability artifacts a
-// run leaves behind — world snapshots (tools/hdov_build), flight-recorder
-// dumps (--flight-out) and telemetry JSON files (--telemetry-out):
+// hdov_inspect: read-only inspector over the artifacts a run leaves
+// behind — world snapshots (tools/hdov_build) and flight-recorder run
+// dumps (--flight-out):
 //
 //   hdov_inspect --db=<world.hdov> [--check]
-//   hdov_inspect [--flight=<dump.bin>] [--telemetry=<telemetry.json>]
-//                [--chrome-out=<trace.json>]
+//   hdov_inspect --flight=<dump.bin> [--chrome-out=<trace.json>]
 //
 // --db prints the snapshot's section catalog, tree shape (depth, fanout
 // and entry-count histogram), per-cell DoV histogram and per-scheme
@@ -19,14 +18,12 @@
 // slow-frame captures (a bench's --flight-out dump does), it then lists
 // them: per capture the session, frame, queue-wait vs service time, the
 // threshold that tripped, the per-stage breakdown and the flight events
-// of the frame's window.
+// of the frame's window. It closes with the per-system rollup of the
+// dump's frame records, when it holds any.
 //
-// --telemetry prints per-system frame rollups of a telemetry snapshot.
-//
-// --chrome-out writes one Chrome trace-event file of what was read: the
-// telemetry snapshot's frame records on the simulated clock (pid 1) and
-// the dump's events, sampled spans and slow-frame tracks on the wall
-// clock (pid 3).
+// --chrome-out writes the dump as one Chrome trace-event file: its frame
+// records on the simulated clock (pid 1) and its events, sampled spans
+// and slow-frame tracks on the wall clock (pid 3).
 
 #include <algorithm>
 #include <cinttypes>
@@ -36,7 +33,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,7 +43,6 @@
 #include "telemetry/chrome_trace.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/flight_rollup.h"
-#include "telemetry/json.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_context.h"
 #include "visibility/precompute.h"
@@ -58,7 +53,6 @@ namespace {
 struct InspectArgs {
   std::string db;
   std::string flight;
-  std::string telemetry;
   std::string chrome_out;
   bool check = false;
 };
@@ -67,8 +61,7 @@ struct InspectArgs {
   std::fprintf(stderr,
                "hdov_inspect: bad flag %s\n"
                "usage: hdov_inspect [--db=<world.hdov>] [--check]\n"
-               "  [--flight=<dump.bin>] [--chrome-out=<trace.json>]\n"
-               "  [--telemetry=<telemetry.json>]\n",
+               "  [--flight=<dump.bin>] [--chrome-out=<trace.json>]\n",
                flag);
   std::exit(2);
 }
@@ -90,7 +83,6 @@ InspectArgs Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (path_flag(argv[i], "--db=", &args.db) ||
         path_flag(argv[i], "--flight=", &args.flight) ||
-        path_flag(argv[i], "--telemetry=", &args.telemetry) ||
         path_flag(argv[i], "--chrome-out=", &args.chrome_out)) {
       continue;
     }
@@ -100,12 +92,11 @@ InspectArgs Parse(int argc, char** argv) {
       Usage(argv[i]);
     }
   }
-  if (args.db.empty() && args.flight.empty() && args.telemetry.empty()) {
+  if (args.db.empty() && args.flight.empty()) {
     Usage("(no input)");
   }
-  if (!args.chrome_out.empty() && args.flight.empty() &&
-      args.telemetry.empty()) {
-    Usage("--chrome-out (needs --flight or --telemetry)");
+  if (!args.chrome_out.empty() && args.flight.empty()) {
+    Usage("--chrome-out (needs --flight)");
   }
   return args;
 }
@@ -328,13 +319,13 @@ int InspectDb(const InspectArgs& args) {
 // Writes a --chrome-out conversion; 0 on success, 1 (with a message on
 // stderr) when the file cannot be opened or written.
 int WriteChromeOut(const std::string& path,
-                   const telemetry::ChromeTraceSources& sources) {
+                   const telemetry::FlightDump& dump) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "hdov_inspect: cannot open %s\n", path.c_str());
     return 1;
   }
-  out << telemetry::ChromeTraceJson(sources);
+  out << telemetry::ChromeTraceJson(dump);
   out.flush();
   if (!out) {
     std::fprintf(stderr, "hdov_inspect: write failed: %s\n", path.c_str());
@@ -402,6 +393,37 @@ void PrintSlowFrames(const telemetry::FlightDump& dump,
                   static_cast<unsigned long long>(window.prefetch_used),
                   static_cast<unsigned long long>(window.prefetch_cancelled));
     }
+  }
+}
+
+// The per-system rollup of a run dump's frame records: one row per
+// (system, kind) with frame counts and simulated time / I/O totals.
+void PrintFrameRecords(const telemetry::DumpFrames& frames) {
+  std::printf("frame records: %zu (%llu recorded, %llu dropped past the"
+              " cap)\n",
+              frames.records.size(),
+              static_cast<unsigned long long>(frames.recorded),
+              static_cast<unsigned long long>(frames.dropped));
+  struct FrameRollup {
+    uint64_t frames = 0;
+    double frame_time_ms = 0.0;
+    double io_pages = 0.0;
+    double triangles = 0.0;
+  };
+  std::map<std::string, FrameRollup> by_system;
+  for (const telemetry::FrameRecord& frame : frames.records) {
+    FrameRollup& roll = by_system[frame.system + "/" + frame.kind];
+    roll.frames += 1;
+    roll.frame_time_ms += frame.frame_time_ms;
+    roll.io_pages += static_cast<double>(frame.io_pages);
+    roll.triangles += static_cast<double>(frame.rendered_triangles);
+  }
+  std::printf("  %-28s %8s %14s %12s %14s\n", "system/kind", "frames",
+              "frame_ms_sum", "io_pages", "triangles");
+  for (const auto& [key, roll] : by_system) {
+    std::printf("  %-28s %8llu %14.2f %12.0f %14.0f\n", key.c_str(),
+                static_cast<unsigned long long>(roll.frames),
+                roll.frame_time_ms, roll.io_pages, roll.triangles);
   }
 }
 
@@ -530,62 +552,9 @@ int InspectFlight(const std::string& path, telemetry::FlightDump* out) {
   if (!slow.captures.empty() || slow.frames_seen != 0) {
     PrintSlowFrames(dump, slow);
   }
-  return 0;
-}
-
-// Reads and prints the telemetry snapshot at `path`, its frame records
-// into `*out`.
-int InspectTelemetry(const std::string& path,
-                     std::vector<telemetry::FrameRecord>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "hdov_inspect: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<telemetry::JsonValue> parsed = telemetry::ParseJson(buffer.str());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "hdov_inspect: %s: %s\n", path.c_str(),
-                 parsed.status().ToString().c_str());
-    return 1;
-  }
-  const telemetry::JsonValue* metrics = parsed->Find("metrics");
-  Result<std::vector<telemetry::FrameRecord>> frames =
-      telemetry::FrameRecordsFromJson(*parsed);
-  if (metrics == nullptr || !metrics->is_array() || !frames.ok()) {
-    std::fprintf(stderr, "hdov_inspect: %s is not a telemetry snapshot\n",
-                 path.c_str());
-    return 1;
-  }
-  *out = std::move(*frames);
-  std::printf("telemetry: %s — %zu metrics, %zu frame records\n",
-              path.c_str(), metrics->items.size(), out->size());
-  if (out->empty()) {
-    return 0;
-  }
-  // Session rollup: one row per (system, kind) with frame counts and
-  // simulated I/O / time totals.
-  struct FrameRollup {
-    uint64_t frames = 0;
-    double frame_time_ms = 0.0;
-    double io_pages = 0.0;
-    double triangles = 0.0;
-  };
-  std::map<std::string, FrameRollup> by_system;
-  for (const telemetry::FrameRecord& frame : *out) {
-    FrameRollup& roll = by_system[frame.system + "/" + frame.kind];
-    roll.frames += 1;
-    roll.frame_time_ms += frame.frame_time_ms;
-    roll.io_pages += static_cast<double>(frame.io_pages);
-    roll.triangles += static_cast<double>(frame.rendered_triangles);
-  }
-  std::printf("  %-28s %8s %14s %12s %14s\n", "system/kind", "frames",
-              "frame_ms_sum", "io_pages", "triangles");
-  for (const auto& [key, roll] : by_system) {
-    std::printf("  %-28s %8llu %14.2f %12.0f %14.0f\n", key.c_str(),
-                static_cast<unsigned long long>(roll.frames),
-                roll.frame_time_ms, roll.io_pages, roll.triangles);
+  const telemetry::DumpFrames frames = telemetry::FrameRecordsFromDump(dump);
+  if (!frames.records.empty() || frames.recorded != 0) {
+    PrintFrameRecords(frames);
   }
   return 0;
 }
@@ -602,17 +571,8 @@ int Run(const InspectArgs& args) {
       return rc;
     }
   }
-  std::vector<telemetry::FrameRecord> frames;
-  if (!args.telemetry.empty()) {
-    if (int rc = InspectTelemetry(args.telemetry, &frames); rc != 0) {
-      return rc;
-    }
-  }
   if (!args.chrome_out.empty()) {
-    return WriteChromeOut(
-        args.chrome_out,
-        {.frames = args.telemetry.empty() ? nullptr : &frames,
-         .flight = args.flight.empty() ? nullptr : &dump});
+    return WriteChromeOut(args.chrome_out, dump);
   }
   return 0;
 }
