@@ -26,6 +26,7 @@
 #include "rtree/rtree.h"
 #include "scene/cell_grid.h"
 #include "scene/city_generator.h"
+#include "scene/session.h"
 #include "simplify/simplifier.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_device.h"
@@ -35,6 +36,7 @@
 #include "visibility/cubemap_buffer.h"
 #include "visibility/precompute.h"
 #include "walkthrough/experiment_testbed.h"
+#include "walkthrough/frame_loop.h"
 #include "walkthrough/visual_system.h"
 
 #if defined(__x86_64__)
@@ -585,6 +587,44 @@ void BM_RenderFrameSameCell(benchmark::State& state) {
 BENCHMARK(BM_RenderFrameSameCell)
     ->Arg(0)     // eta = 0.
     ->Arg(100);  // eta = 0.001, Eq. 4.
+
+// One 400-frame normal walk played cold through PlaySession, with prefetch
+// off (arg 0) or sync (arg 1, the walkthrough experiments' mode). Sync
+// prefetch pins stay out of the resident set and the plan searches on its
+// own searcher, so both modes settle the frames that stay in their cell;
+// `settled` is the settled frames per walk.
+void BM_VisualWalk(benchmark::State& state) {
+  SearchFixture& fx = SearchFixture::Get();
+  VisualOptions opt = DefaultVisualOptions();
+  opt.prefetch = state.range(0) == 0 ? prefetch::PrefetchMode::kOff
+                                     : prefetch::PrefetchMode::kSync;
+  opt.tree_cache_pages = 1024;
+  auto system =
+      VisualSystem::Create(&fx.scene, fx.grid.get(), fx.table.get(), opt);
+  if (!system.ok()) {
+    state.SkipWithError(system.status().ToString().c_str());
+    return;
+  }
+  SessionOptions sopt;
+  sopt.num_frames = 400;
+  const Session walk =
+      RecordSession(MotionPattern::kNormalWalk, fx.scene.bounds(), sopt);
+  for (auto _ : state) {
+    Result<SessionSummary> summary = PlaySession(system->get(), walk);
+    if (!summary.ok()) {
+      state.SkipWithError(summary.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(summary->avg_frame_time_ms);
+  }
+  state.SetItemsProcessed(state.iterations() * walk.frames.size());
+  state.counters["settled"] =
+      static_cast<double>((*system)->settled_frames()) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_VisualWalk)
+    ->Arg(0)   // Prefetch off.
+    ->Arg(1);  // Sync prefetch.
 
 }  // namespace
 }  // namespace hdov

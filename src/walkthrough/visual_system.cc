@@ -16,22 +16,28 @@ VisualSystem::VisualSystem(const Scene* scene, const CellGrid* grid,
       model_device_(std::make_unique<PageDevice>(options.disk, &clock_)),
       models_(std::make_unique<ModelStore>(model_device_.get())) {}
 
-// Shared tail of the three factories: wire the searcher, the optional
-// tree cache and the async prefetcher, then zero every simulated counter
+// Shared tail of the three factories: wire the optional tree cache, the
+// searchers and the async prefetcher, then zero every simulated counter
 // and the disk-head trackers so measured workloads start from an identical
 // state on every path.
 Status VisualSystem::FinishConstruction(
     std::function<BufferPool*(SessionDeviceRole)> warm_pool) {
-  searcher_ = std::make_unique<HdovSearcher>(tree_.get(), scene_,
-                                             models_.get(),
-                                             tree_device_.get());
   if (options_.tree_cache_pages > 0) {
     // One shard: a global LRU over the session's own tree pages.
     tree_cache_ = std::make_unique<BufferPool>(
         tree_device_.get(),
         BufferPoolOptions{.capacity_pages = options_.tree_cache_pages,
                           .shards = 1});
-    searcher_->set_tree_cache(tree_cache_.get());
+  }
+  const auto make_searcher = [this] {
+    auto searcher = std::make_unique<HdovSearcher>(
+        tree_.get(), scene_, models_.get(), tree_device_.get());
+    searcher->set_tree_cache(tree_cache_.get());
+    return searcher;
+  };
+  searcher_ = make_searcher();
+  if (options_.prefetch == prefetch::PrefetchMode::kSync) {
+    plan_searcher_ = make_searcher();
   }
   if (options_.prefetch == prefetch::PrefetchMode::kAsync) {
     prefetch::PrefetcherWiring wiring;
@@ -54,8 +60,7 @@ Status VisualSystem::FinishConstruction(
     }
     wiring.warm_pool = std::move(warm_pool);
     wiring.is_resident = [this](const RetrievedLod& lod) {
-      const ResidentEntry* held = resident_.Find(ResidentSlot(lod));
-      return held != nullptr && held->lod_level <= lod.lod_level;
+      return Held(lod) != nullptr;
     };
     HDOV_ASSIGN_OR_RETURN(prefetcher_, prefetch::Prefetcher::Create(wiring));
   }
@@ -211,30 +216,11 @@ void VisualSystem::UnregisterTelemetry() {
   }
 }
 
-void VisualSystem::CountQuery(const SearchStats& stats) {
-  ctr_queries_->Increment();
-  ctr_nodes_visited_->Add(stats.nodes_visited);
-  ctr_vpages_fetched_->Add(stats.vpages_fetched);
-  ctr_hidden_pruned_->Add(stats.hidden_entries_pruned);
-  ctr_internal_terminations_->Add(stats.internal_terminations);
-}
-
-Status VisualSystem::Query(const Vec3& position, bool fetch_models,
-                           std::vector<RetrievedLod>* result,
-                           SearchStats* stats) {
-  const CellId cell = grid_->ClampedCellForPoint(position);
-  SearchOptions search = options_.search;
-  search.eta = options_.eta;
+Status VisualSystem::SearchCell(CellId cell,
+                                std::vector<RetrievedLod>* result,
+                                SearchStats* stats) {
+  SearchOptions search = search_options();
   const bool telemetry_on = TelemetryOn();
-  SearchStats local_stats;
-  SearchStats* stats_out =
-      stats != nullptr ? stats : (telemetry_on ? &local_stats : nullptr);
-  // A standalone query (the Figs. 7-9 bench path) emits its own record.
-  std::optional<FrameMeter> meter;
-  if (telemetry_on && !in_frame_) {
-    meter.emplace(this, clock_, *tree_device_, store_device_.get(),
-                  *model_device_);
-  }
   if (telemetry_on) {
     // Trace sampling: only 1-in-N queries carry a full span tree; the
     // flight recorder still sees every page/pool event regardless.
@@ -244,20 +230,40 @@ Status VisualSystem::Query(const Vec3& position, bool fetch_models,
     }
   }
   HDOV_RETURN_IF_ERROR(
-      searcher_->Search(store_.get(), cell, search, result, stats_out));
+      searcher_->Search(store_.get(), cell, search, result, stats));
+  if (telemetry_on) {
+    ctr_queries_->Increment();
+    ctr_nodes_visited_->Add(stats->nodes_visited);
+    ctr_vpages_fetched_->Add(stats->vpages_fetched);
+    ctr_hidden_pruned_->Add(stats->hidden_entries_pruned);
+    ctr_internal_terminations_->Add(stats->internal_terminations);
+  }
+  return Status::OK();
+}
+
+Status VisualSystem::Query(const Vec3& position, bool fetch_models,
+                           std::vector<RetrievedLod>* result,
+                           SearchStats* stats) {
+  const CellId cell = grid_->ClampedCellForPoint(position);
+  SearchStats local_stats;
+  stats = stats != nullptr ? stats : &local_stats;
+  // A standalone query (the Figs. 7-9 bench path) emits its own record.
+  std::optional<FrameMeter> meter;
+  if (TelemetryOn()) {
+    meter.emplace(this, clock_, *tree_device_, store_device_.get(),
+                  *model_device_);
+  }
+  HDOV_RETURN_IF_ERROR(SearchCell(cell, result, stats));
   if (fetch_models) {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kFetch);
     for (const RetrievedLod& lod : *result) {
       HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
     }
   }
-  if (telemetry_on) {
-    CountQuery(*stats_out);
-  }
   if (meter.has_value()) {
     FrameResult r;
     meter->Bill(&r);
-    r.search = *stats_out;
+    r.search = *stats;
     r.models_fetched = fetch_models ? result->size() : 0;
     EmitFrameRecord(r, cell, "query");
   }
@@ -268,8 +274,7 @@ Status VisualSystem::QueryWithHeuristic(const Vec3& position,
                                         TerminationHeuristic heuristic,
                                         std::vector<RetrievedLod>* result) {
   const CellId cell = grid_->ClampedCellForPoint(position);
-  SearchOptions search = options_.search;
-  search.eta = options_.eta;
+  SearchOptions search = search_options();
   search.heuristic = heuristic;
   HDOV_RETURN_IF_ERROR(
       searcher_->Search(store_.get(), cell, search, result, nullptr));
@@ -295,22 +300,14 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
       tree_cache_ != nullptr ? tree_cache_->stats().hits : 0;
   const uint64_t cache_misses0 =
       tree_cache_ != nullptr ? tree_cache_->stats().misses : 0;
+  HDOV_RETURN_IF_ERROR(SearchCell(frame_cell, &last_result_,
+                                  &result->search));
 
-  in_frame_ = true;
-  struct InFrameGuard {
-    bool* flag;
-    ~InFrameGuard() { *flag = false; }
-  } in_frame_guard{&in_frame_};
-
-  HDOV_RETURN_IF_ERROR(
-      Query(viewpoint.position, /*fetch_models=*/false, &last_result_,
-            &result->search));
-
-  // Delta search: a representation whose owner is already resident at the
-  // required (or a finer) LoD is reused; otherwise the requested level is
-  // fetched. Afterwards only the current working set stays resident
-  // (semantic replacement). Lookups read the last frame's set only, and
-  // an owner repeated in one result keeps its last entry.
+  // Delta search: a representation whose owner is already held (Held) at
+  // the required or a finer LoD is reused; otherwise the requested level
+  // is fetched. Afterwards only the current working set stays resident
+  // (semantic replacement). Lookups read the last frame's set and the sync
+  // pins only, and an owner repeated in one result keeps its last entry.
   size_t fetched = 0;
   uint64_t triangles = 0;
   {
@@ -326,21 +323,17 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
       settled_generation_ = 0;
       next_resident_.Clear();
       for (const RetrievedLod& lod : last_result_) {
-        const uint64_t slot = ResidentSlot(lod);
         ResidentEntry entry{lod.lod_level, lod.byte_size,
                             lod.triangle_count};
-        const ResidentEntry* held = resident_.Find(slot);
-        const bool reusable =
-            delta_enabled_ && held != nullptr &&
-            held->lod_level <= lod.lod_level;  // Finer or equal resident.
-        if (reusable) {
-          entry = *held;  // Render the (possibly finer) resident copy.
+        const ResidentEntry* held = delta_enabled_ ? Held(lod) : nullptr;
+        if (held != nullptr) {
+          entry = *held;  // Render the (possibly finer) held copy.
         } else {
           HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
           ++fetched;
         }
         triangles += entry.triangle_count;
-        HDOV_RETURN_IF_ERROR(next_resident_.Put(slot, entry));
+        HDOV_RETURN_IF_ERROR(next_resident_.Put(ResidentSlot(lod), entry));
       }
       resident_.swap(next_resident_);
       if (delta_enabled_ && fetched == 0) {
@@ -354,8 +347,8 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   // representations of the cell the walker looks into, on this frame's
   // clock. A new predicted cell replaces the plan (and drops what the old
   // one loaded); the plan's cell is recorded only once its search
-  // succeeds. Prefetched representations are pinned in the resident set
-  // so the eventual cell flip finds them loaded.
+  // succeeds. Prefetched representations are pinned in prefetch_loaded_,
+  // where the delta loop finds them once the walker crosses into the cell.
   if (options_.prefetch == prefetch::PrefetchMode::kSync &&
       options_.prefetch_models_per_frame > 0 && delta_enabled_ &&
       fetched == 0) {
@@ -368,40 +361,32 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
         sync_plan_cell_ = kInvalidCell;
         sync_next_ = 0;
         prefetch_loaded_.Clear();
-        SearchOptions search = options_.search;
-        search.eta = options_.eta;
-        HDOV_RETURN_IF_ERROR(searcher_->Search(
-            store_.get(), prediction.cell, search, &sync_plan_, nullptr));
+        HDOV_RETURN_IF_ERROR(plan_searcher_->Search(
+            store_.get(), prediction.cell, search_options(), &sync_plan_,
+            nullptr));
         sync_plan_cell_ = prediction.cell;
       }
       size_t budget = options_.prefetch_models_per_frame;
       while (budget > 0 && sync_next_ < sync_plan_.size()) {
         const RetrievedLod& lod = sync_plan_[sync_next_++];
-        const uint64_t slot = ResidentSlot(lod);
-        const ResidentEntry* held = resident_.Find(slot);
-        if (held != nullptr && held->lod_level <= lod.lod_level) {
-          continue;  // Already resident at sufficient detail.
-        }
-        held = prefetch_loaded_.Find(slot);
-        if (held != nullptr && held->lod_level <= lod.lod_level) {
-          continue;  // Already prefetched at sufficient detail.
+        if (Held(lod) != nullptr) {
+          continue;  // Already held at sufficient detail.
         }
         HDOV_RETURN_IF_ERROR(models_->Fetch(lod.model));
         HDOV_RETURN_IF_ERROR(prefetch_loaded_.Put(
-            slot,
+            ResidentSlot(lod),
             ResidentEntry{lod.lod_level, lod.byte_size, lod.triangle_count}));
         ++fetched;
         --budget;
       }
     }
   }
-  const size_t result_owners = resident_.size();
-  for (const ResidentSet::Item& item : prefetch_loaded_) {
-    // Keep current-result entries as-is.
-    HDOV_RETURN_IF_ERROR(resident_.Emplace(item.owner, item.entry));
-  }
-  if (resident_.size() != result_owners) {
-    settled_generation_ = 0;  // A pin joined: the set is not the loop's.
+  // Model memory held: the loop's set plus each pin of an owner outside it.
+  uint64_t resident_bytes = resident_.bytes();
+  for (const ResidentSet::Item& pin : prefetch_loaded_) {
+    if (resident_.Find(pin.owner) == nullptr) {
+      resident_bytes += pin.entry.byte_size;
+    }
   }
 
   // Async pipeline: end-of-frame speculation toward the predicted next
@@ -410,10 +395,8 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
   // BeginFrame and handed to the background queue to warm for real.
   if (prefetcher_ != nullptr) {
     telemetry::StageTraceScope stage(telemetry::TraceStage::kPrefetch);
-    SearchOptions search = options_.search;
-    search.eta = options_.eta;
     HDOV_RETURN_IF_ERROR(
-        prefetcher_->EndFrame(viewpoint, frame_cell, search));
+        prefetcher_->EndFrame(viewpoint, frame_cell, search_options()));
   }
 
   telemetry::StageTraceScope render_stage(telemetry::TraceStage::kRender);
@@ -427,7 +410,7 @@ Status VisualSystem::RenderFrame(const Viewpoint& viewpoint,
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
   }
-  meter.Finish(triangles, fetched, resident_.bytes(), options_.render,
+  meter.Finish(triangles, fetched, resident_bytes, options_.render,
                frame_cell, &flight, result);
   return Status::OK();
 }

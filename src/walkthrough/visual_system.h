@@ -9,8 +9,8 @@
 // would fetch nothing, write the same set and sum the same triangles. The
 // frame then keeps the resident set and the triangle count as they are.
 // Results and billing are identical to running the loop; ResetRuntime, a
-// frame with delta search off, a traced or failed search, and a sync
-// prefetch pin that joins the set all end the settled state.
+// frame with delta search off, and a traced or failed search end the
+// settled state. Sync prefetch pins stay in a set of their own.
 
 #ifndef HDOV_WALKTHROUGH_VISUAL_SYSTEM_H_
 #define HDOV_WALKTHROUGH_VISUAL_SYSTEM_H_
@@ -173,8 +173,8 @@ class VisualSystem : public WalkthroughSystem {
   // next search runs in full; results and billing are the same either way.
   void ForgetLastSearch() { searcher_->ForgetLastSearch(); }
 
-  // The representations the last frame kept, and how many frames so far
-  // skipped the delta loop as settled (tests and benches read these).
+  // What the last frame's delta loop kept (no sync pins), and how many
+  // frames so far skipped that loop as settled (tests and benches read it).
   const ResidentSet& resident_set() const { return resident_; }
   uint64_t settled_frames() const { return settled_frames_; }
 
@@ -205,8 +205,15 @@ class VisualSystem : public WalkthroughSystem {
 
   void RegisterTelemetry() override;
   void UnregisterTelemetry() override;
-  // Folds one query's stats into the registry counters (telemetry only).
-  void CountQuery(const SearchStats& stats);
+  // The search step of Query and RenderFrame: trace sampling, the search
+  // of `cell`, and the registry counters when telemetry is attached.
+  Status SearchCell(CellId cell, std::vector<RetrievedLod>* result,
+                    SearchStats* stats);
+  SearchOptions search_options() const {
+    SearchOptions search = options_.search;
+    search.eta = options_.eta;
+    return search;
+  }
 
   const Scene* scene_;
   const CellGrid* grid_;
@@ -224,6 +231,9 @@ class VisualSystem : public WalkthroughSystem {
   std::shared_ptr<const HdovTree> tree_;
   std::unique_ptr<VisibilityStore> store_;
   std::unique_ptr<HdovSearcher> searcher_;
+  // Sync mode only: the plan's searches, kept off searcher_ so they do not
+  // replace the frame's memo. Same tree, devices and tree cache.
+  std::unique_ptr<HdovSearcher> plan_searcher_;
   std::unique_ptr<BufferPool> tree_cache_;  // Only with tree_cache_pages.
 
   // Registry-owned metric handles; valid only while attached (the base
@@ -233,9 +243,6 @@ class VisualSystem : public WalkthroughSystem {
   telemetry::Counter* ctr_vpages_fetched_ = nullptr;
   telemetry::Counter* ctr_hidden_pruned_ = nullptr;
   telemetry::Counter* ctr_internal_terminations_ = nullptr;
-  // True while RenderFrame runs, so its inner Query does not emit a
-  // second (kind "query") record for the same frame.
-  bool in_frame_ = false;
 
   // Delta search bookkeeping, keyed by representation *owner* (object or
   // internal node): a resident representation at least as fine as the one
@@ -251,6 +258,13 @@ class VisualSystem : public WalkthroughSystem {
     }
     return lod.owner < scene_->size() ? lod.owner : UINT64_MAX;
   }
+  // The owner's resident_ entry, else its sync pin, if at least as fine.
+  // A coarser resident_ entry hides a pin, so the loop's entries win.
+  const ResidentEntry* Held(const RetrievedLod& lod) const {
+    const ResidentEntry* held = resident_.Find(ResidentSlot(lod));
+    held = held != nullptr ? held : prefetch_loaded_.Find(ResidentSlot(lod));
+    return held != nullptr && held->lod_level <= lod.lod_level ? held : nullptr;
+  }
 
   // What the last frame kept; RenderFrame writes the next frame's set
   // into next_resident_ and swaps the two.
@@ -264,8 +278,8 @@ class VisualSystem : public WalkthroughSystem {
   uint64_t settled_frames_ = 0;
   // Sync-mode prefetch plan: the cell being warmed (kInvalidCell until
   // its search succeeds), that cell's retrieval list, the budget cursor
-  // into it, and the representations loaded ahead of the cell flip
-  // (pinned into resident_ every frame).
+  // into it, and the representations loaded ahead of the cell flip (the
+  // pins: read by Held and billed as resident, never put in resident_).
   CellId sync_plan_cell_ = kInvalidCell;
   std::vector<RetrievedLod> sync_plan_;
   size_t sync_next_ = 0;
